@@ -7,8 +7,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cache/tag_store.hh"
 #include "sim/experiment.hh"
+#include "trace/trace_stream.hh"
 #include "vm/tlb.hh"
 
 namespace
@@ -68,6 +71,26 @@ BM_TraceGeneration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TraceGeneration)->Arg(50'000);
+
+/** Streamed decode of pops at CPU count state.range(0), no trace held. */
+void
+BM_TraceStream(benchmark::State &state)
+{
+    WorkloadProfile p = popsProfile();
+    p.numCpus = static_cast<std::uint32_t>(state.range(0));
+    p.totalRefs = 200'000;
+    std::vector<TraceRecord> batch(4096);
+    std::int64_t records = 0;
+    for (auto _ : state) {
+        TraceStream stream(p);
+        while (std::size_t n = stream.nextBatch(batch.data(), batch.size()))
+            records += static_cast<std::int64_t>(n);
+        benchmark::DoNotOptimize(batch.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_TraceStream)->Arg(4)->Arg(16);
 
 const TraceBundle &
 microBundle()

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "base/bitops.hh"
 #include "base/log.hh"
@@ -26,17 +25,18 @@ NestedWorkingSetSampler::NestedWorkingSetSampler(
     panicIfNot(!_levels.empty(), "sampler needs at least one level");
     std::sort(_levels.begin(), _levels.end(),
               [](const auto &a, const auto &b) { return a.bytes < b.bytes; });
-    for (const auto &l : _levels)
+    for (const auto &l : _levels) {
         _weights.push_back(l.weight);
+        _blocks.push_back(std::max<std::uint32_t>(1, l.bytes / _blockBytes));
+    }
+    _weightTotal = Rng::weightTotal(_weights);
 }
 
 std::uint32_t
 NestedWorkingSetSampler::sample(Rng &rng) const
 {
-    std::size_t li = rng.weighted(_weights);
-    std::uint32_t blocks = std::max<std::uint32_t>(
-        1, _levels[li].bytes / _blockBytes);
-    std::uint32_t block = static_cast<std::uint32_t>(rng.below(blocks));
+    std::size_t li = rng.weighted(_weights, _weightTotal);
+    std::uint32_t block = static_cast<std::uint32_t>(rng.below(_blocks[li]));
     std::uint32_t offset = static_cast<std::uint32_t>(
         rng.below(_blockBytes)) & ~3u;
     return _regionBase + block * _blockBytes + offset;
@@ -100,7 +100,7 @@ namespace
 
 /** Zipf-weighted procedure popularity. */
 std::vector<double>
-procWeights(std::uint32_t count, double theta)
+zipfWeights(std::uint32_t count, double theta)
 {
     std::vector<double> w(count);
     for (std::uint32_t i = 0; i < count; ++i)
@@ -123,17 +123,56 @@ struct ProcessState
     std::vector<std::pair<std::uint32_t, std::uint32_t>> callStack;
 };
 
-/** Per-CPU generation engine: emits one TraceRecord per step. */
-class CpuEngine
+/** Data reads per instruction fetch. */
+double
+readsPerInstr(const WorkloadProfile &p)
 {
-  public:
-    CpuEngine(const WorkloadProfile &p, CpuId cpu, Rng rng,
-              GenStats &stats)
-        : _p(p), _cpu(cpu), _rng(std::move(rng)), _stats(stats),
-          _procWeights(procWeights(p.procCount, p.procZipfTheta)),
-          _dataSampler(p.dataLevels, p.dataBlockBytes,
-                       VirtualLayout::privateDataBase),
-          _sharedSampler(
+    return p.instrFrac > 0 ? p.readFrac / p.instrFrac : 0;
+}
+
+/** Writes per instruction fetch beyond those of call bursts. */
+double
+bgWritesPerInstr(const WorkloadProfile &p)
+{
+    double writes_per_instr =
+        p.instrFrac > 0 ? p.writeFrac / p.instrFrac : 0;
+    double burst_mean = (p.callWritesMin + p.callWritesMax) / 2.0;
+    return std::max(0.0, writes_per_instr - p.callProb * burst_mean);
+}
+
+/**
+ * A per-instruction rate split as the historical draw loop
+ * `for (x = rate; x >= 1 || chance(x); x -= 1)` consumes it: whole
+ * unconditional references, then one Bernoulli draw on what is left.
+ */
+struct RefRate
+{
+    explicit RefRate(double rate)
+    {
+        double x = rate;
+        for (; x >= 1.0; x -= 1.0)
+            whole += 1;
+        extra = Rng::threshold(x);
+    }
+
+    std::uint32_t whole = 0;
+    Rng::Threshold extra;
+};
+
+/**
+ * Everything an engine derives from the profile alone, built once per
+ * stream and shared by its CPUs. Every fixed probability the engines
+ * test is held as its Rng::threshold, so each test is a raw draw and
+ * one integer compare rather than a real conversion.
+ */
+struct ProfileTables
+{
+    explicit ProfileTables(const WorkloadProfile &p)
+        : procWeights(zipfWeights(p.procCount, p.procZipfTheta)),
+          procWeightTotal(Rng::weightTotal(procWeights)),
+          dataSampler(p.dataLevels, p.dataBlockBytes,
+                      VirtualLayout::privateDataBase),
+          sharedSampler(
               // A small, hot, actively contended region (locks,
               // frequently updated shared state) in front of the full
               // segment: this is what keeps shared blocks resident in
@@ -144,15 +183,42 @@ class CpuEngine
                                         64 * p.dataBlockBytes),
                 0.22},
                {p.sharedPages * p.pageSize, 0.18}},
-              p.dataBlockBytes, 0)
+              p.dataBlockBytes, 0),
+          reads(readsPerInstr(p)), bgWrites(bgWritesPerInstr(p)),
+          loopBack(Rng::threshold(p.loopBackProb)),
+          call(Rng::threshold(p.callProb)),
+          ret(Rng::threshold(p.returnProb)),
+          shortCall(Rng::threshold(0.002)),
+          hotspot(Rng::threshold(p.hotspotFrac)),
+          repeat(Rng::threshold(p.repeatFrac)),
+          seq(Rng::threshold(p.seqFrac)),
+          stackRead(Rng::threshold(p.stackReadFrac)),
+          shared(Rng::threshold(p.sharedFrac)),
+          sharedWrite(Rng::threshold(p.sharedWriteFrac)),
+          sharedRepeat(Rng::threshold(p.sharedRepeatFrac)),
+          alias(Rng::threshold(p.aliasFrac))
     {
-        _readsPerInstr = p.instrFrac > 0 ? p.readFrac / p.instrFrac : 0;
-        double writes_per_instr =
-            p.instrFrac > 0 ? p.writeFrac / p.instrFrac : 0;
-        double burst_mean = (p.callWritesMin + p.callWritesMax) / 2.0;
-        _bgWritesPerInstr =
-            std::max(0.0, writes_per_instr - p.callProb * burst_mean);
+    }
 
+    std::vector<double> procWeights;
+    double procWeightTotal;
+    NestedWorkingSetSampler dataSampler;
+    NestedWorkingSetSampler sharedSampler;
+    RefRate reads, bgWrites;
+    Rng::Threshold loopBack, call, ret, shortCall;
+    Rng::Threshold hotspot, repeat, seq, stackRead;
+    Rng::Threshold shared, sharedWrite, sharedRepeat, alias;
+};
+
+/** Per-CPU generation engine: emits one TraceRecord per step. */
+class CpuEngine
+{
+  public:
+    CpuEngine(const WorkloadProfile &p, const ProfileTables &tables,
+              CpuId cpu, Rng rng, GenStats &stats)
+        : _p(p), _tables(tables), _cpu(cpu), _rng(std::move(rng)),
+          _stats(stats)
+    {
         for (std::uint32_t k = 0; k < p.processesPerCpu; ++k) {
             ProcessState ps;
             ps.pid = cpu * p.processesPerCpu + k;
@@ -179,12 +245,13 @@ class CpuEngine
     TraceRecord
     next()
     {
-        if (!_pending.empty()) {
-            TraceRecord r = _pending.front();
-            _pending.pop_front();
+        if (_pendingHead < _pending.size()) {
+            TraceRecord r = _pending[_pendingHead++];
             note(r);
             return r;
         }
+        _pending.clear();
+        _pendingHead = 0;
         ProcessState &ps = _procs[_active];
         TraceRecord instr =
             makeRef(_cpu, RefType::Instr, ps.pid, VirtAddr(ps.pc));
@@ -226,7 +293,7 @@ class CpuEngine
         ps.pc += 4;
         bool past_end = ps.pc >= ps.procEntry + _p.procStride;
 
-        if (!past_end && _rng.chance(_p.loopBackProb)) {
+        if (!past_end && _rng.chance(_tables.loopBack)) {
             std::uint32_t span = static_cast<std::uint32_t>(
                 _rng.range(8, std::max<std::uint32_t>(8, _p.loopSpanBytes)));
             span &= ~3u;
@@ -235,13 +302,13 @@ class CpuEngine
         }
 
         if (!past_end && ps.callStack.size() < _p.maxCallDepth &&
-            _rng.chance(_p.callProb)) {
+            _rng.chance(_tables.call)) {
             doCall(ps);
             return;
         }
 
         if (past_end || (!ps.callStack.empty() &&
-                         _rng.chance(_p.returnProb))) {
+                         _rng.chance(_tables.ret))) {
             doReturn(ps);
             return;
         }
@@ -253,7 +320,7 @@ class CpuEngine
         std::uint32_t writes = static_cast<std::uint32_t>(
             _rng.range(_p.callWritesMin, _p.callWritesMax));
         // The paper's Table 1 shows a small residue of 1..5-write calls.
-        if (_rng.chance(0.002))
+        if (_rng.chance(_tables.shortCall))
             writes = static_cast<std::uint32_t>(_rng.range(1, 5));
 
         std::uint32_t frame = writes * 4;
@@ -270,7 +337,8 @@ class CpuEngine
 
         ps.callStack.emplace_back(ps.pc, frame);
         std::uint32_t callee = static_cast<std::uint32_t>(
-            _rng.weighted(_procWeights));
+            _rng.weighted(_tables.procWeights,
+                          _tables.procWeightTotal));
         ps.procEntry = procEntryAddr(callee);
         ps.pc = ps.procEntry;
     }
@@ -281,7 +349,8 @@ class CpuEngine
         if (ps.callStack.empty()) {
             // Main loop wrapped around: restart a fresh top procedure.
             std::uint32_t callee = static_cast<std::uint32_t>(
-                _rng.weighted(_procWeights));
+                _rng.weighted(_tables.procWeights,
+                              _tables.procWeightTotal));
             ps.procEntry = procEntryAddr(callee);
             ps.pc = ps.procEntry;
             return;
@@ -300,20 +369,30 @@ class CpuEngine
     void
     scheduleDataRefs(ProcessState &ps)
     {
-        for (double x = _readsPerInstr; x >= 1.0 || _rng.chance(x);
-             x -= 1.0) {
-            _pending.push_back(makeRef(_cpu, RefType::Read, ps.pid,
-                                       VirtAddr(readAddr(ps))));
-            if (x < 1.0)
-                break;
-        }
-        for (double x = _bgWritesPerInstr; x >= 1.0 || _rng.chance(x);
-             x -= 1.0) {
-            _pending.push_back(makeRef(_cpu, RefType::Write, ps.pid,
-                                       VirtAddr(writeAddr(ps))));
-            if (x < 1.0)
-                break;
-        }
+        // The whole references draw their addresses before the extra
+        // reference's Bernoulli draw, as the historical loop did.
+        for (std::uint32_t i = 0; i < _tables.reads.whole; ++i)
+            pushRead(ps);
+        if (_rng.chance(_tables.reads.extra))
+            pushRead(ps);
+        for (std::uint32_t i = 0; i < _tables.bgWrites.whole; ++i)
+            pushWrite(ps);
+        if (_rng.chance(_tables.bgWrites.extra))
+            pushWrite(ps);
+    }
+
+    void
+    pushRead(ProcessState &ps)
+    {
+        _pending.push_back(
+            makeRef(_cpu, RefType::Read, ps.pid, VirtAddr(readAddr(ps))));
+    }
+
+    void
+    pushWrite(ProcessState &ps)
+    {
+        _pending.push_back(
+            makeRef(_cpu, RefType::Write, ps.pid, VirtAddr(writeAddr(ps))));
     }
 
     /** One block of the globally hot, constantly polled set. */
@@ -335,12 +414,12 @@ class CpuEngine
         // Bursty sharing: keep working on the current shared block for
         // a while before moving on, as real producer/consumer and
         // shared-structure code does.
-        if (ps.lastShared != 0 && _rng.chance(_p.sharedRepeatFrac))
+        if (ps.lastShared != 0 && _rng.chance(_tables.sharedRepeat))
             return ps.lastShared;
-        std::uint32_t offset = _sharedSampler.sample(_rng);
+        std::uint32_t offset = _tables.sharedSampler.sample(_rng);
         std::uint32_t limit = _p.sharedPages * _p.pageSize;
         offset %= limit;
-        if (_rng.chance(_p.aliasFrac)) {
+        if (_rng.chance(_tables.alias)) {
             ps.lastShared = VirtualLayout::aliasBase(
                                 ps.pid, _p.sharedPages, _p.pageSize) +
                 offset;
@@ -353,51 +432,50 @@ class CpuEngine
     std::uint32_t
     readAddr(ProcessState &ps)
     {
-        if (_rng.chance(_p.hotspotFrac))
+        if (_rng.chance(_tables.hotspot))
             return hotspotAddr();
-        if (_rng.chance(_p.repeatFrac))
+        if (_rng.chance(_tables.repeat))
             return ps.lastData;
-        if (_rng.chance(_p.seqFrac)) {
+        if (_rng.chance(_tables.seq)) {
             ps.lastData += 4;  // array walk continues
             return ps.lastData;
         }
-        if (_rng.chance(_p.stackReadFrac))
+        if (_rng.chance(_tables.stackRead))
             return ps.sp + static_cast<std::uint32_t>(_rng.below(16)) * 4;
-        if (_rng.chance(_p.sharedFrac))
+        if (_rng.chance(_tables.shared))
             return sharedAddr(ps);
-        ps.lastData = _dataSampler.sample(_rng);
+        ps.lastData = _tables.dataSampler.sample(_rng);
         return ps.lastData;
     }
 
     std::uint32_t
     writeAddr(ProcessState &ps)
     {
-        if (_rng.chance(_p.hotspotFrac))
+        if (_rng.chance(_tables.hotspot))
             return hotspotAddr();
-        if (_rng.chance(_p.repeatFrac))
+        if (_rng.chance(_tables.repeat))
             return ps.lastData;
-        if (_rng.chance(_p.seqFrac)) {
+        if (_rng.chance(_tables.seq)) {
             ps.lastData += 4;
             return ps.lastData;
         }
-        if (_rng.chance(_p.sharedFrac) && _rng.chance(_p.sharedWriteFrac))
+        if (_rng.chance(_tables.shared) &&
+            _rng.chance(_tables.sharedWrite))
             return sharedAddr(ps);
-        ps.lastData = _dataSampler.sample(_rng);
+        ps.lastData = _tables.dataSampler.sample(_rng);
         return ps.lastData;
     }
 
     const WorkloadProfile &_p;
+    const ProfileTables &_tables;
     CpuId _cpu;
     Rng _rng;
     GenStats &_stats;
-    std::vector<double> _procWeights;
-    NestedWorkingSetSampler _dataSampler;
-    NestedWorkingSetSampler _sharedSampler;
-    double _readsPerInstr = 0;
-    double _bgWritesPerInstr = 0;
     std::vector<ProcessState> _procs;
     std::size_t _active = 0;
-    std::deque<TraceRecord> _pending;
+    /** Data references of the last instruction, drained from the head. */
+    std::vector<TraceRecord> _pending;
+    std::size_t _pendingHead = 0;
 };
 
 } // namespace
@@ -415,7 +493,7 @@ class CpuEngine
 struct TraceStream::Impl
 {
     explicit Impl(const WorkloadProfile &p)
-        : profile(p), perCpu(p.totalRefs / p.numCpus),
+        : profile(p), tables(profile), perCpu(p.totalRefs / p.numCpus),
           nextSwitch(p.numCpus, 0), switchInterval(p.numCpus, 0),
           switchesLeft(p.numCpus, 0), emitted(p.numCpus, 0)
     {
@@ -426,7 +504,7 @@ struct TraceStream::Impl
         Rng root(profile.seed);
         engines.reserve(profile.numCpus);
         for (CpuId c = 0; c < profile.numCpus; ++c)
-            engines.emplace_back(profile, c, root.fork(), genStats);
+            engines.emplace_back(profile, tables, c, root.fork(), genStats);
 
         // Spread context switches across CPUs, remainder to low CPUs.
         for (CpuId c = 0; c < profile.numCpus; ++c) {
@@ -435,6 +513,9 @@ struct TraceStream::Impl
             switchesLeft[c] = n;
             switchInterval[c] = n > 0 ? perCpu / (n + 1) : 0;
             nextSwitch[c] = switchInterval[c];
+            // A switch goes out only ahead of one of the CPU's records:
+            // all n when they are spaced apart, else one per record.
+            expected += perCpu + std::min<std::uint64_t>(n, perCpu);
         }
     }
 
@@ -476,9 +557,15 @@ struct TraceStream::Impl
         return false;
     }
 
-    void advance() { cursor = (cursor + 1) % profile.numCpus; }
+    void
+    advance()
+    {
+        if (++cursor == profile.numCpus)
+            cursor = 0;
+    }
 
     WorkloadProfile profile;
+    ProfileTables tables;
     GenStats genStats;
     std::vector<CpuEngine> engines;
     std::uint64_t perCpu;
@@ -489,6 +576,8 @@ struct TraceStream::Impl
     CpuId cursor = 0;
     bool owedEngineRecord = false;
     std::uint64_t produced = 0;
+    /** Records the stream emits in all: engine records plus switches. */
+    std::uint64_t expected = 0;
 };
 
 TraceStream::TraceStream(const WorkloadProfile &profile)
@@ -525,7 +614,7 @@ TraceStream::produced() const
 std::uint64_t
 TraceStream::expectedTotal() const
 {
-    return _impl->profile.totalRefs + _impl->profile.contextSwitches;
+    return _impl->expected;
 }
 
 const WorkloadProfile &
@@ -545,9 +634,9 @@ generateTrace(const WorkloadProfile &profile)
 {
     TraceBundle bundle;
     bundle.profile = profile;
-    bundle.records.reserve(profile.totalRefs + profile.contextSwitches);
-
     TraceStream stream(profile);
+    bundle.records.reserve(stream.expectedTotal());
+
     TraceRecord r;
     while (stream.next(r))
         bundle.records.push_back(r);

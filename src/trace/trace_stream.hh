@@ -52,7 +52,10 @@ class TraceStream
     /** Records produced so far. */
     std::uint64_t produced() const;
 
-    /** Expected total record count (references + context switches). */
+    /**
+     * Exact total record count: numCpus * floor(totalRefs / numCpus)
+     * references plus the context switches actually emitted.
+     */
     std::uint64_t expectedTotal() const;
 
     /** The profile driving the stream. */

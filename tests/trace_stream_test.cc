@@ -93,13 +93,31 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TraceStreamTest, ExpectedTotalCoversProducedRecords)
 {
-    WorkloadProfile p = scaled(popsProfile(), 0.005);
-    TraceStream stream(p);
-    TraceRecord r;
-    while (stream.next(r)) {
+    // 3 CPUs leave a remainder of totalRefs undelivered; the last shape
+    // has more switches per CPU than records, so only some go out.
+    WorkloadProfile three = scaled(popsProfile(), 0.005);
+    three.numCpus = 3;
+    WorkloadProfile sixteen = scaled(abaqusProfile(), 0.05);
+    sixteen.numCpus = 16;
+    WorkloadProfile crowded = popsProfile();
+    crowded.numCpus = 16;
+    crowded.totalRefs = 40;
+    crowded.contextSwitches = 100;
+    for (const WorkloadProfile &p : {three, sixteen, crowded}) {
+        TraceStream stream(p);
+        std::uint64_t expected = stream.expectedTotal();
+        TraceRecord r;
+        while (stream.next(r)) {
+        }
+        EXPECT_EQ(stream.produced(), expected) << p.numCpus << " CPUs";
+        EXPECT_EQ(stream.produced(),
+                  p.numCpus * (p.totalRefs / p.numCpus) +
+                      stream.stats().contextSwitches)
+            << p.numCpus << " CPUs";
     }
-    EXPECT_LE(stream.produced(), stream.expectedTotal());
-    EXPECT_GT(stream.produced(), 0u);
+    // totalRefs % 3 != 0: the remainder is never generated.
+    EXPECT_LT(TraceStream(three).expectedTotal(),
+              three.totalRefs + three.contextSwitches);
 }
 
 TEST(TraceStreamTest, MoveTransfersState)
