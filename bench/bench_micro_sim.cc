@@ -92,6 +92,32 @@ BM_TraceStream(benchmark::State &state)
 }
 BENCHMARK(BM_TraceStream)->Arg(4)->Arg(16);
 
+/**
+ * Streamed pops on 16 CPUs through MpSimulator::run(TraceStream&) at
+ * the contention geometry (512 B / 64 K, cycle engine): decode on the
+ * producer thread overlaps replay on this one.
+ */
+void
+BM_StreamReplay(benchmark::State &state)
+{
+    WorkloadProfile p = popsProfile();
+    p.numCpus = 16;
+    p.totalRefs = 200'000;
+    MachineConfig mc = makeMachineConfig(HierarchyKind::VirtualReal, 512,
+                                         64 * 1024, p.pageSize);
+    mc.timingMode = TimingMode::Cycle;
+    std::int64_t refs = 0;
+    for (auto _ : state) {
+        TraceStream stream(p);
+        MpSimulator sim(mc, p);
+        sim.run(stream);
+        benchmark::DoNotOptimize(sim.cycles());
+        refs += static_cast<std::int64_t>(sim.refsProcessed());
+    }
+    state.SetItemsProcessed(refs);
+}
+BENCHMARK(BM_StreamReplay)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 const TraceBundle &
 microBundle()
 {

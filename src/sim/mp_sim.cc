@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <condition_variable>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <thread>
 
 #include "base/log.hh"
 #include "core/rr_hierarchy.hh"
@@ -15,8 +20,127 @@ namespace vrc
 namespace
 {
 
-/** Records decoded per streaming batch (64 KiB of TraceRecords). */
+/** Records decoded per streaming batch (32 KiB of TraceRecords). */
 constexpr std::size_t kStreamBatch = 4096;
+
+/** Batches the decode stage may run ahead of replay (128 KiB ring). */
+constexpr std::size_t kRingSlots = 4;
+
+/**
+ * The decode stage of run(TraceStream&) and its bounded hand-off to
+ * replay. Construction starts a producer thread that fills slot
+ * `filled % kRingSlots` while fewer than kRingSlots batches await
+ * replay; the consumer takes batch b with acquire(b) and hands its slot
+ * back with release(). Destruction stops and joins the producer, so no
+ * exit from run() leaves it running. The fields below the mutex are
+ * guarded by it; a slot's records belong to whichever stage holds it
+ * between the counter updates.
+ */
+class DecodeRing
+{
+  public:
+    explicit DecodeRing(TraceStream &stream)
+        : _producer([this, &stream] { produce(stream); })
+    {
+    }
+
+    ~DecodeRing()
+    {
+        {
+            std::lock_guard lock(_mutex);
+            _stop = true;
+        }
+        _slotFreed.notify_one();
+        _producer.join();
+    }
+
+    DecodeRing(const DecodeRing &) = delete;
+    DecodeRing &operator=(const DecodeRing &) = delete;
+
+    /**
+     * Wait for batch @p b (batches are taken in order) and return its
+     * record count; its records are at slot(b). Returns 0 once every
+     * decoded batch has been taken and the stream ended, or rethrows
+     * what stopped the producer if it failed.
+     */
+    std::size_t
+    acquire(std::uint64_t b)
+    {
+        std::unique_lock lock(_mutex);
+        _slotFilled.wait(lock, [&] { return b < _filled || _exhausted; });
+        if (b < _filled)
+            return _counts[b % kRingSlots];
+        if (_error)
+            std::rethrow_exception(_error);
+        return 0;
+    }
+
+    /** Hand the oldest acquired slot back to the producer. */
+    void
+    release()
+    {
+        {
+            std::lock_guard lock(_mutex);
+            ++_replayed;
+        }
+        _slotFreed.notify_one();
+    }
+
+    TraceRecord *
+    slot(std::uint64_t b)
+    {
+        return _records.get() + (b % kRingSlots) * kStreamBatch;
+    }
+
+  private:
+    void
+    produce(TraceStream &stream)
+    {
+        std::exception_ptr failure;
+        try {
+            for (std::uint64_t b = 0;; ++b) {
+                {
+                    std::unique_lock lock(_mutex);
+                    _slotFreed.wait(lock, [&] {
+                        return _stop || b - _replayed < kRingSlots;
+                    });
+                    if (_stop)
+                        break;
+                }
+                std::size_t n = stream.nextBatch(slot(b), kStreamBatch);
+                if (n == 0)
+                    break;
+                std::lock_guard lock(_mutex);
+                _counts[b % kRingSlots] = n;
+                ++_filled;
+                _slotFilled.notify_one();
+            }
+        } catch (...) {
+            failure = std::current_exception();
+        }
+        std::lock_guard lock(_mutex);
+        _error = failure;
+        _exhausted = true;
+        _slotFilled.notify_one();
+    }
+
+    std::unique_ptr<TraceRecord[]> _records =
+        std::make_unique_for_overwrite<TraceRecord[]>(kRingSlots *
+                                                      kStreamBatch);
+
+    std::mutex _mutex;
+    std::condition_variable _slotFilled;
+    std::condition_variable _slotFreed;
+    std::array<std::size_t, kRingSlots> _counts{}; ///< records per slot
+    std::uint64_t _filled = 0;   ///< batches decoded so far
+    std::uint64_t _replayed = 0; ///< batches released by the consumer
+    bool _exhausted = false;     ///< producer is done (end or error)
+    bool _stop = false;          ///< consumer is gone: produce no more
+    std::exception_ptr _error;   ///< what stopped the producer, if any
+
+    /** Declared last: starts once every member above is ready. */
+    std::thread _producer;
+};
 
 } // namespace
 
@@ -134,9 +258,8 @@ MpSimulator::runBatch(const TraceRecord *records, std::size_t n)
         replayTyped<RrNoInclHierarchy>(records, n);
         return;
     }
-    // Unknown kind (future-proofing): generic virtual replay.
-    for (std::size_t i = 0; i < n; ++i)
-        step(records[i]);
+    panic("runBatch: unknown hierarchy kind ",
+          static_cast<int>(_config.kind));
 }
 
 void
@@ -148,14 +271,16 @@ MpSimulator::run(const std::vector<TraceRecord> &records)
 void
 MpSimulator::run(TraceStream &stream)
 {
-    // Streaming replay: records are decoded in batches and consumed as
-    // they are produced, so the multi-million-reference traces never
-    // exist in memory at once and the stream's per-record indirection
-    // stays off the per-reference path.
-    std::array<TraceRecord, kStreamBatch> buf;
-    std::size_t n;
-    while ((n = stream.nextBatch(buf.data(), buf.size())) != 0)
-        runBatch(buf.data(), n);
+    // Two-stage pipeline: the ring's producer thread decodes batches
+    // while this thread replays them in order. The generator shares
+    // nothing with the machine, so the stages meet only at the ring,
+    // and replay sees exactly the batches a serial
+    // `nextBatch(); runBatch();` loop would have given it.
+    DecodeRing ring(stream);
+    for (std::uint64_t b = 0; std::size_t n = ring.acquire(b); ++b) {
+        runBatch(ring.slot(b), n);
+        ring.release();
+    }
 }
 
 double

@@ -85,6 +85,19 @@ class MpSimulator
     /**
      * Replay records straight from a generator without materializing
      * the trace (peak-RSS saver for the 3.3M-reference workloads).
+     *
+     * Decoding runs on a producer thread that fills a bounded ring of
+     * 4096-record batches while the calling thread replays them in
+     * order through runBatch(), so every counter is identical to
+     * run(const std::vector<TraceRecord>&) over the materialized trace.
+     *
+     * Exceptions: if replay throws (e.g. FaultUnrecoverable), decoding
+     * stops, the producer is joined and the exception propagates. If
+     * decoding throws, the batches decoded before it are replayed
+     * first, then the producer's exception propagates. Either way no
+     * thread outlives the call. The machine state is that of the
+     * serial loop at the same throw, but @p stream may have been
+     * decoded up to one ring (4 batches) past the last record replayed.
      */
     void run(TraceStream &stream);
 

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "base/fault.hh"
+#include "cache/protection.hh"
 #include "sim/experiment.hh"
 #include "sim/json_stats.hh"
 #include "trace/generator.hh"
@@ -19,6 +22,26 @@ namespace vrc
 {
 namespace
 {
+
+/** Records per decode batch in MpSimulator::run(TraceStream&). */
+constexpr std::uint64_t kBatch = 4096;
+
+/**
+ * toJson of @p p replayed through the pipelined run(TraceStream&) and
+ * through run() over the materialized trace, in that order.
+ */
+std::pair<std::string, std::string>
+streamedAndMaterialized(const WorkloadProfile &p, const MachineConfig &mc)
+{
+    MpSimulator from_stream(mc, p);
+    TraceStream stream(p);
+    from_stream.run(stream);
+    EXPECT_EQ(stream.produced(), stream.expectedTotal());
+
+    MpSimulator from_vector(mc, p);
+    from_vector.run(generateTrace(p).records);
+    return {toJson(from_stream), toJson(from_vector)};
+}
 
 /** Names of every built-in paper profile, in Table 5 order. */
 std::vector<std::string>
@@ -119,6 +142,107 @@ TEST(TraceStreamTest, ExpectedTotalCoversProducedRecords)
     EXPECT_LT(TraceStream(three).expectedTotal(),
               three.totalRefs + three.contextSwitches);
 }
+
+TEST(TraceStreamTest, PipelinedRunMatchesTraceShorterThanOneBatch)
+{
+    WorkloadProfile p = popsProfile();
+    p.numCpus = 16;
+    p.totalRefs = 40;
+    p.contextSwitches = 100;
+    ASSERT_LT(TraceStream(p).expectedTotal(), kBatch);
+    MachineConfig mc = makeMachineConfig(HierarchyKind::VirtualReal,
+                                         8 * 1024, 64 * 1024, p.pageSize);
+    auto [streamed, materialized] = streamedAndMaterialized(p, mc);
+    EXPECT_EQ(streamed, materialized);
+}
+
+TEST(TraceStreamTest, PipelinedRunMatchesWholeBatchTrace)
+{
+    // Find a length whose record count is exactly three batches, so
+    // the stream ends on a batch boundary: the final nextBatch()
+    // returns 0 with no partial batch before it.
+    const std::uint64_t target = 3 * kBatch;
+    // Every count is a multiple of the CPU count plus the switches, so
+    // the switch count must keep the target reachable.
+    WorkloadProfile p = popsProfile();
+    p.numCpus = 4;
+    p.contextSwitches = 12;
+    bool found = false;
+    for (std::uint64_t refs = target; refs + 1000 > target; --refs) {
+        p.totalRefs = refs;
+        if (TraceStream(p).expectedTotal() == target) {
+            found = true;
+            break;
+        }
+    }
+    ASSERT_TRUE(found);
+
+    TraceStream probe(p);
+    std::vector<TraceRecord> batch(kBatch);
+    for (int b = 0; b < 3; ++b)
+        ASSERT_EQ(probe.nextBatch(batch.data(), kBatch), kBatch);
+    EXPECT_EQ(probe.nextBatch(batch.data(), kBatch), 0u);
+
+    MachineConfig mc = makeMachineConfig(HierarchyKind::VirtualReal,
+                                         8 * 1024, 64 * 1024, p.pageSize);
+    auto [streamed, materialized] = streamedAndMaterialized(p, mc);
+    EXPECT_EQ(streamed, materialized);
+}
+
+TEST(TraceStreamTest, PipelinedRunMatchesContentionShape)
+{
+    // The contention benchmark's shape, scaled down: pops on 16 CPUs,
+    // 512 B / 64 K, cycle engine, every organization.
+    WorkloadProfile p = scaled(popsProfile(), 0.01);
+    p.numCpus = 16;
+    for (HierarchyKind kind : kAllHierarchyKinds) {
+        MachineConfig mc =
+            makeMachineConfig(kind, 512, 64 * 1024, p.pageSize);
+        mc.timingMode = TimingMode::Cycle;
+        auto [streamed, materialized] = streamedAndMaterialized(p, mc);
+        EXPECT_EQ(streamed, materialized) << hierarchyKindName(kind);
+    }
+}
+
+#ifdef VRC_SOFT_ERRORS_ENABLED
+TEST(TraceStreamTest, MachineCheckStopsPipelineAndJoinsProducer)
+{
+    // Parity with a strike per reference machine-checks almost at
+    // once, long before the producer runs out of trace: replay throws
+    // while decoding is still under way.
+    struct Disarm
+    {
+        ~Disarm() { disarmSoftErrors(); }
+    } disarm;
+    ASSERT_TRUE(configureSoftErrors("seed=2,tag=1.0"));
+    WorkloadProfile p = scaled(popsProfile(), 0.02);
+    MachineConfig mc = makeMachineConfig(HierarchyKind::VirtualReal,
+                                         8 * 1024, 64 * 1024, p.pageSize);
+    mc.hierarchy.l1.protection = ArrayProtection::Parity;
+    mc.hierarchy.l2.protection = ArrayProtection::Parity;
+
+    MpSimulator materialized(mc, p);
+    EXPECT_THROW(materialized.run(generateTrace(p).records),
+                 FaultUnrecoverable);
+
+    MpSimulator streamed(mc, p);
+    TraceStream stream(p);
+    EXPECT_THROW(streamed.run(stream), FaultUnrecoverable);
+    EXPECT_EQ(streamed.refsProcessed(), materialized.refsProcessed());
+    EXPECT_LT(streamed.refsProcessed(), stream.expectedTotal());
+    EXPECT_GE(streamed.totalCounter("machine_checks"), 1u);
+    EXPECT_EQ(toJson(streamed), toJson(materialized));
+    streamed.checkInvariants();
+
+    // The producer was joined, so the stream is ours again and sits at
+    // most one ring of batches past what replay consumed.
+    EXPECT_LE(stream.produced(), streamed.refsProcessed() +
+                                     stream.stats().contextSwitches +
+                                     4 * kBatch);
+    TraceRecord r;
+    EXPECT_TRUE(stream.next(r));
+}
+#endif
 
 TEST(TraceStreamTest, MoveTransfersState)
 {
