@@ -135,7 +135,7 @@ simulateKind(benchmark::State &state, HierarchyKind kind)
     const TraceBundle &bundle = microBundle();
     for (auto _ : state) {
         SimSummary s =
-            runSimulation(bundle, kind, 16 * 1024, 256 * 1024);
+            runSimulationJob(bundle, SimJob{kind, 16 * 1024, 256 * 1024});
         benchmark::DoNotOptimize(s.h1);
     }
     state.SetItemsProcessed(
@@ -169,9 +169,9 @@ BM_SimulateVRSplit(benchmark::State &state)
 {
     const TraceBundle &bundle = microBundle();
     for (auto _ : state) {
-        SimSummary s = runSimulation(
-            bundle, HierarchyKind::VirtualReal, 16 * 1024, 256 * 1024,
-            true);
+        SimSummary s = runSimulationJob(
+            bundle, SimJob{HierarchyKind::VirtualReal, 16 * 1024, 256 * 1024,
+                           true});
         benchmark::DoNotOptimize(s.h1);
     }
     state.SetItemsProcessed(

@@ -41,7 +41,7 @@ main(int argc, char **argv)
          {HierarchyKind::VirtualReal, HierarchyKind::RealRealIncl,
           HierarchyKind::RealRealNoIncl}) {
         SimSummary s =
-            runSimulation(bundle, kind, 8 * 1024, 128 * 1024);
+            runSimulationJob(bundle, SimJob{kind, 8 * 1024, 128 * 1024});
         t.row().cell(hierarchyKindName(kind));
         std::uint64_t total = 0;
         for (auto v : s.l1MsgsPerCpu) {

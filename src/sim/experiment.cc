@@ -1,5 +1,6 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -58,26 +59,9 @@ summarizeSimulation(const MpSimulator &sim, const SimJob &job)
 }
 
 SimSummary
-runSimulation(const TraceBundle &bundle, HierarchyKind kind,
-              std::uint32_t l1_size, std::uint32_t l2_size, bool split,
-              std::uint64_t invariant_period, TimingMode timing_mode)
-{
-    return runSimulationJob(bundle, SimJob{kind, l1_size, l2_size, split,
-                                           invariant_period,
-                                           timing_mode});
-}
-
-SimSummary
 runSimulationJob(const TraceBundle &bundle, const SimJob &job)
 {
-    MachineConfig mc =
-        makeMachineConfig(job.kind, job.l1Size, job.l2Size,
-                          bundle.profile.pageSize, job.split);
-    mc.invariantPeriod = job.invariantPeriod;
-    mc.timingMode = job.timingMode;
-    MpSimulator sim(mc, bundle.profile);
-    sim.run(bundle.records);
-    return summarizeSimulation(sim, job);
+    return runSimulationCancellable(bundle, job, CancelToken{});
 }
 
 SimSummary
@@ -90,13 +74,15 @@ runSimulationCancellable(const TraceBundle &bundle, const SimJob &job,
     mc.invariantPeriod = job.invariantPeriod;
     mc.timingMode = job.timingMode;
     MpSimulator sim(mc, bundle.profile);
-    constexpr std::size_t pollMask = 0x1FFF; // every 8192 records
-    for (std::size_t i = 0; i < bundle.records.size(); ++i) {
-        if ((i & pollMask) == 0 && token.cancelled())
+    constexpr std::size_t chunk = 8192;
+    const std::vector<TraceRecord> &records = bundle.records;
+    for (std::size_t i = 0; i < records.size(); i += chunk) {
+        if (token.cancelled())
             throw ErrorException(makeError(
                 ErrorKind::Cancelled, "simulation cancelled after ",
-                i, " of ", bundle.records.size(), " records"));
-        sim.step(bundle.records[i]);
+                i, " of ", records.size(), " records"));
+        sim.runBatch(records.data() + i,
+                     std::min(chunk, records.size() - i));
     }
     return summarizeSimulation(sim, job);
 }

@@ -64,19 +64,6 @@ MachineConfig makeMachineConfig(HierarchyKind kind, std::uint32_t l1_size,
                                 std::uint32_t l2_size,
                                 std::uint32_t page_size, bool split = false);
 
-/**
- * Run one full simulation of @p bundle on the given organization and
- * sizes and collect the summary.
- *
- * @param invariant_period when nonzero, checkInvariants() runs every
- *                         that many references (slow; tests only)
- */
-SimSummary runSimulation(const TraceBundle &bundle, HierarchyKind kind,
-                         std::uint32_t l1_size, std::uint32_t l2_size,
-                         bool split = false,
-                         std::uint64_t invariant_period = 0,
-                         TimingMode timing_mode = TimingMode::Analytic);
-
 /** One cell of an experiment table: a config to simulate. */
 struct SimJob
 {
@@ -90,7 +77,10 @@ struct SimJob
     TimingMode timingMode = TimingMode::Analytic;
 };
 
-/** runSimulation() spelled with a SimJob (all knobs, incl. timing). */
+/**
+ * Run one full simulation of @p bundle for @p job and collect the
+ * summary: runSimulationCancellable() with a token never cancelled.
+ */
 SimSummary runSimulationJob(const TraceBundle &bundle, const SimJob &job);
 
 /** Collect the table-facing counters from a finished simulator. */
@@ -98,10 +88,13 @@ SimSummary summarizeSimulation(const MpSimulator &sim,
                                const SimJob &job);
 
 /**
- * runSimulation() with a cooperative cancellation point every few
- * thousand records: when the watchdog cancels @p token mid-replay,
- * the run unwinds with an ErrorException of kind Cancelled instead of
- * burning the rest of the trace. Used by the campaign engine.
+ * Build the machine for @p job and replay @p bundle through
+ * MpSimulator::runBatch() in 8192-record chunks, polling @p token
+ * before each chunk: when the watchdog cancels it mid-replay, the run
+ * unwinds with an ErrorException of kind Cancelled ("after i of N
+ * records") instead of burning the rest of the trace. Counters are
+ * identical to one MpSimulator::run() over the whole trace. Used by
+ * the campaign engine and shard workers.
  */
 SimSummary runSimulationCancellable(const TraceBundle &bundle,
                                     const SimJob &job,

@@ -173,74 +173,45 @@ MpSimulator::MpSimulator(const MachineConfig &config,
     }
 }
 
-void
-MpSimulator::step(const TraceRecord &r)
-{
-    panicIfNot(r.cpu < _cpus.size(), "trace references an unknown CPU");
-    CacheHierarchy &h = *_cpus[r.cpu];
-    if (r.type == RefType::ContextSwitch) {
-        h.contextSwitch(r.pid);
-        // A switch issues no reference, but any transactions it did
-        // queue (none today) must not leak into the next reference.
-        if (_arbiter)
-            _arbiter->drain(_clocks);
-        return;
-    }
-    AccessOutcome outcome = h.access(MemAccess{r.type, r.va(), r.pid});
-    Tick cost = _costs[r.cpu][static_cast<int>(outcome)];
-    _cycles += cost;
-    if (_arbiter) {
-        // Cycle engine: the reference advances its CPU's clock by the
-        // composed level cost, then every bus transaction it issued
-        // (posted to the arbiter by SharedBus during access(),
-        // including soft-error retransmissions) wins the bus in grant
-        // order, stalling this CPU for queueing delay plus service.
-        _clocks[r.cpu].chargeAccess(cost);
-        _arbiter->drain(_clocks);
-    }
-    ++_refs;
-    if (_config.invariantPeriod != 0 &&
-        _refs % _config.invariantPeriod == 0) {
-        h.checkInvariants();
-    }
-}
-
-template <typename H>
-void
-MpSimulator::stepOn(H &h, const TraceRecord &r)
-{
-    // Mirrors step() exactly, with the hierarchy calls devirtualized:
-    // h's dynamic type is H (hierarchy classes are final), so the
-    // compiler emits direct calls it can inline into the replay loop.
-    if (r.type == RefType::ContextSwitch) {
-        h.H::contextSwitch(r.pid);
-        if (_arbiter)
-            _arbiter->drain(_clocks);
-        return;
-    }
-    AccessOutcome outcome = h.H::access(MemAccess{r.type, r.va(), r.pid});
-    Tick cost = _costs[r.cpu][static_cast<int>(outcome)];
-    _cycles += cost;
-    if (_arbiter) {
-        _clocks[r.cpu].chargeAccess(cost);
-        _arbiter->drain(_clocks);
-    }
-    ++_refs;
-    if (_config.invariantPeriod != 0 &&
-        _refs % _config.invariantPeriod == 0) {
-        h.H::checkInvariants();
-    }
-}
-
 template <typename H>
 void
 MpSimulator::replayTyped(const TraceRecord *records, std::size_t n)
 {
+    // Every record reaches a hierarchy through this loop. Each CPU's
+    // dynamic type is H (hierarchy classes are final), so the
+    // H::-qualified calls are direct and inline into the loop.
     for (std::size_t i = 0; i < n; ++i) {
         const TraceRecord &r = records[i];
         panicIfNot(r.cpu < _cpus.size(),
                    "trace references an unknown CPU");
-        stepOn(static_cast<H &>(*_cpus[r.cpu]), r);
+        H &h = static_cast<H &>(*_cpus[r.cpu]);
+        if (r.type == RefType::ContextSwitch) {
+            h.H::contextSwitch(r.pid);
+            // A switch issues no reference, but any transactions it
+            // did queue (none today) must not leak into the next one.
+            if (_arbiter)
+                _arbiter->drain(_clocks);
+            continue;
+        }
+        AccessOutcome outcome =
+            h.H::access(MemAccess{r.type, r.va(), r.pid});
+        Tick cost = _costs[r.cpu][static_cast<int>(outcome)];
+        _cycles += cost;
+        if (_arbiter) {
+            // Cycle engine: the reference advances its CPU's clock by
+            // the composed level cost, then every bus transaction it
+            // issued (posted to the arbiter by SharedBus during
+            // access(), including soft-error retransmissions) wins the
+            // bus in grant order, stalling this CPU for queueing delay
+            // plus service.
+            _clocks[r.cpu].chargeAccess(cost);
+            _arbiter->drain(_clocks);
+        }
+        ++_refs;
+        if (_config.invariantPeriod != 0 &&
+            _refs % _config.invariantPeriod == 0) {
+            h.H::checkInvariants();
+        }
     }
 }
 

@@ -101,17 +101,20 @@ class MpSimulator
      */
     void run(TraceStream &stream);
 
-    /** Process a single record. */
-    void step(const TraceRecord &r);
-
     /**
-     * Replay @p n records through the batch fast path: the hierarchy
-     * type is resolved from the machine kind once per batch, so the
-     * per-reference dispatch inside the loop is a direct (inlinable)
-     * call instead of a virtual one. step()-for-step identical to the
-     * generic path; step() remains for record-at-a-time callers.
+     * Replay @p n records: the hierarchy type is resolved from the
+     * machine kind once per call, so the per-reference dispatch inside
+     * the loop is a direct (inlinable) call instead of a virtual one.
+     * Every replay path -- run(), step(), the experiment helpers --
+     * ends here. Panics on a record naming an unknown CPU.
      */
     void runBatch(const TraceRecord *records, std::size_t n);
+
+    /**
+     * Process a single record: a one-record runBatch(), for callers
+     * that interleave replay with remaps or checks.
+     */
+    void step(const TraceRecord &r) { runBatch(&r, 1); }
 
     CacheHierarchy &hierarchy(CpuId cpu) { return *_cpus.at(cpu); }
     const CacheHierarchy &hierarchy(CpuId cpu) const
@@ -240,10 +243,6 @@ class MpSimulator
     /** The typed replay loop behind runBatch(). */
     template <typename H>
     void replayTyped(const TraceRecord *records, std::size_t n);
-
-    /** One record through the typed loop (mirrors step()). */
-    template <typename H>
-    void stepOn(H &h, const TraceRecord &r);
 
     MachineConfig _config;
     AddressSpaceManager _spaces;

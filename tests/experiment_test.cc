@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 
 namespace vrc
@@ -37,8 +38,8 @@ bundleFor(const char *name, double scale)
 TEST(ExperimentTest, SummaryFieldsPopulated)
 {
     const auto &b = bundleFor("pops", 0.01);
-    SimSummary s = runSimulation(b, HierarchyKind::VirtualReal, 8 * 1024,
-                                 128 * 1024);
+    SimSummary s = runSimulationJob(
+        b, SimJob{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024});
     EXPECT_GT(s.h1, 0.5);
     EXPECT_LT(s.h1, 1.0);
     EXPECT_GT(s.h2, 0.0);
@@ -51,8 +52,8 @@ TEST(ExperimentTest, InvariantsHoldUnderAllOrganizations)
     const auto &b = bundleFor("abaqus", 0.02);
     for (auto kind : kAllHierarchyKinds) {
         SCOPED_TRACE(hierarchyKindName(kind));
-        SimSummary s = runSimulation(b, kind, 4 * 1024, 64 * 1024,
-                                     false, 2'000);
+        SimSummary s = runSimulationJob(
+            b, SimJob{kind, 4 * 1024, 64 * 1024, false, 2'000});
         EXPECT_GT(s.h1, 0.3);
     }
 }
@@ -63,7 +64,7 @@ TEST(ExperimentTest, H1GrowsWithCacheSize)
     double prev = 0.0;
     for (auto [l1, l2] : paperSizePairs()) {
         SimSummary s =
-            runSimulation(b, HierarchyKind::VirtualReal, l1, l2);
+            runSimulationJob(b, SimJob{HierarchyKind::VirtualReal, l1, l2});
         EXPECT_GT(s.h1, prev) << sizeLabel(l1, l2);
         prev = s.h1;
     }
@@ -74,10 +75,10 @@ TEST(ExperimentTest, VrMatchesRrWhenSwitchesAreRare)
     // Table 6, thor/pops: with rare context switches the V-R and R-R
     // level-1 hit ratios are nearly identical.
     const auto &b = bundleFor("pops", 0.02);
-    SimSummary vr = runSimulation(b, HierarchyKind::VirtualReal,
-                                  8 * 1024, 128 * 1024);
-    SimSummary rr = runSimulation(b, HierarchyKind::RealRealIncl,
-                                  8 * 1024, 128 * 1024);
+    SimSummary vr = runSimulationJob(
+        b, SimJob{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024});
+    SimSummary rr = runSimulationJob(
+        b, SimJob{HierarchyKind::RealRealIncl, 8 * 1024, 128 * 1024});
     EXPECT_NEAR(vr.h1, rr.h1, 0.015);
 }
 
@@ -86,10 +87,10 @@ TEST(ExperimentTest, FrequentSwitchesFavorRr)
     // Table 6, abaqus: the R-R hierarchy keeps a measurably better h1
     // because nothing flushes on a context switch.
     const auto &b = bundleFor("abaqus", 0.10);
-    SimSummary vr = runSimulation(b, HierarchyKind::VirtualReal,
-                                  16 * 1024, 256 * 1024);
-    SimSummary rr = runSimulation(b, HierarchyKind::RealRealIncl,
-                                  16 * 1024, 256 * 1024);
+    SimSummary vr = runSimulationJob(
+        b, SimJob{HierarchyKind::VirtualReal, 16 * 1024, 256 * 1024});
+    SimSummary rr = runSimulationJob(
+        b, SimJob{HierarchyKind::RealRealIncl, 16 * 1024, 256 * 1024});
     EXPECT_GT(rr.h1, vr.h1);
 }
 
@@ -98,10 +99,10 @@ TEST(ExperimentTest, ShieldingCutsL1CoherenceMessages)
     // Tables 11-13: RR without inclusion sees far more coherence
     // messages at level 1 than VR or RR with inclusion.
     const auto &b = bundleFor("pops", 0.02);
-    SimSummary vr = runSimulation(b, HierarchyKind::VirtualReal,
-                                  4 * 1024, 64 * 1024);
-    SimSummary ni = runSimulation(b, HierarchyKind::RealRealNoIncl,
-                                  4 * 1024, 64 * 1024);
+    SimSummary vr = runSimulationJob(
+        b, SimJob{HierarchyKind::VirtualReal, 4 * 1024, 64 * 1024});
+    SimSummary ni = runSimulationJob(
+        b, SimJob{HierarchyKind::RealRealNoIncl, 4 * 1024, 64 * 1024});
     std::uint64_t vr_total = 0, ni_total = 0;
     for (auto v : vr.l1MsgsPerCpu)
         vr_total += v;
@@ -134,10 +135,10 @@ TEST(ExperimentTest, SwappedWritebacksOnlyWithSwitches)
 {
     const auto &pops = bundleFor("pops", 0.02);
     const auto &abaqus = bundleFor("abaqus", 0.05);
-    SimSummary sp = runSimulation(pops, HierarchyKind::VirtualReal,
-                                  16 * 1024, 256 * 1024);
-    SimSummary sa = runSimulation(abaqus, HierarchyKind::VirtualReal,
-                                  16 * 1024, 256 * 1024);
+    SimSummary sp = runSimulationJob(
+        pops, SimJob{HierarchyKind::VirtualReal, 16 * 1024, 256 * 1024});
+    SimSummary sa = runSimulationJob(
+        abaqus, SimJob{HierarchyKind::VirtualReal, 16 * 1024, 256 * 1024});
     // abaqus context-switches far more often per reference.
     double rp = static_cast<double>(sp.swappedWritebacks) /
         static_cast<double>(sp.refs);
@@ -150,11 +151,85 @@ TEST(ExperimentTest, SplitRatiosCloseToUnified)
 {
     // Tables 8-10: split I/D hit ratios are close to unified.
     const auto &b = bundleFor("thor", 0.02);
-    SimSummary uni = runSimulation(b, HierarchyKind::VirtualReal,
-                                   8 * 1024, 128 * 1024, false);
-    SimSummary split = runSimulation(b, HierarchyKind::VirtualReal,
-                                     8 * 1024, 128 * 1024, true);
+    SimSummary uni = runSimulationJob(
+        b, SimJob{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024, false});
+    SimSummary split = runSimulationJob(
+        b, SimJob{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024, true});
     EXPECT_NEAR(split.h1, uni.h1, 0.05);
+}
+
+/** The summary line of one MpSimulator::run() over all of @p b. */
+std::string
+singleRunLine(const TraceBundle &b, const SimJob &job)
+{
+    MachineConfig mc = makeMachineConfig(job.kind, job.l1Size, job.l2Size,
+                                         b.profile.pageSize, job.split);
+    mc.timingMode = job.timingMode;
+    MpSimulator sim(mc, b.profile);
+    sim.run(b.records);
+    return encodeSummaryLine(0, summarizeSimulation(sim, job));
+}
+
+/** Chunked cancellable replay == one run(), for every cell shape. */
+void
+expectChunkedReplayMatchesSingleRun(const TraceBundle &b)
+{
+    CancelToken token;
+    for (HierarchyKind kind : kAllHierarchyKinds) {
+        for (TimingMode mode : {TimingMode::Analytic, TimingMode::Cycle}) {
+            for (bool split : {false, true}) {
+                SCOPED_TRACE(std::string(hierarchyKindName(kind)) +
+                             (mode == TimingMode::Cycle ? " cycle"
+                                                        : " analytic") +
+                             (split ? " split" : " unified"));
+                SimJob job{kind, 4 * 1024, 64 * 1024, split, 0, mode};
+                EXPECT_EQ(encodeSummaryLine(
+                              0, runSimulationCancellable(b, job, token)),
+                          singleRunLine(b, job));
+            }
+        }
+    }
+}
+
+constexpr std::size_t kReplayChunk = 8192;
+
+TEST(ExperimentTest, ChunkedReplayMatchesSingleRunWithPartialLastChunk)
+{
+    const auto &b = bundleFor("pops", 0.01);
+    ASSERT_GT(b.records.size(), 2 * kReplayChunk);
+    ASSERT_NE(b.records.size() % kReplayChunk, 0u);
+    expectChunkedReplayMatchesSingleRun(b);
+}
+
+TEST(ExperimentTest, ChunkedReplayMatchesSingleRunOnChunkBoundary)
+{
+    TraceBundle b = bundleFor("pops", 0.01);
+    b.records.resize(2 * kReplayChunk);
+    expectChunkedReplayMatchesSingleRun(b);
+}
+
+TEST(ExperimentTest, CancelledTokenStopsReplayBeforeFirstChunk)
+{
+    // The token is polled before each chunk, so a cancelled one stops
+    // the run before any record reaches the machine. The first record
+    // names a CPU the machine lacks: replaying it would panic.
+    TraceBundle b = bundleFor("pops", 0.01);
+    b.records.front().cpu = 99;
+    CancelToken token;
+    token.cancel();
+    try {
+        runSimulationCancellable(
+            b, SimJob{HierarchyKind::VirtualReal, 4 * 1024, 64 * 1024},
+            token);
+        FAIL() << "a cancelled token must stop the run";
+    } catch (const ErrorException &e) {
+        EXPECT_EQ(e.err().kind, ErrorKind::Cancelled);
+        EXPECT_NE(std::string(e.what()).find(
+                      "after 0 of " + std::to_string(b.records.size()) +
+                      " records"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ExperimentTest, SizePairHelpers)

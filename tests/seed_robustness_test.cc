@@ -22,10 +22,10 @@ TEST_P(SeedRobustnessTest, RareSwitchTracesKeepVrRrParity)
     WorkloadProfile p = scaled(popsProfile(), 0.05);
     p.seed = GetParam();
     TraceBundle b = generateTrace(p);
-    SimSummary vr = runSimulation(b, HierarchyKind::VirtualReal,
-                                  8 * 1024, 128 * 1024);
-    SimSummary rr = runSimulation(b, HierarchyKind::RealRealIncl,
-                                  8 * 1024, 128 * 1024);
+    SimSummary vr = runSimulationJob(
+        b, SimJob{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024});
+    SimSummary rr = runSimulationJob(
+        b, SimJob{HierarchyKind::RealRealIncl, 8 * 1024, 128 * 1024});
     EXPECT_NEAR(vr.h1, rr.h1, 0.01)
         << "V-R and R-R must stay nearly identical without switches";
 }
@@ -35,10 +35,10 @@ TEST_P(SeedRobustnessTest, SwitchHeavyTracesFavorRr)
     WorkloadProfile p = scaled(abaqusProfile(), 0.25);
     p.seed = GetParam();
     TraceBundle b = generateTrace(p);
-    SimSummary vr = runSimulation(b, HierarchyKind::VirtualReal,
-                                  16 * 1024, 256 * 1024);
-    SimSummary rr = runSimulation(b, HierarchyKind::RealRealIncl,
-                                  16 * 1024, 256 * 1024);
+    SimSummary vr = runSimulationJob(
+        b, SimJob{HierarchyKind::VirtualReal, 16 * 1024, 256 * 1024});
+    SimSummary rr = runSimulationJob(
+        b, SimJob{HierarchyKind::RealRealIncl, 16 * 1024, 256 * 1024});
     EXPECT_GT(rr.h1, vr.h1)
         << "frequent flushes must cost the virtual cache";
 }
@@ -48,10 +48,10 @@ TEST_P(SeedRobustnessTest, ShieldingAlwaysWins)
     WorkloadProfile p = scaled(popsProfile(), 0.03);
     p.seed = GetParam();
     TraceBundle b = generateTrace(p);
-    SimSummary vr = runSimulation(b, HierarchyKind::VirtualReal,
-                                  8 * 1024, 128 * 1024);
-    SimSummary ni = runSimulation(b, HierarchyKind::RealRealNoIncl,
-                                  8 * 1024, 128 * 1024);
+    SimSummary vr = runSimulationJob(
+        b, SimJob{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024});
+    SimSummary ni = runSimulationJob(
+        b, SimJob{HierarchyKind::RealRealNoIncl, 8 * 1024, 128 * 1024});
     std::uint64_t vr_msgs = 0, ni_msgs = 0;
     for (auto v : vr.l1MsgsPerCpu)
         vr_msgs += v;

@@ -593,11 +593,9 @@ main(int argc, char **argv)
         } else if (warmup > 0.0 && warmup < 1.0) {
             std::size_t cut = static_cast<std::size_t>(
                 records.size() * warmup);
-            for (std::size_t i = 0; i < cut; ++i)
-                sim.step(records[i]);
+            sim.runBatch(records.data(), cut);
             sim.resetStats();
-            for (std::size_t i = cut; i < records.size(); ++i)
-                sim.step(records[i]);
+            sim.runBatch(records.data() + cut, records.size() - cut);
         } else {
             sim.run(records);
         }

@@ -105,23 +105,21 @@ main(int argc, char **argv)
 
     // --- Table 6 shapes ----------------------------------------------
     {
-        SimSummary vr = runSimulation(bundle("pops", scale),
-                                      HierarchyKind::VirtualReal,
-                                      8 * 1024, 128 * 1024);
-        SimSummary rr = runSimulation(bundle("pops", scale),
-                                      HierarchyKind::RealRealIncl,
-                                      8 * 1024, 128 * 1024);
+        const TraceBundle &b = bundle("pops", scale);
+        SimSummary vr = runSimulationJob(
+            b, SimJob{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024});
+        SimSummary rr = runSimulationJob(
+            b, SimJob{HierarchyKind::RealRealIncl, 8 * 1024, 128 * 1024});
         check("Table 6: h1VR == h1RR for rare-switch traces",
               std::abs(vr.h1 - rr.h1) < 0.01,
               fmt(vr.h1) + " vs " + fmt(rr.h1));
     }
     {
-        SimSummary vr = runSimulation(bundle("abaqus", scale * 5),
-                                      HierarchyKind::VirtualReal,
-                                      16 * 1024, 256 * 1024);
-        SimSummary rr = runSimulation(bundle("abaqus", scale * 5),
-                                      HierarchyKind::RealRealIncl,
-                                      16 * 1024, 256 * 1024);
+        const TraceBundle &b = bundle("abaqus", scale * 5);
+        SimSummary vr = runSimulationJob(
+            b, SimJob{HierarchyKind::VirtualReal, 16 * 1024, 256 * 1024});
+        SimSummary rr = runSimulationJob(
+            b, SimJob{HierarchyKind::RealRealIncl, 16 * 1024, 256 * 1024});
         check("Table 6: flushing costs the V-cache under frequent "
               "switches",
               rr.h1 > vr.h1, fmt(rr.h1) + " > " + fmt(vr.h1));
@@ -133,12 +131,12 @@ main(int argc, char **argv)
 
     // --- Table 6: h1 grows with size ---------------------------------
     {
+        const TraceBundle &b = bundle("thor", scale);
         double prev = 0.0;
         bool mono = true;
         for (auto [l1, l2] : paperSizePairs()) {
-            SimSummary s = runSimulation(bundle("thor", scale),
-                                         HierarchyKind::VirtualReal,
-                                         l1, l2);
+            SimSummary s = runSimulationJob(
+                b, SimJob{HierarchyKind::VirtualReal, l1, l2});
             mono = mono && s.h1 > prev;
             prev = s.h1;
         }
@@ -148,12 +146,11 @@ main(int argc, char **argv)
 
     // --- Tables 11-13: shielding -------------------------------------
     {
-        SimSummary vr = runSimulation(bundle("pops", scale),
-                                      HierarchyKind::VirtualReal,
-                                      4 * 1024, 64 * 1024);
-        SimSummary ni = runSimulation(bundle("pops", scale),
-                                      HierarchyKind::RealRealNoIncl,
-                                      4 * 1024, 64 * 1024);
+        const TraceBundle &b = bundle("pops", scale);
+        SimSummary vr = runSimulationJob(
+            b, SimJob{HierarchyKind::VirtualReal, 4 * 1024, 64 * 1024});
+        SimSummary ni = runSimulationJob(
+            b, SimJob{HierarchyKind::RealRealNoIncl, 4 * 1024, 64 * 1024});
         check("Tables 11-13: no-inclusion L1 disturbed several-fold "
               "more",
               sumMsgs(ni) > 2 * sumMsgs(vr),
@@ -163,12 +160,11 @@ main(int argc, char **argv)
 
     // --- Tables 8-10: split vs unified -------------------------------
     {
-        SimSummary uni = runSimulation(bundle("thor", scale),
-                                       HierarchyKind::VirtualReal,
-                                       8 * 1024, 128 * 1024, false);
-        SimSummary spl = runSimulation(bundle("thor", scale),
-                                       HierarchyKind::VirtualReal,
-                                       8 * 1024, 128 * 1024, true);
+        const TraceBundle &b = bundle("thor", scale);
+        SimJob job{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024};
+        SimSummary uni = runSimulationJob(b, job);
+        job.split = true;
+        SimSummary spl = runSimulationJob(b, job);
         check("Tables 8-10: split I/D close to unified",
               std::abs(spl.h1 - uni.h1) < 0.05,
               fmt(spl.h1) + " vs " + fmt(uni.h1));
