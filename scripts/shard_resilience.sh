@@ -193,10 +193,13 @@ cmp -s "$WORK/base.json" "$WORK/tear.json" || {
 echo "  survivor completed the grid with the baseline answer"
 
 echo "== vrc-merge: shuffled partials and a conflicting line =="
+# The journal's second line reads "key <hex> cells <N>": split its N
+# cell lines (3 .. N+2) into the first three cells and the rest.
+CELLS=$(sed -n '2s/.* cells //p' "$WORK/base.ckpt")
 head -2 "$WORK/base.ckpt" > "$WORK/a.ckpt"
 head -2 "$WORK/base.ckpt" > "$WORK/b.ckpt"
 sed -n '3,5p' "$WORK/base.ckpt" >> "$WORK/a.ckpt"
-sed -n '6,11p' "$WORK/base.ckpt" >> "$WORK/b.ckpt"
+sed -n "6,$((CELLS + 2))p" "$WORK/base.ckpt" >> "$WORK/b.ckpt"
 "$MERGE" --out="$WORK/merged.ckpt" "$WORK/b.ckpt" "$WORK/a.ckpt" \
     > /dev/null
 cmp -s "$WORK/base.ckpt" "$WORK/merged.ckpt" || {

@@ -76,6 +76,20 @@ class Histogram
     /** Largest representable exact bucket (== overflow threshold). */
     std::uint64_t maxBucket() const { return _maxBucket; }
 
+    /**
+     * Add every sample of @p other, as if each had been recorded here.
+     * Both histograms must share one maxBucket.
+     */
+    void
+    merge(const Histogram &other)
+    {
+        assert(other._maxBucket == _maxBucket);
+        for (std::uint64_t i = 0; i < _maxBucket; ++i)
+            _counts[i] += other._counts[i];
+        _samples += other._samples;
+        _sum += other._sum;
+    }
+
     /** Reset all buckets. */
     void
     clear()

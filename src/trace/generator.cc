@@ -3,7 +3,12 @@
 #include "trace/trace_stream.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <cmath>
+#include <exception>
+#include <memory>
+#include <thread>
 
 #include "base/bitops.hh"
 #include "base/log.hh"
@@ -478,6 +483,90 @@ class CpuEngine
     std::size_t _pendingHead = 0;
 };
 
+/**
+ * When one CPU's context switches go out, counted in the CPU's own
+ * engine records. A switch marker goes out just ahead of a record, so
+ * n switches over m records are spaced m / (n + 1) records apart; when
+ * that spacing is 0 they precede the first min(n, m) records instead.
+ * The schedule depends only on counts, never on draws, which is what
+ * lets generateTrace() place every record in closed form.
+ */
+class SwitchSchedule
+{
+  public:
+    SwitchSchedule(std::uint64_t records, std::uint32_t switches)
+        : _interval(records / (std::uint64_t{switches} + 1)),
+          _count(std::min<std::uint64_t>(switches, records))
+    {
+    }
+
+    /** Switches that actually go out. */
+    std::uint64_t count() const { return _count; }
+
+    /** True if a switch marker goes out just ahead of record @p e. */
+    bool
+    before(std::uint64_t e) const
+    {
+        if (_interval == 0)
+            return e < _count;
+        return e != 0 && e % _interval == 0 && e / _interval <= _count;
+    }
+
+    /** Switches that went out ahead of records 0 .. e-1. */
+    std::uint64_t
+    countBefore(std::uint64_t e) const
+    {
+        if (_interval == 0)
+            return std::min(e, _count);
+        return e == 0 ? 0 : std::min(_count, (e - 1) / _interval);
+    }
+
+  private:
+    std::uint64_t _interval;
+    std::uint64_t _count;
+};
+
+void
+checkProfile(const WorkloadProfile &p)
+{
+    panicIfNot(p.numCpus >= 1, "need at least one CPU");
+    panicIfNot(std::abs(p.instrFrac + p.readFrac + p.writeFrac - 1.0) <
+                   0.05,
+               "reference mix should sum to ~1");
+}
+
+/** Engine records each CPU emits: the remainder is never generated. */
+std::uint64_t
+recordsPerCpu(const WorkloadProfile &p)
+{
+    return p.totalRefs / p.numCpus;
+}
+
+/** Each CPU's switch schedule; the remainder goes to low CPUs. */
+std::vector<SwitchSchedule>
+switchSchedules(const WorkloadProfile &p)
+{
+    std::vector<SwitchSchedule> out;
+    out.reserve(p.numCpus);
+    for (CpuId c = 0; c < p.numCpus; ++c)
+        out.emplace_back(recordsPerCpu(p),
+                         p.contextSwitches / p.numCpus +
+                             (c < p.contextSwitches % p.numCpus ? 1 : 0));
+    return out;
+}
+
+/** Each CPU's Rng, forked from the profile seed in CPU order. */
+std::vector<Rng>
+cpuRngs(const WorkloadProfile &p)
+{
+    Rng root(p.seed);
+    std::vector<Rng> out;
+    out.reserve(p.numCpus);
+    for (CpuId c = 0; c < p.numCpus; ++c)
+        out.push_back(root.fork());
+    return out;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -486,93 +575,56 @@ class CpuEngine
 
 /**
  * Streaming state: the per-CPU engines plus the round-robin interleave
- * cursor. The emission order is identical to the historical
- * generateTrace() loop: CPUs are visited round-robin; a visit first
- * emits a due context-switch marker, then one engine record.
+ * cursor. Round r visits every CPU in order; a visit first emits the
+ * CPU's context-switch marker if its schedule has one due before its
+ * record r, then that engine record. Every CPU emits the same number of
+ * engine records, so all of them finish in the same round.
  */
 struct TraceStream::Impl
 {
     explicit Impl(const WorkloadProfile &p)
-        : profile(p), tables(profile), perCpu(p.totalRefs / p.numCpus),
-          nextSwitch(p.numCpus, 0), switchInterval(p.numCpus, 0),
-          switchesLeft(p.numCpus, 0), emitted(p.numCpus, 0)
+        : profile(p), tables(profile)
     {
-        panicIfNot(profile.numCpus >= 1, "need at least one CPU");
-        panicIfNot(std::abs(profile.instrFrac + profile.readFrac +
-                            profile.writeFrac - 1.0) < 0.05,
-                   "reference mix should sum to ~1");
-        Rng root(profile.seed);
+        checkProfile(profile);
+        rounds = recordsPerCpu(profile);
+        schedules = switchSchedules(profile);
+        std::vector<Rng> rngs = cpuRngs(profile);
         engines.reserve(profile.numCpus);
-        for (CpuId c = 0; c < profile.numCpus; ++c)
-            engines.emplace_back(profile, tables, c, root.fork(), genStats);
-
-        // Spread context switches across CPUs, remainder to low CPUs.
         for (CpuId c = 0; c < profile.numCpus; ++c) {
-            std::uint32_t n = profile.contextSwitches / profile.numCpus +
-                (c < profile.contextSwitches % profile.numCpus ? 1 : 0);
-            switchesLeft[c] = n;
-            switchInterval[c] = n > 0 ? perCpu / (n + 1) : 0;
-            nextSwitch[c] = switchInterval[c];
-            // A switch goes out only ahead of one of the CPU's records:
-            // all n when they are spaced apart, else one per record.
-            expected += perCpu + std::min<std::uint64_t>(n, perCpu);
+            engines.emplace_back(profile, tables, c, std::move(rngs[c]),
+                                 genStats);
+            expected += rounds + schedules[c].count();
         }
     }
 
     bool
     next(TraceRecord &out)
     {
-        if (owedEngineRecord) {
-            // The context-switch marker for this CPU just went out; the
-            // engine record of the same visit follows.
+        if (round == rounds)
+            return false;
+        if (!owedEngineRecord && schedules[cursor].before(round)) {
+            // The engine record of the same visit follows.
+            owedEngineRecord = true;
+            out = makeContextSwitch(cursor, engines[cursor].contextSwitch());
+        } else {
             owedEngineRecord = false;
             out = engines[cursor].next();
-            emitted[cursor] += 1;
-            advance();
-            produced += 1;
-            return true;
-        }
-        for (std::uint32_t scanned = 0; scanned < profile.numCpus;
-             ++scanned) {
-            CpuId c = cursor;
-            if (emitted[c] >= perCpu) {
-                advance();
-                continue;
+            if (++cursor == profile.numCpus) {
+                cursor = 0;
+                ++round;
             }
-            if (switchesLeft[c] > 0 && emitted[c] >= nextSwitch[c]) {
-                ProcessId new_pid = engines[c].contextSwitch();
-                switchesLeft[c] -= 1;
-                nextSwitch[c] += switchInterval[c];
-                owedEngineRecord = true;
-                out = makeContextSwitch(c, new_pid);
-                produced += 1;
-                return true;
-            }
-            out = engines[c].next();
-            emitted[c] += 1;
-            advance();
-            produced += 1;
-            return true;
         }
-        return false;
-    }
-
-    void
-    advance()
-    {
-        if (++cursor == profile.numCpus)
-            cursor = 0;
+        produced += 1;
+        return true;
     }
 
     WorkloadProfile profile;
     ProfileTables tables;
     GenStats genStats;
     std::vector<CpuEngine> engines;
-    std::uint64_t perCpu;
-    std::vector<std::uint64_t> nextSwitch;
-    std::vector<std::uint64_t> switchInterval;
-    std::vector<std::uint32_t> switchesLeft;
-    std::vector<std::uint64_t> emitted;
+    std::uint64_t rounds = 0;
+    std::vector<SwitchSchedule> schedules;
+    std::uint64_t round = 0;
     CpuId cursor = 0;
     bool owedEngineRecord = false;
     std::uint64_t produced = 0;
@@ -629,18 +681,164 @@ TraceStream::stats() const
     return _impl->genStats;
 }
 
+// ---------------------------------------------------------------------
+// generateTrace: one worker per CPU
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Rounds staged per block. A CPU emits at most one switch per record,
+ * so its staged block holds at most 2 * 65536 records: 1 MiB.
+ */
+constexpr std::uint64_t kBlockRounds = 65536;
+
+/** One CPU's engine, statistics and staged block, built by its worker. */
+struct alignas(64) CpuLane
+{
+    CpuLane(const WorkloadProfile &p, const ProfileTables &tables,
+            CpuId c, Rng rng, const SwitchSchedule &sched)
+        : engine(p, tables, c, std::move(rng), stats), schedule(sched),
+          cpu(c),
+          staged(std::min(kBlockRounds, recordsPerCpu(p)) +
+                 std::min(kBlockRounds, sched.count()))
+    {
+    }
+
+    // The engine keeps a reference to stats: a lane never moves.
+    CpuLane(const CpuLane &) = delete;
+    CpuLane &operator=(const CpuLane &) = delete;
+
+    /** Stage this CPU's records of rounds [r0, r1), switches inline. */
+    void
+    stage(std::uint64_t r0, std::uint64_t r1)
+    {
+        TraceRecord *w = staged.data();
+        for (std::uint64_t r = r0; r < r1; ++r) {
+            if (schedule.before(r))
+                *w++ = makeContextSwitch(cpu, engine.contextSwitch());
+            *w++ = engine.next();
+        }
+    }
+
+    /** Where round @p r starts in a block staged from round @p r0. */
+    const TraceRecord *
+    at(std::uint64_t r0, std::uint64_t r) const
+    {
+        return staged.data() + (r - r0) + schedule.countBefore(r) -
+            schedule.countBefore(r0);
+    }
+
+    GenStats stats;
+    CpuEngine engine;
+    const SwitchSchedule &schedule;
+    CpuId cpu;
+    std::vector<TraceRecord> staged;
+};
+
+} // namespace
+
 TraceBundle
 generateTrace(const WorkloadProfile &profile)
 {
+    checkProfile(profile);
+    const std::uint32_t ncpu = profile.numCpus;
+    const ProfileTables tables(profile);
+    const std::uint64_t rounds = recordsPerCpu(profile);
+    const std::vector<SwitchSchedule> schedules = switchSchedules(profile);
+    std::vector<Rng> rngs = cpuRngs(profile);
+
+    // Round r starts after r records of every CPU and every switch that
+    // went out before them.
+    auto roundStart = [&](std::uint64_t r) {
+        std::uint64_t at = r * ncpu;
+        for (const SwitchSchedule &s : schedules)
+            at += s.countBefore(r);
+        return at;
+    };
+
     TraceBundle bundle;
     bundle.profile = profile;
-    TraceStream stream(profile);
-    bundle.records.reserve(stream.expectedTotal());
 
-    TraceRecord r;
-    while (stream.next(r))
-        bundle.records.push_back(r);
-    bundle.stats = stream.stats();
+    const std::uint32_t workers = std::min(
+        ncpu, std::max(1u, std::thread::hardware_concurrency()));
+    std::vector<std::unique_ptr<CpuLane>> lanes(ncpu);
+    std::barrier sync(workers);
+    // A worker that throws stops working but keeps arriving; all of
+    // them see the flag after the next barrier and leave together, and
+    // the caller rethrows the lowest worker's exception.
+    std::vector<std::exception_ptr> errors(workers);
+    std::atomic<bool> failed{false};
+
+    // Worker w owns CPUs w, w + workers, ...: it builds their engines on
+    // its own thread, then per block stages their records and, once
+    // every CPU is staged, interleaves its 1/workers slice of the
+    // block's rounds into the output.
+    auto work = [&](std::uint32_t w) {
+        auto guarded = [&](auto &&fn) {
+            if (errors[w])
+                return;
+            try {
+                fn();
+            } catch (...) {
+                errors[w] = std::current_exception();
+                failed = true;
+            }
+        };
+        std::vector<const TraceRecord *> in;
+        guarded([&] {
+            for (CpuId c = w; c < ncpu; c += workers)
+                lanes[c] = std::make_unique<CpuLane>(
+                    profile, tables, c, std::move(rngs[c]), schedules[c]);
+            in.resize(ncpu);
+            // Sized after the caller's own lanes, so their buffers sit
+            // below the trace in the heap. Allocated above it, their
+            // freed space splits the heap and the next trace of a
+            // sweep no longer fits below (+15 MiB peak RSS measured).
+            if (w == 0)
+                bundle.records.resize(roundStart(rounds));
+        });
+        for (std::uint64_t r0 = 0; r0 < rounds; r0 += kBlockRounds) {
+            const std::uint64_t r1 = std::min(rounds, r0 + kBlockRounds);
+            guarded([&] {
+                for (CpuId c = w; c < ncpu; c += workers)
+                    lanes[c]->stage(r0, r1);
+            });
+            sync.arrive_and_wait();
+            if (failed)
+                break;
+
+            const std::uint64_t s0 = r0 + (r1 - r0) * w / workers;
+            const std::uint64_t s1 = r0 + (r1 - r0) * (w + 1) / workers;
+            for (CpuId c = 0; c < ncpu; ++c)
+                in[c] = lanes[c]->at(r0, s0);
+            TraceRecord *out = bundle.records.data() + roundStart(s0);
+            for (std::uint64_t r = s0; r < s1; ++r) {
+                for (CpuId c = 0; c < ncpu; ++c) {
+                    const TraceRecord rec = *in[c]++;
+                    *out++ = rec;
+                    if (rec.type == RefType::ContextSwitch)
+                        *out++ = *in[c]++;
+                }
+            }
+            sync.arrive_and_wait();
+        }
+    };
+
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers - 1);
+    for (std::uint32_t w = 1; w < workers; ++w)
+        helpers.emplace_back(work, w);
+    work(0);
+    for (std::thread &t : helpers)
+        t.join();
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
+
+    for (const auto &lane : lanes)
+        bundle.stats.merge(lane->stats);
     return bundle;
 }
 

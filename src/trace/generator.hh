@@ -83,7 +83,9 @@ struct TraceBundle
  * Generate the full interleaved trace for @p profile.
  *
  * Deterministic: equal profiles (including seed) produce identical
- * bundles.
+ * bundles, equal to draining a TraceStream. One worker per simulated
+ * CPU, up to the host's hardware threads, generates that CPU's records;
+ * the calling thread is one of the workers.
  */
 TraceBundle generateTrace(const WorkloadProfile &profile);
 

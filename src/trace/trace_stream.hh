@@ -5,8 +5,10 @@
  * TraceStream produces the exact record sequence generateTrace() would
  * materialize, one record at a time, so a simulator can replay a
  * multi-million-reference workload without ever holding the trace in
- * memory. generateTrace() itself is implemented by draining a stream,
- * which guarantees the two paths can never diverge.
+ * memory. generateTrace() shares the per-CPU engines and the
+ * context-switch schedule with the stream but runs one worker per CPU;
+ * trace_stream_test and trace_digest_test hold the two equal, record
+ * for record and in every GenStats field.
  */
 
 #ifndef VRC_TRACE_TRACE_STREAM_HH

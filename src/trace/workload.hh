@@ -129,6 +129,19 @@ struct GenStats
     std::uint64_t totalReads = 0;
     std::uint64_t totalInstr = 0;
     std::uint64_t contextSwitches = 0;
+
+    /** Add @p other's counts, as if one generator had seen both. */
+    void
+    merge(const GenStats &other)
+    {
+        callWrites.merge(other.callWrites);
+        totalCalls += other.totalCalls;
+        callWriteCount += other.callWriteCount;
+        totalWrites += other.totalWrites;
+        totalReads += other.totalReads;
+        totalInstr += other.totalInstr;
+        contextSwitches += other.contextSwitches;
+    }
 };
 
 /** Tuned profile reproducing the pops trace shape (Table 5 row 2). */

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "base/histogram.hh"
 
 namespace vrc
@@ -79,6 +82,34 @@ TEST(HistogramTest, SingleBucketEverythingOverflows)
     h.record(1);
     h.record(7);
     EXPECT_EQ(h.overflowCount(), 2u);
+}
+
+TEST(HistogramTest, MergeEqualsRecordingBothSampleSets)
+{
+    const std::vector<std::uint64_t> a = {0, 1, 3, 5, 5, 40};
+    const std::vector<std::uint64_t> b = {2, 3, 4, 6, 1000};
+    Histogram left(5), right(5), both(5);
+    for (std::uint64_t v : a) {
+        left.record(v);
+        both.record(v);
+    }
+    for (std::uint64_t v : b) {
+        right.record(v);
+        both.record(v);
+    }
+    left.merge(right);
+    for (std::uint64_t v = 1; v <= 5; ++v)
+        EXPECT_EQ(left.count(v), both.count(v)) << "bucket " << v;
+    EXPECT_EQ(left.overflowCount(), both.overflowCount());
+    EXPECT_EQ(left.overflowCount(), 5u);
+    EXPECT_EQ(left.samples(), both.samples());
+    EXPECT_EQ(left.sum(), both.sum());
+    EXPECT_EQ(left.sum(), 1070u);
+
+    // Merging an empty histogram changes nothing.
+    left.merge(Histogram(5));
+    EXPECT_EQ(left.samples(), 11u);
+    EXPECT_EQ(left.sum(), both.sum());
 }
 
 } // namespace

@@ -7,7 +7,9 @@
  * journals and served summaries all replay it. Any change to the draw
  * path (engine, integer reduction, real conversion, Bernoulli tests,
  * sampler arithmetic) that moves even one record changes a digest here,
- * at full scale, long before a table golden would notice.
+ * at full scale, long before a table golden would notice. Both the
+ * stream and generateTrace()'s parallel materialization are held to
+ * the same digests.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/generator.hh"
 #include "trace/trace_stream.hh"
 
 namespace vrc
@@ -39,33 +42,59 @@ fnv1a(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
-/** Digest of every record a profile generates plus its GenStats. */
+/** FNV-1a digest of a record sequence followed by its GenStats. */
+class Digest
+{
+  public:
+    void
+    add(const TraceRecord &r)
+    {
+        _h = fnv1a(_h, std::uint64_t{r.vaddr} | std::uint64_t{r.pid} << 32 |
+                           std::uint64_t{r.cpu} << 48 |
+                           std::uint64_t(r.type) << 56);
+        _count += 1;
+    }
+
+    std::uint64_t
+    finish(const GenStats &s) const
+    {
+        std::uint64_t h = fnv1a(_h, _count);
+        for (std::uint64_t v :
+             {s.totalCalls, s.callWriteCount, s.totalWrites, s.totalReads,
+              s.totalInstr, s.contextSwitches})
+            h = fnv1a(h, v);
+        for (std::uint64_t b = 1; b <= s.callWrites.maxBucket(); ++b)
+            h = fnv1a(h, s.callWrites.count(b));
+        return fnv1a(h, s.callWrites.sum());
+    }
+
+  private:
+    std::uint64_t _h = kFnvOffset;
+    std::uint64_t _count = 0;
+};
+
+/** Digest of every record a profile's stream emits plus its GenStats. */
 std::uint64_t
-traceDigest(const WorkloadProfile &p)
+streamDigest(const WorkloadProfile &p)
 {
     TraceStream stream(p);
     std::vector<TraceRecord> buf(4096);
-    std::uint64_t h = kFnvOffset;
-    std::uint64_t count = 0;
-    while (std::size_t n = stream.nextBatch(buf.data(), buf.size())) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const TraceRecord &r = buf[i];
-            h = fnv1a(h, std::uint64_t{r.vaddr} |
-                             std::uint64_t{r.pid} << 32 |
-                             std::uint64_t{r.cpu} << 48 |
-                             std::uint64_t(r.type) << 56);
-        }
-        count += n;
-    }
-    h = fnv1a(h, count);
+    Digest d;
+    while (std::size_t n = stream.nextBatch(buf.data(), buf.size()))
+        for (std::size_t i = 0; i < n; ++i)
+            d.add(buf[i]);
+    return d.finish(stream.stats());
+}
 
-    const GenStats &s = stream.stats();
-    for (std::uint64_t v : {s.totalCalls, s.callWriteCount, s.totalWrites,
-                            s.totalReads, s.totalInstr, s.contextSwitches})
-        h = fnv1a(h, v);
-    for (std::uint64_t b = 1; b <= s.callWrites.maxBucket(); ++b)
-        h = fnv1a(h, s.callWrites.count(b));
-    return fnv1a(h, s.callWrites.sum());
+/** The same digest over generateTrace()'s materialized bundle. */
+std::uint64_t
+generatedDigest(const WorkloadProfile &p)
+{
+    TraceBundle bundle = generateTrace(p);
+    Digest d;
+    for (const TraceRecord &r : bundle.records)
+        d.add(r);
+    return d.finish(bundle.stats);
 }
 
 struct DigestCase
@@ -116,9 +145,17 @@ class TraceDigest : public ::testing::TestWithParam<DigestCase>
 TEST_P(TraceDigest, MatchesRecordedDigest)
 {
     const DigestCase &c = GetParam();
-    std::uint64_t got = traceDigest(c.profile);
+    std::uint64_t got = streamDigest(c.profile);
     EXPECT_EQ(got, c.digest)
         << std::hex << "digest of " << c.name << " is 0x" << got;
+}
+
+TEST_P(TraceDigest, GeneratedTraceMatchesRecordedDigest)
+{
+    const DigestCase &c = GetParam();
+    std::uint64_t got = generatedDigest(c.profile);
+    EXPECT_EQ(got, c.digest)
+        << std::hex << "digest of generated " << c.name << " is 0x" << got;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for streaming trace generation: TraceStream must emit exactly
- * the sequence generateTrace() materializes, and a simulator fed from
- * the stream must be indistinguishable from one fed the vector.
+ * the sequence generateTrace() materializes in parallel, and a
+ * simulator fed from the stream must be indistinguishable from one fed
+ * the vector.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +46,54 @@ streamedAndMaterialized(const WorkloadProfile &p, const MachineConfig &mc)
     return {toJson(from_stream), toJson(from_vector)};
 }
 
+/** Rounds generateTrace() stages per block: one record per CPU each. */
+constexpr std::uint64_t kBlockRounds = 65536;
+
+/**
+ * generateTrace() must equal draining a TraceStream: every record in
+ * order and every GenStats field, callWrites histogram included.
+ */
+void
+expectGenerateMatchesStream(const WorkloadProfile &p)
+{
+    SCOPED_TRACE(p.name + ", " + std::to_string(p.numCpus) + " CPUs, " +
+                 std::to_string(p.totalRefs) + " refs, " +
+                 std::to_string(p.contextSwitches) + " switches");
+    TraceStream stream(p);
+    std::vector<TraceRecord> want;
+    want.reserve(stream.expectedTotal());
+    TraceRecord r;
+    while (stream.next(r))
+        want.push_back(r);
+    EXPECT_EQ(stream.produced(), want.size());
+    EXPECT_EQ(stream.expectedTotal(), want.size());
+    // Exhausted streams stay exhausted.
+    EXPECT_FALSE(stream.next(r));
+    TraceBundle got = generateTrace(p);
+
+    ASSERT_EQ(got.records.size(), want.size());
+    auto diff = std::mismatch(got.records.begin(), got.records.end(),
+                              want.begin());
+    EXPECT_TRUE(diff.first == got.records.end())
+        << "first difference at record "
+        << (diff.first - got.records.begin());
+
+    const GenStats &g = got.stats;
+    const GenStats &w = stream.stats();
+    EXPECT_EQ(g.totalCalls, w.totalCalls);
+    EXPECT_EQ(g.callWriteCount, w.callWriteCount);
+    EXPECT_EQ(g.totalWrites, w.totalWrites);
+    EXPECT_EQ(g.totalReads, w.totalReads);
+    EXPECT_EQ(g.totalInstr, w.totalInstr);
+    EXPECT_EQ(g.contextSwitches, w.contextSwitches);
+    ASSERT_EQ(g.callWrites.maxBucket(), w.callWrites.maxBucket());
+    for (std::uint64_t b = 1; b <= w.callWrites.maxBucket(); ++b)
+        EXPECT_EQ(g.callWrites.count(b), w.callWrites.count(b))
+            << "bucket " << b;
+    EXPECT_EQ(g.callWrites.samples(), w.callWrites.samples());
+    EXPECT_EQ(g.callWrites.sum(), w.callWrites.sum());
+}
+
 /** Names of every built-in paper profile, in Table 5 order. */
 std::vector<std::string>
 paperProfileNames()
@@ -60,31 +111,7 @@ class TraceStreamEquivalence
 
 TEST_P(TraceStreamEquivalence, MatchesMaterializedTrace)
 {
-    WorkloadProfile p = scaled(profileByName(GetParam()), 0.01);
-    TraceBundle bundle = generateTrace(p);
-
-    TraceStream stream(p);
-    TraceRecord r;
-    std::size_t i = 0;
-    while (stream.next(r)) {
-        ASSERT_LT(i, bundle.records.size());
-        ASSERT_EQ(r, bundle.records[i]) << "record " << i << " differs";
-        ++i;
-    }
-    EXPECT_EQ(i, bundle.records.size());
-    EXPECT_EQ(stream.produced(), bundle.records.size());
-    // Exhausted streams stay exhausted.
-    EXPECT_FALSE(stream.next(r));
-
-    // Generation ground truth must match too (same engines, same order).
-    EXPECT_EQ(stream.stats().totalWrites, bundle.stats.totalWrites);
-    EXPECT_EQ(stream.stats().totalReads, bundle.stats.totalReads);
-    EXPECT_EQ(stream.stats().totalInstr, bundle.stats.totalInstr);
-    EXPECT_EQ(stream.stats().totalCalls, bundle.stats.totalCalls);
-    EXPECT_EQ(stream.stats().contextSwitches,
-              bundle.stats.contextSwitches);
-    EXPECT_EQ(stream.stats().callWriteCount,
-              bundle.stats.callWriteCount);
+    expectGenerateMatchesStream(scaled(profileByName(GetParam()), 0.01));
 }
 
 TEST_P(TraceStreamEquivalence, SimulatorStatsMatchMaterializedRun)
@@ -243,6 +270,80 @@ TEST(TraceStreamTest, MachineCheckStopsPipelineAndJoinsProducer)
     EXPECT_TRUE(stream.next(r));
 }
 #endif
+
+TEST(TraceStreamTest, GenerateMatchesStreamFullScale)
+{
+    for (const WorkloadProfile &p : paperProfiles())
+        expectGenerateMatchesStream(p);
+}
+
+TEST(TraceStreamTest, GenerateMatchesStreamMoreCpusThanWorkers)
+{
+    // generateTrace() runs at most one worker per host thread, so on
+    // any host with fewer than 16 some worker owns several CPUs.
+    WorkloadProfile p = popsProfile();
+    p.numCpus = 16;
+    expectGenerateMatchesStream(p);
+}
+
+TEST(TraceStreamTest, GenerateMatchesStreamOneCpu)
+{
+    WorkloadProfile p = scaled(thorProfile(), 0.1);
+    p.numCpus = 1;
+    expectGenerateMatchesStream(p);
+}
+
+TEST(TraceStreamTest, GenerateMatchesStreamFewerRefsThanCpus)
+{
+    // No CPU gets a record, so none of the switches go out either.
+    WorkloadProfile p = popsProfile();
+    p.numCpus = 8;
+    p.totalRefs = 5;
+    p.contextSwitches = 20;
+    ASSERT_EQ(TraceStream(p).expectedTotal(), 0u);
+    expectGenerateMatchesStream(p);
+}
+
+TEST(TraceStreamTest, GenerateMatchesStreamMoreSwitchesThanRecords)
+{
+    // Ten records per CPU and far more switches: the switch interval
+    // is 0, so a switch precedes every record.
+    WorkloadProfile crowded = popsProfile();
+    crowded.numCpus = 3;
+    crowded.totalRefs = 31;
+    crowded.contextSwitches = 100;
+    expectGenerateMatchesStream(crowded);
+    // Four records per CPU: CPUs 0-1 owe four switches (interval 0),
+    // CPUs 2-3 owe three (interval 1), so the two rules interleave.
+    WorkloadProfile mixed = popsProfile();
+    mixed.numCpus = 4;
+    mixed.totalRefs = 16;
+    mixed.contextSwitches = 14;
+    expectGenerateMatchesStream(mixed);
+}
+
+TEST(TraceStreamTest, GenerateMatchesStreamNoSwitches)
+{
+    WorkloadProfile p = scaled(abaqusProfile(), 0.2);
+    p.contextSwitches = 0;
+    expectGenerateMatchesStream(p);
+}
+
+TEST(TraceStreamTest, GenerateMatchesStreamAcrossBlockBoundaries)
+{
+    WorkloadProfile p = popsProfile();
+    p.numCpus = 3;
+    // Ends exactly on a block boundary, after two whole blocks. One
+    // switch per CPU is due before record kBlockRounds, so each goes
+    // out first in the second block.
+    p.totalRefs = 2 * kBlockRounds * p.numCpus;
+    p.contextSwitches = p.numCpus;
+    expectGenerateMatchesStream(p);
+    // Ends mid-block, and leaves a remainder no CPU generates.
+    p.totalRefs = (2 * kBlockRounds + 777) * p.numCpus + 2;
+    p.contextSwitches = 50;
+    expectGenerateMatchesStream(p);
+}
 
 TEST(TraceStreamTest, MoveTransfersState)
 {
