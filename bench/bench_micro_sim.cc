@@ -190,6 +190,29 @@ BM_SimulateVRSplit(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateVRSplit);
 
+/**
+ * The unit `--serve` pays per segment: build an MpSimulator (vr,
+ * 16K/256K, pops), replay one 16384-record segment, destroy it. Timed
+ * in real time so construction and teardown count in full.
+ */
+void
+BM_ColdSegment(benchmark::State &state)
+{
+    constexpr std::size_t kSegment = 16384;
+    const TraceBundle &bundle = microBundle();
+    const MachineConfig mc =
+        makeMachineConfig(HierarchyKind::VirtualReal, 16 * 1024,
+                          256 * 1024, bundle.profile.pageSize);
+    for (auto _ : state) {
+        MpSimulator sim(mc, bundle.profile);
+        sim.runBatch(bundle.records.data(), kSegment);
+        benchmark::DoNotOptimize(sim.refsProcessed());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kSegment));
+}
+BENCHMARK(BM_ColdSegment)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
 } // namespace
 
 BENCHMARK_MAIN();

@@ -2,12 +2,13 @@
  * @file
  * Bump-pointer arena for per-CPU simulator state.
  *
- * A hierarchy owns one Arena and carves all of its tag-store arrays out
- * of it, so the metadata one CPU touches on every reference sits in one
- * contiguous region instead of wherever the global allocator scattered
- * it. Allocation is append-only: nothing is ever freed individually and
- * everything is released when the arena dies, which is exactly the
- * lifetime of the owning hierarchy.
+ * A hierarchy owns one Arena and carves all of its tag-store arrays (and
+ * the R-cache's subentry array) out of it, so the metadata one CPU
+ * touches on every reference sits in one contiguous region instead of
+ * wherever the global allocator scattered it. Allocation is
+ * append-only: nothing is ever freed individually and everything is
+ * released when the arena dies, which is exactly the lifetime of the
+ * owning hierarchy.
  */
 
 #ifndef VRC_BASE_ARENA_HH

@@ -75,23 +75,6 @@ struct TagLineView
     Meta &meta;
 };
 
-/**
- * Reset a payload for reuse by fill()/invalidateAll(). Prefers the
- * payload's resetForFill() when it has one (RLineMeta keeps its
- * subentry vector's capacity that way, so refills never allocate);
- * value-reassignment otherwise. Both leave the payload value-equal to a
- * freshly constructed Meta{}.
- */
-template <typename Meta>
-inline void
-resetTagMeta(Meta &m)
-{
-    if constexpr (requires { m.resetForFill(); })
-        m.resetForFill();
-    else
-        m = Meta{};
-}
-
 /** The structure-of-arrays tag store (the production engine). */
 template <typename Meta>
 class SoaTagStore
@@ -198,13 +181,15 @@ class SoaTagStore
     victim(std::uint32_t addr)
     {
         std::uint32_t set = _geom.setIndex(addr);
-        return victimWhere(set, [](const Line &) { return true; });
+        return victimWhere(set, [](LineRef, const Line &) { return true; });
     }
 
     /**
-     * Pick a victim among the ways of @p set satisfying @p eligible;
-     * falls back to any way when none qualifies. Invalid ways always
-     * win. Used by the R-cache's relaxed inclusion replacement.
+     * Pick a victim among the ways of @p set satisfying @p
+     * eligible(LineRef, const Line &); falls back to any way when none
+     * qualifies. Invalid ways always win, so the predicate only sees
+     * valid ways. Used by the R-cache's relaxed inclusion replacement,
+     * which keys its per-line subentries by location.
      *
      * @return the chosen location.
      */
@@ -223,7 +208,7 @@ class SoaTagStore
         if (best)
             return *best;
         // Nothing eligible: fall back to an unconditional choice.
-        best = choose(set, [](const Line &) { return true; });
+        best = choose(set, [](LineRef, const Line &) { return true; });
         return *best;
     }
 
@@ -240,7 +225,7 @@ class SoaTagStore
         _valid[i] = 1;
         _tag[i] = _geom.tag(addr);
         _stamp[i] = ++_clock;
-        resetTagMeta(_meta[i]);
+        _meta[i] = Meta{};
         return Line{_valid[i], _tag[i], _stamp[i], _meta[i]};
     }
 
@@ -261,7 +246,7 @@ class SoaTagStore
         for (std::size_t i = 0; i < n; ++i) {
             _valid[i] = 0;
             _tag[i] = kNoTag;
-            resetTagMeta(_meta[i]);
+            _meta[i] = Meta{};
         }
     }
 
@@ -376,11 +361,11 @@ class SoaTagStore
         std::uint32_t eligible_count = 0;
         for (std::uint32_t w = 0; w < _assoc; ++w) {
             const std::size_t i = base + w;
+            const LineRef ref{set, w};
             Line l{_valid[i], _tag[i], _stamp[i], _meta[i]};
-            if (!eligible(l))
+            if (!eligible(ref, l))
                 continue;
             ++eligible_count;
-            LineRef ref{set, w};
             if (_policy == ReplPolicy::Random) {
                 // Reservoir-sample one eligible way uniformly.
                 if (_rng.below(eligible_count) == 0)

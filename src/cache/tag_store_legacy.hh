@@ -97,7 +97,7 @@ class LegacyTagStore
     victim(std::uint32_t addr)
     {
         std::uint32_t set = _geom.setIndex(addr);
-        return victimWhere(set, [](const Line &) { return true; });
+        return victimWhere(set, [](LineRef, const Line &) { return true; });
     }
 
     template <typename Pred>
@@ -115,7 +115,7 @@ class LegacyTagStore
         if (best)
             return *best;
         // Nothing eligible: fall back to an unconditional choice.
-        best = choose(set, [](const Line &) { return true; });
+        best = choose(set, [](LineRef, const Line &) { return true; });
         return *best;
     }
 
@@ -244,11 +244,11 @@ class LegacyTagStore
         std::uint32_t eligible_count = 0;
         for (std::uint32_t w = 0; w < assoc; ++w) {
             Cell &c = _lines[set * assoc + w];
+            const LineRef ref{set, w};
             Line view{c.valid, c.tag, c.stamp, c.meta};
-            if (!eligible(view))
+            if (!eligible(ref, view))
                 continue;
             ++eligible_count;
-            LineRef ref{set, w};
             if (_policy == ReplPolicy::Random) {
                 // Reservoir-sample one eligible way uniformly.
                 if (_rng.below(eligible_count) == 0)

@@ -127,8 +127,12 @@ class PresenceMap
     std::size_t
     home(std::uint32_t key) const
     {
-        // Fibonacci multiplicative hash; line addresses share low zero
-        // bits (block alignment), which the multiply disperses.
+        // Fibonacci multiplicative hash, masked to the low bits. Keys
+        // are block-aligned line addresses, and the product keeps their
+        // low zero bits, so homes land on multiples of the block size
+        // and probe chains run longer than they would from the high
+        // bits. Taking the high bits instead measured no end-to-end gain
+        // on the sweep benchmark, so the mask stays.
         return (key * 0x9E3779B1u) & (_slots.size() - 1);
     }
 

@@ -1,5 +1,7 @@
 #include "core/rcache.hh"
 
+#include <algorithm>
+
 #include "base/bitops.hh"
 #include "base/log.hh"
 
@@ -17,6 +19,14 @@ RCache::RCache(const CacheParams &params, std::uint32_t l1_block,
                "level-2 block size must be a multiple of level-1's");
     panicIfNot(isPowerOfTwo(_subCount), "sub-block count not a power of 2");
     _tags.setProtection(params.protection);
+    const std::size_t n =
+        std::size_t{_tags.geometry().numBlocks()} * _subCount;
+    if (arena) {
+        _subs = arena->allocArray<RSubentry>(n);
+    } else {
+        _owned = std::make_unique<RSubentry[]>(n);
+        _subs = _owned.get();
+    }
 }
 
 LineRef
@@ -48,9 +58,8 @@ RCache::victimFor(PhysAddr pa)
 {
     std::uint32_t set = _tags.geometry().setIndex(pa.value());
     LineRef slot = _tags.victimWhere(
-        set, [](const Line &l) { return l.meta.noChildren(); });
-    bool forced = _tags.line(slot).valid &&
-        !_tags.line(slot).meta.noChildren();
+        set, [this](LineRef ref, const Line &) { return noChildren(ref); });
+    bool forced = _tags.line(slot).valid && !noChildren(slot);
     return {slot, forced};
 }
 
@@ -60,7 +69,7 @@ RCache::install(LineRef slot, PhysAddr pa, CoherenceState state)
     Line l = _tags.fill(slot, pa.value());
     l.meta.state = state;
     l.meta.rdirty = false;
-    l.meta.subs.assign(_subCount, RSubentry{});
+    std::fill_n(&_subs[firstSub(slot)], _subCount, RSubentry{});
     return l;
 }
 

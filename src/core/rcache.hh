@@ -20,14 +20,26 @@
  * organization verifies the architected bits agree with the full
  * address; the reverse-lookup-table organization leaves them unused);
  * this cache only provides the storage.
+ *
+ * That storage is one flat array per R-cache (carved from the owning
+ * hierarchy's Arena when one is given): line (set, way) owns the
+ * subCount() consecutive entries starting at (set * assoc + way) *
+ * subCount(). Every level-1 miss, percolation and snoop reads them, so
+ * they sit next to their neighbours rather than behind a per-line heap
+ * pointer, and building or destroying a simulator allocates or frees
+ * nothing per line.
  */
 
 #ifndef VRC_CORE_RCACHE_HH
 #define VRC_CORE_RCACHE_HH
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <vector>
+#include <type_traits>
 
 #include "base/addr.hh"
 #include "cache/tag_store.hh"
@@ -59,36 +71,29 @@ struct RSubentry
     }
 };
 
-/** Per-line metadata of the R-cache. */
+// The subentry array is zero-filled arena memory (or a value-initialized
+// owned block) that is never destructed: all-zero bytes must be a fresh
+// RSubentry{}, and there must be no destructor to skip.
+static_assert(std::is_trivially_destructible_v<RSubentry>);
+static_assert(
+    [] {
+        using Bytes = std::array<unsigned char, sizeof(RSubentry)>;
+        for (unsigned char b : std::bit_cast<Bytes>(RSubentry{})) {
+            if (b != 0)
+                return false;
+        }
+        return true;
+    }(),
+    "RSubentry{} must be all-zero bytes");
+
+/**
+ * Per-line metadata of the R-cache. The line's subentries live in the
+ * RCache's flat subentry array (RCache::sub()), not here.
+ */
 struct RLineMeta
 {
     CoherenceState state = CoherenceState::Invalid;
     bool rdirty = false;  ///< modified relative to memory (in this level)
-    std::vector<RSubentry> subs;
-
-    /** True if no sub-block has a copy above this level. */
-    bool
-    noChildren() const
-    {
-        for (const RSubentry &s : subs) {
-            if (s.childAbove())
-                return false;
-        }
-        return true;
-    }
-
-    /**
-     * Reset for a refill (see resetTagMeta): value-equal to a fresh
-     * RLineMeta{} but keeps the subentry vector's capacity so the
-     * install() that follows every fill never reallocates.
-     */
-    void
-    resetForFill()
-    {
-        state = CoherenceState::Invalid;
-        rdirty = false;
-        subs.clear();
-    }
 };
 
 /** The physically-indexed, physically-tagged level-2 cache. */
@@ -121,7 +126,10 @@ class RCache
      */
     std::pair<LineRef, bool> victimFor(PhysAddr pa);
 
-    /** Install a line for @p pa into @p slot with empty subentries. */
+    /**
+     * Install a line for @p pa into @p slot and reset its subentries
+     * (invalidate() leaves them stale: only valid lines' are read).
+     */
     Line install(LineRef slot, PhysAddr pa, CoherenceState state);
 
     /** Invalidate one line. */
@@ -134,17 +142,42 @@ class RCache
         return (pa.value() / _l1Block) & (_subCount - 1);
     }
 
+    /** Subentry @p i (< subCount()) of a (valid) line. */
+    RSubentry &
+    sub(LineRef ref, std::uint32_t i)
+    {
+        return _subs[firstSub(ref) + i];
+    }
+
+    const RSubentry &
+    sub(LineRef ref, std::uint32_t i) const
+    {
+        return _subs[firstSub(ref) + i];
+    }
+
     /** Subentry of @p pa within a (valid) line. */
     RSubentry &
     sub(LineRef ref, PhysAddr pa)
     {
-        return _tags.line(ref).meta.subs[subIndex(pa)];
+        return sub(ref, subIndex(pa));
     }
 
     const RSubentry &
     sub(LineRef ref, PhysAddr pa) const
     {
-        return _tags.line(ref).meta.subs[subIndex(pa)];
+        return sub(ref, subIndex(pa));
+    }
+
+    /** True if no sub-block of a (valid) line has a copy above. */
+    bool
+    noChildren(LineRef ref) const
+    {
+        const RSubentry *s = &_subs[firstSub(ref)];
+        for (std::uint32_t i = 0; i < _subCount; ++i) {
+            if (s[i].childAbove())
+                return false;
+        }
+        return true;
     }
 
     /** Block-aligned physical address of one sub-block of a line. */
@@ -185,9 +218,20 @@ class RCache
     }
 
   private:
+    /** Index of @p ref's subentry 0 in the flat subentry array. */
+    std::size_t
+    firstSub(LineRef ref) const
+    {
+        return (std::size_t(ref.set) * _tags.geometry().assoc() + ref.way) *
+            _subCount;
+    }
+
     Store _tags;
     std::uint32_t _l1Block;
     std::uint32_t _subCount;
+    std::unique_ptr<RSubentry[]> _owned; ///< subentries sans arena
+    /** subCount() subentries per line, lines in (set, way) order. */
+    RSubentry *_subs = nullptr;
 };
 
 } // namespace vrc

@@ -108,7 +108,7 @@ class PointerSynonymDirectory final : public SynonymDirectory
             if (!l.valid)
                 return;
             for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
-                const RSubentry &s = l.meta.subs[i];
+                const RSubentry &s = _r.sub(ref, i);
                 if (s.inclusion) {
                     fn(PhysAddr(_r.subBlockAddr(ref, i)),
                        SynonymChild{s.l1Index, s.childAddrBlock});
@@ -163,11 +163,11 @@ class PointerSynonymDirectory final : public SynonymDirectory
                     (void)ref;
                 });
         }
-        _r.tags().forEachLine([&](LineRef, const RCache::Line &l) {
+        _r.tags().forEachLine([&](LineRef ref, const RCache::Line &l) {
             if (!l.valid)
                 return;
             for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
-                const RSubentry &s = l.meta.subs[i];
+                const RSubentry &s = _r.sub(ref, i);
                 if (s.inclusion) {
                     panicIfNot(s.vPointer ==
                                    vPointerBits(s.childAddrBlock),

@@ -423,7 +423,7 @@ VrHierarchy::evictRLine(LineRef rslot, bool forced)
     bool dirty_data = rline.meta.rdirty;
 
     for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
-        RSubentry &s = rline.meta.subs[i];
+        RSubentry &s = _r.sub(rslot, i);
         std::uint32_t sub_addr = line_addr + i * _params.l1.blockBytes;
         if (s.buffer) {
             // Complete the parked write-back straight to memory.
@@ -558,7 +558,7 @@ VrHierarchy::strikeL2(const char *ctr, std::uint64_t h)
 
     bool dirty_below = rl.meta.rdirty;
     for (std::uint32_t i = 0; i < _r.subCount(); ++i)
-        dirty_below |= rl.meta.subs[i].vdirty;
+        dirty_below |= _r.sub(rref, i).vdirty;
     if (dirty_below)
         machineCheckR(rref);
     recoverRLine(rref);
@@ -634,10 +634,9 @@ VrHierarchy::machineCheckR(LineRef rref)
     // bits that can no longer be trusted: writing any of it back would
     // propagate corruption, so the whole line and its children are
     // dropped and the loss reported.
-    RCache::Line rl = _r.line(rref);
     std::uint32_t line_addr = _r.lineAddr(rref);
     for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
-        RSubentry &s = rl.meta.subs[i];
+        RSubentry &s = _r.sub(rref, i);
         std::uint32_t sub_addr = line_addr + i * _params.l1.blockBytes;
         if (s.buffer) {
             auto e = _wb.remove(sub_addr);
@@ -696,7 +695,7 @@ VrHierarchy::snoopReadMiss(LineRef rref)
     res.sharedAck = true;
 
     for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
-        RSubentry &s = rline.meta.subs[i];
+        RSubentry &s = _r.sub(rref, i);
         std::uint32_t sub_addr = line_addr + i * _params.l1.blockBytes;
         if (s.inclusion && s.vdirty) {
             // flush(v-pointer): the V-cache supplies, stays valid clean.
@@ -734,11 +733,10 @@ VrHierarchy::snoopReadMiss(LineRef rref)
 void
 VrHierarchy::snoopInvalidate(LineRef rref)
 {
-    RCache::Line rline = _r.line(rref);
     std::uint32_t line_addr = _r.lineAddr(rref);
 
     for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
-        RSubentry &s = rline.meta.subs[i];
+        RSubentry &s = _r.sub(rref, i);
         std::uint32_t sub_addr = line_addr + i * _params.l1.blockBytes;
         if (s.inclusion) {
             auto [oc, child] = directoryChild(PhysAddr(sub_addr));
@@ -780,7 +778,7 @@ VrHierarchy::snoopUpdate(LineRef rref)
     rline.meta.rdirty = false;
 
     for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
-        RSubentry &s = rline.meta.subs[i];
+        RSubentry &s = _r.sub(rref, i);
         if (s.inclusion) {
             auto [oc, child] =
                 directoryChild(PhysAddr(_r.subBlockAddr(rref, i)));
@@ -871,7 +869,7 @@ VrHierarchy::probeBlock(PhysAddr l2_line) const
 
         bool incl = false, buf = false, vdirty = false;
         if (rref) {
-            const RSubentry &s = _r.line(*rref).meta.subs[i];
+            const RSubentry &s = _r.sub(*rref, i);
             incl = s.inclusion;
             buf = s.buffer;
             vdirty = s.vdirty;
@@ -942,7 +940,7 @@ VrHierarchy::checkInvariants() const
             if (!rl.valid)
                 return;
             for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
-                const RSubentry &s = rl.meta.subs[i];
+                const RSubentry &s = _r.sub(rref, i);
                 std::uint32_t sub_addr =
                     _r.lineAddr(rref) + i * _params.l1.blockBytes;
                 panicIfNot(!(s.inclusion && s.buffer),

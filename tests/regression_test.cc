@@ -95,7 +95,7 @@ TEST(RegressionTest, VictimFallbackTerminates)
     store.fill(store.victim(0x100), 0x100);
     // Nothing eligible: fallback must still return a valid line.
     LineRef v = store.victimWhere(
-        0, [](const TagStore<int>::Line &) { return false; });
+        0, [](LineRef, const TagStore<int>::Line &) { return false; });
     EXPECT_TRUE(store.line(v).valid);
 }
 

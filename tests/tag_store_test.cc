@@ -101,7 +101,7 @@ TEST(TagStoreTest, VictimWherePredicate)
     s.fill(s.victim(0x0), 0x0).meta.value = 1;
     s.fill(s.victim(0x100), 0x100).meta.value = 2;
     LineRef v = s.victimWhere(
-        0, [](const Store::Line &l) { return l.meta.value == 2; });
+        0, [](LineRef, const Store::Line &l) { return l.meta.value == 2; });
     EXPECT_EQ(s.line(v).meta.value, 2);
 }
 
@@ -111,7 +111,7 @@ TEST(TagStoreTest, VictimWhereFallsBackWhenNoneEligible)
     s.fill(s.victim(0x0), 0x0);
     s.fill(s.victim(0x100), 0x100);
     LineRef v =
-        s.victimWhere(0, [](const Store::Line &) { return false; });
+        s.victimWhere(0, [](LineRef, const Store::Line &) { return false; });
     EXPECT_TRUE(s.line(v).valid) << "fallback picks some valid line";
 }
 
