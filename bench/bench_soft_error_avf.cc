@@ -91,13 +91,6 @@ main(int argc, char **argv)
     double scale = benchScaleFromArgs(argc, argv);
     banner("Soft-error AVF: protection policy x organization", scale);
 
-    if (!softErrorsCompiledIn()) {
-        std::cout << "soft-error model not compiled in "
-                     "(-DVRC_SOFT_ERRORS=ON to enable); nothing to "
-                     "measure.\n";
-        return 0;
-    }
-
     const TraceBundle &bundle = profileTrace("pops", scale);
     std::cout << "strike spec: " << kStrikeSpec << "\n\n";
 

@@ -44,16 +44,15 @@ if [ "$JOBS_MAX" -eq 1 ]; then
          "measured here; jobsN numbers will equal jobs1" >&2
 fi
 
-# Numbers of record come from the perf configuration: Release, the
-# legacy reference model compiled out, LTO, native ISA. -ffp-contract
-# =off keeps the analytic-model doubles byte-identical to the default
-# build so figure outputs can be diffed against the test build.
+# Numbers of record come from the perf configuration: Release, LTO,
+# native ISA. -ffp-contract=off keeps the analytic-model doubles
+# byte-identical to the default build so figure outputs can be diffed
+# against the test build.
 if [ -z "${VRC_PERF_NO_BUILD:-}" ]; then
     PERF_BUILD="${BUILD%/}-perf"
     echo "== configuring perf build in $PERF_BUILD" >&2
     cmake -B "$PERF_BUILD" -S "$(dirname "$0")/.." \
         -DCMAKE_BUILD_TYPE=Release \
-        -DVRC_REFERENCE_MODEL=OFF \
         -DCMAKE_INTERPROCEDURAL_OPTIMIZATION=ON \
         -DCMAKE_CXX_FLAGS="-march=native -ffp-contract=off" \
         >/dev/null

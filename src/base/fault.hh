@@ -1,10 +1,9 @@
 /**
  * @file
- * Deterministic, seed-driven fault injection (the VRC_FAULTS option).
+ * Deterministic, seed-driven fault injection.
  *
  * A recovery path that is never exercised is indistinguishable from
- * one that is broken. When the library is configured with
- * -DVRC_FAULTS=ON, the input loaders and the campaign engine carry
+ * one that is broken. The input loaders and the campaign engine carry
  * hooks that -- once armed with a seed -- corrupt or truncate loaded
  * bytes, throw from campaign cells, and stall cells long enough to
  * trip the watchdog. Every decision is a pure hash of
@@ -13,9 +12,7 @@
  *
  *     --inject-faults="seed=7,corrupt=0.1,throw=0.3,stall=0.2,stall_ms=300"
  *
- * Mirrors VRC_CHECK: compiled out entirely when the option is OFF
- * (the hooks collapse to constant-false inlines); when compiled in
- * but not armed, each hook is a single branch on a bool.
+ * Until armed, each hook is a single branch on a bool.
  *
  * Arming is process-wide and intended to happen once, from the CLI,
  * before any worker threads start.
@@ -102,10 +99,7 @@ class FaultUnrecoverable : public ErrorException
     }
 };
 
-/**
- * Hash helpers shared by the campaign injector and the soft-error
- * model. Always compiled (either subsystem may be enabled alone).
- */
+/** Hash helpers shared by the campaign injector and the soft-error model. */
 namespace fault_detail
 {
 
@@ -129,15 +123,6 @@ hashSite(const char *site)
 }
 
 } // namespace fault_detail
-
-#ifdef VRC_FAULTS_ENABLED
-
-/** True when the hooks are compiled in (VRC_FAULTS=ON). */
-inline constexpr bool
-faultsCompiledIn()
-{
-    return true;
-}
 
 /** Process-wide injector configuration. */
 inline FaultConfig &
@@ -361,64 +346,8 @@ disarmFaultInjection()
     faultConfig() = FaultConfig{};
 }
 
-#else // !VRC_FAULTS_ENABLED
 
-inline constexpr bool
-faultsCompiledIn()
-{
-    return false;
-}
-
-inline constexpr bool
-faultsArmed()
-{
-    return false;
-}
-
-inline constexpr bool
-faultDecision(const char *, std::uint64_t, std::uint64_t, double)
-{
-    return false;
-}
-
-inline void
-injectInputFaults(const char *, const std::string &, std::string &)
-{
-}
-
-inline void
-maybeInjectCellFault(std::size_t, unsigned, const CancelToken &)
-{
-}
-
-inline constexpr ServeFault
-maybeInjectServeFault(std::uint64_t, std::uint64_t)
-{
-    return ServeFault::None;
-}
-
-inline constexpr ShardFaultKind
-maybeInjectShardFault(std::uint64_t, std::uint64_t)
-{
-    return ShardFaultKind::None;
-}
-
-inline Status
-configureFaultInjection(const std::string &)
-{
-    return makeError(ErrorKind::Io,
-                     "fault injection is not compiled in "
-                     "(reconfigure with -DVRC_FAULTS=ON)");
-}
-
-inline void
-disarmFaultInjection()
-{
-}
-
-#endif // VRC_FAULTS_ENABLED
-
-// ===== soft errors inside the simulated hardware (VRC_SOFT_ERRORS) ===
+// ===== soft errors inside the simulated hardware ======================
 //
 // A second, independent fault domain: where the campaign injector above
 // attacks the *experiment harness* (inputs, workers), the soft-error
@@ -438,15 +367,6 @@ struct SoftErrorConfig
     double bus = 0.0;       ///< P(one bus broadcast attempt is lost)
     unsigned busRetryLimit = 4; ///< lost attempts before machine check
 };
-
-#ifdef VRC_SOFT_ERRORS_ENABLED
-
-/** True when the soft-error model is compiled in. */
-inline constexpr bool
-softErrorsCompiledIn()
-{
-    return true;
-}
 
 /** Process-wide soft-error configuration. */
 inline SoftErrorConfig &
@@ -571,59 +491,6 @@ disarmSoftErrors()
     softErrorConfig() = SoftErrorConfig{};
 }
 
-#else // !VRC_SOFT_ERRORS_ENABLED
-
-inline constexpr bool
-softErrorsCompiledIn()
-{
-    return false;
-}
-
-inline const SoftErrorConfig &
-softErrorConfig()
-{
-    static const SoftErrorConfig cfg;
-    return cfg;
-}
-
-inline constexpr bool
-softErrorsArmed()
-{
-    return false;
-}
-
-inline constexpr std::uint64_t
-softErrorHash(const char *, std::uint64_t, std::uint64_t)
-{
-    return 0;
-}
-
-inline constexpr bool
-softErrorDecision(const char *, std::uint64_t, std::uint64_t, double)
-{
-    return false;
-}
-
-inline constexpr unsigned
-softErrorFlips(std::uint64_t)
-{
-    return 1;
-}
-
-inline Status
-configureSoftErrors(const std::string &)
-{
-    return makeError(ErrorKind::Io,
-                     "the soft-error model is not compiled in "
-                     "(reconfigure with -DVRC_SOFT_ERRORS=ON)");
-}
-
-inline void
-disarmSoftErrors()
-{
-}
-
-#endif // VRC_SOFT_ERRORS_ENABLED
 
 } // namespace vrc
 

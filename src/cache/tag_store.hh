@@ -20,13 +20,13 @@
  * a *view*: a bundle of references into the arrays, cheap to copy and
  * source-compatible with the original array-of-structures layout.
  *
- * Under the VRC_REFERENCE_MODEL build option the original AoS
- * implementation (tag_store_legacy.hh) stays linked in behind a runtime
- * switch (reference_mode.hh) as a differential-testing oracle; TagStore
- * then dispatches to whichever model was selected when the store was
- * constructed. Both models consume their Rng identically, so
- * replacement decisions -- and with them every architectural counter --
- * are bit-identical across the two.
+ * The original array-of-structures store survives as a test oracle
+ * (tests/legacy_tag_store.hh): TagStoreParamTest drives both through
+ * one random operation sequence and requires identical results --
+ * including identical victims under Random replacement, so the two
+ * consume their Rng draw for draw. Whole-machine runs are held to a
+ * frozen record (tests/golden/soa_equivalence.golden) that both stores
+ * reproduced when it was recorded.
  */
 
 #ifndef VRC_CACHE_TAG_STORE_HH
@@ -43,7 +43,6 @@
 #include "base/rng.hh"
 #include "cache/cache_geometry.hh"
 #include "cache/protection.hh"
-#include "cache/reference_mode.hh"
 #include "cache/replacement.hh"
 
 namespace vrc
@@ -75,15 +74,15 @@ struct TagLineView
     Meta &meta;
 };
 
-/** The structure-of-arrays tag store (the production engine). */
+/** The structure-of-arrays tag store. */
 template <typename Meta>
-class SoaTagStore
+class TagStore
 {
   public:
     using Line = TagLineView<Meta>;
 
-    SoaTagStore(const CacheGeometry &geom, ReplPolicy policy,
-                std::uint64_t seed = 0x5eed, Arena *arena = nullptr)
+    TagStore(const CacheGeometry &geom, ReplPolicy policy,
+             std::uint64_t seed = 0x5eed, Arena *arena = nullptr)
         : _geom(geom), _policy(policy), _rng(seed),
           _assoc(geom.assoc()),
           _lruMulti(policy == ReplPolicy::LRU && geom.assoc() > 1),
@@ -130,7 +129,7 @@ class SoaTagStore
     Line
     line(LineRef ref) const
     {
-        return const_cast<SoaTagStore *>(this)->line(ref);
+        return const_cast<TagStore *>(this)->line(ref);
     }
 
     /**
@@ -273,7 +272,7 @@ class SoaTagStore
     void
     forEachWay(std::uint32_t set, Fn fn) const
     {
-        const_cast<SoaTagStore *>(this)->forEachWay(set, fn);
+        const_cast<TagStore *>(this)->forEachWay(set, fn);
     }
 
     /** Apply @p fn(LineRef, Line&) to every line in the store. */
@@ -348,8 +347,8 @@ class SoaTagStore
 
     /**
      * Policy choice among eligible valid ways; nullopt if none. The
-     * iteration order and Rng consumption mirror the legacy model
-     * exactly (one below() draw per eligible way under Random).
+     * iteration order and Rng consumption mirror the legacy test
+     * oracle exactly (one below() draw per eligible way under Random).
      */
     template <typename Pred>
     std::optional<LineRef>
@@ -402,218 +401,6 @@ class SoaTagStore
     std::vector<Meta> _meta;
     ArrayProtection _protection = ArrayProtection::Secded;
     ArrayFaultStats _faultStats;
-};
-
-} // namespace vrc
-
-#include "cache/tag_store_legacy.hh"
-
-namespace vrc
-{
-
-/**
- * The tag store the rest of the simulator uses: the SoA engine, plus --
- * in VRC_REFERENCE_MODEL builds -- per-call dispatch to the retained
- * legacy model when reference mode was enabled at construction time.
- * In regular builds legacyActive() folds to false and every method
- * compiles down to the bare SoA call.
- */
-template <typename Meta>
-class TagStore
-{
-  public:
-    using Line = TagLineView<Meta>;
-
-    TagStore(const CacheGeometry &geom, ReplPolicy policy,
-             std::uint64_t seed = 0x5eed, Arena *arena = nullptr)
-        : _soa(geom, policy, seed, arena)
-    {
-        if (referenceModeEnabled())
-            _legacy =
-                std::make_unique<LegacyTagStore<Meta>>(geom, policy, seed);
-    }
-
-    const CacheGeometry &geometry() const { return _soa.geometry(); }
-    ReplPolicy policy() const { return _soa.policy(); }
-
-    /** True when this store was constructed onto the legacy model. */
-    bool
-    legacyActive() const
-    {
-        if constexpr (referenceModelBuilt())
-            return _legacy != nullptr;
-        else
-            return false;
-    }
-
-    Line
-    line(LineRef ref)
-    {
-        if (legacyActive())
-            return _legacy->line(ref);
-        return _soa.line(ref);
-    }
-
-    Line
-    line(LineRef ref) const
-    {
-        if (legacyActive())
-            return _legacy->line(ref);
-        return _soa.line(ref);
-    }
-
-    std::optional<LineRef>
-    find(std::uint32_t addr) const
-    {
-        if (legacyActive())
-            return _legacy->find(addr);
-        return _soa.find(addr);
-    }
-
-    void
-    touch(LineRef ref)
-    {
-        if (legacyActive())
-            return _legacy->touch(ref);
-        _soa.touch(ref);
-    }
-
-    LineRef
-    victim(std::uint32_t addr)
-    {
-        if (legacyActive())
-            return _legacy->victim(addr);
-        return _soa.victim(addr);
-    }
-
-    template <typename Pred>
-    LineRef
-    victimWhere(std::uint32_t set, Pred eligible)
-    {
-        if (legacyActive())
-            return _legacy->victimWhere(set, eligible);
-        return _soa.victimWhere(set, eligible);
-    }
-
-    Line
-    fill(LineRef ref, std::uint32_t addr)
-    {
-        if (legacyActive())
-            return _legacy->fill(ref, addr);
-        return _soa.fill(ref, addr);
-    }
-
-    void
-    invalidate(LineRef ref)
-    {
-        if (legacyActive())
-            return _legacy->invalidate(ref);
-        _soa.invalidate(ref);
-    }
-
-    void
-    invalidateAll()
-    {
-        if (legacyActive())
-            return _legacy->invalidateAll();
-        _soa.invalidateAll();
-    }
-
-    std::uint32_t
-    lineAddr(LineRef ref) const
-    {
-        if (legacyActive())
-            return _legacy->lineAddr(ref);
-        return _soa.lineAddr(ref);
-    }
-
-    template <typename Fn>
-    void
-    forEachWay(std::uint32_t set, Fn fn)
-    {
-        if (legacyActive())
-            return _legacy->forEachWay(set, fn);
-        _soa.forEachWay(set, fn);
-    }
-
-    template <typename Fn>
-    void
-    forEachWay(std::uint32_t set, Fn fn) const
-    {
-        if (legacyActive())
-            return _legacy->forEachWay(set, fn);
-        _soa.forEachWay(set, fn);
-    }
-
-    template <typename Fn>
-    void
-    forEachLine(Fn fn)
-    {
-        if (legacyActive())
-            return _legacy->forEachLine(fn);
-        _soa.forEachLine(fn);
-    }
-
-    template <typename Fn>
-    void
-    forEachLine(Fn fn) const
-    {
-        if (legacyActive())
-            return _legacy->forEachLine(fn);
-        _soa.forEachLine(fn);
-    }
-
-    std::uint32_t
-    validCount() const
-    {
-        if (legacyActive())
-            return _legacy->validCount();
-        return _soa.validCount();
-    }
-
-    ArrayProtection
-    protection() const
-    {
-        if (legacyActive())
-            return _legacy->protection();
-        return _soa.protection();
-    }
-
-    void
-    setProtection(ArrayProtection p)
-    {
-        if (legacyActive())
-            _legacy->setProtection(p);
-        _soa.setProtection(p);
-    }
-
-    FaultOutcome
-    absorbFault(unsigned flips)
-    {
-        if (legacyActive())
-            return _legacy->absorbFault(flips);
-        return _soa.absorbFault(flips);
-    }
-
-    void
-    noteUncorrectable()
-    {
-        if (legacyActive())
-            return _legacy->noteUncorrectable();
-        _soa.noteUncorrectable();
-    }
-
-    const ArrayFaultStats &
-    faultStats() const
-    {
-        if (legacyActive())
-            return _legacy->faultStats();
-        return _soa.faultStats();
-    }
-
-  private:
-    SoaTagStore<Meta> _soa;
-    std::unique_ptr<LegacyTagStore<Meta>> _legacy;
 };
 
 } // namespace vrc

@@ -173,7 +173,9 @@ sizeLabel(std::uint32_t l1_bytes, std::uint32_t l2_bytes)
     auto fmt = [](std::uint32_t b) {
         if (b >= 1024 && b % 1024 == 0)
             return std::to_string(b / 1024) + "K";
-        return "." + std::to_string(b * 10 / 1024) + "K"; // .5K style
+        std::string s = "."; // .5K style
+        s += std::to_string(b * 10 / 1024);
+        return s + "K";
     };
     return fmt(l1_bytes) + "/" + fmt(l2_bytes);
 }

@@ -143,7 +143,7 @@ class RrNoInclHierarchy final : public CacheHierarchy
      */
     bool writeToShared(PhysAddr pa, CoherenceState &state);
 
-    // --- soft-error model (base/fault.hh, VRC_SOFT_ERRORS) -----------
+    // --- soft-error model (base/fault.hh) ----------------------------
     //
     // The no-inclusion contrast case: with no r-pointer/v-pointer
     // metadata there is no ptr fault site, but a detected-corrupt

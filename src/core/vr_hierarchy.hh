@@ -228,7 +228,7 @@ class VrHierarchy final : public CacheHierarchy
     /** Snoop handler for foreign write-update broadcasts. */
     SnoopResult snoopUpdate(LineRef rref);
 
-    // --- soft-error model (base/fault.hh, VRC_SOFT_ERRORS) -----------
+    // --- soft-error model (base/fault.hh) ----------------------------
 
     /** Schedule this reference's array strikes (pure seed hash). */
     void maybeInjectSoftErrors();

@@ -27,7 +27,7 @@
  *    while every healthy cell completes; the result JSON carries the
  *    partial table plus the casualty list.
  *
- * Fault injection (base/fault.hh, -DVRC_FAULTS=ON) hooks each attempt
+ * Fault injection (base/fault.hh) hooks each attempt
  * so all of the above is exercised in CI rather than trusted on faith.
  */
 

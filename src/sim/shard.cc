@@ -1071,17 +1071,6 @@ ShardCoordinator::run(const TraceBundle &bundle,
 namespace
 {
 
-/** Injected stall length (compiled-out builds never stall). */
-double
-shardStallSeconds()
-{
-#ifdef VRC_FAULTS_ENABLED
-    return faultConfig().stallSeconds;
-#else
-    return 0.0;
-#endif
-}
-
 /** Per-assignment heartbeat pump. */
 struct HeartbeatPump
 {
@@ -1248,7 +1237,7 @@ runShardWorker(const ShardWorkerOptions &opt)
                 hb.pause.store(true, std::memory_order_release);
                 std::this_thread::sleep_for(
                     std::chrono::duration<double>(
-                        shardStallSeconds()));
+                        faultConfig().stallSeconds));
                 hb.pause.store(false, std::memory_order_release);
             }
             try {

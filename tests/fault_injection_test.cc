@@ -1,6 +1,6 @@
 /**
  * @file
- * Fault injector tests (built only with VRC_FAULTS=ON): spec parsing,
+ * Fault injector tests: arming and disarming, spec parsing,
  * schedule determinism, input corruption, and cell faults -- plus the
  * end-to-end guarantee that an injected fault becomes a quarantined
  * cell, never an aborted campaign.
@@ -28,7 +28,12 @@ class FaultInjectionTest : public ::testing::Test
 
 TEST_F(FaultInjectionTest, CompiledIn)
 {
-    EXPECT_TRUE(faultsCompiledIn());
+    // The hooks are always built: arming takes effect and disarming
+    // undoes it.
+    EXPECT_FALSE(faultsArmed());
+    ASSERT_TRUE(configureFaultInjection("seed=1,throw=0.5").ok());
+    EXPECT_TRUE(faultsArmed());
+    disarmFaultInjection();
     EXPECT_FALSE(faultsArmed());
 }
 

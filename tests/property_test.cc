@@ -43,12 +43,18 @@ caseName(const ::testing::TestParamInfo<PropertyCase> &info)
         if (!isalnum(static_cast<unsigned char>(ch)))
             ch = '_';
     }
-    n += "_" + std::to_string(c.l1Size / 1024) + "k" +
-        std::to_string(c.l1Assoc) + "w_" +
-        std::to_string(c.l2Size / 1024) + "k" +
-        std::to_string(c.l2Assoc) + "w_b" +
-        std::to_string(c.l2BlockFactor) + (c.split ? "_split_" : "_") +
-        c.workload;
+    n += '_';
+    n += std::to_string(c.l1Size / 1024);
+    n += 'k';
+    n += std::to_string(c.l1Assoc);
+    n += "w_";
+    n += std::to_string(c.l2Size / 1024);
+    n += 'k';
+    n += std::to_string(c.l2Assoc);
+    n += "w_b";
+    n += std::to_string(c.l2BlockFactor);
+    n += c.split ? "_split_" : "_";
+    n += c.workload;
     return n;
 }
 

@@ -351,8 +351,6 @@ TEST(ShardCoordinatorTest, ResumeRedispatchesOnlyMissingCells)
     std::remove(ckpt.c_str());
 }
 
-#ifdef VRC_FAULTS_ENABLED
-
 TEST(ShardCoordinatorTest, StragglerIsSpeculativelyRedispatched)
 {
     // Arm a deterministic stall: some cell's first dispatch freezes
@@ -392,8 +390,6 @@ TEST(ShardCoordinatorTest, StragglerIsSpeculativelyRedispatched)
     EXPECT_EQ(dist.json, campaignResultToJson(baseline.value()));
     std::remove(ckpt.c_str());
 }
-
-#endif // VRC_FAULTS_ENABLED
 
 } // namespace
 } // namespace vrc

@@ -1,31 +1,37 @@
 /**
  * @file
- * Differential test: legacy (array-of-structures) reference tag store
- * versus the production SoA fast path.
+ * Whole-machine equivalence of the SoA tag store with the original
+ * array-of-structures store, held by a frozen record.
  *
  * Randomized machine configurations -- geometry, associativity,
  * replacement policy, organization, coherence protocol, split level-1,
- * timing engine, soft-error arming -- are replayed twice over the same
- * trace, once per model, and every architectural observable must be
- * bit-identical: the full per-CPU counter groups, the bus counters,
- * the complete event streams, and the derived hit ratios / timing
- * figures down to the last mantissa bit.
+ * timing engine, soft-error arming -- are replayed over a small trace
+ * and every architectural observable is diffed against
+ * tests/golden/soa_equivalence.golden: the reference count, the
+ * derived hit ratios and timing figures down to the last mantissa
+ * bit, the machine-check message, and digests of the full per-CPU and
+ * bus counter map and of each CPU's event stream. The record was made
+ * while both stores were still selectable at run time, and both
+ * reproduced it; the store-level differential against the legacy
+ * store lives in tag_store_param_test.cc.
  *
- * The legacy model only exists behind the VRC_REFERENCE_MODEL build
- * option; without it the whole suite SKIPs (the golden-stats corpus
- * still guards absolute behaviour in such builds).
+ * After an intentional behaviour change, regenerate the record with
+ *
+ *     VRC_UPDATE_GOLDEN=1 ./soa_equivalence_test
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "base/fault.hh"
-#include "cache/reference_mode.hh"
 #include "core/events.hh"
 #include "sim/experiment.hh"
 #include "trace/generator.hh"
@@ -105,7 +111,7 @@ class SoftErrorArm
   public:
     explicit SoftErrorArm(std::uint64_t seed)
     {
-        if (seed != 0 && softErrorsCompiledIn()) {
+        if (seed != 0) {
             auto st = configureSoftErrors("seed=" +
                                           std::to_string(seed));
             armed = st.ok();
@@ -116,9 +122,8 @@ class SoftErrorArm
 };
 
 RunResult
-runOnce(const EquivConfig &cfg, bool reference)
+runOnce(const EquivConfig &cfg)
 {
-    ReferenceModeScope scope(reference);
     SoftErrorArm soft(cfg.softErrorSeed);
 
     const TraceBundle &bundle = equivTrace(cfg.trace);
@@ -141,8 +146,8 @@ runOnce(const EquivConfig &cfg, bool reference)
     RunResult r;
     // An armed soft-error model may legitimately machine-check
     // mid-replay (uncorrectable strike on dirty data). That abort is
-    // itself an architectural observable: both models must fail at
-    // the same point with the same message, and the counters and
+    // itself an architectural observable: the run must fail at the
+    // recorded point with the recorded message, and the counters and
     // events accumulated up to the abort must still match.
     try {
         sim.run(bundle.records);
@@ -168,62 +173,138 @@ runOnce(const EquivConfig &cfg, bool reference)
     return r;
 }
 
-void
-expectIdentical(const RunResult &ref, const RunResult &soa,
-                const std::string &what)
+std::string
+hex(std::uint64_t v)
 {
-    EXPECT_EQ(ref.machineCheck, soa.machineCheck)
-        << what << ": machine-check behaviour drifted";
-    EXPECT_EQ(ref.refs, soa.refs) << what;
-    EXPECT_EQ(ref.h1Bits, soa.h1Bits) << what << ": h1 drifted";
-    EXPECT_EQ(ref.h2Bits, soa.h2Bits) << what << ": h2 drifted";
-    EXPECT_EQ(ref.accessTimeBits, soa.accessTimeBits)
-        << what << ": measured access time drifted";
-    EXPECT_EQ(ref.accessCyclesBits, soa.accessCyclesBits)
-        << what << ": cycle-engine latency drifted";
-
-    ASSERT_EQ(ref.counters.size(), soa.counters.size()) << what;
-    for (const auto &[key, value] : ref.counters) {
-        auto it = soa.counters.find(key);
-        ASSERT_NE(it, soa.counters.end())
-            << what << ": counter " << key << " missing in SoA run";
-        EXPECT_EQ(value, it->second)
-            << what << ": counter " << key << " drifted";
-    }
-
-    ASSERT_EQ(ref.events.size(), soa.events.size()) << what;
-    for (std::size_t c = 0; c < ref.events.size(); ++c) {
-        const auto &re = ref.events[c];
-        const auto &se = soa.events[c];
-        ASSERT_EQ(re.size(), se.size())
-            << what << ": cpu " << c << " event count drifted";
-        for (std::size_t i = 0; i < re.size(); ++i) {
-            bool same = re[i].kind == se[i].kind &&
-                        re[i].cpu == se[i].cpu &&
-                        re[i].refIndex == se[i].refIndex &&
-                        re[i].vaddr == se[i].vaddr &&
-                        re[i].paddr == se[i].paddr;
-            ASSERT_TRUE(same)
-                << what << ": cpu " << c << " event " << i
-                << " drifted (" << eventKindName(re[i].kind) << " vs "
-                << eventKindName(se[i].kind) << " at ref "
-                << re[i].refIndex << ")";
-        }
-    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
 }
 
+/** FNV-1a over the little-endian bytes of @p v. */
 void
-runDifferential(const EquivConfig &cfg)
+fnv1a(std::uint64_t &h, std::uint64_t v)
 {
-    if (!referenceModelBuilt()) {
-        GTEST_SKIP()
-            << "legacy reference model not built "
-               "(reconfigure with -DVRC_REFERENCE_MODEL=ON)";
+    for (int i = 0; i < 8; ++i)
+        h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+}
+
+/** FNV-1a over @p s and a terminating NUL ("ab","c" != "a","bc"). */
+void
+fnv1a(std::uint64_t &h, const std::string &s)
+{
+    for (unsigned char ch : s)
+        h = (h ^ ch) * 0x100000001b3ull;
+    h *= 0x100000001b3ull;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/**
+ * The golden record of one run: the configuration and reference
+ * count, the four derived figures as raw IEEE-754 bits, the
+ * machine-check message, and digests of the full counter map and of
+ * each CPU's event stream.
+ */
+std::vector<std::string>
+record(const std::string &tag, const EquivConfig &cfg,
+       const RunResult &r)
+{
+    std::vector<std::string> out;
+    out.push_back(tag + " config " + cfg.describe() + " refs " +
+                  std::to_string(r.refs));
+    out.push_back(tag + " h1 " + hex(r.h1Bits) + " h2 " +
+                  hex(r.h2Bits) + " access_time " +
+                  hex(r.accessTimeBits) + " access_cycles " +
+                  hex(r.accessCyclesBits));
+    out.push_back(tag + " machine_check " +
+                  (r.machineCheck.empty() ? "-" : r.machineCheck));
+    std::uint64_t h = kFnvBasis;
+    for (const auto &[key, value] : r.counters) {
+        fnv1a(h, key);
+        fnv1a(h, value);
     }
-    SCOPED_TRACE(cfg.describe());
-    RunResult ref = runOnce(cfg, /*reference=*/true);
-    RunResult soa = runOnce(cfg, /*reference=*/false);
-    expectIdentical(ref, soa, cfg.describe());
+    out.push_back(tag + " counters " + std::to_string(r.counters.size()) +
+                  " fnv " + hex(h));
+    for (std::size_t c = 0; c < r.events.size(); ++c) {
+        h = kFnvBasis;
+        for (const HierarchyEvent &ev : r.events[c]) {
+            fnv1a(h, static_cast<std::uint64_t>(ev.kind));
+            fnv1a(h, ev.cpu);
+            fnv1a(h, ev.refIndex);
+            fnv1a(h, ev.vaddr);
+            fnv1a(h, ev.paddr);
+        }
+        out.push_back(tag + " events cpu" + std::to_string(c) + " " +
+                      std::to_string(r.events[c].size()) + " fnv " +
+                      hex(h));
+    }
+    return out;
+}
+
+/**
+ * Diff @p lines against the @p section lines of the golden record, or
+ * -- when VRC_UPDATE_GOLDEN is set -- rewrite that section in place,
+ * keeping the others. Every line of a section starts with its name.
+ */
+void
+compareGolden(const std::string &section,
+              const std::vector<std::string> &lines)
+{
+    const std::string path =
+        std::string(VRC_GOLDEN_DIR) + "/soa_equivalence.golden";
+    const std::string prefix = section + " ";
+    auto inSection = [&](const std::string &l) {
+        return l.compare(0, prefix.size(), prefix) == 0;
+    };
+    std::vector<std::string> all;
+    {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line))
+            all.push_back(line);
+    }
+
+    const char *update = std::getenv("VRC_UPDATE_GOLDEN");
+    if (update && update[0]) {
+        std::ofstream out(path, std::ios::trunc);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        for (const std::string &l : all) {
+            if (!inSection(l))
+                out << l << "\n";
+        }
+        for (const std::string &l : lines)
+            out << l << "\n";
+        GTEST_SKIP() << "regenerated " << section << " in " << path;
+    }
+
+    std::vector<std::string> want;
+    for (const std::string &l : all) {
+        if (inSection(l))
+            want.push_back(l);
+    }
+    ASSERT_FALSE(want.empty())
+        << "no " << section << " record in " << path
+        << " (run with VRC_UPDATE_GOLDEN=1 to create it)";
+    ASSERT_EQ(lines.size(), want.size())
+        << section << " record line count drifted";
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(lines[i], want[i]) << section << " record drifted";
+}
+
+/** Replay every config and diff the runs against the golden record. */
+void
+checkAgainstGolden(const std::string &section,
+                   const std::vector<EquivConfig> &configs)
+{
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        for (std::string &l : record(section + " " + std::to_string(i),
+                                     configs[i], runOnce(configs[i])))
+            lines.push_back(std::move(l));
+    }
+    compareGolden(section, lines);
 }
 
 /** Deterministic random configuration stream. */
@@ -254,7 +335,7 @@ randomConfigs(std::size_t n)
                                     : CoherencePolicy::WriteUpdate;
         c.timingMode =
             rng() % 3 == 0 ? TimingMode::Cycle : TimingMode::Analytic;
-        if (softErrorsCompiledIn() && rng() % 3 == 0)
+        if (rng() % 3 == 0)
             c.softErrorSeed = rng() % 100000 + 1;
         out.push_back(c);
     }
@@ -263,13 +344,13 @@ randomConfigs(std::size_t n)
 
 TEST(SoaEquivalence, RandomizedConfigs)
 {
-    for (const EquivConfig &cfg : randomConfigs(12))
-        runDifferential(cfg);
+    checkAgainstGolden("RandomizedConfigs", randomConfigs(12));
 }
 
 /** The paper's canonical configuration, all three organizations. */
 TEST(SoaEquivalence, PaperConfigs)
 {
+    std::vector<EquivConfig> configs;
     for (auto kind :
          {HierarchyKind::VirtualReal, HierarchyKind::RealRealIncl,
           HierarchyKind::RealRealNoIncl}) {
@@ -278,8 +359,9 @@ TEST(SoaEquivalence, PaperConfigs)
         c.kind = kind;
         c.l1Size = 16 * 1024;
         c.l2Size = 256 * 1024;
-        runDifferential(c);
+        configs.push_back(c);
     }
+    checkAgainstGolden("PaperConfigs", configs);
 }
 
 /** Cycle timing engine with a split V-cache (the layered-cost path). */
@@ -292,7 +374,7 @@ TEST(SoaEquivalence, CycleSplit)
     c.l2Size = 128 * 1024;
     c.split = true;
     c.timingMode = TimingMode::Cycle;
-    runDifferential(c);
+    checkAgainstGolden("CycleSplit", {c});
 }
 
 } // namespace

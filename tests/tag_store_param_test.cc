@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cache/tag_store.hh"
+#include "legacy_tag_store.hh"
 
 namespace vrc
 {
@@ -252,6 +253,136 @@ TEST_P(TagStoreParamTest, LruVictimMatchesTouchOrder)
         store.fill(v, fresh);
         *std::find(addrs.begin(), addrs.end(), order.front()) = fresh;
     }
+}
+
+/**
+ * Store-level differential: the SoA TagStore against the original
+ * array-of-structures LegacyTagStore. Both are seeded alike and driven
+ * through one random sequence of every operation the simulator uses --
+ * including victimWhere with a predicate that reads the line and a tag
+ * rewrite on a valid line (the V-cache synonym retag), plus stamp
+ * copies that force LRU/FIFO ties -- and every
+ * return value must agree, as must every line's valid bit, tag and
+ * payload at the end. Identical victims under Random replacement show
+ * that the two stores consume their Rng draw for draw.
+ */
+TEST_P(TagStoreParamTest, MatchesLegacyReferenceUnderRandomOps)
+{
+    const StoreCase &c = GetParam();
+    CacheGeometry g(c.size, c.block, c.assoc);
+    TagStore<int> store(g, c.policy, 41);
+    LegacyTagStore<int> legacy(g, c.policy, 41);
+    Rng rng(5417);
+    const std::uint32_t universe = 4 * g.numBlocks();
+    auto randomAddr = [&] {
+        return static_cast<std::uint32_t>(rng.below(universe)) * c.block +
+               static_cast<std::uint32_t>(rng.below(c.block));
+    };
+    auto randomRef = [&] {
+        return LineRef{static_cast<std::uint32_t>(rng.below(g.numSets())),
+                       static_cast<std::uint32_t>(rng.below(c.assoc))};
+    };
+    // Deterministic predicate over (location, line contents).
+    auto eligible = [](LineRef ref, const TagLineView<int> &l) {
+        return (ref.way + l.tag + static_cast<std::uint32_t>(l.meta)) %
+                   3 != 0;
+    };
+    auto expectSameFaultStats = [&] {
+        const ArrayFaultStats &a = store.faultStats();
+        const ArrayFaultStats &b = legacy.faultStats();
+        EXPECT_EQ(a.silent, b.silent);
+        EXPECT_EQ(a.corrected, b.corrected);
+        EXPECT_EQ(a.detected, b.detected);
+        EXPECT_EQ(a.uncorrectable, b.uncorrectable);
+    };
+    int next_payload = 1;
+    for (int op = 0; op < 20000; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        const std::uint64_t dice = rng.below(100);
+        if (dice < 45) {
+            // Access: find, then touch on a hit or victim + fill.
+            const std::uint32_t addr = randomAddr();
+            const auto hit = store.find(addr);
+            ASSERT_EQ(hit, legacy.find(addr));
+            if (hit) {
+                store.touch(*hit);
+                legacy.touch(*hit);
+                continue;
+            }
+            const LineRef v = store.victim(addr);
+            ASSERT_EQ(v, legacy.victim(addr));
+            auto a = store.fill(v, addr);
+            auto b = legacy.fill(v, addr);
+            EXPECT_EQ(a.valid, b.valid);
+            EXPECT_EQ(a.tag, b.tag);
+            EXPECT_EQ(a.meta, b.meta);
+            a.meta = b.meta = next_payload++;
+        } else if (dice < 60) {
+            // Predicated victim choice, then install there.
+            const std::uint32_t addr = randomAddr();
+            const std::uint32_t set = g.setIndex(addr);
+            const LineRef v = store.victimWhere(set, eligible);
+            ASSERT_EQ(v, legacy.victimWhere(set, eligible));
+            store.fill(v, addr).meta = next_payload;
+            legacy.fill(v, addr).meta = next_payload++;
+        } else if (dice < 72) {
+            const LineRef ref = randomRef();
+            store.invalidate(ref);
+            legacy.invalidate(ref);
+        } else if (dice < 80) {
+            // Retag a valid line in place, as a synonym move does.
+            const LineRef ref = randomRef();
+            ASSERT_EQ(store.line(ref).valid, legacy.line(ref).valid);
+            if (!store.line(ref).valid)
+                continue;
+            const std::uint32_t tag = g.tag(randomAddr());
+            store.line(ref).tag = tag;
+            legacy.line(ref).tag = tag;
+        } else if (dice < 85) {
+            const LineRef ref = randomRef();
+            ASSERT_EQ(store.line(ref).valid, legacy.line(ref).valid);
+            if (store.line(ref).valid) {
+                EXPECT_EQ(store.lineAddr(ref), legacy.lineAddr(ref));
+            }
+        } else if (dice < 88) {
+            // Copy one way's recency stamp onto another way of its set
+            // through the view. No owner does this, so it is the only
+            // way to reach equal stamps; it pins the tie-break (the
+            // lowest eligible way wins).
+            const LineRef from = randomRef();
+            const LineRef to{
+                from.set, static_cast<std::uint32_t>(rng.below(c.assoc))};
+            store.line(to).stamp = store.line(from).stamp;
+            legacy.line(to).stamp = legacy.line(from).stamp;
+        } else if (dice < 93) {
+            EXPECT_EQ(store.validCount(), legacy.validCount());
+        } else if (dice < 99) {
+            const auto p = static_cast<ArrayProtection>(rng.below(3));
+            store.setProtection(p);
+            legacy.setProtection(p);
+            const unsigned flips = 1 + static_cast<unsigned>(rng.below(2));
+            const FaultOutcome out = store.absorbFault(flips);
+            ASSERT_EQ(out, legacy.absorbFault(flips));
+            if (out == FaultOutcome::Detected) {
+                store.noteUncorrectable();
+                legacy.noteUncorrectable();
+            }
+            expectSameFaultStats();
+        } else if (rng.below(4) == 0) {
+            store.invalidateAll();
+            legacy.invalidateAll();
+        }
+    }
+    EXPECT_EQ(store.validCount(), legacy.validCount());
+    expectSameFaultStats();
+    store.forEachLine([&](LineRef ref, TagStore<int>::Line &l) {
+        const auto m = legacy.line(ref);
+        EXPECT_EQ(l.valid, m.valid) << ref.set << "/" << ref.way;
+        if (l.valid) {
+            EXPECT_EQ(l.tag, m.tag) << ref.set << "/" << ref.way;
+        }
+        EXPECT_EQ(l.meta, m.meta) << ref.set << "/" << ref.way;
+    });
 }
 
 INSTANTIATE_TEST_SUITE_P(

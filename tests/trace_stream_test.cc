@@ -231,7 +231,6 @@ TEST(TraceStreamTest, PipelinedRunMatchesContentionShape)
     }
 }
 
-#ifdef VRC_SOFT_ERRORS_ENABLED
 TEST(TraceStreamTest, MachineCheckStopsPipelineAndJoinsProducer)
 {
     // Parity with a strike per reference machine-checks almost at
@@ -269,7 +268,6 @@ TEST(TraceStreamTest, MachineCheckStopsPipelineAndJoinsProducer)
     TraceRecord r;
     EXPECT_TRUE(stream.next(r));
 }
-#endif
 
 TEST(TraceStreamTest, GenerateMatchesStreamFullScale)
 {

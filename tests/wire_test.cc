@@ -410,7 +410,7 @@ volatile sig_atomic_t gSigCount = 0;
 void
 countSignal(int)
 {
-    ++gSigCount;
+    gSigCount = gSigCount + 1;
 }
 } // namespace
 
