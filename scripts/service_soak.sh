@@ -12,6 +12,8 @@
 #     byte-identical to batch mode, only the malicious clients get
 #     quarantined, and a SIGTERM drains the server cleanly (documented
 #     exit code, atomic manifest with "drained":true).
+#  4. Require the loadgen summary to report latency over exactly the
+#     segments it counted ok.
 #
 # Usage: service_soak.sh <path-to-vrc-sim> <path-to-vrc-loadgen> [scale]
 set -eu
@@ -49,10 +51,26 @@ while [ ! -S "$SOCK" ]; do
 done
 
 echo "== chaos mix: 8 good + 2 malformed + 1 disconnect + 1 slowloris =="
+GEN_STATUS=0
 "$GEN" --connect-unix="$SOCK" --profile=pops --scale="$SCALE" \
     --clients=8 --segments=16 \
     --malformed=2 --disconnect=1 --slowloris=1 \
-    --verify --retry=8 --timeout=120
+    --verify --retry=8 --timeout=120 2> "$WORK/loadgen.log" ||
+    GEN_STATUS=$?
+cat "$WORK/loadgen.log" >&2
+if [ "$GEN_STATUS" -ne 0 ]; then
+    echo "FAIL: loadgen exited with $GEN_STATUS" >&2
+    exit 1
+fi
+
+echo "== loadgen must report latency over every ok segment =="
+LINE='^loadgen: .*; latency p50=.* p99=.* max=.* ms (n=\([0-9]*\))$'
+OK=$(sed -n 's|^loadgen: \([0-9]*\)/.*|\1|p' "$WORK/loadgen.log")
+N=$(sed -n "s|$LINE|\\1|p" "$WORK/loadgen.log")
+if [ -z "$OK" ] || [ -z "$N" ] || [ "$N" -ne "$OK" ]; then
+    echo "FAIL: no latency line whose n equals the ok count ($OK)" >&2
+    exit 1
+fi
 
 echo "== server must still be alive after the abuse =="
 if ! kill -0 "$SRV" 2>/dev/null; then

@@ -15,18 +15,25 @@
  *  - slowloris clients dribble a frame a few bytes at a time and
  *    expect the server's read-timeout guillotine.
  *
+ * The summary line on stderr ends with the latency of the segments
+ * answered ok, each timed from its first SUBMIT to its RESULT (shed
+ * retries and reconnects included): nearest-rank p50 and p99, max.
+ *
  * Exit code: 0 when every well-behaved segment was answered (or
  * tolerably drained with --tolerate-drain) and no verified mismatch;
  * 1 otherwise; 2 on usage errors.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +51,8 @@ using namespace vrc;
 
 namespace
 {
+
+using Clock = std::chrono::steady_clock;
 
 [[noreturn]] void
 usage()
@@ -118,6 +127,7 @@ struct Shared
     std::vector<std::pair<std::size_t, std::size_t>> ranges;
     std::vector<SegOutcome> outcome;
     std::vector<std::string> lines; ///< received summary lines
+    std::vector<double> latencyMs; ///< first SUBMIT to RESULT
     std::vector<std::string> expected; ///< batch lines (--verify)
     std::mutex mu;
     std::atomic<unsigned> shedRetries{0};
@@ -150,12 +160,38 @@ makeSubmit(const Shared &sh, std::size_t seg)
 
 void
 recordOutcome(Shared &sh, std::size_t seg, SegOutcome out,
-              const std::string &line = "")
+              const std::string &line = "", double latency_ms = 0.0)
 {
     std::lock_guard<std::mutex> g(sh.mu);
     sh.outcome[seg] = out;
-    if (!line.empty())
+    if (!line.empty()) {
         sh.lines[seg] = line;
+        sh.latencyMs[seg] = latency_ms;
+    }
+}
+
+/** `latency p50=... p99=... max=... ms (n=...)` over the ok segments. */
+std::string
+latencySummary(const Shared &sh)
+{
+    std::vector<double> ms;
+    for (std::size_t seg = 0; seg < sh.outcome.size(); ++seg)
+        if (sh.outcome[seg] == SegOutcome::Ok)
+            ms.push_back(sh.latencyMs[seg]);
+    std::sort(ms.begin(), ms.end());
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(3) << "latency";
+    // Nearest rank: the ceil(p/100 * n)-th smallest sample.
+    auto pct = [&](std::size_t p) {
+        return ms[(p * ms.size() + 99) / 100 - 1];
+    };
+    if (ms.empty())
+        os << " p50=- p99=- max=-";
+    else
+        os << " p50=" << pct(50) << " p99=" << pct(99)
+           << " max=" << ms.back();
+    os << " ms (n=" << ms.size() << ")";
+    return os.str();
 }
 
 /** A well-behaved client running its share of the segments. */
@@ -169,7 +205,8 @@ goodClient(Shared &sh, unsigned id)
 
     for (std::size_t seg = id; seg < sh.ranges.size();
          seg += cfg.clients) {
-        bool answered = false;
+        bool answered = false, submitted = false;
+        Clock::time_point first_submit;
         for (unsigned attempt = 0; attempt <= cfg.retries && !answered;
              ++attempt) {
             if (!connected) {
@@ -186,6 +223,10 @@ goodClient(Shared &sh, unsigned id)
                 connected = true;
                 if (attempt > 0 || seg != id)
                     sh.reconnects.fetch_add(1);
+            }
+            if (!submitted) {
+                first_submit = Clock::now();
+                submitted = true;
             }
             if (!c.submit(makeSubmit(sh, seg))) {
                 c.close();
@@ -209,10 +250,13 @@ goodClient(Shared &sh, unsigned id)
                     if (!r || r.value().segmentId != seg)
                         continue;
                     std::string line = r.take().summaryLine;
+                    double ms = std::chrono::duration<double, std::milli>(
+                                    Clock::now() - first_submit)
+                                    .count();
                     SegOutcome out = SegOutcome::Ok;
                     if (cfg.verify && line != sh.expected[seg])
                         out = SegOutcome::Mismatch;
-                    recordOutcome(sh, seg, out, line);
+                    recordOutcome(sh, seg, out, line, ms);
                     answered = true;
                     break;
                 }
@@ -432,6 +476,7 @@ main(int argc, char **argv)
     }
     sh.outcome.assign(cfg.segments, SegOutcome::Pending);
     sh.lines.assign(cfg.segments, "");
+    sh.latencyMs.assign(cfg.segments, 0.0);
 
     if (cfg.verify) {
         // The ground truth is the batch code path itself, run
@@ -485,7 +530,7 @@ main(int argc, char **argv)
               << sh.quarantinedSeen.load() << "/" << cfg.malformed
               << " malformed clients quarantined, "
               << sh.slowlorisKilled.load() << "/" << cfg.slowloris
-              << " slowloris cut off\n";
+              << " slowloris cut off; " << latencySummary(sh) << "\n";
 
     if (!cfg.outPath.empty()) {
         std::string out;
