@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "base/json_escape.hh"
 #include "base/types.hh"
 #include "coherence/transaction.hh"
 #include "core/events.hh"
@@ -103,40 +104,6 @@ protocolOriginName(ProtocolEvent::Origin o)
         return "oracle";
     }
     return "?";
-}
-
-/** Escape a string for embedding in a JSON document. */
-inline std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xf];
-                out += hex[c & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** Fixed-capacity ring of the most recent protocol events. */

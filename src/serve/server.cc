@@ -1,9 +1,7 @@
 #include "serve/server.hh"
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -19,6 +17,7 @@
 
 #include "base/atomic_file.hh"
 #include "base/fault.hh"
+#include "base/json_escape.hh"
 #include "base/log.hh"
 #include "base/shutdown.hh"
 #include "serve/sim_pool.hh"
@@ -38,25 +37,6 @@ double
 secondsSince(Clock::time_point t)
 {
     return std::chrono::duration<double>(Clock::now() - t).count();
-}
-
-
-bool
-knownProfileName(const std::string &name)
-{
-    return name == "pops" || name == "thor" || name == "abaqus";
-}
-
-std::string
-jsonEscapeName(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
-    }
-    return out;
 }
 
 } // namespace
@@ -117,9 +97,7 @@ struct ServeServer::Impl
 {
     ServeOptions opt;
 
-    int unixFd = -1;
-    int tcpFd = -1;
-    int boundTcpPort = -1;
+    Listeners listeners;
     int drainPipe[2] = {-1, -1};
     int signalWakeFd = -1;
 
@@ -147,64 +125,6 @@ struct ServeServer::Impl
     SimulatorPool pool{2};
 
     std::atomic<bool> started{false};
-
-    // ---- socket plumbing -------------------------------------------
-
-    Status
-    bindListeners()
-    {
-        if (opt.unixPath.empty() && opt.tcpPort < 0)
-            return makeError(ErrorKind::Io,
-                             "serve: no listener configured (need a "
-                             "unix path and/or a TCP port)");
-        if (!opt.unixPath.empty()) {
-            sockaddr_un sa = {};
-            if (opt.unixPath.size() >= sizeof(sa.sun_path))
-                return makeError(ErrorKind::Bounds,
-                                 "unix socket path too long: ",
-                                 opt.unixPath);
-            unixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            if (unixFd < 0)
-                return makeError(ErrorKind::Io, "socket(AF_UNIX): ",
-                                 std::strerror(errno));
-            sa.sun_family = AF_UNIX;
-            std::strncpy(sa.sun_path, opt.unixPath.c_str(),
-                         sizeof(sa.sun_path) - 1);
-            ::unlink(opt.unixPath.c_str());
-            if (::bind(unixFd, reinterpret_cast<sockaddr *>(&sa),
-                       sizeof(sa)) != 0 ||
-                ::listen(unixFd, 64) != 0)
-                return makeError(ErrorKind::Io, "cannot listen on ",
-                                 opt.unixPath, ": ",
-                                 std::strerror(errno));
-        }
-        if (opt.tcpPort >= 0) {
-            tcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
-            if (tcpFd < 0)
-                return makeError(ErrorKind::Io, "socket(AF_INET): ",
-                                 std::strerror(errno));
-            int one = 1;
-            ::setsockopt(tcpFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                         sizeof(one));
-            sockaddr_in sa = {};
-            sa.sin_family = AF_INET;
-            sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            sa.sin_port =
-                htons(static_cast<std::uint16_t>(opt.tcpPort));
-            if (::bind(tcpFd, reinterpret_cast<sockaddr *>(&sa),
-                       sizeof(sa)) != 0 ||
-                ::listen(tcpFd, 64) != 0)
-                return makeError(ErrorKind::Io,
-                                 "cannot listen on 127.0.0.1:",
-                                 opt.tcpPort, ": ",
-                                 std::strerror(errno));
-            socklen_t len = sizeof(sa);
-            ::getsockname(tcpFd, reinterpret_cast<sockaddr *>(&sa),
-                          &len);
-            boundTcpPort = ntohs(sa.sin_port);
-        }
-        return okStatus();
-    }
 
     // ---- session write side ----------------------------------------
 
@@ -479,6 +399,15 @@ struct ServeServer::Impl
         }
         WorkloadProfile profile =
             scaled(profileByName(req.profileName), req.scale);
+        Status sizes = checkCacheSizes(
+            makeMachineConfig(req.job.kind, req.job.l1Size,
+                              req.job.l2Size, profile.pageSize,
+                              req.job.split));
+        if (!sizes) {
+            refuse(FrameType::Error, ErrorKind::Bounds,
+                   sizes.error().message);
+            return;
+        }
         for (const TraceRecord &r : req.records) {
             if (r.cpu >= profile.numCpus) {
                 refuse(FrameType::Error, ErrorKind::Bounds,
@@ -669,37 +598,12 @@ struct ServeServer::Impl
     void
     acceptLoop()
     {
-        for (;;) {
-            pollfd fds[4];
-            nfds_t n = 0;
-            auto add = [&](int fd) {
-                if (fd >= 0) {
-                    fds[n].fd = fd;
-                    fds[n].events = POLLIN;
-                    fds[n].revents = 0;
-                    ++n;
-                }
-            };
-            add(drainPipe[0]);
-            add(signalWakeFd);
-            int unix_at = unixFd >= 0 ? static_cast<int>(n) : -1;
-            add(unixFd);
-            int tcp_at = tcpFd >= 0 ? static_cast<int>(n) : -1;
-            add(tcpFd);
-
-            int pr = ::poll(fds, n, 200);
-            if (pr < 0 && errno != EINTR)
-                break;
-            if (shutdownRequested() > 0 || drainFlagged())
-                break;
-            if (pr > 0) {
-                if (unix_at >= 0 && (fds[unix_at].revents & POLLIN))
-                    acceptOne(unixFd);
-                if (tcp_at >= 0 && (fds[tcp_at].revents & POLLIN))
-                    acceptOne(tcpFd);
-            }
+        auto stop = [this] {
+            return shutdownRequested() > 0 || drainFlagged();
+        };
+        while (listeners.acceptTurn(200, {drainPipe[0], signalWakeFd},
+                                    stop, [this](int fd) { adopt(fd); }))
             reapDeadSessions();
-        }
         beginDrain();
     }
 
@@ -710,12 +614,10 @@ struct ServeServer::Impl
         return draining;
     }
 
+    /** Start a session on an accepted socket. */
     void
-    acceptOne(int listener)
+    adopt(int fd)
     {
-        int fd = acceptRetryFd(listener);
-        if (fd < 0)
-            return;
         auto s = std::make_shared<Session>();
         s->fd = fd;
         s->frames = FrameReader(opt.maxFrameBytes);
@@ -771,15 +673,7 @@ struct ServeServer::Impl
             draining = true;
         }
         qCv.notify_all();
-        if (unixFd >= 0) {
-            ::close(unixFd);
-            unixFd = -1;
-            ::unlink(opt.unixPath.c_str());
-        }
-        if (tcpFd >= 0) {
-            ::close(tcpFd);
-            tcpFd = -1;
-        }
+        listeners.close();
     }
 };
 
@@ -811,7 +705,8 @@ ServeServer::start()
         return makeError(ErrorKind::Io, "pipe: ",
                          std::strerror(errno));
     im.signalWakeFd = installShutdownHandlers();
-    Status bound = im.bindListeners();
+    Status bound =
+        im.listeners.open(im.opt.unixPath, im.opt.tcpPort, "serve");
     if (!bound)
         return bound;
     unsigned workers = im.opt.workers ? im.opt.workers : 2;
@@ -894,7 +789,7 @@ ServeServer::requestDrain()
 int
 ServeServer::tcpPort() const
 {
-    return _impl->boundTcpPort;
+    return _impl->listeners.tcpPort();
 }
 
 ServiceStats
@@ -947,7 +842,7 @@ ServeServer::manifestJson(bool drained, int signal) const
        << "},\"quarantined_clients\":[";
     for (std::size_t i = 0; i < s.quarantinedClients.size(); ++i)
         os << (i ? "," : "") << '"'
-           << jsonEscapeName(s.quarantinedClients[i]) << '"';
+           << jsonEscape(s.quarantinedClients[i]) << '"';
     os << "]}";
     return os.str();
 }

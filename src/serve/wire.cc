@@ -4,8 +4,10 @@
 #include <cstring>
 #include <sstream>
 
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "trace/trace_io.hh"
@@ -624,6 +626,98 @@ acceptRetryFd(int listenFd)
             continue;
         return fd;
     }
+}
+
+Status
+Listeners::open(const std::string &unixPath, int tcpPort, const char *who)
+{
+    if (unixPath.empty() && tcpPort < 0)
+        return makeError(ErrorKind::Io, who,
+                         ": no listener configured (need a unix path "
+                         "and/or a TCP port)");
+    if (!unixPath.empty()) {
+        sockaddr_un sa = {};
+        if (unixPath.size() >= sizeof(sa.sun_path))
+            return makeError(ErrorKind::Bounds,
+                             "unix socket path too long: ", unixPath);
+        _unixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        if (_unixFd < 0)
+            return makeError(ErrorKind::Io, "socket(AF_UNIX): ",
+                             std::strerror(errno));
+        _unixPath = unixPath;
+        sa.sun_family = AF_UNIX;
+        std::strncpy(sa.sun_path, unixPath.c_str(),
+                     sizeof(sa.sun_path) - 1);
+        ::unlink(unixPath.c_str());
+        if (::bind(_unixFd, reinterpret_cast<sockaddr *>(&sa),
+                   sizeof(sa)) != 0 ||
+            ::listen(_unixFd, 64) != 0)
+            return makeError(ErrorKind::Io, "cannot listen on ",
+                             unixPath, ": ", std::strerror(errno));
+    }
+    if (tcpPort >= 0) {
+        _tcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
+        if (_tcpFd < 0)
+            return makeError(ErrorKind::Io, "socket(AF_INET): ",
+                             std::strerror(errno));
+        int one = 1;
+        ::setsockopt(_tcpFd, SOL_SOCKET, SO_REUSEADDR, &one,
+                     sizeof(one));
+        sockaddr_in sa = {};
+        sa.sin_family = AF_INET;
+        sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        sa.sin_port = htons(static_cast<std::uint16_t>(tcpPort));
+        if (::bind(_tcpFd, reinterpret_cast<sockaddr *>(&sa),
+                   sizeof(sa)) != 0 ||
+            ::listen(_tcpFd, 64) != 0)
+            return makeError(ErrorKind::Io,
+                             "cannot listen on 127.0.0.1:", tcpPort,
+                             ": ", std::strerror(errno));
+        socklen_t len = sizeof(sa);
+        ::getsockname(_tcpFd, reinterpret_cast<sockaddr *>(&sa), &len);
+        _tcpPort = ntohs(sa.sin_port);
+    }
+    return okStatus();
+}
+
+void
+Listeners::close()
+{
+    if (_unixFd >= 0) {
+        ::close(_unixFd);
+        _unixFd = -1;
+        ::unlink(_unixPath.c_str());
+    }
+    if (_tcpFd >= 0) {
+        ::close(_tcpFd);
+        _tcpFd = -1;
+    }
+}
+
+bool
+Listeners::acceptTurn(int timeoutMs, std::initializer_list<int> wakeFds,
+                      const std::function<bool()> &stop,
+                      const std::function<void(int)> &adopt)
+{
+    std::vector<pollfd> fds;
+    for (int fd : {_unixFd, _tcpFd})
+        if (fd >= 0)
+            fds.push_back({fd, POLLIN, 0});
+    std::size_t listening = fds.size();
+    for (int fd : wakeFds)
+        if (fd >= 0)
+            fds.push_back({fd, POLLIN, 0});
+    int pr = ::poll(fds.data(), fds.size(), timeoutMs);
+    if ((pr < 0 && errno != EINTR) || stop())
+        return false;
+    for (std::size_t i = 0; i < listening && pr > 0; ++i) {
+        if (!(fds[i].revents & POLLIN))
+            continue;
+        int fd = acceptRetryFd(fds[i].fd);
+        if (fd >= 0)
+            adopt(fd);
+    }
+    return true;
 }
 
 Status

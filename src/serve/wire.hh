@@ -30,6 +30,8 @@
 #define VRC_SERVE_WIRE_HH
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -218,6 +220,54 @@ long readSomeFd(int fd, char *data, std::size_t n);
 
 /** accept() retrying EINTR. Returns the fd or -1 with errno set. */
 int acceptRetryFd(int listenFd);
+
+/**
+ * A server's listening sockets: a unix-domain path and/or a TCP port
+ * on 127.0.0.1. Shared by the segment service and the shard
+ * coordinator. Closing (explicitly or on destruction) unlinks the
+ * unix path.
+ */
+class Listeners
+{
+  public:
+    Listeners() = default;
+    ~Listeners() { close(); }
+
+    Listeners(const Listeners &) = delete;
+    Listeners &operator=(const Listeners &) = delete;
+
+    /**
+     * Bind and listen on @p unixPath (empty = none) and on TCP
+     * @p tcpPort (0 = ephemeral, -1 = none); at least one is
+     * required. @p who prefixes the error when neither is given.
+     */
+    Status open(const std::string &unixPath, int tcpPort,
+                const char *who);
+
+    /** Close both sockets and unlink the unix path. */
+    void close();
+
+    bool isOpen() const { return _unixFd >= 0 || _tcpFd >= 0; }
+
+    /**
+     * One turn of an accept loop: wait up to @p timeoutMs for a
+     * connection (or for one of @p wakeFds to turn readable), then
+     * hand each accepted socket to @p adopt. Returns false, accepting
+     * nothing, when poll() fails or @p stop() holds after the wait.
+     */
+    bool acceptTurn(int timeoutMs, std::initializer_list<int> wakeFds,
+                    const std::function<bool()> &stop,
+                    const std::function<void(int)> &adopt);
+
+    /** The bound TCP port (ephemeral resolved); -1 = no TCP. */
+    int tcpPort() const { return _tcpPort; }
+
+  private:
+    std::string _unixPath;
+    int _unixFd = -1;
+    int _tcpFd = -1;
+    int _tcpPort = -1;
+};
 
 /**
  * connect() retrying EINTR. POSIX says an interrupted connect keeps

@@ -1,5 +1,6 @@
 #include "sim/campaign.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -11,6 +12,7 @@
 
 #include "base/atomic_file.hh"
 #include "base/fault.hh"
+#include "base/json_escape.hh"
 #include "base/log.hh"
 #include "base/shutdown.hh"
 #include "sim/json_stats.hh"
@@ -42,6 +44,28 @@ fnv1a(std::uint64_t h, const std::string &s)
     return h;
 }
 
+/** FNV-1a over the workload identity. */
+std::uint64_t
+hashWorkload(const TraceBundle &bundle)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    h = fnv1a(h, bundle.profile.name);
+    h = fnv1a(h, bundle.profile.seed);
+    return fnv1a(h, bundle.records.size());
+}
+
+/** Fold every knob of @p j into @p h. */
+std::uint64_t
+hashJob(std::uint64_t h, const SimJob &j)
+{
+    h = fnv1a(h, static_cast<std::uint64_t>(j.kind));
+    h = fnv1a(h, j.l1Size);
+    h = fnv1a(h, j.l2Size);
+    h = fnv1a(h, j.split ? 1 : 0);
+    h = fnv1a(h, j.invariantPeriod);
+    return fnv1a(h, static_cast<std::uint64_t>(j.timingMode));
+}
+
 bool
 parseU64(const std::string &tok, std::uint64_t &out)
 {
@@ -58,39 +82,10 @@ parseDouble(const std::string &tok, double &out)
     return end && *end == '\0' && !tok.empty();
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::ostringstream os;
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << ' ';
-            else
-                os << c;
-        }
-    }
-    return os.str();
-}
-
 /** Outcome of one cell attempt. */
 struct AttemptOutcome
 {
     bool ok = false;
-    bool timedOut = false;
     ErrorKind kind = ErrorKind::Worker;
     SimSummary summary;
     std::string error;
@@ -232,21 +227,18 @@ decodeSummaryLine(const std::string &line)
 std::string
 campaignKey(const TraceBundle &bundle, const std::vector<SimJob> &jobs)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, bundle.profile.name);
-    h = fnv1a(h, bundle.profile.seed);
-    h = fnv1a(h, bundle.records.size());
-    for (const SimJob &j : jobs) {
-        h = fnv1a(h, static_cast<std::uint64_t>(j.kind));
-        h = fnv1a(h, j.l1Size);
-        h = fnv1a(h, j.l2Size);
-        h = fnv1a(h, j.split ? 1 : 0);
-        h = fnv1a(h, j.invariantPeriod);
-        h = fnv1a(h, static_cast<std::uint64_t>(j.timingMode));
-    }
+    std::uint64_t h = hashWorkload(bundle);
+    for (const SimJob &j : jobs)
+        h = hashJob(h, j);
     std::ostringstream os;
     os << std::hex << h;
     return os.str();
+}
+
+std::uint64_t
+shardCellId(const TraceBundle &bundle, const SimJob &job)
+{
+    return hashJob(hashWorkload(bundle), job);
 }
 
 CampaignRunner::CampaignRunner(CampaignOptions opt)
@@ -257,7 +249,6 @@ CampaignRunner::CampaignRunner(CampaignOptions opt)
 Result<JournalContents>
 tryLoadJournal(std::istream &in, const std::string &context)
 {
-    JournalContents j;
     std::string line;
     if (!std::getline(in, line) || line != journalMagicLine)
         return makeErrorAt(ErrorKind::Mismatch, context, 1,
@@ -267,24 +258,17 @@ tryLoadJournal(std::istream &in, const std::string &context)
         return makeErrorAt(ErrorKind::Mismatch, context, 2,
                            "checkpoint journal missing its key line");
     ++lineno;
-    {
-        std::istringstream ls(line);
-        std::string kw1, kw2;
-        std::uint64_t cells = 0;
-        if (!(ls >> kw1 >> j.key >> kw2 >> cells) || kw1 != "key" ||
-            kw2 != "cells")
-            return makeErrorAt(ErrorKind::Mismatch, context, 2,
-                               "malformed checkpoint key line");
-        if (cells > (std::uint64_t{1} << 24))
-            return makeErrorAt(ErrorKind::Bounds, context, 2,
-                               "implausible checkpoint cell count ",
-                               cells);
-        j.cells = static_cast<std::size_t>(cells);
-    }
-    j.present.assign(j.cells, false);
-    j.summaries.resize(j.cells);
-    j.lines.resize(j.cells);
-    j.firstLine.assign(j.cells, 0);
+    std::istringstream ls(line);
+    std::string kw1, key, kw2;
+    std::uint64_t cells = 0;
+    if (!(ls >> kw1 >> key >> kw2 >> cells) || kw1 != "key" ||
+        kw2 != "cells")
+        return makeErrorAt(ErrorKind::Mismatch, context, 2,
+                           "malformed checkpoint key line");
+    if (cells > (std::uint64_t{1} << 24))
+        return makeErrorAt(ErrorKind::Bounds, context, 2,
+                           "implausible checkpoint cell count ", cells);
+    JournalContents j(key, static_cast<std::size_t>(cells));
     while (std::getline(in, line)) {
         ++lineno;
         if (line.empty())
@@ -341,82 +325,146 @@ canonicalJournalText(const JournalContents &j)
     return os.str();
 }
 
-namespace
+CellLedger::CellLedger(const CellLedgerOptions &opt, std::string key,
+                       std::size_t cells)
+    : _opt(opt), _j(std::move(key), cells), _quarantined(cells, false),
+      _lastFail(cells)
 {
+}
 
-/** Restore completed cells from an existing journal. */
 Status
-parseJournal(std::istream &in, const std::string &path,
-             const std::string &key, std::size_t n,
-             CampaignResult &res)
+CellLedger::open()
 {
-    Result<JournalContents> loaded = tryLoadJournal(in, path);
-    if (!loaded)
-        return loaded.error();
-    const JournalContents &j = loaded.value();
-    if (j.key != key)
-        return makeErrorAt(
-            ErrorKind::Mismatch, path, 2,
-            "checkpoint belongs to a different campaign (key ",
-            j.key, ", this campaign is ", key, ")");
-    if (j.cells != n)
-        return makeErrorAt(
-            ErrorKind::Mismatch, path, 2,
-            "checkpoint cell count ", j.cells,
-            " does not match this campaign (", n, " cells)");
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!j.present[i])
-            continue;
-        res.completed[i] = true;
-        res.summaries[i] = j.summaries[i];
-        ++res.restored;
+    if (_opt.checkpoint.empty())
+        return okStatus();
+    bool append = false;
+    if (_opt.resume) {
+        std::ifstream in(_opt.checkpoint);
+        if (in) {
+            Result<JournalContents> loaded =
+                tryLoadJournal(in, _opt.checkpoint);
+            if (!loaded)
+                return loaded.error();
+            JournalContents j = loaded.take();
+            if (j.key != _j.key)
+                return makeErrorAt(
+                    ErrorKind::Mismatch, _opt.checkpoint, 2,
+                    "checkpoint belongs to a different campaign (key ",
+                    j.key, ", this campaign is ", _j.key, ")");
+            if (j.cells != _j.cells)
+                return makeErrorAt(
+                    ErrorKind::Mismatch, _opt.checkpoint, 2,
+                    "checkpoint cell count ", j.cells,
+                    " does not match this campaign (", _j.cells,
+                    " cells)");
+            _j = std::move(j);
+            _restored = _j.completedCells();
+            append = true;
+        }
+    }
+    _journal.open(_opt.checkpoint,
+                  append ? std::ios::app : std::ios::trunc);
+    if (!_journal)
+        return makeError(ErrorKind::Io,
+                         "cannot open checkpoint journal for writing: ",
+                         _opt.checkpoint);
+    if (!append) {
+        _journal << canonicalJournalText(_j); // the header alone
+        _journal.flush();
     }
     return okStatus();
 }
 
-} // namespace
+void
+CellLedger::complete(std::size_t i, const SimSummary &s,
+                     const std::string &line)
+{
+    _j.present[i] = true;
+    _j.summaries[i] = s;
+    _j.lines[i] = line;
+    if (_journal.is_open()) {
+        _journal << line << "\n";
+        _journal.flush();
+    }
+}
+
+std::optional<double>
+CellLedger::fail(std::size_t i, ErrorKind kind, const std::string &error)
+{
+    if (settled(i))
+        return std::nullopt;
+    CellFailure &f = _lastFail[i];
+    f.index = i;
+    ++f.attempts;
+    f.timedOut = kind == ErrorKind::Timeout;
+    f.kind = kind;
+    f.error = error;
+    if (f.attempts > _opt.maxRetries) {
+        _quarantined[i] = true;
+        warn("cell ", i, " quarantined after ", f.attempts,
+             " failed attempt", f.attempts == 1 ? "" : "s", ": ", error);
+        return std::nullopt;
+    }
+    double backoff =
+        _opt.backoffSeconds *
+        static_cast<double>(std::uint64_t{1}
+                            << std::min(f.attempts - 1, 20u));
+    return std::min(backoff, _opt.backoffCapSeconds);
+}
+
+CampaignResult
+CellLedger::finish(bool interrupted)
+{
+    CampaignResult res;
+    res.restored = _restored;
+    res.interrupted = interrupted;
+    for (std::size_t i = 0; i < _j.cells; ++i)
+        if (quarantined(i))
+            res.quarantined.push_back(_lastFail[i]);
+
+    // A finished run rewrites its journal in canonical form: header +
+    // completed cells in index order. The append-ordered journal
+    // depends on scheduling; the canonical bytes depend only on WHAT
+    // completed, so any two runs of the same grid -- sharded,
+    // resumed, or straight through -- end with identical journals.
+    if (_journal.is_open()) {
+        _journal.close();
+        if (!interrupted) {
+            Status rewrote =
+                writeFileAtomic(_opt.checkpoint, canonicalJournalText(_j));
+            if (!rewrote)
+                warn("cannot canonicalize checkpoint journal ",
+                     _opt.checkpoint, ": ", rewrote.error().message);
+        }
+    }
+
+    res.summaries = std::move(_j.summaries);
+    res.completed = std::move(_j.present);
+    if (!_opt.manifest.empty()) {
+        Status wrote = writeFileAtomic(
+            _opt.manifest, failureManifestToJson(res) + "\n");
+        if (!wrote)
+            warn("cannot write failure manifest ", _opt.manifest, ": ",
+                 wrote.error().message);
+    }
+    return res;
+}
 
 Result<CampaignResult>
 CampaignRunner::run(std::size_t n, const std::string &key,
                     const CampaignCellFn &fn) const
 {
-    CampaignResult res;
-    res.summaries.resize(n);
-    res.completed.assign(n, false);
-
-    std::ofstream journal;
-    if (!_opt.checkpoint.empty()) {
-        bool append = false;
-        if (_opt.resume) {
-            std::ifstream in(_opt.checkpoint);
-            if (in) {
-                Status loaded =
-                    parseJournal(in, _opt.checkpoint, key, n, res);
-                if (!loaded)
-                    return loaded.error();
-                append = true;
-            }
-        }
-        journal.open(_opt.checkpoint,
-                     append ? std::ios::app : std::ios::trunc);
-        if (!journal)
-            return makeError(ErrorKind::Io,
-                             "cannot open checkpoint journal for "
-                             "writing: ",
-                             _opt.checkpoint);
-        if (!append) {
-            journal << journalMagicLine << "\nkey " << key
-                    << " cells " << n << "\n";
-            journal.flush();
-        }
-    }
+    CellLedger ledger(_opt, key, n);
+    Status opened = ledger.open();
+    if (!opened)
+        return opened.error();
 
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < n; ++i)
-        if (!res.completed[i])
+        if (!ledger.completed(i))
             pending.push_back(i);
 
-    std::mutex mu; // journal, quarantine list, stragglers
+    std::mutex mu; // ledger, stragglers
     std::vector<std::thread> stragglers;
 
     // One attempt of one cell, under the watchdog when configured.
@@ -460,7 +508,6 @@ CampaignRunner::run(std::size_t n, const std::string &key,
             stragglers.push_back(std::move(th));
         }
         AttemptOutcome out;
-        out.timedOut = true;
         out.kind = ErrorKind::Timeout;
         std::ostringstream os;
         os << "watchdog: deadline of " << _opt.deadlineSeconds
@@ -477,87 +524,31 @@ CampaignRunner::run(std::size_t n, const std::string &key,
         if (shutdownRequested() > 0)
             return;
         std::size_t idx = pending[pi];
-        CellFailure fail;
-        fail.index = idx;
         for (unsigned a = 0;; ++a) {
-            fail.attempts = a + 1;
             AttemptOutcome out = attempt(idx, a);
             if (out.ok) {
+                std::string line = encodeSummaryLine(idx, out.summary);
                 std::lock_guard<std::mutex> g(mu);
-                res.summaries[idx] = std::move(out.summary);
-                res.completed[idx] = true;
-                if (journal.is_open()) {
-                    journal << encodeSummaryLine(idx,
-                                                 res.summaries[idx])
-                            << "\n";
-                    journal.flush();
-                }
+                ledger.complete(idx, out.summary, line);
                 return;
             }
-            fail.timedOut = out.timedOut;
-            fail.kind = out.kind;
-            fail.error = out.error;
-            if (a >= _opt.maxRetries)
-                break;
-            double backoff = _opt.backoffSeconds *
-                             static_cast<double>(
-                                 std::uint64_t{1} << std::min(a, 20u));
-            backoff = std::min(backoff, _opt.backoffCapSeconds);
+            std::optional<double> backoff;
+            {
+                std::lock_guard<std::mutex> g(mu);
+                backoff = ledger.fail(idx, out.kind, out.error);
+            }
+            if (!backoff)
+                return;
             warn("cell ", idx, " attempt ", a + 1, " failed (",
-                 fail.error, "); retrying in ", backoff, " s");
+                 out.error, "); retrying in ", *backoff, " s");
             std::this_thread::sleep_for(
-                std::chrono::duration<double>(backoff));
+                std::chrono::duration<double>(*backoff));
         }
-        warn("cell ", idx, " quarantined after ", fail.attempts,
-             " attempt", fail.attempts == 1 ? "" : "s", ": ",
-             fail.error);
-        std::lock_guard<std::mutex> g(mu);
-        res.quarantined.push_back(fail);
     });
 
     for (std::thread &t : stragglers)
         t.join();
-
-    std::sort(res.quarantined.begin(), res.quarantined.end(),
-              [](const CellFailure &a, const CellFailure &b) {
-                  return a.index < b.index;
-              });
-
-    res.interrupted = shutdownRequested() > 0;
-
-    // A finished (non-interrupted) run rewrites its journal in
-    // canonical form: header + completed cells in index order. The
-    // append-ordered journal depends on worker scheduling; the
-    // canonical bytes depend only on WHAT completed, so any two runs
-    // of the same grid -- sharded, resumed, or straight through --
-    // end with byte-identical journals. writeFileAtomic keeps the
-    // crash-safety story: a kill mid-rewrite leaves the old journal.
-    if (journal.is_open() && !res.interrupted) {
-        journal.close();
-        JournalContents canon;
-        canon.key = key;
-        canon.cells = n;
-        canon.present = res.completed;
-        canon.lines.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            if (res.completed[i])
-                canon.lines[i] =
-                    encodeSummaryLine(i, res.summaries[i]);
-        Status rewrote = writeFileAtomic(_opt.checkpoint,
-                                         canonicalJournalText(canon));
-        if (!rewrote)
-            warn("cannot canonicalize checkpoint journal ",
-                 _opt.checkpoint, ": ", rewrote.error().message);
-    }
-
-    if (!_opt.manifest.empty()) {
-        Status wrote = writeFileAtomic(
-            _opt.manifest, failureManifestToJson(res) + "\n");
-        if (!wrote)
-            warn("cannot write failure manifest ", _opt.manifest,
-                 ": ", wrote.error().message);
-    }
-    return res;
+    return ledger.finish(shutdownRequested() > 0);
 }
 
 Result<CampaignResult>
@@ -573,6 +564,28 @@ runSimulationCampaign(const TraceBundle &bundle,
         });
 }
 
+namespace
+{
+
+/** The quarantine list as a JSON array; the manifest adds each kind. */
+void
+quarantineJson(std::ostream &os, const CampaignResult &r, bool kinds)
+{
+    os << "\"quarantined\":[";
+    for (std::size_t i = 0; i < r.quarantined.size(); ++i) {
+        const CellFailure &f = r.quarantined[i];
+        os << (i ? "," : "") << "{\"cell\":" << f.index
+           << ",\"attempts\":" << f.attempts << ",\"timed_out\":"
+           << (f.timedOut ? "true" : "false");
+        if (kinds)
+            os << ",\"kind\":\"" << errorKindName(f.kind) << '"';
+        os << ",\"error\":\"" << jsonEscape(f.error) << "\"}";
+    }
+    os << ']';
+}
+
+} // namespace
+
 std::string
 failureManifestToJson(const CampaignResult &r)
 {
@@ -580,16 +593,9 @@ failureManifestToJson(const CampaignResult &r)
     os << "{\"cells\":" << r.completed.size()
        << ",\"completed\":" << r.completedCells()
        << ",\"interrupted\":" << (r.interrupted ? "true" : "false")
-       << ",\"quarantined\":[";
-    for (std::size_t i = 0; i < r.quarantined.size(); ++i) {
-        const CellFailure &f = r.quarantined[i];
-        os << (i ? "," : "") << "{\"cell\":" << f.index
-           << ",\"attempts\":" << f.attempts << ",\"timed_out\":"
-           << (f.timedOut ? "true" : "false") << ",\"kind\":\""
-           << errorKindName(f.kind) << "\",\"error\":\""
-           << jsonEscape(f.error) << "\"}";
-    }
-    os << "]}";
+       << ",";
+    quarantineJson(os, r, true);
+    os << '}';
     return os.str();
 }
 
@@ -610,15 +616,9 @@ campaignResultToJson(const CampaignResult &r)
         os << "{\"cell\":" << i
            << ",\"summary\":" << toJson(r.summaries[i]) << "}";
     }
-    os << "],\"quarantined\":[";
-    for (std::size_t i = 0; i < r.quarantined.size(); ++i) {
-        const CellFailure &f = r.quarantined[i];
-        os << (i ? "," : "") << "{\"cell\":" << f.index
-           << ",\"attempts\":" << f.attempts << ",\"timed_out\":"
-           << (f.timedOut ? "true" : "false") << ",\"error\":\""
-           << jsonEscape(f.error) << "\"}";
-    }
-    os << "]}";
+    os << "],";
+    quarantineJson(os, r, false);
+    os << '}';
     return os.str();
 }
 

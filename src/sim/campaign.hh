@@ -5,7 +5,9 @@
  * A campaign is a sweep of independent cells (one simulation each)
  * that must survive the failures a multi-hour run actually meets:
  * a killed process, a corrupt input, a cell that throws, a cell that
- * hangs. CampaignRunner layers four mechanisms over ParallelRunner:
+ * hangs. CampaignRunner layers four mechanisms over ParallelRunner;
+ * all but the watchdog live in CellLedger, which the shard
+ * coordinator (sim/shard.hh) keeps its books with too:
  *
  *  - Checkpoint journal: every completed cell is appended (and
  *    flushed) to a line-oriented journal as an exact, hexfloat-coded
@@ -35,8 +37,12 @@
 #define VRC_SIM_CAMPAIGN_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/cancel.hh"
@@ -46,25 +52,34 @@
 namespace vrc
 {
 
-/** Resilience policy for one campaign. */
-struct CampaignOptions
+/** Journal, retry and quarantine policy; read by CellLedger. */
+struct CellLedgerOptions
 {
     /** Journal path; empty disables checkpointing. */
     std::string checkpoint;
     /** Load the journal and skip already-completed cells. */
     bool resume = false;
-    /** Per-attempt wall-clock deadline in seconds; 0 = no watchdog. */
+    /** Failure manifest path; empty = don't write one. */
+    std::string manifest;
+    /**
+     * Watchdog deadline in seconds; 0 = no watchdog. The sweep bounds
+     * each attempt's wall time; the coordinator bounds how long an
+     * assignment may go without progress.
+     */
     double deadlineSeconds = 0.0;
-    /** Retries after the first failed attempt. */
+    /** Retries after a cell's first failure. */
     unsigned maxRetries = 0;
-    /** First retry backoff; doubles per retry. */
+    /** First retry backoff; doubles per failure. */
     double backoffSeconds = 0.05;
     /** Backoff ceiling. */
     double backoffCapSeconds = 2.0;
+};
+
+/** Resilience policy for one in-process campaign. */
+struct CampaignOptions : CellLedgerOptions
+{
     /** Worker threads; 0 = ParallelRunner::defaultJobs(). */
     unsigned jobs = 0;
-    /** Failure manifest path; empty = don't write one. */
-    std::string manifest;
 };
 
 /** One quarantined cell in the failure manifest. */
@@ -72,7 +87,7 @@ struct CellFailure
 {
     std::size_t index = 0;
     unsigned attempts = 0;   ///< attempts actually made
-    bool timedOut = false;   ///< last failure was the watchdog
+    bool timedOut = false;   ///< last failure was a Timeout
     ErrorKind kind = ErrorKind::Worker;
     std::string error;       ///< last failure message
 };
@@ -143,6 +158,15 @@ std::string campaignKey(const TraceBundle &bundle,
                         const std::vector<SimJob> &jobs);
 
 /**
+ * Content-derived stable cell id: a hash of the workload identity
+ * (profile name, seed, record count) and the job's full knob set --
+ * the same fields campaignKey() hashes. Independent of the cell's
+ * position in -- or the size of -- the job grid, so ids survive grid
+ * growth and reordering.
+ */
+std::uint64_t shardCellId(const TraceBundle &bundle, const SimJob &job);
+
+/**
  * Run @p jobs over @p bundle as a campaign. Cells replay through the
  * cancellation-aware simulation loop, so the watchdog can actually
  * stop one; fault injection (when armed) perturbs each attempt.
@@ -178,6 +202,15 @@ decodeSummaryLine(const std::string &line);
  */
 struct JournalContents
 {
+    JournalContents() = default;
+
+    /** @p n cells of campaign @p k, none present yet. */
+    JournalContents(std::string k, std::size_t n)
+        : key(std::move(k)), cells(n), present(n, false), summaries(n),
+          lines(n), firstLine(n, 0)
+    {
+    }
+
     std::string key;                  ///< campaign key from the header
     std::size_t cells = 0;            ///< grid size from the header
     std::vector<bool> present;        ///< per-cell: line seen
@@ -215,6 +248,72 @@ Result<JournalContents> tryLoadJournal(std::istream &in,
  * worker count or shard layout -- produce identical bytes.
  */
 std::string canonicalJournalText(const JournalContents &j);
+
+/**
+ * The books of one campaign, shared by CampaignRunner and
+ * ShardCoordinator: the checkpoint journal, each cell's result (its
+ * summary and verbatim line) or failures, the capped exponential
+ * backoff between attempts, quarantine once a cell has failed
+ * maxRetries + 1 times, and the failure manifest. A result that
+ * arrives after quarantine still completes the cell. Not thread-safe;
+ * each driver calls it under its own lock.
+ */
+class CellLedger
+{
+  public:
+    CellLedger(const CellLedgerOptions &opt, std::string key,
+               std::size_t cells);
+
+    /**
+     * Open the journal, if there is a checkpoint path. With resume,
+     * an existing journal is loaded (its cells count as restored) and
+     * appended to; one of another key or cell count is a Mismatch
+     * error. Otherwise the journal starts with its header.
+     */
+    Status open();
+
+    bool completed(std::size_t i) const { return _j.present[i]; }
+    bool
+    quarantined(std::size_t i) const
+    {
+        return _quarantined[i] && !_j.present[i];
+    }
+    /** Completed or quarantined: nothing left to run. */
+    bool
+    settled(std::size_t i) const
+    {
+        return _j.present[i] || _quarantined[i];
+    }
+    const std::string &line(std::size_t i) const { return _j.lines[i]; }
+
+    /** Record cell @p i's result and append @p line to the journal. */
+    void complete(std::size_t i, const SimSummary &s,
+                  const std::string &line);
+
+    /**
+     * Count one failure of cell @p i (a Timeout kind counts as timed
+     * out). Returns the backoff in seconds before its next attempt;
+     * nullopt when this failure quarantined it, or when it was already
+     * settled (the failure is not counted).
+     */
+    std::optional<double> fail(std::size_t i, ErrorKind kind,
+                               const std::string &error);
+
+    /**
+     * The result, with the quarantine list in index order. Unless
+     * @p interrupted, the journal is rewritten in canonical form;
+     * then the manifest is written.
+     */
+    CampaignResult finish(bool interrupted);
+
+  private:
+    CellLedgerOptions _opt;
+    JournalContents _j; ///< present[i] = cell i completed
+    std::size_t _restored = 0;
+    std::vector<bool> _quarantined;
+    std::vector<CellFailure> _lastFail; ///< attempts = failures so far
+    std::ofstream _journal;
+};
 
 } // namespace vrc
 

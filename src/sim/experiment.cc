@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "base/bitops.hh"
 #include "base/fault.hh"
 #include "sim/parallel_runner.hh"
 
@@ -22,6 +23,27 @@ makeMachineConfig(HierarchyKind kind, std::uint32_t l1_size,
     mc.hierarchy.l2.sizeBytes = l2_size;
     mc.hierarchy.splitL1 = split;
     return mc;
+}
+
+Status
+checkCacheSizes(const MachineConfig &mc)
+{
+    const HierarchyParams &h = mc.hierarchy;
+    const CacheParams *levels[] = {&h.l1, &h.l2};
+    for (unsigned l = 0; l < 2; ++l) {
+        const CacheParams &c = *levels[l];
+        std::uint64_t least = std::uint64_t{c.blockBytes} * c.assoc *
+                              (l == 0 && h.splitL1 ? 2 : 1);
+        if (l == 1) // the synonym r-pointer spans level-2 pages
+            least = std::max<std::uint64_t>(least, h.pageSize);
+        if (!isPowerOfTwo(c.sizeBytes) || c.sizeBytes < least ||
+            c.sizeBytes > kMaxCacheBytes)
+            return makeError(ErrorKind::Bounds, "level-", l + 1,
+                             " cache size ", c.sizeBytes,
+                             " must be a power of two from ", least,
+                             " to ", kMaxCacheBytes, " bytes");
+    }
+    return okStatus();
 }
 
 SimSummary

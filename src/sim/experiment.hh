@@ -64,6 +64,18 @@ MachineConfig makeMachineConfig(HierarchyKind kind, std::uint32_t l1_size,
                                 std::uint32_t l2_size,
                                 std::uint32_t page_size, bool split = false);
 
+/** Largest level-1 or level-2 cache size a user or client may ask for. */
+constexpr std::uint32_t kMaxCacheBytes = 16u << 20;
+
+/**
+ * Check @p mc's level-1 and level-2 sizes before the hierarchy is
+ * built (it panics on a bad one): each must be a power of two, hold
+ * at least block x assoc bytes (in each half of a split level 1; a
+ * whole page at level 2), and be at most kMaxCacheBytes. A Bounds
+ * error names the level.
+ */
+Status checkCacheSizes(const MachineConfig &mc);
+
 /** One cell of an experiment table: a config to simulate. */
 struct SimJob
 {

@@ -9,18 +9,16 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include "base/atomic_file.hh"
 #include "base/fault.hh"
 #include "base/log.hh"
 #include "base/shutdown.hh"
@@ -36,43 +34,9 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h = (h ^ (v & 0xFF)) * 0x100000001b3ull;
-        v >>= 8;
-    }
-    return h;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &s)
-{
-    for (char c : s)
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    return h;
-}
-
 constexpr const char *conflictPrefix = "conflicting summaries";
 
 } // namespace
-
-std::uint64_t
-shardCellId(const TraceBundle &bundle, const SimJob &job)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, bundle.profile.name);
-    h = fnv1a(h, bundle.profile.seed);
-    h = fnv1a(h, bundle.records.size());
-    h = fnv1a(h, static_cast<std::uint64_t>(job.kind));
-    h = fnv1a(h, job.l1Size);
-    h = fnv1a(h, job.l2Size);
-    h = fnv1a(h, job.split ? 1 : 0);
-    h = fnv1a(h, job.invariantPeriod);
-    h = fnv1a(h, static_cast<std::uint64_t>(job.timingMode));
-    return h;
-}
 
 bool
 isConflictError(const Error &e)
@@ -104,12 +68,7 @@ mergeJournalTexts(
         m.duplicates += j.duplicates;
         if (m.inputs == 0) {
             firstCtx = ctx;
-            m.merged.key = j.key;
-            m.merged.cells = j.cells;
-            m.merged.present.assign(j.cells, false);
-            m.merged.summaries.resize(j.cells);
-            m.merged.lines.resize(j.cells);
-            m.merged.firstLine.assign(j.cells, 0);
+            m.merged = JournalContents(j.key, j.cells);
             srcCtx.resize(j.cells);
             srcLine.assign(j.cells, 0);
         } else {
@@ -202,6 +161,15 @@ struct WorkerConn
     std::int64_t assignment = -1; ///< active assignment id, -1 = idle
     std::mutex writeMu;
     std::thread reader;
+
+    /** Shut the socket both ways; later sends fail. */
+    void
+    cut()
+    {
+        std::lock_guard<std::mutex> g(writeMu);
+        writeShut = true;
+        ::shutdown(fd, SHUT_RDWR);
+    }
 };
 
 /** One dispatched shard. */
@@ -222,9 +190,7 @@ struct ShardCoordinator::Impl
 {
     ShardCoordinatorOptions opt;
 
-    int unixFd = -1;
-    int tcpFd = -1;
-    int boundTcpPort = -1;
+    Listeners listeners;
 
     // All coordinator state below is guarded by mu; cv wakes the
     // scheduler loop on every event (result, done, hello, loss).
@@ -239,16 +205,10 @@ struct ShardCoordinator::Impl
     std::vector<std::uint64_t> cellIds;
     std::unordered_map<std::uint64_t, std::size_t> idToIndex;
 
-    CampaignResult res;
-    std::vector<std::string> lines;       ///< accepted journal lines
-    std::vector<bool> cellQuarantined;
-    std::vector<CellFailure> lastFail;
-    std::vector<unsigned> failCount;
+    std::optional<CellLedger> ledger;
     std::vector<unsigned> dispatchCount; ///< wire `attempt` source
     std::vector<Clock::time_point> earliest; ///< backoff gate
     std::deque<std::size_t> pending;
-
-    std::ofstream journal;
 
     std::vector<std::shared_ptr<WorkerConn>> workers;
     std::uint64_t nextWorkerId = 1;
@@ -265,76 +225,6 @@ struct ShardCoordinator::Impl
     std::thread acceptThread;
 
     // ---- socket plumbing -------------------------------------------
-
-    Status
-    bindListeners()
-    {
-        if (opt.listenUnix.empty() && opt.listenTcp < 0)
-            return makeError(ErrorKind::Io,
-                             "coordinate: no listener configured "
-                             "(need a unix path and/or a TCP port)");
-        if (!opt.listenUnix.empty()) {
-            sockaddr_un sa = {};
-            if (opt.listenUnix.size() >= sizeof(sa.sun_path))
-                return makeError(ErrorKind::Bounds,
-                                 "unix socket path too long: ",
-                                 opt.listenUnix);
-            unixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            if (unixFd < 0)
-                return makeError(ErrorKind::Io, "socket(AF_UNIX): ",
-                                 std::strerror(errno));
-            sa.sun_family = AF_UNIX;
-            std::strncpy(sa.sun_path, opt.listenUnix.c_str(),
-                         sizeof(sa.sun_path) - 1);
-            ::unlink(opt.listenUnix.c_str());
-            if (::bind(unixFd, reinterpret_cast<sockaddr *>(&sa),
-                       sizeof(sa)) != 0 ||
-                ::listen(unixFd, 64) != 0)
-                return makeError(ErrorKind::Io, "cannot listen on ",
-                                 opt.listenUnix, ": ",
-                                 std::strerror(errno));
-        }
-        if (opt.listenTcp >= 0) {
-            tcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
-            if (tcpFd < 0)
-                return makeError(ErrorKind::Io, "socket(AF_INET): ",
-                                 std::strerror(errno));
-            int one = 1;
-            ::setsockopt(tcpFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                         sizeof(one));
-            sockaddr_in sa = {};
-            sa.sin_family = AF_INET;
-            sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            sa.sin_port =
-                htons(static_cast<std::uint16_t>(opt.listenTcp));
-            if (::bind(tcpFd, reinterpret_cast<sockaddr *>(&sa),
-                       sizeof(sa)) != 0 ||
-                ::listen(tcpFd, 64) != 0)
-                return makeError(ErrorKind::Io,
-                                 "cannot listen on 127.0.0.1:",
-                                 opt.listenTcp, ": ",
-                                 std::strerror(errno));
-            socklen_t len = sizeof(sa);
-            ::getsockname(tcpFd, reinterpret_cast<sockaddr *>(&sa),
-                          &len);
-            boundTcpPort = ntohs(sa.sin_port);
-        }
-        return okStatus();
-    }
-
-    void
-    closeListeners()
-    {
-        if (unixFd >= 0) {
-            ::close(unixFd);
-            unixFd = -1;
-            ::unlink(opt.listenUnix.c_str());
-        }
-        if (tcpFd >= 0) {
-            ::close(tcpFd);
-            tcpFd = -1;
-        }
-    }
 
     /** Send one frame to a worker; false cuts the connection. */
     bool
@@ -356,36 +246,18 @@ struct ShardCoordinator::Impl
     void
     acceptLoop()
     {
-        while (!stopping.load(std::memory_order_acquire)) {
-            pollfd fds[2];
-            nfds_t nf = 0;
-            int unix_at = -1, tcp_at = -1;
-            if (unixFd >= 0) {
-                unix_at = static_cast<int>(nf);
-                fds[nf++] = {unixFd, POLLIN, 0};
-            }
-            if (tcpFd >= 0) {
-                tcp_at = static_cast<int>(nf);
-                fds[nf++] = {tcpFd, POLLIN, 0};
-            }
-            int pr = ::poll(fds, nf, 100);
-            if (pr < 0 && errno != EINTR)
-                break;
-            if (pr <= 0)
-                continue;
-            if (unix_at >= 0 && (fds[unix_at].revents & POLLIN))
-                acceptOne(unixFd);
-            if (tcp_at >= 0 && (fds[tcp_at].revents & POLLIN))
-                acceptOne(tcpFd);
+        auto stop = [this] {
+            return stopping.load(std::memory_order_acquire);
+        };
+        while (listeners.acceptTurn(100, {}, stop,
+                                    [this](int fd) { adopt(fd); })) {
         }
     }
 
+    /** Start a reader on an accepted worker socket. */
     void
-    acceptOne(int listener)
+    adopt(int fd)
     {
-        int fd = acceptRetryFd(listener);
-        if (fd < 0)
-            return;
         auto w = std::make_shared<WorkerConn>();
         w->fd = fd;
         {
@@ -522,8 +394,8 @@ struct ShardCoordinator::Impl
         // straggler's late copy must be byte-identical to be dropped
         // silently, otherwise somebody computed a wrong answer and
         // the run must not paper over it.
-        if (res.completed[idx]) {
-            if (lines[idx] == cr.summaryLine) {
+        if (ledger->completed(idx)) {
+            if (ledger->line(idx) == cr.summaryLine) {
                 ++stats.duplicateResults;
             } else if (!conflict) {
                 conflict = true;
@@ -537,14 +409,8 @@ struct ShardCoordinator::Impl
             noteProgressLocked(w, cr.assignId);
             return !conflict;
         }
-        res.completed[idx] = true;
-        res.summaries[idx] = s;
-        lines[idx] = cr.summaryLine;
+        ledger->complete(idx, s, cr.summaryLine);
         ++stats.cellResults;
-        if (journal.is_open()) {
-            journal << cr.summaryLine << "\n";
-            journal.flush();
-        }
         noteProgressLocked(w, cr.assignId);
         cv.notify_all();
         return true;
@@ -570,8 +436,7 @@ struct ShardCoordinator::Impl
                 return poisonLocked(w, "failure index out of range");
             warn("coordinate: worker '", w.name, "' failed cell ",
                  f.index, ": ", f.message);
-            recordCellFailureLocked(f.index, f.kind, f.message,
-                                    f.kind == ErrorKind::Timeout);
+            recordCellFailureLocked(f.index, f.kind, f.message);
         }
         auto it = assignments.find(d.assignId);
         if (it != assignments.end() && it->second.workerId == w.id) {
@@ -624,9 +489,7 @@ struct ShardCoordinator::Impl
                             FrameType::Quarantined,
                             ErrorReply{0, ErrorKind::Worker,
                                        "worker is quarantined"}));
-                std::lock_guard<std::mutex> g(w->writeMu);
-                w->writeShut = true;
-                ::shutdown(w->fd, SHUT_RDWR);
+                w->cut();
             }
         }
     }
@@ -638,11 +501,7 @@ struct ShardCoordinator::Impl
         if (w.gone)
             return;
         w.gone = true;
-        {
-            std::lock_guard<std::mutex> g(w.writeMu);
-            w.writeShut = true;
-            ::shutdown(w.fd, SHUT_RDWR);
-        }
+        w.cut();
         if (w.ready && !stopping.load(std::memory_order_acquire))
             ++stats.workersLost;
         if (w.assignment >= 0) {
@@ -656,10 +515,9 @@ struct ShardCoordinator::Impl
                     os << "lost worker '" << w.name
                        << "' mid-shard";
                     for (std::size_t idx : a.cells)
-                        if (!res.completed[idx])
+                        if (!ledger->completed(idx))
                             recordCellFailureLocked(
-                                idx, ErrorKind::Worker, os.str(),
-                                false);
+                                idx, ErrorKind::Worker, os.str());
                 }
             }
             w.assignment = -1;
@@ -667,40 +525,21 @@ struct ShardCoordinator::Impl
     }
 
     /**
-     * One definite failure for @p idx: bounded retry with backoff,
-     * then quarantine. Results that arrive later anyway (a straggler
-     * finishing after its loss was declared) still count -- the
-     * quarantine list is filtered against completions at the end.
+     * One definite failure for @p idx: back in the queue after the
+     * ledger's backoff, unless that was its last retry. A result that
+     * arrives later anyway (a straggler finishing after its loss was
+     * declared) still completes the cell.
      */
     void
     recordCellFailureLocked(std::size_t idx, ErrorKind kind,
-                            const std::string &message, bool timedOut)
+                            const std::string &message)
     {
-        if (res.completed[idx] || cellQuarantined[idx])
+        std::optional<double> backoff = ledger->fail(idx, kind, message);
+        if (!backoff)
             return;
-        unsigned fails = ++failCount[idx];
-        CellFailure f;
-        f.index = idx;
-        f.attempts = fails;
-        f.timedOut = timedOut;
-        f.kind = kind;
-        f.error = message;
-        lastFail[idx] = f;
-        if (fails > opt.maxRetries) {
-            cellQuarantined[idx] = true;
-            warn("coordinate: cell ", idx, " quarantined after ",
-                 fails, " failed dispatch", fails == 1 ? "" : "es",
-                 ": ", message);
-            return;
-        }
-        double backoff =
-            opt.backoffSeconds *
-            static_cast<double>(std::uint64_t{1}
-                                << std::min(fails - 1, 20u));
-        backoff = std::min(backoff, opt.backoffCapSeconds);
         earliest[idx] =
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(backoff));
+                               std::chrono::duration<double>(*backoff));
         pending.push_back(idx);
     }
 
@@ -722,7 +561,7 @@ struct ShardCoordinator::Impl
                 continue;
             std::vector<std::size_t> missing;
             for (std::size_t idx : a.cells)
-                if (!res.completed[idx] && !cellQuarantined[idx])
+                if (!ledger->settled(idx))
                     missing.push_back(idx);
             if (missing.empty() || draining) {
                 // Nothing left to rescue (or we are draining and
@@ -777,7 +616,7 @@ struct ShardCoordinator::Impl
             while (!pending.empty() && cells.size() < shard_size) {
                 std::size_t idx = pending.front();
                 pending.pop_front();
-                if (res.completed[idx] || cellQuarantined[idx])
+                if (ledger->settled(idx))
                     continue;
                 if (earliest[idx] > now) {
                     deferred.push_back(idx);
@@ -831,9 +670,29 @@ struct ShardCoordinator::Impl
     allSettledLocked() const
     {
         for (std::size_t i = 0; i < n; ++i)
-            if (!res.completed[i] && !cellQuarantined[i])
+            if (!ledger->settled(i))
                 return false;
         return true;
+    }
+
+    /** Stop accepting, wave goodbye, cut and join every worker. */
+    void
+    shutDown()
+    {
+        stopping.store(true, std::memory_order_release);
+        if (acceptThread.joinable())
+            acceptThread.join();
+        for (auto &w : workers) {
+            if (w->fd < 0)
+                continue;
+            sendToWorker(*w, encodeBye());
+            w->cut();
+            if (w->reader.joinable())
+                w->reader.join();
+            ::close(w->fd);
+            w->fd = -1;
+        }
+        listeners.close();
     }
 
     bool
@@ -854,33 +713,20 @@ ShardCoordinator::ShardCoordinator(ShardCoordinatorOptions opt)
 
 ShardCoordinator::~ShardCoordinator()
 {
-    _impl->stopping.store(true, std::memory_order_release);
-    if (_impl->acceptThread.joinable())
-        _impl->acceptThread.join();
-    for (auto &w : _impl->workers) {
-        if (w->fd >= 0) {
-            std::lock_guard<std::mutex> g(w->writeMu);
-            w->writeShut = true;
-            ::shutdown(w->fd, SHUT_RDWR);
-        }
-        if (w->reader.joinable())
-            w->reader.join();
-        if (w->fd >= 0)
-            ::close(w->fd);
-    }
-    _impl->closeListeners();
+    _impl->shutDown();
 }
 
 Status
 ShardCoordinator::bind()
 {
-    return _impl->bindListeners();
+    return _impl->listeners.open(_impl->opt.listenUnix,
+                                 _impl->opt.listenTcp, "coordinate");
 }
 
 int
 ShardCoordinator::tcpPort() const
 {
-    return _impl->boundTcpPort;
+    return _impl->listeners.tcpPort();
 }
 
 ShardStats
@@ -902,8 +748,8 @@ ShardCoordinator::run(const TraceBundle &bundle,
                       const std::vector<SimJob> &jobs)
 {
     Impl &im = *_impl;
-    if (im.unixFd < 0 && im.tcpFd < 0) {
-        Status bound = im.bindListeners();
+    if (!im.listeners.isOpen()) {
+        Status bound = bind();
         if (!bound)
             return bound.error();
     }
@@ -912,12 +758,6 @@ ShardCoordinator::run(const TraceBundle &bundle,
     im.jobs = &jobs;
     im.key = campaignKey(bundle, jobs);
     im.n = jobs.size();
-    im.res.summaries.resize(im.n);
-    im.res.completed.assign(im.n, false);
-    im.lines.resize(im.n);
-    im.cellQuarantined.assign(im.n, false);
-    im.lastFail.resize(im.n);
-    im.failCount.assign(im.n, 0);
     im.dispatchCount.assign(im.n, 0);
     im.earliest.assign(im.n, Clock::time_point{});
 
@@ -934,55 +774,12 @@ ShardCoordinator::run(const TraceBundle &bundle,
 
     // Resume: the journal IS the recovery state. Replay it, then
     // dispatch only what is missing.
-    if (!im.opt.checkpoint.empty()) {
-        bool append = false;
-        if (im.opt.resume) {
-            std::ifstream in(im.opt.checkpoint);
-            if (in) {
-                Result<JournalContents> loaded =
-                    tryLoadJournal(in, im.opt.checkpoint);
-                if (!loaded)
-                    return loaded.error();
-                const JournalContents &j = loaded.value();
-                if (j.key != im.key)
-                    return makeErrorAt(
-                        ErrorKind::Mismatch, im.opt.checkpoint, 2,
-                        "checkpoint belongs to a different campaign "
-                        "(key ",
-                        j.key, ", this campaign is ", im.key, ")");
-                if (j.cells != im.n)
-                    return makeErrorAt(
-                        ErrorKind::Mismatch, im.opt.checkpoint, 2,
-                        "checkpoint cell count ", j.cells,
-                        " does not match this campaign (", im.n,
-                        " cells)");
-                for (std::size_t i = 0; i < im.n; ++i) {
-                    if (!j.present[i])
-                        continue;
-                    im.res.completed[i] = true;
-                    im.res.summaries[i] = j.summaries[i];
-                    im.lines[i] = j.lines[i];
-                    ++im.res.restored;
-                }
-                append = true;
-            }
-        }
-        im.journal.open(im.opt.checkpoint,
-                        append ? std::ios::app : std::ios::trunc);
-        if (!im.journal)
-            return makeError(ErrorKind::Io,
-                             "cannot open checkpoint journal for "
-                             "writing: ",
-                             im.opt.checkpoint);
-        if (!append) {
-            im.journal << "vrc-campaign-checkpoint v1\nkey " << im.key
-                       << " cells " << im.n << "\n";
-            im.journal.flush();
-        }
-    }
-
+    im.ledger.emplace(im.opt, im.key, im.n);
+    Status opened = im.ledger->open();
+    if (!opened)
+        return opened.error();
     for (std::size_t i = 0; i < im.n; ++i)
-        if (!im.res.completed[i])
+        if (!im.ledger->completed(i))
             im.pending.push_back(i);
 
     im.acceptThread = std::thread([&im] { im.acceptLoop(); });
@@ -1003,67 +800,13 @@ ShardCoordinator::run(const TraceBundle &bundle,
         }
     }
 
-    // Teardown: stop accepting, wave goodbye, join the readers.
-    im.stopping.store(true, std::memory_order_release);
-    if (im.acceptThread.joinable())
-        im.acceptThread.join();
-    for (auto &w : im.workers) {
-        im.sendToWorker(*w, encodeBye());
-        {
-            std::lock_guard<std::mutex> g(w->writeMu);
-            w->writeShut = true;
-            ::shutdown(w->fd, SHUT_RDWR);
-        }
-        if (w->reader.joinable())
-            w->reader.join();
-        ::close(w->fd);
-        w->fd = -1;
-    }
-    im.closeListeners();
-
+    im.shutDown();
     std::lock_guard<std::mutex> g(im.mu);
     if (im.conflict) {
-        if (im.journal.is_open())
-            im.journal.close();
+        im.ledger.reset(); // closes the journal as it stands
         return im.conflictError;
     }
-
-    im.res.interrupted = shutdownRequested() > 0;
-    for (std::size_t i = 0; i < im.n; ++i)
-        if (im.cellQuarantined[i] && !im.res.completed[i])
-            im.res.quarantined.push_back(im.lastFail[i]);
-    std::sort(im.res.quarantined.begin(), im.res.quarantined.end(),
-              [](const CellFailure &a, const CellFailure &b) {
-                  return a.index < b.index;
-              });
-
-    // Same canonicalization contract as CampaignRunner::run(): a
-    // finished run's journal depends only on what completed.
-    if (im.journal.is_open()) {
-        im.journal.close();
-        if (!im.res.interrupted) {
-            JournalContents canon;
-            canon.key = im.key;
-            canon.cells = im.n;
-            canon.present = im.res.completed;
-            canon.lines = im.lines;
-            Status rewrote = writeFileAtomic(
-                im.opt.checkpoint, canonicalJournalText(canon));
-            if (!rewrote)
-                warn("cannot canonicalize checkpoint journal ",
-                     im.opt.checkpoint, ": ",
-                     rewrote.error().message);
-        }
-    }
-
-    if (!im.opt.manifest.empty()) {
-        Status wrote = writeFileAtomic(
-            im.opt.manifest, failureManifestToJson(im.res) + "\n");
-        if (!wrote)
-            warn("cannot write failure manifest ", im.opt.manifest,
-                 ": ", wrote.error().message);
-    }
-    return im.res;
+    return im.ledger->finish(shutdownRequested() > 0);
 }
 
 // ---- worker ---------------------------------------------------------
@@ -1200,9 +943,7 @@ runShardWorker(const ShardWorkerOptions &opt)
         ShardDoneReply done;
         done.assignId = assign.assignId;
 
-        if (assign.profileName != "pops" &&
-            assign.profileName != "thor" &&
-            assign.profileName != "abaqus") {
+        if (!knownProfileName(assign.profileName)) {
             for (const ShardCell &cell : assign.cells)
                 done.failures.push_back(
                     {cell.index, ErrorKind::Bounds,

@@ -7,9 +7,9 @@
  * -- which is to say, entirely a failure-handling problem. The
  * coordinator partitions the grid into shards, dispatches them to
  * workers over the VRCW wire layer (SHARD_ASSIGN / CELL_RESULT /
- * SHARD_DONE / HEARTBEAT frames), and appends each accepted cell line
- * to the same crash-safe checkpoint journal the single-process sweep
- * writes. The invariants:
+ * SHARD_DONE / HEARTBEAT frames), and keeps its books in the same
+ * CellLedger (sim/campaign.hh) the single-process sweep uses: one
+ * journal, retry backoff, quarantine and manifest. The invariants:
  *
  *  - Stable cell identity: shardCellId() hashes the cell's CONTENT
  *    (workload identity + the job's knobs), never its grid index, so
@@ -60,14 +60,6 @@
 namespace vrc
 {
 
-/**
- * Content-derived stable cell id: a hash of the workload identity
- * (profile name, seed, record count) and the job's full knob set.
- * Independent of the cell's position in -- or the size of -- the job
- * grid, so ids survive grid growth and reordering.
- */
-std::uint64_t shardCellId(const TraceBundle &bundle, const SimJob &job);
-
 /** True for the Mismatch errors that mean "conflicting summaries". */
 bool isConflictError(const Error &e);
 
@@ -101,8 +93,15 @@ std::string mergeManifestJson(const ShardMerge &m);
 
 // ---- coordinator ----------------------------------------------------
 
-/** Knobs for one coordinated (sharded) campaign. */
-struct ShardCoordinatorOptions
+/**
+ * Knobs for one coordinated (sharded) campaign. The inherited ledger
+ * policy reads as for the sweep, except that deadlineSeconds is a
+ * no-progress deadline per assignment: an assignment whose worker
+ * neither heartbeats nor delivers a cell for that long is a straggler
+ * (speculative re-dispatch + a strike). maxRetries counts
+ * re-dispatches after a cell's first failed dispatch.
+ */
+struct ShardCoordinatorOptions : CellLedgerOptions
 {
     std::string listenUnix; ///< unix socket path; empty = none
     int listenTcp = -1;     ///< TCP port (0 = ephemeral); -1 = none
@@ -118,34 +117,8 @@ struct ShardCoordinatorOptions
     /** Cells per dispatched shard; 0 = auto (grid / 4, min 1). */
     std::size_t cellsPerShard = 0;
 
-    /**
-     * No-progress deadline per assignment in seconds: an assignment
-     * whose worker neither heartbeats nor delivers a cell for this
-     * long is a straggler (speculative re-dispatch + a strike).
-     * 0 disables the watchdog.
-     */
-    double deadlineSeconds = 0.0;
-
-    /** Re-dispatches after a cell's first failed dispatch. */
-    unsigned maxRetries = 2;
-
     /** Straggler/lost strikes before a worker name is quarantined. */
     unsigned workerStrikeLimit = 3;
-
-    /** First re-dispatch backoff; doubles per failure. */
-    double backoffSeconds = 0.05;
-
-    /** Backoff ceiling. */
-    double backoffCapSeconds = 2.0;
-
-    /** Journal path; empty disables checkpointing. */
-    std::string checkpoint;
-
-    /** Load the journal and dispatch only the missing cells. */
-    bool resume = false;
-
-    /** Failure manifest path; empty = don't write one. */
-    std::string manifest;
 };
 
 /** Coordinator-side counters (tests and the CLI report). */

@@ -133,6 +133,12 @@ abaqusProfile()
     return p;
 }
 
+bool
+knownProfileName(const std::string &name)
+{
+    return name == "pops" || name == "thor" || name == "abaqus";
+}
+
 WorkloadProfile
 profileByName(const std::string &name)
 {

@@ -153,6 +153,9 @@ WorkloadProfile thorProfile();
 /** Tuned profile reproducing the abaqus trace shape (Table 5 row 3). */
 WorkloadProfile abaqusProfile();
 
+/** True for the names profileByName() knows. */
+bool knownProfileName(const std::string &name);
+
 /** Look up a named profile ("pops", "thor", "abaqus"). fatal() if unknown. */
 WorkloadProfile profileByName(const std::string &name);
 

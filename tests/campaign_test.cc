@@ -1,7 +1,8 @@
 /**
  * @file
  * CampaignRunner tests: journal round-trip, kill/resume equivalence,
- * key mismatch rejection, retry, quarantine, and the watchdog.
+ * key mismatch rejection, retry, quarantine, and the watchdog; and the
+ * CellLedger both campaign drivers keep their books in.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -356,6 +358,130 @@ TEST(CampaignRunnerTest, ResumeRejectsDivergentDuplicateCellLines)
         });
     ASSERT_TRUE(ok.ok()) << ok.error().describe();
     EXPECT_EQ(ok.value().restored, 1u);
+}
+
+// ---- the cell ledger shared by the sweep and the coordinator --------
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+TEST(CampaignLedgerTest, BackoffDoublesFromBaseAndStopsAtCap)
+{
+    CellLedgerOptions opt;
+    opt.maxRetries = 10;
+    opt.backoffSeconds = 0.1;
+    opt.backoffCapSeconds = 0.5;
+    CellLedger ledger(opt, "k", 1);
+    ASSERT_TRUE(ledger.open().ok());
+    std::vector<double> waits;
+    for (int i = 0; i < 5; ++i) {
+        std::optional<double> w =
+            ledger.fail(0, ErrorKind::Worker, "boom");
+        ASSERT_TRUE(w.has_value());
+        waits.push_back(*w);
+    }
+    EXPECT_EQ(waits, (std::vector<double>{0.1, 0.2, 0.4, 0.5, 0.5}));
+}
+
+TEST(CampaignLedgerTest, QuarantinedAfterMaxRetriesPlusOneFailures)
+{
+    CellLedgerOptions opt;
+    opt.maxRetries = 2;
+    CellLedger ledger(opt, "k", 2);
+    ASSERT_TRUE(ledger.open().ok());
+    for (int i = 1; i <= 2; ++i) {
+        EXPECT_TRUE(ledger
+                        .fail(0, ErrorKind::Worker,
+                              "failure " + std::to_string(i))
+                        .has_value());
+        EXPECT_FALSE(ledger.quarantined(0)) << "after failure " << i;
+    }
+    EXPECT_FALSE(
+        ledger.fail(0, ErrorKind::Timeout, "failure 3").has_value());
+    EXPECT_TRUE(ledger.quarantined(0));
+    EXPECT_TRUE(ledger.settled(0));
+    // A settled cell's later failures are not counted.
+    EXPECT_FALSE(
+        ledger.fail(0, ErrorKind::Worker, "failure 4").has_value());
+
+    CampaignResult res = ledger.finish(false);
+    ASSERT_EQ(res.quarantined.size(), 1u);
+    const CellFailure &f = res.quarantined[0];
+    EXPECT_EQ(f.index, 0u);
+    EXPECT_EQ(f.attempts, opt.maxRetries + 1);
+    EXPECT_TRUE(f.timedOut);
+    EXPECT_EQ(f.kind, ErrorKind::Timeout);
+    EXPECT_EQ(f.error, "failure 3");
+    EXPECT_FALSE(res.completed[0]);
+    EXPECT_FALSE(res.completed[1]);
+}
+
+TEST(CampaignLedgerTest, LateResultCompletesAFailedCell)
+{
+    CellLedgerOptions opt;
+    CellLedger ledger(opt, "k", 2);
+    ASSERT_TRUE(ledger.open().ok());
+    // maxRetries = 0: the first failure quarantines both cells.
+    EXPECT_FALSE(
+        ledger.fail(0, ErrorKind::Worker, "lost").has_value());
+    EXPECT_FALSE(
+        ledger.fail(1, ErrorKind::Worker, "lost").has_value());
+    ASSERT_TRUE(ledger.quarantined(1));
+
+    // The straggler's copy lands after all.
+    std::string line = encodeSummaryLine(1, cellSummary(1));
+    ledger.complete(1, cellSummary(1), line);
+    EXPECT_TRUE(ledger.completed(1));
+    EXPECT_FALSE(ledger.quarantined(1));
+    EXPECT_EQ(ledger.line(1), line);
+
+    CampaignResult res = ledger.finish(false);
+    EXPECT_TRUE(res.completed[1]);
+    EXPECT_EQ(res.summaries[1].refs, cellSummary(1).refs);
+    ASSERT_EQ(res.quarantined.size(), 1u);
+    EXPECT_EQ(res.quarantined[0].index, 0u);
+}
+
+TEST(CampaignLedgerTest, TornAppendOrderedJournalResumesToCanonicalBytes)
+{
+    TempPath ck("ledger_torn.ckpt");
+    const std::size_t n = 4;
+    std::string torn = encodeSummaryLine(1, cellSummary(1));
+    {
+        // Completion order 2, 0, then a kill halfway through cell 1.
+        std::ofstream out(ck.path, std::ios::trunc);
+        out << "vrc-campaign-checkpoint v1\nkey key1 cells " << n
+            << "\n"
+            << encodeSummaryLine(2, cellSummary(2)) << "\n"
+            << encodeSummaryLine(0, cellSummary(0)) << "\n"
+            << torn.substr(0, torn.size() / 2);
+    }
+    CellLedgerOptions opt;
+    opt.checkpoint = ck.path;
+    opt.resume = true;
+    CellLedger ledger(opt, "key1", n);
+    ASSERT_TRUE(ledger.open().ok());
+    EXPECT_TRUE(ledger.completed(0));
+    EXPECT_FALSE(ledger.completed(1));
+    EXPECT_TRUE(ledger.completed(2));
+    for (std::size_t i : {3u, 1u})
+        ledger.complete(i, cellSummary(i),
+                        encodeSummaryLine(i, cellSummary(i)));
+    CampaignResult res = ledger.finish(false);
+    EXPECT_EQ(res.restored, 2u);
+    EXPECT_EQ(res.completedCells(), n);
+
+    std::string expect = "vrc-campaign-checkpoint v1\nkey key1 cells " +
+                         std::to_string(n) + "\n";
+    for (std::size_t i = 0; i < n; ++i)
+        expect += encodeSummaryLine(i, cellSummary(i)) + "\n";
+    EXPECT_EQ(slurp(ck.path), expect);
 }
 
 } // namespace

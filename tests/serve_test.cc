@@ -194,6 +194,49 @@ TEST(ServeTest, WellFormedBadContentKeepsSessionAlive)
     EXPECT_EQ(server.stats().sessionsPoisoned, 0u);
 }
 
+TEST(ServeTest, BadCacheSizeIsRefusedAndSessionSurvives)
+{
+    TempSock sock("serve_badsize.sock");
+    ServeOptions opt;
+    opt.unixPath = sock.path;
+    ServeServer server(opt);
+    ASSERT_TRUE(server.start().ok());
+
+    ServeClient c;
+    attach(c, sock.path, "oversized");
+    // Not a power of two, zero, smaller than a page, and a power of
+    // two over the cap: the first three would have reached a panic in
+    // the hierarchy's constructors and taken the server down.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> bad = {
+        {3000, 256 * 1024}, {16 * 1024, 0}, {256, 1024},
+        {16 * 1024, kMaxCacheBytes * 2}};
+    std::uint64_t seg = 1;
+    for (auto [l1, l2] : bad) {
+        SubmitRequest req = submitFor(seg, 0, 64);
+        req.job.l1Size = l1;
+        req.job.l2Size = l2;
+        ASSERT_TRUE(c.submit(req).ok());
+        auto err = c.readFrame(10.0);
+        ASSERT_TRUE(err.ok()) << err.error().describe();
+        ASSERT_EQ(err.value().type, FrameType::Error);
+        auto e = decodeErrorReply(err.value().payload);
+        ASSERT_TRUE(e.ok());
+        EXPECT_EQ(e.value().segmentId, seg);
+        EXPECT_EQ(e.value().kind, ErrorKind::Bounds);
+        ++seg;
+    }
+
+    // Same connection, valid request: still served.
+    ASSERT_TRUE(c.submit(submitFor(seg, 0, 256)).ok());
+    auto fr = c.readFrame(60.0);
+    ASSERT_TRUE(fr.ok()) << fr.error().describe();
+    EXPECT_EQ(fr.value().type, FrameType::Result);
+
+    server.requestDrain();
+    EXPECT_EQ(server.waitUntilDrained(), 0);
+    EXPECT_EQ(server.stats().sessionsPoisoned, 0u);
+}
+
 TEST(ServeTest, PerClientCapShedsExcessSubmits)
 {
     TempSock sock("serve_shed.sock");

@@ -3,7 +3,8 @@
  * Distributed sweep sharding tests: stable cell ids, merge
  * determinism and conflict refusal, and an in-process coordinator +
  * worker end-to-end run proved byte-identical to the single-process
- * campaign -- including under an injected straggler.
+ * campaign -- including under an injected straggler -- and a fake
+ * worker that fails every cell until the coordinator quarantines it.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include <vector>
 
 #include "base/fault.hh"
+#include "serve/client.hh"
+#include "serve/wire.hh"
 #include "sim/campaign.hh"
 #include "sim/shard.hh"
 #include "trace/generator.hh"
@@ -295,6 +298,7 @@ TEST(ShardCoordinatorTest, TwoWorkersMatchSingleProcessByteForByte)
     ShardCoordinatorOptions so;
     so.checkpoint = distCkpt;
     so.cellsPerShard = 2;
+    so.maxRetries = 2;
     E2eResult dist = runCoordinated(so, 2, "match");
 
     EXPECT_EQ(dist.json, baseJson);
@@ -314,6 +318,7 @@ TEST(ShardCoordinatorTest, ResumeRedispatchesOnlyMissingCells)
     // header + two cells -- exactly what a killed coordinator leaves.
     ShardCoordinatorOptions so;
     so.checkpoint = ckpt;
+    so.maxRetries = 2;
     E2eResult full = runCoordinated(so, 2, "resume-a");
     std::string finished = full.journal;
 
@@ -389,6 +394,69 @@ TEST(ShardCoordinatorTest, StragglerIsSpeculativelyRedispatched)
     ASSERT_TRUE(baseline.ok());
     EXPECT_EQ(dist.json, campaignResultToJson(baseline.value()));
     std::remove(ckpt.c_str());
+}
+
+TEST(ShardCoordinatorTest, CellQuarantinedAfterRetriesExhausted)
+{
+    // A fake worker that fails every cell it is given: each cell must
+    // be re-dispatched maxRetries times and then quarantined with the
+    // same attempt count the in-process sweep would report.
+    TraceBundle bundle = smallBundle();
+    std::vector<SimJob> jobs = smallGrid();
+    const std::string manifest = "shard_quarantine.manifest";
+    std::remove(manifest.c_str());
+
+    ShardCoordinatorOptions so;
+    so.listenTcp = 0;
+    so.profileScale = 0.002;
+    so.cellsPerShard = 2;
+    so.maxRetries = 2;
+    so.backoffSeconds = 0.001;
+    so.manifest = manifest;
+    ShardCoordinator coordinator(so);
+    ASSERT_TRUE(coordinator.bind().ok());
+    int port = coordinator.tcpPort();
+
+    std::thread fake([port] {
+        ServeClient c;
+        ASSERT_TRUE(c.connectTcp(port).ok());
+        ASSERT_TRUE(c.hello("always-fails").ok());
+        for (;;) {
+            Result<Frame> fr = c.readFrame(30.0);
+            if (!fr || fr.value().type != FrameType::ShardAssign)
+                return;
+            Result<ShardAssignment> a =
+                decodeShardAssign(fr.value().payload);
+            ASSERT_TRUE(a.ok()) << a.error().describe();
+            ShardDoneReply done;
+            done.assignId = a.value().assignId;
+            for (const ShardCell &cell : a.value().cells)
+                done.failures.push_back(
+                    {cell.index, ErrorKind::Worker, "no luck"});
+            if (!c.send(encodeShardDone(done)))
+                return;
+        }
+    });
+    Result<CampaignResult> run = coordinator.run(bundle, jobs);
+    fake.join();
+
+    ASSERT_TRUE(run.ok()) << run.error().describe();
+    const CampaignResult &res = run.value();
+    EXPECT_EQ(res.completedCells(), 0u);
+    ASSERT_EQ(res.quarantined.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(res.quarantined[i].index, i);
+        EXPECT_EQ(res.quarantined[i].attempts, so.maxRetries + 1);
+        EXPECT_EQ(res.quarantined[i].error, "no luck");
+    }
+    std::string m = slurp(manifest);
+    EXPECT_EQ(m, failureManifestToJson(res) + "\n");
+    std::size_t entries = 0;
+    for (std::size_t at = m.find("\"attempts\":3");
+         at != std::string::npos; at = m.find("\"attempts\":3", at + 1))
+        ++entries;
+    EXPECT_EQ(entries, jobs.size());
+    std::remove(manifest.c_str());
 }
 
 } // namespace

@@ -517,15 +517,11 @@ main(int argc, char **argv)
         probeWritable("failure manifest (--manifest)",
                       campaign.manifest);
         ShardCoordinatorOptions co;
+        static_cast<CellLedgerOptions &>(co) = campaign;
         co.listenUnix = serve_opt.unixPath;
         co.listenTcp = serve_opt.tcpPort;
         co.profileScale = scale;
         co.cellsPerShard = shard_cells;
-        co.deadlineSeconds = campaign.deadlineSeconds;
-        co.maxRetries = campaign.maxRetries;
-        co.checkpoint = campaign.checkpoint;
-        co.resume = campaign.resume;
-        co.manifest = campaign.manifest;
         return runCoordinate(generateTrace(profile), co, json,
                              out_path, timing_mode);
     }
@@ -551,13 +547,6 @@ main(int argc, char **argv)
         return runSweep(bundle, campaign, json, out_path, timing_mode);
     }
 
-    std::vector<TraceRecord> records;
-    if (!trace_path.empty()) {
-        records = loadTrace(trace_path);
-    } else if (!stream) {
-        records = generateTrace(profile).records;
-    }
-
     MachineConfig mc =
         makeMachineConfig(kind, l1, l2, profile.pageSize, split);
     mc.hierarchy.l1.assoc = assoc1;
@@ -569,6 +558,18 @@ main(int argc, char **argv)
     mc.timingMode = timing_mode;
     if (check)
         mc.invariantPeriod = 10'000;
+    Status sizes = checkCacheSizes(mc);
+    if (!sizes) {
+        std::cerr << "vrc_sim: " << sizes.error().message << "\n";
+        usage();
+    }
+
+    std::vector<TraceRecord> records;
+    if (!trace_path.empty()) {
+        records = loadTrace(trace_path);
+    } else if (!stream) {
+        records = generateTrace(profile).records;
+    }
 
     MpSimulator sim(mc, profile);
 
