@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks: raw throughput of the building
- * blocks (tag store, TLB, trace generation) and end-to-end simulation
- * speed for each organization, in references per second.
+ * blocks (tag store, V-/R-cache searches, TLB, trace generation) and
+ * end-to-end simulation speed for each organization, in references per
+ * second.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "cache/tag_store.hh"
+#include "core/rcache.hh"
+#include "core/vcache.hh"
 #include "sim/experiment.hh"
 #include "trace/trace_stream.hh"
 #include "vm/tlb.hh"
@@ -32,6 +35,55 @@ BM_TagStoreLookupHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TagStoreLookupHit);
+
+/** Blocks the cache-level lookup benchmarks keep resident and cycle. */
+constexpr std::uint32_t kResidentBlocks = 64;
+
+/**
+ * A V-cache hit through VCache::lookup, the search the replay makes on
+ * every reference (16 KiB, 16 B blocks, direct-mapped, as the paper).
+ * Unlike BM_TagStoreLookupHit this crosses the class's interface, so it
+ * sees what returning the optional location costs. Only the set index
+ * is kept live: pinning the whole optional in memory would add a
+ * store/reload of its own to the loop.
+ */
+void
+BM_VCacheLookupHit(benchmark::State &state)
+{
+    VCache vc(CacheParams{16 * 1024, 16, 1, ReplPolicy::LRU});
+    for (std::uint32_t i = 0; i < kResidentBlocks; ++i) {
+        VirtAddr va(0x10000 + i * 16);
+        vc.install(vc.victimFor(va), va, 0x80000 + i * 16, false);
+    }
+    std::uint32_t i = 0;
+    for (auto _ : state) {
+        VirtAddr va(0x10000 + (i++ % kResidentBlocks) * 16);
+        auto ref = vc.lookup(va);
+        benchmark::DoNotOptimize(ref ? ref->set : ~0u);
+    }
+}
+BENCHMARK(BM_VCacheLookupHit);
+
+/**
+ * A hit through RCache::probe, the recency-free search of every
+ * level-1 miss, percolation and snoop (256 KiB, 16 B blocks).
+ */
+void
+BM_RCacheProbe(benchmark::State &state)
+{
+    RCache rc(CacheParams{256 * 1024, 16, 1, ReplPolicy::LRU}, 16);
+    for (std::uint32_t i = 0; i < kResidentBlocks; ++i) {
+        PhysAddr pa(0x80000 + i * 16);
+        rc.install(rc.victimFor(pa).first, pa, CoherenceState::Private);
+    }
+    std::uint32_t i = 0;
+    for (auto _ : state) {
+        PhysAddr pa(0x80000 + (i++ % kResidentBlocks) * 16);
+        auto ref = rc.probe(pa);
+        benchmark::DoNotOptimize(ref ? ref->set : ~0u);
+    }
+}
+BENCHMARK(BM_RCacheProbe);
 
 void
 BM_TagStoreFillEvict(benchmark::State &state)

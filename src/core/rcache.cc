@@ -1,7 +1,5 @@
 #include "core/rcache.hh"
 
-#include <algorithm>
-
 #include "base/bitops.hh"
 #include "base/log.hh"
 
@@ -36,41 +34,6 @@ RCache::faultTarget(std::uint64_t h) const
     return LineRef{static_cast<std::uint32_t>(h % g.numSets()),
                    static_cast<std::uint32_t>((h / g.numSets()) %
                                               g.assoc())};
-}
-
-std::optional<LineRef>
-RCache::lookup(PhysAddr pa)
-{
-    auto ref = _tags.find(pa.value());
-    if (ref)
-        _tags.touch(*ref);
-    return ref;
-}
-
-std::optional<LineRef>
-RCache::probe(PhysAddr pa) const
-{
-    return _tags.find(pa.value());
-}
-
-std::pair<LineRef, bool>
-RCache::victimFor(PhysAddr pa)
-{
-    std::uint32_t set = _tags.geometry().setIndex(pa.value());
-    LineRef slot = _tags.victimWhere(
-        set, [this](LineRef ref, const Line &) { return noChildren(ref); });
-    bool forced = _tags.line(slot).valid && !noChildren(slot);
-    return {slot, forced};
-}
-
-RCache::Line
-RCache::install(LineRef slot, PhysAddr pa, CoherenceState state)
-{
-    Line l = _tags.fill(slot, pa.value());
-    l.meta.state = state;
-    l.meta.rdirty = false;
-    std::fill_n(&_subs[firstSub(slot)], _subCount, RSubentry{});
-    return l;
 }
 
 } // namespace vrc

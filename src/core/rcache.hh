@@ -28,11 +28,17 @@
  * they sit next to their neighbours rather than behind a per-line heap
  * pointer, and building or destroying a simulator allocates or frees
  * nothing per line.
+ *
+ * For the same reason lookup(), probe(), victimFor() and install() are
+ * defined in this header: they inline into the hierarchy, so their
+ * std::optional and std::pair results never cross a translation unit
+ * (DESIGN.md §12, "The per-reference path").
  */
 
 #ifndef VRC_CORE_RCACHE_HH
 #define VRC_CORE_RCACHE_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -40,6 +46,7 @@
 #include <memory>
 #include <optional>
 #include <type_traits>
+#include <utility>
 
 #include "base/addr.hh"
 #include "cache/tag_store.hh"
@@ -111,10 +118,21 @@ class RCache
     using Line = Store::Line;
 
     /** Look up a physical address. Updates recency on hit. */
-    std::optional<LineRef> lookup(PhysAddr pa);
+    std::optional<LineRef>
+    lookup(PhysAddr pa)
+    {
+        auto ref = _tags.find(pa.value());
+        if (ref)
+            _tags.touch(*ref);
+        return ref;
+    }
 
     /** Look up without touching recency (snoop path). */
-    std::optional<LineRef> probe(PhysAddr pa) const;
+    std::optional<LineRef>
+    probe(PhysAddr pa) const
+    {
+        return _tags.find(pa.value());
+    }
 
     /**
      * Choose a victim for @p pa's set under the paper's *relaxed
@@ -124,13 +142,30 @@ class RCache
      *
      * @return the slot, and whether the fallback case was taken.
      */
-    std::pair<LineRef, bool> victimFor(PhysAddr pa);
+    std::pair<LineRef, bool>
+    victimFor(PhysAddr pa)
+    {
+        std::uint32_t set = _tags.geometry().setIndex(pa.value());
+        LineRef slot = _tags.victimWhere(
+            set,
+            [this](LineRef ref, const Line &) { return noChildren(ref); });
+        bool forced = _tags.line(slot).valid && !noChildren(slot);
+        return {slot, forced};
+    }
 
     /**
      * Install a line for @p pa into @p slot and reset its subentries
      * (invalidate() leaves them stale: only valid lines' are read).
      */
-    Line install(LineRef slot, PhysAddr pa, CoherenceState state);
+    Line
+    install(LineRef slot, PhysAddr pa, CoherenceState state)
+    {
+        Line l = _tags.fill(slot, pa.value());
+        l.meta.state = state;
+        l.meta.rdirty = false;
+        std::fill_n(&_subs[firstSub(slot)], _subCount, RSubentry{});
+        return l;
+    }
 
     /** Invalidate one line. */
     void invalidate(LineRef slot) { _tags.invalidate(slot); }

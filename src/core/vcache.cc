@@ -15,43 +15,6 @@ VCache::VCache(const CacheParams &params, std::uint64_t seed,
     _tags.setProtection(params.protection);
 }
 
-std::optional<LineRef>
-VCache::lookup(VirtAddr va)
-{
-    auto ref = _tags.find(va.value());
-    if (!ref)
-        return std::nullopt;
-    Line l = _tags.line(*ref);
-    if (l.meta.swappedValid)
-        return std::nullopt;  // present but invalid for the new process
-    _tags.touch(*ref);
-    return ref;
-}
-
-LineRef
-VCache::victimFor(VirtAddr va)
-{
-    // A stale line with the *same tag* (necessarily swapped-valid or it
-    // would have hit) must be the victim: tags stay unique per set, so
-    // lookups and reverse pointers are never ambiguous. This also makes
-    // the re-touch of a swapped block replace exactly its old slot,
-    // enabling the write-back cancel.
-    if (auto stale = _tags.find(va.value()))
-        return *stale;
-    return _tags.victim(va.value());
-}
-
-VCache::Line
-VCache::install(LineRef slot, VirtAddr va, std::uint32_t pa_block,
-                bool dirty)
-{
-    Line l = _tags.fill(slot, va.value());
-    l.meta.dirty = dirty;
-    l.meta.swappedValid = false;
-    l.meta.physBlockAddr = pa_block;
-    return l;
-}
-
 void
 VCache::retag(LineRef slot, VirtAddr va)
 {
@@ -71,12 +34,6 @@ VCache::markAllSwapped()
         if (l.valid)
             l.meta.swappedValid = true;
     });
-}
-
-std::optional<LineRef>
-VCache::findOccupied(std::uint32_t va_block) const
-{
-    return _tags.find(va_block);
 }
 
 LineRef

@@ -21,6 +21,13 @@
  * organization), which also verifies that the architected bits
  * reconstruct the same R-cache set; this cache only provides the
  * storage.
+ *
+ * The searches the replay makes on every reference -- lookup(),
+ * victimFor(), findOccupied() and install() -- are defined here in the
+ * header so they inline into the hierarchy: their std::optional
+ * results then stay in registers instead of crossing a translation
+ * unit through a stack temporary (DESIGN.md §12, "The per-reference
+ * path").
  */
 
 #ifndef VRC_CORE_VCACHE_HH
@@ -70,10 +77,32 @@ class VCache
      * @return the line location on a *valid* hit (present and not
      *         swapped), nullopt otherwise. Updates recency on hit.
      */
-    std::optional<LineRef> lookup(VirtAddr va);
+    std::optional<LineRef>
+    lookup(VirtAddr va)
+    {
+        auto ref = _tags.find(va.value());
+        if (!ref)
+            return std::nullopt;
+        Line l = _tags.line(*ref);
+        if (l.meta.swappedValid)
+            return std::nullopt;  // present but invalid for the new process
+        _tags.touch(*ref);
+        return ref;
+    }
 
     /** Pick the replacement victim for @p va's set. */
-    LineRef victimFor(VirtAddr va);
+    LineRef
+    victimFor(VirtAddr va)
+    {
+        // A stale line with the *same tag* (necessarily swapped-valid or
+        // it would have hit) must be the victim: tags stay unique per
+        // set, so lookups and reverse pointers are never ambiguous. This
+        // also makes the re-touch of a swapped block replace exactly its
+        // old slot, enabling the write-back cancel.
+        if (auto stale = _tags.find(va.value()))
+            return *stale;
+        return _tags.victim(va.value());
+    }
 
     /**
      * Install a block for @p va into @p slot. The architected
@@ -83,8 +112,15 @@ class VCache
      * @param pa_block block-aligned physical address
      * @param dirty    initial dirty state
      */
-    Line install(LineRef slot, VirtAddr va, std::uint32_t pa_block,
-                 bool dirty);
+    Line
+    install(LineRef slot, VirtAddr va, std::uint32_t pa_block, bool dirty)
+    {
+        Line l = _tags.fill(slot, va.value());
+        l.meta.dirty = dirty;
+        l.meta.swappedValid = false;
+        l.meta.physBlockAddr = pa_block;
+        return l;
+    }
 
     /**
      * Re-tag an existing line to a new virtual address without moving
@@ -121,7 +157,11 @@ class VCache
      * Find the occupied line (valid or swapped) holding virtual block
      * @p va_block, if any. Does not update recency.
      */
-    std::optional<LineRef> findOccupied(std::uint32_t va_block) const;
+    std::optional<LineRef>
+    findOccupied(std::uint32_t va_block) const
+    {
+        return _tags.find(va_block);
+    }
 
     /**
      * Location a soft-error strike with parameter hash @p h lands on

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -40,6 +41,29 @@ storeCaseName(const ::testing::TestParamInfo<StoreCase> &info)
 class TagStoreParamTest : public ::testing::TestWithParam<StoreCase>
 {
 };
+
+/** The geometries where LRU stamp order is observable: LRU, w > 1. */
+class TagStoreLruTest : public TagStoreParamTest
+{
+};
+
+const std::vector<StoreCase> kStoreCases = {
+    {512, 16, 1, ReplPolicy::LRU},     {512, 16, 2, ReplPolicy::LRU},
+    {1024, 32, 4, ReplPolicy::LRU},    {1024, 16, 1, ReplPolicy::FIFO},
+    {2048, 64, 2, ReplPolicy::FIFO},   {512, 16, 2, ReplPolicy::Random},
+    {4096, 16, 8, ReplPolicy::Random}, {1024, 16, 64, ReplPolicy::LRU},
+};
+
+std::vector<StoreCase>
+lruStoreCases()
+{
+    std::vector<StoreCase> lru;
+    std::copy_if(kStoreCases.begin(), kStoreCases.end(),
+                 std::back_inserter(lru), [](const StoreCase &c) {
+                     return c.policy == ReplPolicy::LRU && c.assoc > 1;
+                 });
+    return lru;
+}
 
 TEST_P(TagStoreParamTest, FillFindInvalidateCycle)
 {
@@ -219,11 +243,9 @@ TEST_P(TagStoreParamTest, ParallelArraysStayCoherentUnderRandomOps)
  * must order ways exactly by touch recency -- the victim of a full
  * set is always the least recently touched way, for any permutation.
  */
-TEST_P(TagStoreParamTest, LruVictimMatchesTouchOrder)
+TEST_P(TagStoreLruTest, LruVictimMatchesTouchOrder)
 {
     const StoreCase &c = GetParam();
-    if (c.policy != ReplPolicy::LRU || c.assoc < 2)
-        GTEST_SKIP() << "stamp order is only observable for LRU, w>1";
     CacheGeometry g(c.size, c.block, c.assoc);
     TagStore<int> store(g, c.policy, 29);
     // Fill set 0 completely.
@@ -385,17 +407,11 @@ TEST_P(TagStoreParamTest, MatchesLegacyReferenceUnderRandomOps)
     });
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, TagStoreParamTest,
-    ::testing::Values(StoreCase{512, 16, 1, ReplPolicy::LRU},
-                      StoreCase{512, 16, 2, ReplPolicy::LRU},
-                      StoreCase{1024, 32, 4, ReplPolicy::LRU},
-                      StoreCase{1024, 16, 1, ReplPolicy::FIFO},
-                      StoreCase{2048, 64, 2, ReplPolicy::FIFO},
-                      StoreCase{512, 16, 2, ReplPolicy::Random},
-                      StoreCase{4096, 16, 8, ReplPolicy::Random},
-                      StoreCase{1024, 16, 64, ReplPolicy::LRU}),
-    storeCaseName);
+INSTANTIATE_TEST_SUITE_P(Geometries, TagStoreParamTest,
+                         ::testing::ValuesIn(kStoreCases), storeCaseName);
+INSTANTIATE_TEST_SUITE_P(Geometries, TagStoreLruTest,
+                         ::testing::ValuesIn(lruStoreCases()),
+                         storeCaseName);
 
 } // namespace
 } // namespace vrc

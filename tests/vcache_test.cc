@@ -100,6 +100,36 @@ TEST(VCacheTest, ConflictingBlocksShareSetDirectMapped)
     EXPECT_TRUE(vc.line(slot).valid) << "victim is the conflicting block";
 }
 
+/**
+ * In a 2-way set the stale same-tag line, not the LRU way, is the
+ * victim: tags must stay unique per set. After a context switch leaves
+ * both ways swapped, with the other way least recently used,
+ * victimFor() must still pick the swapped copy of the same block, which
+ * findOccupied() finds and lookup() does not.
+ */
+TEST(VCacheTest, SwappedSameTagIsVictimOverLruWayTwoWay)
+{
+    VCache vc(CacheParams{4 * 1024, 16, 2, ReplPolicy::LRU});
+    VirtAddr older(0x1000), newer(0x1000 + 2 * 1024);
+    ASSERT_EQ(vc.setIndex(older), vc.setIndex(newer));
+    LineRef older_slot = vc.victimFor(older);
+    vc.install(older_slot, older, 0x100, true);
+    LineRef newer_slot = vc.victimFor(newer);
+    vc.install(newer_slot, newer, 0x200, false);
+    ASSERT_NE(older_slot.way, newer_slot.way);
+    vc.markAllSwapped();
+
+    ASSERT_EQ(vc.tags().victim(newer.value()), older_slot)
+        << "the base policy would evict the LRU way";
+    EXPECT_EQ(vc.victimFor(newer), newer_slot);
+
+    auto occ = vc.findOccupied(newer.value());
+    ASSERT_TRUE(occ.has_value());
+    EXPECT_EQ(*occ, newer_slot);
+    EXPECT_TRUE(vc.line(*occ).meta.swappedValid);
+    EXPECT_FALSE(vc.lookup(newer).has_value());
+}
+
 TEST(VCacheTest, LineVAddrRoundTrip)
 {
     VCache vc(smallParams());
