@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fault.hh"
 #include "core/timing.hh"
 #include "sim/campaign.hh"
 #include "sim/experiment.hh"
@@ -398,6 +399,72 @@ TEST(GoldenStats, CycleEngineSummaries)
                         TimingMode::Cycle});
     }
     compareGolden("cycle_pops", summaryLines(bundle, jobs));
+}
+
+/**
+ * Soft-error drift net: every organization under each array-protection
+ * policy, armed with bench_soft_error_avf's strike spec. Pins how each
+ * strike resolved (the soft_* counters of the hierarchies and the bus),
+ * the machine checks and presence scrubs, the bus transactions the
+ * recoveries added, and where and why a run halted.
+ */
+TEST(GoldenStats, SoftErrorAvf)
+{
+    struct Disarm
+    {
+        ~Disarm() { disarmSoftErrors(); }
+    } disarm;
+
+    const TraceBundle &bundle = goldenTrace("pops");
+    std::vector<std::string> lines;
+    for (HierarchyKind kind : kAllHierarchyKinds) {
+        for (ArrayProtection prot :
+             {ArrayProtection::None, ArrayProtection::Parity,
+              ArrayProtection::Secded}) {
+            ASSERT_TRUE(configureSoftErrors(
+                "seed=97,tag=5e-4,state=1e-4,ptr=1e-4,bus=2e-5"));
+            MachineConfig mc =
+                makeMachineConfig(kind, 16 * 1024, 256 * 1024,
+                                  bundle.profile.pageSize);
+            mc.hierarchy.l1.protection = prot;
+            mc.hierarchy.l2.protection = prot;
+            MpSimulator sim(mc, bundle.profile);
+
+            std::uint64_t refs = 0;
+            std::string halt = "none";
+            try {
+                for (const TraceRecord &rec : bundle.records) {
+                    sim.step(rec);
+                    ++refs;
+                }
+            } catch (const FaultUnrecoverable &e) {
+                halt = e.what();
+            }
+            lines.push_back(std::string("cell ") +
+                            hierarchyKindArg(kind) + " " +
+                            arrayProtectionName(prot) + " refs " +
+                            std::to_string(refs) + " halt " + halt);
+
+            std::map<std::string, std::uint64_t> ctrs;
+            auto collect = [&](const StatGroup &sg) {
+                for (const auto &[key, c] : sg.all()) {
+                    if (key.rfind("soft_", 0) == 0 ||
+                        key == "machine_checks" ||
+                        key == "presence_scrubs") {
+                        ctrs[sg.name() + "." + key] += c.value();
+                    }
+                }
+            };
+            for (CpuId c = 0; c < sim.cpuCount(); ++c)
+                collect(sim.hierarchy(c).stats());
+            collect(sim.bus().stats());
+            for (const auto &[key, v] : ctrs)
+                lines.push_back("  " + key + " " + std::to_string(v));
+            lines.push_back("  bus_transactions " +
+                            std::to_string(sim.bus().transactions()));
+        }
+    }
+    compareGolden("soft_error_avf", lines);
 }
 
 } // namespace
