@@ -21,10 +21,14 @@
 #ifndef VRC_BASE_FAULT_HH
 #define VRC_BASE_FAULT_HH
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "base/cancel.hh"
 #include "base/error.hh"
@@ -120,6 +124,75 @@ hashSite(const char *site)
         h = (h ^ static_cast<unsigned char>(*p)) *
             0x100000001b3ull;
     return h;
+}
+
+// Value readers of the spec parsers: each stores a valid value and
+// returns nullptr, or returns what the value should have been.
+
+/** A decimal integer that fits @p out: digits only, all consumed. */
+template <typename Int>
+const char *
+readSpecInt(const std::string &val, Int &out)
+{
+    const char *want = "an unsigned integer";
+    if (val.empty() || val.find_first_not_of("0123456789") !=
+                           std::string::npos) {
+        return want;
+    }
+    errno = 0;
+    unsigned long long v = std::strtoull(val.c_str(), nullptr, 10);
+    if (errno == ERANGE || v > std::numeric_limits<Int>::max())
+        return want;
+    out = static_cast<Int>(v);
+    return nullptr;
+}
+
+/**
+ * A finite number no smaller than 0 and no larger than @p max (a
+ * probability when @p max is 1).
+ */
+inline const char *
+readSpecReal(const std::string &val, double max, double &out)
+{
+    char *end = nullptr;
+    double v = std::strtod(val.c_str(), &end);
+    if (val.empty() || *end != '\0' || !std::isfinite(v) || v < 0.0 ||
+        v > max) {
+        return max == 1.0 ? "a probability in [0,1]"
+                          : "a non-negative number";
+    }
+    out = v;
+    return nullptr;
+}
+
+/**
+ * Tokenize a "key=number[,key=number...]" spec -- a bare number is
+ * shorthand for "seed=N", empty entries are skipped -- and hand each
+ * entry to @p read(key, value), which stores it and returns nullptr, or
+ * returns what the entry should have been. @p what names the spec in
+ * the error.
+ */
+template <typename Read>
+Status
+parseSpec(const std::string &spec, const char *what, Read read)
+{
+    std::istringstream is(spec);
+    std::string item;
+    while (std::getline(is, item, ',')) {
+        if (item.empty())
+            continue;
+        std::size_t eq = item.find('=');
+        bool bare = eq == std::string::npos;
+        const char *want = read(bare ? std::string("seed")
+                                     : item.substr(0, eq),
+                                bare ? item : item.substr(eq + 1));
+        if (want) {
+            return makeError(ErrorKind::Parse, "bad ", what,
+                             " spec entry '", item, "' (expected ",
+                             want, ")");
+        }
+    }
+    return okStatus();
 }
 
 } // namespace fault_detail
@@ -270,65 +343,44 @@ maybeInjectShardFault(std::uint64_t cell, std::uint64_t attempt)
 inline Status
 configureFaultInjection(const std::string &spec)
 {
+    using namespace fault_detail;
     FaultConfig cfg;
     bool any_prob = false;
-    std::istringstream is(spec);
-    std::string item;
-    while (std::getline(is, item, ',')) {
-        if (item.empty())
-            continue;
-        std::size_t eq = item.find('=');
-        std::string key =
-            eq == std::string::npos ? item : item.substr(0, eq);
-        std::string val =
-            eq == std::string::npos ? "" : item.substr(eq + 1);
-        char *end = nullptr;
-        if (eq == std::string::npos &&
-            (cfg.seed = std::strtoull(key.c_str(), &end, 10),
-             end && *end == '\0' && cfg.seed)) {
-            continue; // bare "--inject-faults=7"
-        }
-        double num = std::strtod(val.c_str(), &end);
-        if (val.empty() || !end || *end != '\0')
-            return makeError(ErrorKind::Parse,
-                             "bad fault spec entry '", item,
-                             "' (expected key=number)");
-        if (key == "seed") {
-            cfg.seed = static_cast<std::uint64_t>(num);
-        } else if (key == "corrupt") {
-            cfg.corrupt = num;
-            any_prob = true;
-        } else if (key == "truncate") {
-            cfg.truncate = num;
-            any_prob = true;
-        } else if (key == "throw") {
-            cfg.throwProb = num;
-            any_prob = true;
-        } else if (key == "stall") {
-            cfg.stall = num;
-            any_prob = true;
-        } else if (key == "stall_ms") {
-            cfg.stallSeconds = num / 1000.0;
-        } else if (key == "drop") {
-            cfg.connDrop = num;
-            any_prob = true;
-        } else if (key == "tear") {
-            cfg.frameTear = num;
-            any_prob = true;
-        } else if (key == "worker-crash") {
-            cfg.workerCrash = num;
-            any_prob = true;
-        } else if (key == "worker-stall") {
-            cfg.workerStall = num;
-            any_prob = true;
-        } else if (key == "reply-tear") {
-            cfg.replyTear = num;
-            any_prob = true;
-        } else {
-            return makeError(ErrorKind::Parse,
-                             "unknown fault spec key '", key, "'");
-        }
-    }
+    Status parsed = parseSpec(
+        spec, "fault",
+        [&](const std::string &key, const std::string &val)
+            -> const char * {
+            if (key == "seed")
+                return readSpecInt(val, cfg.seed);
+            if (key == "stall_ms") {
+                double ms = 0.0;
+                const char *want = readSpecReal(
+                    val, std::numeric_limits<double>::max(), ms);
+                cfg.stallSeconds = ms / 1000.0;
+                return want;
+            }
+            using P = double FaultConfig::*;
+            static const std::pair<const char *, P> probs[] = {
+                {"corrupt", &FaultConfig::corrupt},
+                {"truncate", &FaultConfig::truncate},
+                {"throw", &FaultConfig::throwProb},
+                {"stall", &FaultConfig::stall},
+                {"drop", &FaultConfig::connDrop},
+                {"tear", &FaultConfig::frameTear},
+                {"worker-crash", &FaultConfig::workerCrash},
+                {"worker-stall", &FaultConfig::workerStall},
+                {"reply-tear", &FaultConfig::replyTear},
+            };
+            for (auto [name, prob] : probs) {
+                if (key == name) {
+                    any_prob = true;
+                    return readSpecReal(val, 1.0, cfg.*prob);
+                }
+            }
+            return "a known key";
+        });
+    if (!parsed)
+        return parsed;
     if (!cfg.seed)
         return makeError(ErrorKind::Parse,
                          "fault spec needs a nonzero seed: '", spec,
@@ -428,50 +480,34 @@ softErrorFlips(std::uint64_t h)
 inline Status
 configureSoftErrors(const std::string &spec)
 {
+    using namespace fault_detail;
     SoftErrorConfig cfg;
     bool any_prob = false;
-    std::istringstream is(spec);
-    std::string item;
-    while (std::getline(is, item, ',')) {
-        if (item.empty())
-            continue;
-        std::size_t eq = item.find('=');
-        std::string key =
-            eq == std::string::npos ? item : item.substr(0, eq);
-        std::string val =
-            eq == std::string::npos ? "" : item.substr(eq + 1);
-        char *end = nullptr;
-        if (eq == std::string::npos &&
-            (cfg.seed = std::strtoull(key.c_str(), &end, 10),
-             end && *end == '\0' && cfg.seed)) {
-            continue; // bare "--soft-errors=7"
-        }
-        double num = std::strtod(val.c_str(), &end);
-        if (val.empty() || !end || *end != '\0')
-            return makeError(ErrorKind::Parse,
-                             "bad soft-error spec entry '", item,
-                             "' (expected key=number)");
-        if (key == "seed") {
-            cfg.seed = static_cast<std::uint64_t>(num);
-        } else if (key == "tag") {
-            cfg.tag = num;
-            any_prob = true;
-        } else if (key == "state") {
-            cfg.state = num;
-            any_prob = true;
-        } else if (key == "ptr") {
-            cfg.ptr = num;
-            any_prob = true;
-        } else if (key == "bus") {
-            cfg.bus = num;
-            any_prob = true;
-        } else if (key == "retry") {
-            cfg.busRetryLimit = static_cast<unsigned>(num);
-        } else {
-            return makeError(ErrorKind::Parse,
-                             "unknown soft-error spec key '", key, "'");
-        }
-    }
+    Status parsed = parseSpec(
+        spec, "soft-error",
+        [&](const std::string &key, const std::string &val)
+            -> const char * {
+            if (key == "seed")
+                return readSpecInt(val, cfg.seed);
+            if (key == "retry")
+                return readSpecInt(val, cfg.busRetryLimit);
+            using P = double SoftErrorConfig::*;
+            static const std::pair<const char *, P> probs[] = {
+                {"tag", &SoftErrorConfig::tag},
+                {"state", &SoftErrorConfig::state},
+                {"ptr", &SoftErrorConfig::ptr},
+                {"bus", &SoftErrorConfig::bus},
+            };
+            for (auto [name, prob] : probs) {
+                if (key == name) {
+                    any_prob = true;
+                    return readSpecReal(val, 1.0, cfg.*prob);
+                }
+            }
+            return "a known key";
+        });
+    if (!parsed)
+        return parsed;
     if (!cfg.seed)
         return makeError(ErrorKind::Parse,
                          "soft-error spec needs a nonzero seed: '",

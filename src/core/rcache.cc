@@ -27,13 +27,4 @@ RCache::RCache(const CacheParams &params, std::uint32_t l1_block,
     }
 }
 
-LineRef
-RCache::faultTarget(std::uint64_t h) const
-{
-    const CacheGeometry &g = _tags.geometry();
-    return LineRef{static_cast<std::uint32_t>(h % g.numSets()),
-                   static_cast<std::uint32_t>((h / g.numSets()) %
-                                              g.assoc())};
-}
-
 } // namespace vrc

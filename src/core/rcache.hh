@@ -225,12 +225,6 @@ class RCache
     /** Number of sub-blocks per line (B2 / B1). */
     std::uint32_t subCount() const { return _subCount; }
 
-    /**
-     * Location a soft-error strike with parameter hash @p h lands on
-     * (uniform over the array; may be an invalid cell).
-     */
-    LineRef faultTarget(std::uint64_t h) const;
-
     Line line(LineRef ref) { return _tags.line(ref); }
     Line line(LineRef ref) const { return _tags.line(ref); }
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "base/fault.hh"
 #include "base/log.hh"
-#include "vm/addr_space.hh"
 
 namespace vrc
 {
@@ -12,67 +10,31 @@ namespace vrc
 RrNoInclHierarchy::RrNoInclHierarchy(const HierarchyParams &params,
                                      AddressSpaceManager &spaces,
                                      SharedBus &bus)
-    : _params(params), _spaces(spaces), _bus(bus),
+    : CacheHierarchy(params, spaces, bus, false),
       _l2(CacheGeometry(params.l2.sizeBytes, params.l2.blockBytes,
                         params.l2.assoc),
-          params.l2.policy, 0xbeef, &_arena),
-      _wb(params.writeBufferDepth, params.writeBufferDrainLatency),
-      _tlb(params.tlbEntries, params.tlbAssoc)
+          params.l2.policy, 0xbeef, &_arena)
 {
-    CacheParams l1 = params.l1;
-    if (params.splitL1) {
-        panicIfNot(l1.sizeBytes >= 2 * l1.blockBytes,
-                   "split level-1 cache too small");
-        l1.sizeBytes /= 2;
-    }
+    const CacheParams l1 = l1CacheParams();
     CacheGeometry g1(l1.sizeBytes, l1.blockBytes, l1.assoc);
-    _l1[0] = std::make_unique<L1Store>(g1, l1.policy, 0xaaaa, &_arena);
-    if (params.splitL1)
-        _l1[1] = std::make_unique<L1Store>(g1, l1.policy, 0xbbbb,
-                                           &_arena);
-    for (unsigned i = 0; i < l1Count(); ++i)
-        _l1[i]->setProtection(params.l1.protection);
+    for (unsigned i = 0; i < l1Count(); ++i) {
+        _l1[i] = std::make_unique<L1Store>(g1, l1.policy,
+                                           i ? 0xbbbb : 0xaaaa, &_arena);
+        _l1[i]->setProtection(l1.protection);
+    }
     _l2.setProtection(params.l2.protection);
     _wb.setDrainHandler(
         [this](const WriteBufferEntry &e) { onWriteBufferDrain(e); });
 
     StatGroup &sg = stats();
-    _c.writebackCompletions = &sg.handle("writeback_completions");
-    _c.memoryWrites = &sg.handle("memory_writes");
-    _c.writebacksBypassingL2 = &sg.handle("writebacks_bypassing_l2");
-    _c.invalidationsSent = &sg.handle("invalidations_sent");
-    _c.updatesSent = &sg.handle("updates_sent");
-    _c.wbStalls = &sg.handle("wb_stalls");
-    _c.writebacks = &sg.handle("writebacks");
-    _c.writebackCancels = &sg.handle("writeback_cancels");
-    _c.l2Hits = &sg.handle("l2_hits");
-    _c.bufferPullbacks = &sg.handle("buffer_pullbacks");
-    _c.misses = &sg.handle("misses");
-    _c.fillsFromCache = &sg.handle("fills_from_cache");
-    _c.fillsFromMemory = &sg.handle("fills_from_memory");
-    _c.contextSwitches = &sg.handle("context_switches");
-    _c.l1CoherenceMsgs = &sg.handle("l1_coherence_msgs");
-    _c.l1Probes = &sg.handle("l1_probes");
-    _c.l1Updates = &sg.handle("l1_updates");
-    _c.l1Flushes = &sg.handle("l1_flushes");
-    _c.l1Invalidations = &sg.handle("l1_invalidations");
-    _c.bufferFlushes = &sg.handle("buffer_flushes");
-    _c.bufferInvalidations = &sg.handle("buffer_invalidations");
-    _c.tlbShootdowns = &sg.handle("tlb_shootdowns");
+    _own.writebacksBypassingL2 = &sg.handle("writebacks_bypassing_l2");
+    _own.bufferPullbacks = &sg.handle("buffer_pullbacks");
+    _own.l1Probes = &sg.handle("l1_probes");
 
     // Without inclusion the second level cannot prove what the first
     // level holds, so this hierarchy must see every bus transaction:
     // attach unfilterable (this is the paper's disturbance baseline).
     setCpuId(bus.attach(this));
-}
-
-PhysAddr
-RrNoInclHierarchy::translate(const MemAccess &acc)
-{
-    Ppn ppn = _tlb.translate(acc.pid, acc.va.vpn(_params.pageSize),
-                             _spaces);
-    return makePhysAddr(ppn, acc.va.pageOffset(_params.pageSize),
-                        _params.pageSize);
 }
 
 void
@@ -85,178 +47,49 @@ RrNoInclHierarchy::onWriteBufferDrain(const WriteBufferEntry &entry)
         (*_c.writebackCompletions)++;
     } else {
         (*_c.memoryWrites)++;
-        (*_c.writebacksBypassingL2)++;
+        (*_own.writebacksBypassingL2)++;
     }
 }
+
+// ===== soft-error recovery (the strike path is CacheHierarchy's) =====
 
 void
-RrNoInclHierarchy::issueInvalidate(PhysAddr pa)
+RrNoInclHierarchy::strikeL1(unsigned ci, const char *site, std::uint64_t h)
 {
-    _bus.broadcast(BusTransaction{BusOp::Invalidate,
-                                  PhysAddr(l2Block(pa.value())),
-                                  cpuId()});
-    (*_c.invalidationsSent)++;
-}
-
-bool
-RrNoInclHierarchy::writeToShared(PhysAddr pa, CoherenceState &state)
-{
-    // Clear coherence for a write to a Shared block. Returns true when
-    // the local copy should become dirty (the write stayed local).
-    if (_params.protocol == CoherencePolicy::WriteInvalidate) {
-        issueInvalidate(pa);
-        state = CoherenceState::Private;
-        return true;
-    }
-    BusResult br = _bus.broadcast(BusTransaction{
-        BusOp::Update, PhysAddr(l2Block(pa.value())), cpuId()});
-    (*_c.updatesSent)++;
-    (*_c.memoryWrites)++;
-    state = br.shared ? CoherenceState::Shared : CoherenceState::Private;
-    return false;
-}
-
-// ===== soft-error strikes and recovery (no-inclusion baseline) ======
-//
-// State-preserving like VrHierarchy's model (see vr_hierarchy.cc), but
-// with the recovery options this organization actually has: a detected
-// clean level-1 line may find a copy in level 2 or must refetch over
-// the bus, and a detected *dirty* level-1 line is lost outright --
-// there is no inclusion parent holding the only other copy's metadata.
-
-namespace
-{
-
-template <typename Store>
-LineRef
-strikeTarget(const Store &s, std::uint64_t h)
-{
-    const CacheGeometry &g = s.geometry();
-    return LineRef{static_cast<std::uint32_t>(h % g.numSets()),
-                   static_cast<std::uint32_t>((h / g.numSets()) %
-                                              g.assoc())};
-}
-
-} // namespace
-
-void
-RrNoInclHierarchy::maybeInjectSoftErrors()
-{
-    const SoftErrorConfig &sc = softErrorConfig();
-    const std::uint64_t cpu = cpuId();
-    if (softErrorDecision("l1-tag", cpu, _refIndex, sc.tag)) {
-        strikeL1("soft_faults_tag",
-                 softErrorHash("l1-tag-cell", cpu, _refIndex));
-    }
-    if (softErrorDecision("l2-state", cpu, _refIndex, sc.state)) {
-        strikeL2("soft_faults_state",
-                 softErrorHash("l2-state-cell", cpu, _refIndex));
-    }
-    // No ptr site: this organization keeps no pointer metadata. Fewer
-    // vulnerable arrays -- but costlier recovery for the ones it has.
-}
-
-void
-RrNoInclHierarchy::strikeL1(const char *ctr, std::uint64_t h)
-{
-    unsigned ci = static_cast<unsigned>((h >> 7) % l1Count());
     L1Store &store = *_l1[ci];
-    LineRef ref = strikeTarget(store, h >> 9);
-    softCounter(ctr)++;
-    L1Store::Line l = store.line(ref);
-    if (!l.valid) {
-        softCounter("soft_masked")++;
-        return;
-    }
+    LineRef ref = faultTarget(store, h);
     std::uint32_t block_addr = store.lineAddr(ref);
-    switch (store.absorbFault(softErrorFlips(h))) {
-      case FaultOutcome::Silent:
-        softCounter("soft_silent")++;
+    if (!strikeDetected(store, ref, site, h, block_addr, block_addr))
         return;
-      case FaultOutcome::Corrected:
-        softCounter("soft_corrected")++;
-        emitEvent(EventKind::FaultCorrected, _refIndex, block_addr,
-                  block_addr);
-        return;
-      case FaultOutcome::Detected:
-        break;
-    }
-    softCounter("soft_detected")++;
-    emitEvent(EventKind::FaultDetected, _refIndex, block_addr,
-              block_addr);
-    if (l.meta.dirty) {
+    if (store.line(ref).meta.dirty) {
         // No inclusion parent: the dirty data existed nowhere else.
-        store.noteUncorrectable();
-        store.invalidate(ref);
-        softCounter("machine_checks")++;
-        emitEvent(EventKind::FaultUnrecoverable, _refIndex, 0,
-                  block_addr);
-        throw FaultUnrecoverable(
-            "uncorrectable soft error in a dirty level-1 line "
-            "(no inclusion parent)");
+        machineCheck(store, ref, block_addr,
+                     "uncorrectable soft error in a dirty level-1 line "
+                     "(no inclusion parent)");
     }
     // Clean: level 2 *may* still hold the line -- nothing guarantees
     // it. Probe; on absence pay a full bus refetch.
-    softCounter("soft_recovered")++;
-    if (_l2.find(block_addr)) {
-        softCounter("soft_refetches_l2")++;
-    } else {
-        softCounter("soft_refetches_bus")++;
-        _bus.broadcast(BusTransaction{
-            BusOp::ReadMiss, PhysAddr(l2Block(block_addr)), cpuId()});
-    }
-    emitEvent(EventKind::FaultCorrected, _refIndex, block_addr,
-              block_addr);
+    refetchStruck(!_l2.find(block_addr), block_addr, block_addr);
 }
 
 void
-RrNoInclHierarchy::strikeL2(const char *ctr, std::uint64_t h)
+RrNoInclHierarchy::strikeL2(const char *site, std::uint64_t h)
 {
-    LineRef ref = strikeTarget(_l2, h >> 9);
-    softCounter(ctr)++;
-    L2Store::Line l = _l2.line(ref);
-    if (!l.valid) {
-        softCounter("soft_masked")++;
-        return;
-    }
+    LineRef ref = faultTarget(_l2, h);
     std::uint32_t line_addr = _l2.lineAddr(ref);
-    switch (_l2.absorbFault(softErrorFlips(h))) {
-      case FaultOutcome::Silent:
-        softCounter("soft_silent")++;
+    if (!strikeDetected(_l2, ref, site, h, 0, line_addr))
         return;
-      case FaultOutcome::Corrected:
-        softCounter("soft_corrected")++;
-        emitEvent(EventKind::FaultCorrected, _refIndex, 0, line_addr);
-        return;
-      case FaultOutcome::Detected:
-        break;
+    if (_l2.line(ref).meta.rdirty) {
+        machineCheck(_l2, ref, line_addr,
+                     "uncorrectable soft error in a dirty level-2 line");
     }
-    softCounter("soft_detected")++;
-    emitEvent(EventKind::FaultDetected, _refIndex, 0, line_addr);
-    if (l.meta.rdirty) {
-        _l2.noteUncorrectable();
-        _l2.invalidate(ref);
-        softCounter("machine_checks")++;
-        emitEvent(EventKind::FaultUnrecoverable, _refIndex, 0,
-                  line_addr);
-        throw FaultUnrecoverable(
-            "uncorrectable soft error in a dirty level-2 line");
-    }
-    softCounter("soft_recovered")++;
-    softCounter("soft_refetches_bus")++;
-    _bus.broadcast(
-        BusTransaction{BusOp::ReadMiss, PhysAddr(line_addr), cpuId()});
-    emitEvent(EventKind::FaultCorrected, _refIndex, 0, line_addr);
+    refetchStruck(true, 0, line_addr);
 }
 
 AccessOutcome
 RrNoInclHierarchy::access(const MemAccess &acc)
 {
-    ++_refIndex;
-    _wb.tick(_refIndex);
-    noteRef(acc.type);
-    if (softErrorsArmed())
-        maybeInjectSoftErrors();
+    beginRef(acc.type);
 
     PhysAddr pa = translate(acc);
     std::uint32_t pa_block = l1Block(pa.value());
@@ -268,15 +101,7 @@ RrNoInclHierarchy::access(const MemAccess &acc)
         store.touch(*hit);
         L1Store::Line l = store.line(*hit);
         if (acc.type == RefType::Write && !l.meta.dirty) {
-            bool dirty = true;
-            if (l.meta.state == CoherenceState::Shared) {
-                CoherenceState st = l.meta.state;
-                dirty = writeToShared(pa, st);
-                l.meta.state = st;
-            } else {
-                l.meta.state = CoherenceState::Private;
-            }
-            l.meta.dirty = dirty;
+            l.meta.dirty = writeCoherence(pa, l.meta.state);
             // Keep the level-2 state consistent when it has the line.
             if (auto l2ref = _l2.find(pa_block))
                 _l2.line(*l2ref).meta.state = l.meta.state;
@@ -303,7 +128,7 @@ RrNoInclHierarchy::access(const MemAccess &acc)
         l.meta.state = CoherenceState::Private;
         (*_c.writebackCancels)++;
         (*_c.l2Hits)++;
-        (*_c.bufferPullbacks)++;
+        (*_own.bufferPullbacks)++;
         return AccessOutcome::L2Hit;
     }
 
@@ -311,18 +136,11 @@ RrNoInclHierarchy::access(const MemAccess &acc)
     if (auto l2ref = _l2.find(pa_block)) {
         _l2.touch(*l2ref);
         L2Store::Line l2l = _l2.line(*l2ref);
-        CoherenceState st = l2l.meta.state;
-        bool dirty = acc.type == RefType::Write;
-        if (acc.type == RefType::Write) {
-            if (st == CoherenceState::Shared)
-                dirty = writeToShared(pa, st);
-            else
-                st = CoherenceState::Private;
-            l2l.meta.state = st;
-        }
+        bool dirty = acc.type == RefType::Write &&
+            writeCoherence(pa, l2l.meta.state);
         L1Store::Line l = store.fill(slot, pa_block);
         l.meta.dirty = dirty;
-        l.meta.state = st;
+        l.meta.state = l2l.meta.state;
         (*_c.l2Hits)++;
         return AccessOutcome::L2Hit;
     }
@@ -339,33 +157,8 @@ RrNoInclHierarchy::access(const MemAccess &acc)
     }
     _l2.invalidate(l2slot);
 
-    bool is_write = acc.type == RefType::Write;
-    bool update_protocol =
-        _params.protocol == CoherencePolicy::WriteUpdate;
-    BusOp op = (is_write && !update_protocol) ? BusOp::ReadModWrite
-                                              : BusOp::ReadMiss;
-    BusResult br = _bus.broadcast(
-        BusTransaction{op, PhysAddr(line_addr), cpuId()});
-    (*_c.misses)++;
-    if (br.suppliedByCache)
-        (*_c.fillsFromCache)++;
-    else
-        (*_c.fillsFromMemory)++;
-
     CoherenceState st;
-    bool dirty = is_write;
-    if (is_write && !update_protocol) {
-        st = CoherenceState::Private;
-    } else {
-        st = br.shared ? CoherenceState::Shared : CoherenceState::Private;
-        if (is_write && br.shared) {
-            _bus.broadcast(BusTransaction{
-                BusOp::Update, PhysAddr(line_addr), cpuId()});
-            (*_c.updatesSent)++;
-            (*_c.memoryWrites)++;
-            dirty = false;
-        }
-    }
+    bool dirty = busFill(acc.type, PhysAddr(line_addr), st);
 
     L2Store::Line l2l = _l2.fill(l2slot, line_addr);
     l2l.meta.state = st;
@@ -394,7 +187,7 @@ RrNoInclHierarchy::snoop(const BusTransaction &tx)
     // Without inclusion every foreign transaction disturbs level 1:
     // the level-2 directory cannot prove absence.
     (*_c.l1CoherenceMsgs)++;
-    (*_c.l1Probes)++;
+    (*_own.l1Probes)++;
 
     if (tx.op == BusOp::Update) {
         // Foreign write-update: refresh every copy in place; memory was

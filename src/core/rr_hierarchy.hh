@@ -24,19 +24,12 @@
 #include <cstdint>
 #include <memory>
 
-#include "base/arena.hh"
 #include "cache/tag_store.hh"
-#include "cache/write_buffer.hh"
-#include "coherence/bus.hh"
 #include "coherence/protocol.hh"
-#include "core/config.hh"
 #include "core/hierarchy.hh"
-#include "vm/tlb.hh"
 
 namespace vrc
 {
-
-class AddressSpaceManager;
 
 /** Level-1 line metadata for the non-inclusive hierarchy. */
 struct PLineMeta
@@ -67,24 +60,11 @@ class RrNoInclHierarchy final : public CacheHierarchy
     void forEachCachedLine(
         const std::function<void(PhysAddr)> &fn) const override;
 
-    void
-    tlbShootdown(ProcessId pid, Vpn vpn) override
-    {
-        if (_tlb.invalidate(pid, vpn))
-            (*_c.tlbShootdowns)++;
-    }
-
     using L1Store = TagStore<PLineMeta>;
     using L2Store = TagStore<L2LineMeta>;
 
-    unsigned l1Count() const { return _params.splitL1 ? 2 : 1; }
-
     L1Store &l1(unsigned idx = 0) { return *_l1[idx]; }
     L2Store &l2() { return _l2; }
-    WriteBuffer &writeBuffer() { return _wb; }
-    Tlb &tlb() { return _tlb; }
-
-    const HierarchyParams &params() const { return _params; }
 
     /**
      * Per-reference latency of the non-inclusive baseline: both levels
@@ -108,103 +88,30 @@ class RrNoInclHierarchy final : public CacheHierarchy
     }
 
   private:
-    unsigned
-    l1IndexFor(RefType t) const
-    {
-        return (_params.splitL1 && t == RefType::Instr) ? 1 : 0;
-    }
-
-    std::uint32_t
-    l1Block(std::uint32_t addr) const
-    {
-        return addr & ~(_params.l1.blockBytes - 1);
-    }
-
-    std::uint32_t
-    l2Block(std::uint32_t addr) const
-    {
-        return addr & ~(_params.l2.blockBytes - 1);
-    }
-
-    PhysAddr translate(const MemAccess &acc);
-
     /** Complete a drained write-back: into L2 if present, else memory. */
     void onWriteBufferDrain(const WriteBufferEntry &entry);
 
-    /** Invalidate other caches' copies before a local write. */
-    void issueInvalidate(PhysAddr pa);
-
-    /**
-     * Clear coherence for a write to a Shared block, following the
-     * configured protocol.
-     *
-     * @param state in/out: the new coherence state of the local copy.
-     * @return true if the local copy should be marked dirty.
-     */
-    bool writeToShared(PhysAddr pa, CoherenceState &state);
-
-    // --- soft-error model (base/fault.hh) ----------------------------
+    // --- soft errors: recovery without inclusion -------------------
     //
-    // The no-inclusion contrast case: with no r-pointer/v-pointer
-    // metadata there is no ptr fault site, but a detected-corrupt
-    // level-1 line has no *guaranteed* parent either -- recovery must
-    // probe level 2 and fall back to a bus refetch, and a dirty level-1
-    // line is immediately unrecoverable.
+    // With no r-pointer/v-pointer metadata there is no meta-ptr site,
+    // but a detected-corrupt level-1 line has no *guaranteed* parent
+    // either: a clean one probes level 2 and falls back to a bus
+    // refetch, and a dirty one is immediately unrecoverable.
 
-    /** Schedule this reference's array strikes (pure seed hash). */
-    void maybeInjectSoftErrors();
+    void strikeL1(unsigned ci, const char *site, std::uint64_t h) override;
+    void strikeL2(const char *site, std::uint64_t h) override;
 
-    /** One strike on a level-1 array. */
-    void strikeL1(const char *ctr, std::uint64_t h);
-
-    /** One strike on the level-2 array. */
-    void strikeL2(const char *ctr, std::uint64_t h);
-
-    /** Lazily created soft-error counters (see VrHierarchy). */
-    Counter &softCounter(const char *name)
-    {
-        return stats().counter(name);
-    }
-
-    HierarchyParams _params;
-    AddressSpaceManager &_spaces;
-    SharedBus &_bus;
-
-    /** Per-CPU arena backing both tag stores (must precede them). */
-    Arena _arena;
     std::array<std::unique_ptr<L1Store>, 2> _l1;
     L2Store _l2;
-    WriteBuffer _wb;
-    Tlb _tlb;
-    std::uint64_t _refIndex = 0;
 
-    /** Stats handles resolved once at construction (see StatGroup). */
-    struct Counters
+    /** This organization's own stats handles (see CacheHierarchy). */
+    struct OwnCounters
     {
-        Counter *writebackCompletions;
-        Counter *memoryWrites;
         Counter *writebacksBypassingL2;
-        Counter *invalidationsSent;
-        Counter *updatesSent;
-        Counter *wbStalls;
-        Counter *writebacks;
-        Counter *writebackCancels;
-        Counter *l2Hits;
         Counter *bufferPullbacks;
-        Counter *misses;
-        Counter *fillsFromCache;
-        Counter *fillsFromMemory;
-        Counter *contextSwitches;
-        Counter *l1CoherenceMsgs;
         Counter *l1Probes;
-        Counter *l1Updates;
-        Counter *l1Flushes;
-        Counter *l1Invalidations;
-        Counter *bufferFlushes;
-        Counter *bufferInvalidations;
-        Counter *tlbShootdowns;
     };
-    Counters _c;
+    OwnCounters _own;
 };
 
 } // namespace vrc

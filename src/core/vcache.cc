@@ -36,13 +36,4 @@ VCache::markAllSwapped()
     });
 }
 
-LineRef
-VCache::faultTarget(std::uint64_t h) const
-{
-    const CacheGeometry &g = _tags.geometry();
-    return LineRef{static_cast<std::uint32_t>(h % g.numSets()),
-                   static_cast<std::uint32_t>((h / g.numSets()) %
-                                              g.assoc())};
-}
-
 } // namespace vrc

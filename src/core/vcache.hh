@@ -163,13 +163,6 @@ class VCache
         return _tags.find(va_block);
     }
 
-    /**
-     * Location a soft-error strike with parameter hash @p h lands on
-     * (uniform over the array; the cell may well be invalid, in which
-     * case the strike is architecturally masked).
-     */
-    LineRef faultTarget(std::uint64_t h) const;
-
     const CacheGeometry &geometry() const { return _tags.geometry(); }
     Store &tags() { return _tags; }
     const Store &tags() const { return _tags; }

@@ -4,10 +4,8 @@
 #include <vector>
 
 #include "base/bitops.hh"
-#include "base/fault.hh"
 #include "base/log.hh"
 #include "core/mutation.hh"
-#include "vm/addr_space.hh"
 
 namespace vrc
 {
@@ -15,67 +13,37 @@ namespace vrc
 VrHierarchy::VrHierarchy(const HierarchyParams &params,
                          AddressSpaceManager &spaces, SharedBus &bus,
                          bool l1_virtual, SynonymOrg synonym_org)
-    : _params(params), _spaces(spaces), _bus(bus), _l1Virtual(l1_virtual),
-      _r(params.l2, params.l1.blockBytes, 0x2ca1e, &_arena),
-      _wb(params.writeBufferDepth, params.writeBufferDrainLatency),
-      _tlb(params.tlbEntries, params.tlbAssoc)
+    : CacheHierarchy(params, spaces, bus, true), _l1Virtual(l1_virtual),
+      _r(params.l2, params.l1.blockBytes, 0x2ca1e, &_arena)
 {
-    CacheParams l1 = params.l1;
-    if (params.splitL1) {
-        panicIfNot(l1.sizeBytes >= 2 * l1.blockBytes,
-                   "split level-1 cache too small");
-        l1.sizeBytes /= 2;  // equal I and D halves, as in the paper
-        _l1[0] = std::make_unique<VCache>(l1, 0xdada, &_arena);
-        _l1[1] = std::make_unique<VCache>(l1, 0x1f1f, &_arena);
-    } else {
-        _l1[0] = std::make_unique<VCache>(l1, 0xdada, &_arena);
+    const CacheParams l1 = l1CacheParams();
+    for (unsigned i = 0; i < l1Count(); ++i) {
+        _l1[i] = std::make_unique<VCache>(l1, i ? 0x1f1f : 0xdada, &_arena);
+        // Virtual level-1 tags translate behind the cache (no per-access
+        // translation cost); physical tags (R-R mode) pay the slowdown.
+        _l1[i]->setTranslationFree(l1_virtual);
     }
     _dir = makeSynonymDirectory(synonym_org, params, _l1, l1Count(), _r);
     _backInvalidate = [this](PhysAddr pa, const SynonymChild &child) {
         backInvalidateChild(pa, child);
     };
-    // Virtual level-1 tags translate behind the cache (no per-access
-    // translation cost); physical tags (R-R mode) pay the slowdown.
-    for (auto &vc : _l1) {
-        if (vc)
-            vc->setTranslationFree(l1_virtual);
-    }
 
     _wb.setDrainHandler(
         [this](const WriteBufferEntry &e) { onWriteBufferDrain(e); });
 
     StatGroup &sg = stats();
-    _c.writebackCompletions = &sg.handle("writeback_completions");
-    _c.wbStalls = &sg.handle("wb_stalls");
-    _c.writebacks = &sg.handle("writebacks");
-    _c.swappedWritebacks = &sg.handle("swapped_writebacks");
-    _c.synonymSameset = &sg.handle("synonym_sameset");
-    _c.synonymMoves = &sg.handle("synonym_moves");
-    _c.synonymHits = &sg.handle("synonym_hits");
-    _c.synonymFromBuffer = &sg.handle("synonym_from_buffer");
-    _c.writebackCancels = &sg.handle("writeback_cancels");
-    _c.l2Hits = &sg.handle("l2_hits");
-    _c.invalidationsSent = &sg.handle("invalidations_sent");
-    _c.updatesSent = &sg.handle("updates_sent");
-    _c.memoryWrites = &sg.handle("memory_writes");
-    _c.misses = &sg.handle("misses");
-    _c.fillsFromCache = &sg.handle("fills_from_cache");
-    _c.fillsFromMemory = &sg.handle("fills_from_memory");
-    _c.inclusionInvalidations = &sg.handle("inclusion_invalidations");
-    _c.l1CoherenceMsgs = &sg.handle("l1_coherence_msgs");
-    _c.forcedRReplacements = &sg.handle("forced_r_replacements");
-    _c.contextSwitches = &sg.handle("context_switches");
-    _c.snoops = &sg.handle("snoops");
-    _c.snoopMisses = &sg.handle("snoop_misses");
-    _c.snoopHits = &sg.handle("snoop_hits");
-    _c.l1Flushes = &sg.handle("l1_flushes");
-    _c.bufferFlushes = &sg.handle("buffer_flushes");
-    _c.l1Invalidations = &sg.handle("l1_invalidations");
-    _c.bufferInvalidations = &sg.handle("buffer_invalidations");
-    _c.l1Updates = &sg.handle("l1_updates");
-    _c.tlbShootdowns = &sg.handle("tlb_shootdowns");
+    _own.swappedWritebacks = &sg.handle("swapped_writebacks");
+    _own.synonymSameset = &sg.handle("synonym_sameset");
+    _own.synonymMoves = &sg.handle("synonym_moves");
+    _own.synonymHits = &sg.handle("synonym_hits");
+    _own.synonymFromBuffer = &sg.handle("synonym_from_buffer");
+    _own.inclusionInvalidations = &sg.handle("inclusion_invalidations");
+    _own.forcedRReplacements = &sg.handle("forced_r_replacements");
+    _own.snoops = &sg.handle("snoops");
+    _own.snoopMisses = &sg.handle("snoop_misses");
+    _own.snoopHits = &sg.handle("snoop_hits");
     if (synonym_org == SynonymOrg::ReverseLookup) {
-        _c.rltConflictInvalidations =
+        _own.rltConflictInvalidations =
             &sg.handle("rlt_conflict_invalidations");
     }
 
@@ -83,7 +51,7 @@ VrHierarchy::VrHierarchy(const HierarchyParams &params,
     // on (inclusion holds for both V-R and R-R modes), so the bus may
     // skip us whenever our presence bit is clear.
     setCpuId(bus.attach(
-        this, SnoopAgentInfo{true, _c.snoops, _c.snoopMisses}));
+        this, SnoopAgentInfo{true, _own.snoops, _own.snoopMisses}));
 }
 
 void
@@ -131,7 +99,7 @@ VrHierarchy::evictVVictim(VCache &vc, LineRef slot)
         emitEvent(EventKind::WritebackParked, _refIndex, 0,
                   victim.meta.physBlockAddr);
         if (victim.meta.swappedValid) {
-            (*_c.swappedWritebacks)++;
+            (*_own.swappedWritebacks)++;
             emitEvent(EventKind::SwappedWriteback, _refIndex, 0,
                       victim.meta.physBlockAddr);
         }
@@ -167,7 +135,7 @@ VrHierarchy::backInvalidateChild(PhysAddr pa, const SynonymChild &child)
     panicIfNot(ref.has_value(),
                "directory conflict victim has no level-1 line");
     evictVVictim(oc, *ref);
-    (*_c.rltConflictInvalidations)++;
+    (*_own.rltConflictInvalidations)++;
     (*_c.l1CoherenceMsgs)++;
     emitEvent(EventKind::RltConflictInvalidation, _refIndex,
               child.childAddrBlock, pa.value());
@@ -176,11 +144,7 @@ VrHierarchy::backInvalidateChild(PhysAddr pa, const SynonymChild &child)
 AccessOutcome
 VrHierarchy::access(const MemAccess &acc)
 {
-    ++_refIndex;
-    _wb.tick(_refIndex);
-    noteRef(acc.type);
-    if (softErrorsArmed())
-        maybeInjectSoftErrors();
+    beginRef(acc.type);
 
     unsigned ci = l1IndexFor(acc.type);
     VCache &vc = *_l1[ci];
@@ -205,7 +169,7 @@ VrHierarchy::access(const MemAccess &acc)
             PhysAddr block(l.meta.physBlockAddr);
             auto rref = _r.probe(block);
             panicIfNot(rref.has_value(), "clean V block lost its parent");
-            if (resolveWriteCoherence(_r.line(*rref), block)) {
+            if (writeCoherence(block, _r.line(*rref).meta.state)) {
                 _r.sub(*rref, block).vdirty = true;
                 l.meta.dirty = true;
             }
@@ -230,43 +194,6 @@ VrHierarchy::access(const MemAccess &acc)
     if (auto rref = _r.lookup(pa_block))
         return handleRHit(acc.type, l1_key, ci, slot, *rref, pa_block);
     return handleRMiss(acc.type, l1_key, ci, slot, pa_block);
-}
-
-PhysAddr
-VrHierarchy::translate(const MemAccess &acc)
-{
-    Ppn ppn = _tlb.translate(acc.pid, acc.va.vpn(_params.pageSize),
-                             _spaces);
-    return makePhysAddr(ppn, acc.va.pageOffset(_params.pageSize),
-                        _params.pageSize);
-}
-
-bool
-VrHierarchy::resolveWriteCoherence(RCache::Line rline, PhysAddr pa)
-{
-    if (rline.meta.state != CoherenceState::Shared) {
-        // Exclusive: silent upgrade, the write stays local and dirty.
-        rline.meta.state = CoherenceState::Private;
-        return true;
-    }
-    if (_params.protocol == CoherencePolicy::WriteInvalidate) {
-        _bus.broadcast(BusTransaction{
-            BusOp::Invalidate, PhysAddr(l2Block(pa.value())), cpuId()});
-        (*_c.invalidationsSent)++;
-        rline.meta.state = CoherenceState::Private;
-        return true;
-    }
-    // Write-update: broadcast the new data; every copy (and memory)
-    // absorbs it, so our block stays clean. If nobody acknowledged
-    // sharing, downgrade to Private so later writes stay local
-    // (Firefly's shared-line optimization).
-    BusResult br = _bus.broadcast(BusTransaction{
-        BusOp::Update, PhysAddr(l2Block(pa.value())), cpuId()});
-    (*_c.updatesSent)++;
-    (*_c.memoryWrites)++;  // bus write-through
-    rline.meta.state =
-        br.shared ? CoherenceState::Shared : CoherenceState::Private;
-    return false;
 }
 
 AccessOutcome
@@ -296,7 +223,7 @@ VrHierarchy::handleRHit(RefType type, VirtAddr l1_key, unsigned ci,
             // sameset: re-tag in place, no data movement.
             oc.retag(*child, l1_key);
             data_slot = *child;
-            (*_c.synonymSameset)++;
+            (*_own.synonymSameset)++;
             emitEvent(EventKind::SynonymSameset, _refIndex,
                       l1_key.value(), pa.value());
         } else {
@@ -304,14 +231,14 @@ VrHierarchy::handleRHit(RefType type, VirtAddr l1_key, unsigned ci,
             bool was_dirty = oc.line(*child).meta.dirty;
             oc.invalidate(*child);
             vc.install(slot, l1_key, pa.value(), was_dirty);
-            (*_c.synonymMoves)++;
+            (*_own.synonymMoves)++;
             emitEvent(EventKind::SynonymMove, _refIndex,
                       l1_key.value(), pa.value());
         }
         // Retarget the existing link in place (same physical block, so
         // a bounded directory can never take a conflict here).
         _dir->link(pa, ci, va_block, _backInvalidate);
-        (*_c.synonymHits)++;
+        (*_own.synonymHits)++;
         outcome = AccessOutcome::SynonymHit;
     } else if (s.buffer) {
         // The block sits in the write buffer (for a direct-mapped
@@ -327,8 +254,8 @@ VrHierarchy::handleRHit(RefType type, VirtAddr l1_key, unsigned ci,
         (*_c.writebackCancels)++;
         emitEvent(EventKind::WritebackCancel, _refIndex,
                   l1_key.value(), pa.value());
-        (*_c.synonymHits)++;
-        (*_c.synonymFromBuffer)++;
+        (*_own.synonymHits)++;
+        (*_own.synonymFromBuffer)++;
         outcome = AccessOutcome::SynonymHit;
     } else {
         // Plain second-level hit: data supply to the V-cache.
@@ -343,7 +270,7 @@ VrHierarchy::handleRHit(RefType type, VirtAddr l1_key, unsigned ci,
     }
 
     if (type == RefType::Write) {
-        if (resolveWriteCoherence(rline, pa)) {
+        if (writeCoherence(pa, rline.meta.state)) {
             s.vdirty = true;
             // data_slot is always in vc: the sameset branch requires
             // the synonym to live in the same (target) cache and set.
@@ -368,38 +295,8 @@ VrHierarchy::handleRMiss(RefType type, VirtAddr l1_key, unsigned ci,
     if (_r.line(rslot).valid)
         evictRLine(rslot, forced);
 
-    bool is_write = type == RefType::Write;
-    bool update_protocol =
-        _params.protocol == CoherencePolicy::WriteUpdate;
-
-    // Write misses: invalidation protocols fetch with intent to modify;
-    // update protocols fetch normally and then broadcast the new data
-    // if anyone else holds the block.
-    BusOp op = (is_write && !update_protocol) ? BusOp::ReadModWrite
-                                              : BusOp::ReadMiss;
-    BusResult br =
-        _bus.broadcast(BusTransaction{op, pa_line, cpuId()});
-    (*_c.misses)++;
-    if (br.suppliedByCache)
-        (*_c.fillsFromCache)++;
-    else
-        (*_c.fillsFromMemory)++;
-
     CoherenceState st;
-    bool dirty = is_write;
-    if (is_write && !update_protocol) {
-        st = CoherenceState::Private;  // read-modified-write: exclusive
-    } else {
-        st = br.shared ? CoherenceState::Shared : CoherenceState::Private;
-        if (is_write && br.shared) {
-            // Propagate the write to the other copies and memory.
-            _bus.broadcast(
-                BusTransaction{BusOp::Update, pa_line, cpuId()});
-            (*_c.updatesSent)++;
-            (*_c.memoryWrites)++;
-            dirty = false;
-        }
-    }
+    bool dirty = busFill(type, pa_line, st);
 
     RCache::Line rline = _r.install(rslot, pa_line, st);
     _bus.noteBlockCached(cpuId(), pa_line.value());
@@ -445,7 +342,7 @@ VrHierarchy::evictRLine(LineRef rslot, bool forced)
             oc.invalidate(*child);
             s.inclusion = false;
             _dir->unlink(sub_pa);
-            (*_c.inclusionInvalidations)++;
+            (*_own.inclusionInvalidations)++;
             (*_c.l1CoherenceMsgs)++;
             emitEvent(EventKind::InclusionInvalidation, _refIndex,
                       link->childAddrBlock, sub_addr);
@@ -460,209 +357,88 @@ VrHierarchy::evictRLine(LineRef rslot, bool forced)
     _r.invalidate(rslot);
     _bus.noteBlockUncached(cpuId(), line_addr);
     if (forced)
-        (*_c.forcedRReplacements)++;
+        (*_own.forcedRReplacements)++;
 }
 
-// ===== soft-error strikes and recovery ==============================
-//
-// The model is state-preserving: a strike corrupts *array bits*, not
-// the data the simulator tracks, and every successful recovery refetches
-// bit-identical content -- so with strikes confined to recoverable
-// sites, all architectural statistics stay equal to an unarmed run and
-// only the soft_* counters, the recovery events and the real extra bus
-// transactions differ. That is also what makes the coherence oracle's
-// job tractable: post-recovery state *is* pre-fault state.
+// ===== soft-error recovery (the strike path is CacheHierarchy's) =====
 
 void
-VrHierarchy::maybeInjectSoftErrors()
+VrHierarchy::strikeL1(unsigned ci, const char *site, std::uint64_t h)
 {
-    const SoftErrorConfig &sc = softErrorConfig();
-    const std::uint64_t cpu = cpuId();
-    if (softErrorDecision("l1-tag", cpu, _refIndex, sc.tag)) {
-        strikeL1("soft_faults_tag",
-                 softErrorHash("l1-tag-cell", cpu, _refIndex));
-    }
-    if (softErrorDecision("l2-state", cpu, _refIndex, sc.state)) {
-        strikeL2("soft_faults_state",
-                 softErrorHash("l2-state-cell", cpu, _refIndex));
-    }
-    if (softErrorDecision("meta-ptr", cpu, _refIndex, sc.ptr)) {
-        // Pointer metadata lives on both sides of the hierarchy: the
-        // V-cache r-pointer array or an R-cache subentry (v-pointer,
-        // inclusion bits), chosen by one more hash bit.
-        std::uint64_t h = softErrorHash("meta-ptr-cell", cpu, _refIndex);
-        if (h & 1)
-            strikeL1("soft_faults_ptr", h >> 1);
-        else
-            strikeL2("soft_faults_ptr", h >> 1);
-    }
-}
-
-void
-VrHierarchy::strikeL1(const char *ctr, std::uint64_t h)
-{
-    unsigned ci = static_cast<unsigned>((h >> 7) % l1Count());
     VCache &vc = *_l1[ci];
-    LineRef ref = vc.faultTarget(h >> 9);
-    softCounter(ctr)++;
-    VCache::Line l = vc.line(ref);
-    if (!l.valid) {
-        // The struck cell holds no line: architecturally masked.
-        softCounter("soft_masked")++;
-        return;
-    }
-    switch (vc.tags().absorbFault(softErrorFlips(h))) {
-      case FaultOutcome::Silent:
-        softCounter("soft_silent")++;
-        return;
-      case FaultOutcome::Corrected:
-        softCounter("soft_corrected")++;
-        emitEvent(EventKind::FaultCorrected, _refIndex,
-                  vc.lineVAddr(ref), l.meta.physBlockAddr);
-        return;
-      case FaultOutcome::Detected:
-        break;
-    }
-    softCounter("soft_detected")++;
-    emitEvent(EventKind::FaultDetected, _refIndex, vc.lineVAddr(ref),
-              l.meta.physBlockAddr);
-    if (l.meta.dirty)
-        machineCheckV(ci, ref);
-    recoverVLine(ci, ref);
-}
-
-void
-VrHierarchy::strikeL2(const char *ctr, std::uint64_t h)
-{
-    LineRef rref = _r.faultTarget(h >> 9);
-    softCounter(ctr)++;
-    RCache::Line rl = _r.line(rref);
-    if (!rl.valid) {
-        softCounter("soft_masked")++;
-        return;
-    }
-    std::uint32_t line_addr = _r.lineAddr(rref);
-    switch (_r.tags().absorbFault(softErrorFlips(h))) {
-      case FaultOutcome::Silent:
-        softCounter("soft_silent")++;
-        return;
-      case FaultOutcome::Corrected:
-        softCounter("soft_corrected")++;
-        emitEvent(EventKind::FaultCorrected, _refIndex, 0, line_addr);
-        return;
-      case FaultOutcome::Detected:
-        break;
-    }
-    softCounter("soft_detected")++;
-    emitEvent(EventKind::FaultDetected, _refIndex, 0, line_addr);
-
-    bool dirty_below = rl.meta.rdirty;
-    for (std::uint32_t i = 0; i < _r.subCount(); ++i)
-        dirty_below |= _r.sub(rref, i).vdirty;
-    if (dirty_below)
-        machineCheckR(rref);
-    recoverRLine(rref);
-}
-
-void
-VrHierarchy::recoverVLine(unsigned ci, LineRef ref)
-{
-    // Inclusion guarantees the line has an R-cache parent, and the
-    // r-pointer (plus the page offset) addresses it without translating:
-    // hardware invalidates the corrupt line and refetches it from the
-    // parent. The refetched bits are identical to what the strike hit,
-    // so architectural state is unchanged -- the cost is one extra
-    // level-2 access, no bus traffic. This is the cheap-recovery story
-    // inclusion buys the V-R design.
-    VCache &vc = *_l1[ci];
+    LineRef ref = faultTarget(vc.tags(), h);
     VCache::Line l = vc.line(ref);
     PhysAddr pa(l.meta.physBlockAddr);
+    if (!strikeDetected(vc.tags(), ref, site, h, vc.lineVAddr(ref),
+                        pa.value())) {
+        return;
+    }
     auto rref = _r.probe(pa);
     panicIfNot(rref.has_value(),
                "detected-corrupt V line has no R-cache parent");
-    softCounter("soft_recovered")++;
-    softCounter("soft_refetches_l2")++;
-    emitEvent(EventKind::FaultCorrected, _refIndex, vc.lineVAddr(ref),
-              pa.value());
-}
-
-void
-VrHierarchy::recoverRLine(LineRef rref)
-{
-    // Nothing below the line is dirty, so memory holds current data:
-    // refetch the same physical line over the bus. Clean level-1
-    // children hold identical content and survive; the directory
-    // subentries are rebuilt by walking the children's reverse links.
-    // The snoop-filter presence bits were derived from the now-suspect
-    // directory, so they are scrubbed and rebuilt too.
-    std::uint32_t line_addr = _r.lineAddr(rref);
-    softCounter("soft_recovered")++;
-    softCounter("soft_refetches_bus")++;
-    _bus.broadcast(
-        BusTransaction{BusOp::ReadMiss, PhysAddr(line_addr), cpuId()});
-    rebuildPresence();
-    emitEvent(EventKind::FaultCorrected, _refIndex, 0, line_addr);
-}
-
-void
-VrHierarchy::machineCheckV(unsigned ci, LineRef ref)
-{
-    // A dirty line with uncorrectable array bits: the only current copy
-    // of the data is lost. Unlink it so the machine state the campaign
-    // quarantines (or the fuzzer keeps driving) is still coherent.
-    VCache &vc = *_l1[ci];
-    VCache::Line l = vc.line(ref);
-    PhysAddr pa(l.meta.physBlockAddr);
-    auto rref = _r.probe(pa);
-    panicIfNot(rref.has_value(), "machine-checked V line has no parent");
-    RSubentry &s = _r.sub(*rref, pa);
-    s.inclusion = false;
-    s.vdirty = false;
-    _dir->unlink(pa);
-    vc.tags().noteUncorrectable();
-    vc.invalidate(ref);
-    softCounter("machine_checks")++;
-    emitEvent(EventKind::FaultUnrecoverable, _refIndex, 0, pa.value());
-    throw FaultUnrecoverable(
-        "uncorrectable soft error in a dirty level-1 line");
-}
-
-void
-VrHierarchy::machineCheckR(LineRef rref)
-{
-    // The line shields dirty data (its own or a child's) behind array
-    // bits that can no longer be trusted: writing any of it back would
-    // propagate corruption, so the whole line and its children are
-    // dropped and the loss reported.
-    std::uint32_t line_addr = _r.lineAddr(rref);
-    for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
-        RSubentry &s = _r.sub(rref, i);
-        std::uint32_t sub_addr = line_addr + i * _params.l1.blockBytes;
-        if (s.buffer) {
-            auto e = _wb.remove(sub_addr);
-            panicIfNot(e.has_value(), "buffer bit with no buffer entry");
-            s.buffer = false;
-        }
-        if (s.inclusion) {
-            auto [oc, child] = directoryChild(PhysAddr(sub_addr));
-            oc->invalidate(child);
-            s.inclusion = false;
-            _dir->unlink(PhysAddr(sub_addr));
-        }
+    if (l.meta.dirty) {
+        // The only current copy of the data is lost. Unlink the line so
+        // the machine state the campaign quarantines (or the fuzzer
+        // keeps driving) is still coherent.
+        RSubentry &s = _r.sub(*rref, pa);
+        s.inclusion = false;
         s.vdirty = false;
+        _dir->unlink(pa);
+        machineCheck(vc.tags(), ref, pa.value(),
+                     "uncorrectable soft error in a dirty level-1 line");
     }
-    _r.tags().noteUncorrectable();
-    _r.invalidate(rref);
-    _bus.noteBlockUncached(cpuId(), line_addr);
-    softCounter("machine_checks")++;
-    emitEvent(EventKind::FaultUnrecoverable, _refIndex, 0, line_addr);
-    throw FaultUnrecoverable(
-        "uncorrectable soft error in a level-2 line covering dirty data");
+    // Inclusion guarantees the line an R-cache parent, and the r-pointer
+    // (plus the page offset) addresses it without translating: hardware
+    // invalidates the corrupt line and refetches it from the parent.
+    // The cost is one extra level-2 access, no bus traffic. This is the
+    // cheap-recovery story inclusion buys the V-R design.
+    refetchStruck(false, vc.lineVAddr(ref), pa.value());
 }
 
 void
-VrHierarchy::rebuildPresence()
+VrHierarchy::strikeL2(const char *site, std::uint64_t h)
 {
+    LineRef rref = faultTarget(_r.tags(), h);
+    std::uint32_t line_addr = _r.lineAddr(rref);
+    if (!strikeDetected(_r.tags(), rref, site, h, 0, line_addr))
+        return;
+
+    bool dirty_below = _r.line(rref).meta.rdirty;
+    for (std::uint32_t i = 0; i < _r.subCount(); ++i)
+        dirty_below |= _r.sub(rref, i).vdirty;
+    if (dirty_below) {
+        // The line shields dirty data (its own or a child's) behind
+        // array bits that can no longer be trusted: writing any of it
+        // back would propagate corruption, so the whole line and its
+        // children are dropped and the loss reported.
+        for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
+            RSubentry &s = _r.sub(rref, i);
+            std::uint32_t sub_addr = _r.subBlockAddr(rref, i);
+            if (s.buffer) {
+                auto e = _wb.remove(sub_addr);
+                panicIfNot(e.has_value(),
+                           "buffer bit with no buffer entry");
+                s.buffer = false;
+            }
+            if (s.inclusion) {
+                auto [oc, child] = directoryChild(PhysAddr(sub_addr));
+                oc->invalidate(child);
+                s.inclusion = false;
+                _dir->unlink(PhysAddr(sub_addr));
+            }
+            s.vdirty = false;
+        }
+        _bus.noteBlockUncached(cpuId(), line_addr);
+        machineCheck(_r.tags(), rref, line_addr,
+                     "uncorrectable soft error in a level-2 line "
+                     "covering dirty data");
+    }
+    // Nothing below the line is dirty, so memory holds current data:
+    // refetch the line over the bus. Clean level-1 children hold
+    // identical content and survive. The snoop-filter presence bits
+    // were derived from the now-suspect directory, so they are
+    // scrubbed and rebuilt.
+    refetchStruck(true, 0, line_addr);
     _bus.clearPresence(cpuId());
     _r.tags().forEachLine([&](LineRef ref, const RCache::Line &l) {
         if (l.valid)
@@ -800,12 +576,12 @@ VrHierarchy::snoop(const BusTransaction &tx)
 {
     SnoopResult res;
     auto rref = _r.probe(tx.blockAddr);
-    (*_c.snoops)++;
+    (*_own.snoops)++;
     if (!rref) {
-        (*_c.snoopMisses)++;
+        (*_own.snoopMisses)++;
         return res;
     }
-    (*_c.snoopHits)++;
+    (*_own.snoopHits)++;
 
     switch (tx.op) {
       case BusOp::ReadMiss:

@@ -45,20 +45,13 @@
 #include <memory>
 #include <utility>
 
-#include "base/arena.hh"
-#include "cache/write_buffer.hh"
-#include "coherence/bus.hh"
-#include "core/config.hh"
 #include "core/hierarchy.hh"
 #include "core/rcache.hh"
 #include "core/synonym_dir.hh"
 #include "core/vcache.hh"
-#include "vm/tlb.hh"
 
 namespace vrc
 {
-
-class AddressSpaceManager;
 
 /**
  * The virtual-real two-level hierarchy (the paper's proposal).
@@ -120,32 +113,12 @@ class VrHierarchy final : public CacheHierarchy
         return 0.0;
     }
 
-    void
-    tlbShootdown(ProcessId pid, Vpn vpn) override
-    {
-        if (_tlb.invalidate(pid, vpn))
-            (*_c.tlbShootdowns)++;
-    }
-
-    /** Number of level-1 caches (1 unified, 2 split). */
-    unsigned l1Count() const { return _params.splitL1 ? 2 : 1; }
-
     /** Level-1 cache: index 0 = unified/data, 1 = instruction. */
     VCache &vcache(unsigned idx = 0) { return *_l1[idx]; }
     const VCache &vcache(unsigned idx = 0) const { return *_l1[idx]; }
 
     RCache &rcache() { return _r; }
     const RCache &rcache() const { return _r; }
-
-    WriteBuffer &writeBuffer() { return _wb; }
-    const WriteBuffer &writeBuffer() const { return _wb; }
-
-    Tlb &tlb() { return _tlb; }
-
-    const HierarchyParams &params() const { return _params; }
-
-    /** Local references processed so far (the hierarchy's clock). */
-    std::uint64_t refIndex() const { return _refIndex; }
 
     /** True when level 1 is virtually addressed (the V-R design). */
     bool l1Virtual() const { return _l1Virtual; }
@@ -155,27 +128,6 @@ class VrHierarchy final : public CacheHierarchy
     const SynonymDirectory &synonymDirectory() const { return *_dir; }
 
   private:
-    /** Which L1 serves a reference type (0 = data/unified, 1 = instr). */
-    unsigned
-    l1IndexFor(RefType t) const
-    {
-        return (_params.splitL1 && t == RefType::Instr) ? 1 : 0;
-    }
-
-    /** Align to the level-1 block size. */
-    std::uint32_t
-    l1Block(std::uint32_t addr) const
-    {
-        return addr & ~(_params.l1.blockBytes - 1);
-    }
-
-    /** Align to the level-2 line size. */
-    std::uint32_t
-    l2Block(std::uint32_t addr) const
-    {
-        return addr & ~(_params.l2.blockBytes - 1);
-    }
-
     /** Evict the chosen V-cache victim, notifying the R-cache. */
     void evictVVictim(VCache &vc, LineRef slot);
 
@@ -187,9 +139,6 @@ class VrHierarchy final : public CacheHierarchy
 
     /** Find the level-1 line the directory links @p pa to. */
     std::pair<VCache *, LineRef> directoryChild(PhysAddr pa) const;
-
-    /** Translate via the TLB (demand-allocating on first touch). */
-    PhysAddr translate(const MemAccess &acc);
 
     /**
      * Processor-side handling after an R-cache hit.
@@ -207,17 +156,6 @@ class VrHierarchy final : public CacheHierarchy
     /** Evict an R-cache line (inclusion invalidations, write-back). */
     void evictRLine(LineRef rslot, bool forced);
 
-    /**
-     * Clear coherence for a write to the given line.
-     *
-     * Write-invalidate: invalidates other copies, upgrades to Private.
-     * Write-update: broadcasts the data to all copies and memory.
-     *
-     * @return true if the local copy should be marked dirty (the write
-     *         stayed local); false if it was propagated and stays clean.
-     */
-    bool resolveWriteCoherence(RCache::Line rline, PhysAddr pa);
-
     /** Write-buffer drain completion: fold the data into the R-cache. */
     void onWriteBufferDrain(const WriteBufferEntry &entry);
 
@@ -228,56 +166,21 @@ class VrHierarchy final : public CacheHierarchy
     /** Snoop handler for foreign write-update broadcasts. */
     SnoopResult snoopUpdate(LineRef rref);
 
-    // --- soft-error model (base/fault.hh) ----------------------------
+    // --- soft errors: the recovery inclusion buys -------------------
+    //
+    // A detected clean level-1 line refetches from its guaranteed R-cache
+    // parent; a detected clean R-cache line refetches over the bus and
+    // rebuilds the presence bits derived from it. Dirty data behind a
+    // detected strike -- a dirty V line, or an R line with a dirty child,
+    // parked write-back or rdirty bit -- is a machine check.
 
-    /** Schedule this reference's array strikes (pure seed hash). */
-    void maybeInjectSoftErrors();
+    void strikeL1(unsigned ci, const char *site, std::uint64_t h) override;
+    void strikeL2(const char *site, std::uint64_t h) override;
 
-    /** One strike on a level-1 array; @p ctr names the site counter. */
-    void strikeL1(const char *ctr, std::uint64_t h);
-
-    /** One strike on the level-2 (R-cache) array. */
-    void strikeL2(const char *ctr, std::uint64_t h);
-
-    /** Recover a detected-corrupt clean V-cache line via its parent. */
-    void recoverVLine(unsigned ci, LineRef ref);
-
-    /** Recover a detected-corrupt clean R-cache line from memory. */
-    void recoverRLine(LineRef rref);
-
-    /** Machine check: dirty V-cache line with uncorrectable bits. */
-    [[noreturn]] void machineCheckV(unsigned ci, LineRef ref);
-
-    /** Machine check: R-cache line covering dirty data. */
-    [[noreturn]] void machineCheckR(LineRef rref);
-
-    /** Scrub and rebuild our snoop-filter presence bits. */
-    void rebuildPresence();
-
-    /**
-     * Soft-error counters are created on first use so a run that never
-     * strikes reports exactly the seed statistics (json dumps included).
-     */
-    Counter &softCounter(const char *name)
-    {
-        return stats().counter(name);
-    }
-
-    HierarchyParams _params;
-    AddressSpaceManager &_spaces;
-    SharedBus &_bus;
     bool _l1Virtual;
 
-    /**
-     * Per-CPU arena: every tag-store array below is carved from this
-     * one allocation region, so the metadata this CPU touches on each
-     * reference stays contiguous. Must precede the caches.
-     */
-    Arena _arena;
     std::array<std::unique_ptr<VCache>, 2> _l1;
     RCache _r;
-    WriteBuffer _wb;
-    Tlb _tlb;
 
     /**
      * The pluggable child locator (constructed after the caches it
@@ -287,44 +190,19 @@ class VrHierarchy final : public CacheHierarchy
     std::unique_ptr<SynonymDirectory> _dir;
     SynonymDirectory::BackInvalidate _backInvalidate;
 
-    std::uint64_t _refIndex = 0;
-
-    /**
-     * Stats handles resolved once at construction (StatGroup handle
-     * contract): the access and snoop paths increment through these and
-     * never perform a string-keyed lookup.
-     */
-    struct Counters
+    /** This organization's own stats handles (see CacheHierarchy). */
+    struct OwnCounters
     {
-        Counter *writebackCompletions;
-        Counter *wbStalls;
-        Counter *writebacks;
         Counter *swappedWritebacks;
         Counter *synonymSameset;
         Counter *synonymMoves;
         Counter *synonymHits;
         Counter *synonymFromBuffer;
-        Counter *writebackCancels;
-        Counter *l2Hits;
-        Counter *invalidationsSent;
-        Counter *updatesSent;
-        Counter *memoryWrites;
-        Counter *misses;
-        Counter *fillsFromCache;
-        Counter *fillsFromMemory;
         Counter *inclusionInvalidations;
-        Counter *l1CoherenceMsgs;
         Counter *forcedRReplacements;
-        Counter *contextSwitches;
         Counter *snoops;
         Counter *snoopMisses;
         Counter *snoopHits;
-        Counter *l1Flushes;
-        Counter *bufferFlushes;
-        Counter *l1Invalidations;
-        Counter *bufferInvalidations;
-        Counter *l1Updates;
-        Counter *tlbShootdowns;
 
         /**
          * Registered only for the reverse-lookup-table organization so
@@ -333,7 +211,7 @@ class VrHierarchy final : public CacheHierarchy
          */
         Counter *rltConflictInvalidations = nullptr;
     };
-    Counters _c;
+    OwnCounters _own;
 };
 
 } // namespace vrc

@@ -65,6 +65,19 @@ TEST_F(FaultInjectionTest, BadSpecsRejected)
     EXPECT_FALSE(configureFaultInjection("seed=x").ok());
     EXPECT_FALSE(configureFaultInjection("seed=3,bogus=1").ok());
     EXPECT_FALSE(configureFaultInjection("seed=3,throw=").ok());
+
+    // Integers must be whole, unsigned and in range; probabilities
+    // finite and within [0,1]; stall_ms a finite non-negative number.
+    for (const char *bad :
+         {"seed=-1", "seed=1.9", "seed=1e3", "-7", "seed=3,corrupt=-5",
+          "seed=3,throw=nan", "seed=3,stall=1.01", "seed=3,drop=inf",
+          "seed=3,reply-tear=2", "seed=3,stall_ms=-1",
+          "seed=3,stall_ms=inf"}) {
+        EXPECT_FALSE(configureFaultInjection(bad).ok()) << bad;
+        EXPECT_FALSE(faultsArmed()) << bad;
+    }
+    EXPECT_TRUE(configureFaultInjection("seed=3,stall_ms=2500").ok());
+    EXPECT_DOUBLE_EQ(faultConfig().stallSeconds, 2.5);
 }
 
 TEST_F(FaultInjectionTest, DecisionsArePureFunctionsOfSeed)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/fault.hh"
@@ -145,6 +146,24 @@ TEST_F(SoftErrorTest, SpecParsing)
     EXPECT_FALSE(configureSoftErrors("seed=4,unknown=1"));
     EXPECT_FALSE(configureSoftErrors("seed=4,tag=abc"));
 
+    // Integers must be whole, unsigned and in range; probabilities must
+    // be finite and within [0,1]. None of these may arm the model.
+    disarmSoftErrors();
+    for (const char *bad :
+         {"seed=-1", "seed=1.9", "seed=1e3", "seed=+5",
+          "seed=18446744073709551616", "-1", "seed=4,retry=-1",
+          "seed=4,retry=4294967296", "seed=4,retry=2.5", "seed=4,tag=-5",
+          "seed=4,tag=nan", "seed=4,tag=inf", "seed=4,state=1.5",
+          "seed=4,ptr=", "seed=4,bus=0.1x"}) {
+        EXPECT_FALSE(configureSoftErrors(bad)) << bad;
+        EXPECT_FALSE(softErrorsArmed()) << bad;
+    }
+    ASSERT_TRUE(configureSoftErrors("seed=18446744073709551615,tag=1,"
+                                    "retry=4294967295"));
+    EXPECT_EQ(softErrorConfig().seed, 18446744073709551615u);
+    EXPECT_EQ(softErrorConfig().busRetryLimit, 4294967295u);
+    EXPECT_DOUBLE_EQ(softErrorConfig().tag, 1.0);
+
     disarmSoftErrors();
     EXPECT_FALSE(softErrorsArmed());
 }
@@ -212,21 +231,28 @@ TEST_P(RecoverableStrikes, ArchitecturalStatsMatchUnarmedRun)
               0u);
 }
 
+/** Test-name suffix of an organization. */
+std::string
+orgTag(HierarchyKind kind)
+{
+    switch (kind) {
+      case HierarchyKind::VirtualReal:
+        return "Vr";
+      case HierarchyKind::RealRealIncl:
+        return "RrIncl";
+      case HierarchyKind::RealRealNoIncl:
+        return "RrNoIncl";
+      case HierarchyKind::VirtualRealRlt:
+        return "VrRlt";
+    }
+    return "?";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllOrganizations, RecoverableStrikes,
-                         ::testing::Values(
-                             HierarchyKind::VirtualReal,
-                             HierarchyKind::RealRealIncl,
-                             HierarchyKind::RealRealNoIncl),
+                         ::testing::ValuesIn(kAllHierarchyKinds),
                          [](const ::testing::TestParamInfo<
                              HierarchyKind> &info) {
-                             switch (info.param) {
-                               case HierarchyKind::VirtualReal:
-                                 return std::string("Vr");
-                               case HierarchyKind::RealRealIncl:
-                                 return std::string("RrIncl");
-                               default:
-                                 return std::string("RrNoIncl");
-                             }
+                             return orgTag(info.param);
                          });
 
 TEST_F(SoftErrorTest, SameSeedReproducesTheSameRun)
@@ -290,24 +316,57 @@ TEST_F(SoftErrorTest, RecoveryEmitsFaultEvents)
     }
     EXPECT_GT(corrected, 0u);
     EXPECT_EQ(sim.totalCounter("soft_detected"), detected);
+    // One FaultCorrected per in-place correction and per recovery.
+    EXPECT_EQ(sim.totalCounter("soft_corrected") +
+                  sim.totalCounter("soft_recovered"),
+              corrected);
 }
 
 // --- machine checks --------------------------------------------------
 
-TEST_F(SoftErrorTest, UncorrectableDirtyLineRaisesMachineCheck)
+/** (organization, struck cache level) pairs. */
+class MachineCheckStrikes
+    : public SoftErrorTest,
+      public ::testing::WithParamInterface<
+          std::tuple<HierarchyKind, unsigned>>
+{
+};
+
+TEST_P(MachineCheckStrikes, UncorrectableDirtyLineRaisesMachineCheck)
 {
     // Parity cannot correct, and a strike per reference guarantees a
-    // detected fault lands on a dirty line almost immediately.
-    ASSERT_TRUE(configureSoftErrors("seed=2,tag=1.0"));
-    MpSimulator sim =
-        makeSim(HierarchyKind::VirtualReal, ArrayProtection::Parity);
-    EXPECT_THROW(sim.run(bundle().records), FaultUnrecoverable);
+    // detected fault lands on a line holding (level 1) or shielding
+    // (level 2) dirty data almost immediately.
+    auto [kind, level] = GetParam();
+    ASSERT_TRUE(configureSoftErrors(level == 1 ? "seed=2,tag=1.0"
+                                               : "seed=2,state=1.0"));
+    MpSimulator sim = makeSim(kind, ArrayProtection::Parity);
+    std::string halt;
+    try {
+        sim.run(bundle().records);
+    } catch (const FaultUnrecoverable &e) {
+        halt = e.what();
+    }
+    const std::string where = "level-" + std::to_string(level);
+    EXPECT_NE(halt.find(where), std::string::npos)
+        << "expected a " << where << " machine check, got '" << halt
+        << "'";
     EXPECT_GE(sim.totalCounter("machine_checks"), 1u);
 
     // The machine check unlinked the poisoned line before halting:
     // the surviving state is still coherent.
     sim.checkInvariants();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOrgs, MachineCheckStrikes,
+    ::testing::Combine(::testing::ValuesIn(kAllHierarchyKinds),
+                       ::testing::Values(1u, 2u)),
+    [](const ::testing::TestParamInfo<std::tuple<HierarchyKind, unsigned>>
+           &info) {
+        return orgTag(std::get<0>(info.param)) + "Level" +
+            std::to_string(std::get<1>(info.param));
+    });
 
 TEST_F(SoftErrorTest, UnprotectedArraysNeverDetectAnything)
 {
