@@ -402,13 +402,13 @@ TEST(GoldenStats, CycleEngineSummaries)
 }
 
 /**
- * Soft-error drift net: every organization under each array-protection
- * policy, armed with bench_soft_error_avf's strike spec. Pins how each
- * strike resolved (the soft_* counters of the hierarchies and the bus),
- * the machine checks and presence scrubs, the bus transactions the
- * recoveries added, and where and why a run halted.
+ * Arm the strike spec @p spec and run the golden pops trace through
+ * every organization under each array protection. Each cell is one
+ * line (refs run and the halt reason) plus its soft-error counters and
+ * bus transaction count.
  */
-TEST(GoldenStats, SoftErrorAvf)
+std::vector<std::string>
+softErrorAvfLines(const char *spec)
 {
     struct Disarm
     {
@@ -421,8 +421,7 @@ TEST(GoldenStats, SoftErrorAvf)
         for (ArrayProtection prot :
              {ArrayProtection::None, ArrayProtection::Parity,
               ArrayProtection::Secded}) {
-            ASSERT_TRUE(configureSoftErrors(
-                "seed=97,tag=5e-4,state=1e-4,ptr=1e-4,bus=2e-5"));
+            EXPECT_TRUE(configureSoftErrors(spec)) << spec;
             MachineConfig mc =
                 makeMachineConfig(kind, 16 * 1024, 256 * 1024,
                                   bundle.profile.pageSize);
@@ -464,7 +463,35 @@ TEST(GoldenStats, SoftErrorAvf)
                             std::to_string(sim.bus().transactions()));
         }
     }
-    compareGolden("soft_error_avf", lines);
+    return lines;
+}
+
+/**
+ * Soft-error drift net: every organization under each array-protection
+ * policy, armed with bench_soft_error_avf's strike spec. Pins how each
+ * strike resolved (the soft_* counters of the hierarchies and the bus),
+ * the machine checks and presence scrubs, the bus transactions the
+ * recoveries added, and where and why a run halted.
+ */
+TEST(GoldenStats, SoftErrorAvf)
+{
+    compareGolden("soft_error_avf",
+                  softErrorAvfLines(
+                      "seed=97,tag=5e-4,state=1e-4,ptr=1e-4,bus=2e-5"));
+}
+
+/**
+ * A spec that reaches the halts the one above never does at golden
+ * scale: every parity cell machine-checks on a level-2 line, and the
+ * none and secded cells lose a bus transaction beyond the one-retry
+ * budget after retrying others. Level-1 tag strikes are off so no
+ * level-1 machine check ends a cell first; pointer strikes stay on.
+ */
+TEST(GoldenStats, SoftErrorAvfLevel2AndBus)
+{
+    compareGolden("soft_error_avf_l2_bus",
+                  softErrorAvfLines("seed=19,tag=0,state=2e-3,ptr=1e-4,"
+                                    "bus=6e-3,retry=1"));
 }
 
 } // namespace
