@@ -111,9 +111,7 @@ main(int argc, char **argv)
         .cell("extra bus");
     t.separator();
 
-    for (HierarchyKind kind :
-         {HierarchyKind::VirtualReal, HierarchyKind::RealRealIncl,
-          HierarchyKind::RealRealNoIncl}) {
+    for (HierarchyKind kind : kAllHierarchyKinds) {
         // Unarmed baseline: the recovery-cost denominator.
         PerfTimer timer;
         CellResult base =

@@ -1,11 +1,18 @@
 /**
  * @file
- * Bump-pointer arena for per-CPU simulator state.
+ * Exact-size bump-pointer arena for per-CPU simulator state.
  *
- * A hierarchy owns one Arena and carves all of its tag-store arrays (and
- * the R-cache's subentry array) out of it, so the metadata one CPU
- * touches on every reference sits in one contiguous region instead of
- * wherever the global allocator scattered it. Allocation is
+ * A hierarchy owns one Arena and carves all of its tag-store arrays
+ * (valid bytes, tags, payloads, recency stamps where the policy reads
+ * them, and the R-cache's subentry array) out of it, so the metadata
+ * one CPU touches on every reference sits in one contiguous region
+ * instead of wherever the global allocator scattered it.
+ *
+ * The arena is sized once, up front, from the cache geometry: the
+ * owner adds up footprint() of every array it will carve and passes
+ * the sum to the constructor, which makes one zeroed allocation of
+ * exactly that many bytes. Nothing is rounded up to a chunk size, and
+ * carving past the capacity is a sizing bug that panics. Allocation is
  * append-only: nothing is ever freed individually and everything is
  * released when the arena dies, which is exactly the lifetime of the
  * owning hierarchy.
@@ -16,54 +23,69 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <type_traits>
-#include <vector>
 
 #include "base/log.hh"
 
 namespace vrc
 {
 
-/** Append-only bump allocator; frees everything at once on destruction. */
+/** Append-only bump allocator over one block of a fixed capacity. */
 class Arena
 {
   public:
-    /** @param chunk_bytes granularity of the backing allocations */
-    explicit Arena(std::size_t chunk_bytes = 1u << 16)
-        : _chunkBytes(chunk_bytes)
+    /**
+     * Every carved array starts on this boundary, so any alignment up
+     * to it is honoured and the capacity an owner needs is just the
+     * sum of its arrays' footprints, whatever order it carves them in.
+     */
+    static constexpr std::size_t kAlign = alignof(std::max_align_t);
+
+    /** Arena bytes an allocation of @p bytes takes. */
+    static constexpr std::size_t
+    footprint(std::size_t bytes)
     {
+        return (bytes + kAlign - 1) & ~(kAlign - 1);
+    }
+
+    /** @param capacity total bytes; a sum of footprint() values */
+    explicit Arena(std::size_t capacity) : _capacity(capacity)
+    {
+        panicIfNot(footprint(capacity) == capacity,
+                   "arena capacity is not a sum of footprints");
+        if (capacity == 0)
+            return;
+        // calloc: large blocks come back as fresh zero pages, which
+        // are not touched (and cost no resident memory) until used.
+        _block.reset(static_cast<std::byte *>(std::calloc(capacity, 1)));
+        if (!_block)
+            throw std::bad_alloc();
     }
 
     Arena(const Arena &) = delete;
     Arena &operator=(const Arena &) = delete;
 
     /**
-     * Allocate @p bytes aligned to @p align (a power of two). The
-     * memory is zero-filled and stays valid for the arena's lifetime.
+     * Allocate @p bytes aligned to @p align (a power of two, at most
+     * kAlign). The memory is zero-filled and stays valid for the
+     * arena's lifetime.
      */
     void *
     allocate(std::size_t bytes, std::size_t align)
     {
-        panicIfNot(align != 0 && (align & (align - 1)) == 0,
-                   "arena alignment must be a power of two");
-        std::uintptr_t p = (_cursor + (align - 1)) & ~(align - 1);
-        if (_cursor == 0 || p + bytes > _limit) {
-            std::size_t need = bytes + align;
-            std::size_t size = need > _chunkBytes ? need : _chunkBytes;
-            // for_overwrite: skip make_unique's value-initialization,
-            // the chunk is zeroed exactly once by the memset below.
-            _chunks.push_back(
-                std::make_unique_for_overwrite<std::byte[]>(size));
-            std::memset(_chunks.back().get(), 0, size);
-            _cursor = reinterpret_cast<std::uintptr_t>(_chunks.back().get());
-            _limit = _cursor + size;
-            _allocated += size;
-            p = (_cursor + (align - 1)) & ~(align - 1);
-        }
-        _cursor = p + bytes;
-        return reinterpret_cast<void *>(p);
+        panicIfNot(align != 0 && (align & (align - 1)) == 0 &&
+                       align <= kAlign,
+                   "arena alignment must be a power of two <= kAlign");
+        const std::size_t take = footprint(bytes);
+        panicIfNot(take <= _capacity - _used,
+                   "arena overflow: ", take, " bytes requested, ",
+                   _capacity - _used, " of ", _capacity, " left");
+        void *p = _block.get() + _used;
+        _used += take;
+        return p;
     }
 
     /** Typed array allocation; T must be trivially destructible. */
@@ -76,15 +98,21 @@ class Arena
         return static_cast<T *>(allocate(n * sizeof(T), alignof(T)));
     }
 
-    /** Total bytes of backing storage acquired so far. */
-    std::size_t allocatedBytes() const { return _allocated; }
+    /** Bytes of backing storage the arena holds (its capacity). */
+    std::size_t allocatedBytes() const { return _capacity; }
+
+    /** Bytes carved so far; equals allocatedBytes() once sized right. */
+    std::size_t usedBytes() const { return _used; }
 
   private:
-    std::size_t _chunkBytes;
-    std::vector<std::unique_ptr<std::byte[]>> _chunks;
-    std::uintptr_t _cursor = 0;
-    std::uintptr_t _limit = 0;
-    std::size_t _allocated = 0;
+    struct Free
+    {
+        void operator()(std::byte *p) const { std::free(p); }
+    };
+
+    std::unique_ptr<std::byte, Free> _block;
+    std::size_t _capacity;
+    std::size_t _used = 0;
 };
 
 } // namespace vrc

@@ -12,13 +12,20 @@
  * a set and apply its own victim predicate (the R-cache's relaxed
  * inclusion replacement rule needs exactly that).
  *
- * Storage is structure-of-arrays: the valid bytes, tags and recency
- * stamps live in three flat parallel arrays (optionally carved out of
- * the owning hierarchy's Arena) so the lookup inner loop touches only
- * the handful of contiguous cache lines holding one set's tags, and the
- * compiler can keep the tag-compare scan branch-free. Line is therefore
- * a *view*: a bundle of references into the arrays, cheap to copy and
- * source-compatible with the original array-of-structures layout.
+ * Storage is structure-of-arrays: the valid bytes, tags, payloads and
+ * recency stamps live in flat parallel arrays carved out of an Arena
+ * (the owning hierarchy's, or one the store sizes for itself), so the
+ * lookup inner loop touches only the handful of contiguous cache lines
+ * holding one set's tags, and the compiler can keep the tag-compare
+ * scan branch-free. Line is therefore a *view*: a bundle of references
+ * into the arrays, cheap to copy and source-compatible with the
+ * original array-of-structures layout.
+ *
+ * A store keeps only the state its policy can read. Recency stamps
+ * exist only where a victim choice compares them -- LRU or FIFO with
+ * more than one way -- so a direct-mapped or Random store allocates
+ * none, and footprint() (what an owner sizes its arena with) counts
+ * exactly the arrays the constructor carves.
  *
  * The original array-of-structures store survives as a test oracle
  * (tests/legacy_tag_store.hh): TagStoreParamTest drives both through
@@ -34,9 +41,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <vector>
+#include <type_traits>
 
 #include "base/arena.hh"
 #include "base/log.hh"
@@ -58,8 +64,9 @@ struct LineRef
 };
 
 /**
- * One cache line, as a view: references to the valid byte, tag bits,
- * recency stamp and the owner's payload wherever they are stored. The
+ * One cache line, as a view: references to the valid byte, tag bits
+ * and the owner's payload wherever they are stored. The recency stamp
+ * is the store's private business and is not part of the view. The
  * view is cheap to copy; copies alias the same line. The const
  * overloads of line()/forEachWay()/forEachLine() hand out the same view
  * type -- read-only use on const paths is enforced by convention, as
@@ -70,7 +77,6 @@ struct TagLineView
 {
     std::uint8_t &valid;
     std::uint32_t &tag;
-    std::uint64_t &stamp;
     Meta &meta;
 };
 
@@ -78,15 +84,50 @@ struct TagLineView
 template <typename Meta>
 class TagStore
 {
+    // The payload array is zero-filled arena memory that is assigned,
+    // never constructed or destructed; an all-zero Meta must be a
+    // fresh Meta{}.
+    static_assert(std::is_trivially_copyable_v<Meta> &&
+                  std::is_trivially_destructible_v<Meta>);
+
   public:
     using Line = TagLineView<Meta>;
 
+    /**
+     * Whether a store of @p assoc ways under @p policy keeps recency
+     * stamps: only LRU and FIFO victim choices among several ways read
+     * them.
+     */
+    static constexpr bool
+    keepsStamps(std::uint32_t assoc, ReplPolicy policy)
+    {
+        return assoc > 1 && policy != ReplPolicy::Random;
+    }
+
+    /** Arena bytes a store of this geometry and policy carves. */
+    static std::size_t
+    footprint(const CacheGeometry &geom, ReplPolicy policy)
+    {
+        const std::size_t n = geom.numBlocks();
+        return (keepsStamps(geom.assoc(), policy)
+                    ? Arena::footprint(n * sizeof(std::uint64_t))
+                    : 0) +
+               Arena::footprint(n * sizeof(std::uint32_t)) +
+               Arena::footprint(n * sizeof(std::uint8_t)) +
+               Arena::footprint(n * sizeof(Meta));
+    }
+
+    /**
+     * @param arena carve the arrays from this arena, which the owner
+     *              sized to include footprint(); without one the store
+     *              sizes and owns its own
+     */
     TagStore(const CacheGeometry &geom, ReplPolicy policy,
              std::uint64_t seed = 0x5eed, Arena *arena = nullptr)
         : _geom(geom), _policy(policy), _rng(seed),
           _assoc(geom.assoc()),
           _lruMulti(policy == ReplPolicy::LRU && geom.assoc() > 1),
-          _meta(geom.numBlocks())
+          _ownArena(arena ? 0 : footprint(geom, policy))
     {
         // The lookup scan encodes validity in the tag array (kNoTag in
         // every invalid way), so a real tag must never collide with the
@@ -94,23 +135,15 @@ class TagStore
         // with more than one byte-sized block keeps it below 2^32 - 1.
         panicIfNot(geom.blockBytes() > 1 || geom.numSets() > 1,
                    "degenerate geometry: tag sentinel not representable");
+        Arena &a = arena ? *arena : _ownArena;
         const std::size_t n = geom.numBlocks();
-        // One contiguous block holds all three arrays, widest first so
-        // every array is naturally aligned. Both sources are zeroed:
-        // value-initialized new[] or the (memset) arena.
-        const std::size_t bytes =
-            n * (sizeof(std::uint64_t) + sizeof(std::uint32_t) + 1);
-        std::byte *base;
-        if (arena) {
-            base = static_cast<std::byte *>(
-                arena->allocate(bytes, alignof(std::uint64_t)));
-        } else {
-            _owned = std::make_unique<std::byte[]>(bytes);
-            base = _owned.get();
-        }
-        _stamp = reinterpret_cast<std::uint64_t *>(base);
-        _tag = reinterpret_cast<std::uint32_t *>(_stamp + n);
-        _valid = reinterpret_cast<std::uint8_t *>(_tag + n);
+        // Arena memory is zeroed: every line starts invalid, with a
+        // zero stamp and an all-zero payload.
+        if (keepsStamps(_assoc, policy))
+            _stamp = a.allocArray<std::uint64_t>(n);
+        _tag = a.allocArray<std::uint32_t>(n);
+        _valid = a.allocArray<std::uint8_t>(n);
+        _meta = a.allocArray<Meta>(n);
         for (std::size_t i = 0; i < n; ++i)
             _tag[i] = kNoTag;
     }
@@ -118,12 +151,15 @@ class TagStore
     const CacheGeometry &geometry() const { return _geom; }
     ReplPolicy policy() const { return _policy; }
 
+    /** Whether this store allocated recency stamps (keepsStamps()). */
+    bool keepsStamps() const { return _stamp != nullptr; }
+
     /** Access a line by location. */
     Line
     line(LineRef ref)
     {
         const std::size_t i = index(ref);
-        return Line{_valid[i], _tag[i], _stamp[i], _meta[i]};
+        return Line{_valid[i], _tag[i], _meta[i]};
     }
 
     Line
@@ -170,6 +206,20 @@ class TagStore
     {
         if (_lruMulti)
             _stamp[index(ref)] = ++_clock;
+    }
+
+    /**
+     * Give @p to the recency stamp of @p from, a way of the same set.
+     * No owner does this -- fill() and touch() hand out distinct
+     * stamps -- so it is how a test reaches a tie and pins the
+     * tie-break (the lowest eligible way wins). A no-op for a store
+     * that keeps no stamps.
+     */
+    void
+    copyStamp(LineRef from, LineRef to)
+    {
+        if (_stamp)
+            _stamp[index(to)] = _stamp[index(from)];
     }
 
     /**
@@ -223,9 +273,10 @@ class TagStore
         const std::size_t i = index(ref);
         _valid[i] = 1;
         _tag[i] = _geom.tag(addr);
-        _stamp[i] = ++_clock;
+        if (_stamp)
+            _stamp[i] = ++_clock;
         _meta[i] = Meta{};
-        return Line{_valid[i], _tag[i], _stamp[i], _meta[i]};
+        return Line{_valid[i], _tag[i], _meta[i]};
     }
 
     /** Invalidate one line. */
@@ -361,7 +412,7 @@ class TagStore
         for (std::uint32_t w = 0; w < _assoc; ++w) {
             const std::size_t i = base + w;
             const LineRef ref{set, w};
-            Line l{_valid[i], _tag[i], _stamp[i], _meta[i]};
+            Line l{_valid[i], _tag[i], _meta[i]};
             if (!eligible(ref, l))
                 continue;
             ++eligible_count;
@@ -370,8 +421,10 @@ class TagStore
                 if (_rng.below(eligible_count) == 0)
                     best = ref;
             } else if (!best || _stamp[i] < best_stamp) {
+                // Stamps are compared only from a second eligible way
+                // on, and a multi-way LRU/FIFO store keeps them.
                 best = ref;
-                best_stamp = _stamp[i];
+                best_stamp = _stamp ? _stamp[i] : 0;
             }
         }
         return best;
@@ -393,12 +446,12 @@ class TagStore
     Rng _rng;
     std::uint64_t _clock = 0;
     std::uint32_t _assoc;
-    bool _lruMulti;  ///< stamps can matter: LRU and more than one way
-    std::unique_ptr<std::byte[]> _owned; ///< backing block sans arena
-    std::uint64_t *_stamp = nullptr;
+    bool _lruMulti;  ///< touch() moves stamps: LRU and more than one way
+    Arena _ownArena; ///< backing store sans an owner's arena (else empty)
+    std::uint64_t *_stamp = nullptr; ///< null unless keepsStamps()
     std::uint32_t *_tag = nullptr;
     std::uint8_t *_valid = nullptr;
-    std::vector<Meta> _meta;
+    Meta *_meta = nullptr;
     ArrayProtection _protection = ArrayProtection::Secded;
     ArrayFaultStats _faultStats;
 };

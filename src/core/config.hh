@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "base/log.hh"
+#include "cache/cache_geometry.hh"
 #include "cache/protection.hh"
 #include "cache/replacement.hh"
 #include "coherence/protocol.hh"
@@ -29,6 +30,12 @@ struct CacheParams
 
     /** Check-bit scheme of the tag/state arrays (soft-error model). */
     ArrayProtection protection = ArrayProtection::Secded;
+
+    CacheGeometry
+    geometry() const
+    {
+        return CacheGeometry(sizeBytes, blockBytes, assoc);
+    }
 };
 
 /** Which organization a hierarchy implements. */

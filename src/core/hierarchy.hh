@@ -191,9 +191,12 @@ class CacheHierarchy : public Snooper
     }
 
     /** Number of level-1 caches (1 unified, 2 split). */
-    unsigned l1Count() const { return _params.splitL1 ? 2 : 1; }
+    unsigned l1Count() const { return l1Count(_params); }
 
     const HierarchyParams &params() const { return _params; }
+
+    /** The per-CPU arena the caches' arrays are carved from. */
+    const Arena &arena() const { return _arena; }
 
     WriteBuffer &writeBuffer() { return _wb; }
     const WriteBuffer &writeBuffer() const { return _wb; }
@@ -279,10 +282,14 @@ class CacheHierarchy : public Snooper
      * @param bus          the shared snooping bus (the subclass attaches)
      * @param pointer_meta the organization keeps r-/v-pointer metadata,
      *                     which the meta-ptr soft-error site strikes
+     * @param arena_bytes  capacity of the arena: the sum of the
+     *                     footprints of every cache the subclass carves
      */
     CacheHierarchy(const HierarchyParams &params, AddressSpaceManager &spaces,
-                   SharedBus &bus, bool pointer_meta)
+                   SharedBus &bus, bool pointer_meta,
+                   std::size_t arena_bytes)
         : _params(params), _spaces(spaces), _bus(bus),
+          _arena(arena_bytes),
           _wb(params.writeBufferDepth, params.writeBufferDrainLatency),
           _tlb(params.tlbEntries, params.tlbAssoc),
           _pointerMeta(pointer_meta), _stats("hierarchy"),
@@ -332,15 +339,22 @@ class CacheHierarchy : public Snooper
             maybeInjectSoftErrors();
     }
 
+    /** Number of level-1 caches @p params builds (1 unified, 2 split). */
+    static unsigned
+    l1Count(const HierarchyParams &params)
+    {
+        return params.splitL1 ? 2 : 1;
+    }
+
     /**
      * Parameters of one level-1 cache: a split level 1 has equal I and
      * D halves, as in the paper.
      */
-    CacheParams
-    l1CacheParams() const
+    static CacheParams
+    l1CacheParams(const HierarchyParams &params)
     {
-        CacheParams l1 = _params.l1;
-        if (_params.splitL1) {
+        CacheParams l1 = params.l1;
+        if (params.splitL1) {
             panicIfNot(l1.sizeBytes >= 2 * l1.blockBytes,
                        "split level-1 cache too small");
             l1.sizeBytes /= 2;
@@ -608,9 +622,10 @@ class CacheHierarchy : public Snooper
 
     /**
      * Per-CPU arena: every tag-store array of the subclass is carved
-     * from this one allocation region, so the metadata this CPU touches
-     * on each reference stays contiguous. A base member, so it is built
-     * before and destroyed after the caches it backs.
+     * from this one allocation, sized exactly from the geometry, so the
+     * metadata this CPU touches on each reference stays contiguous. A
+     * base member, so it is built before and destroyed after the
+     * caches it backs.
      */
     Arena _arena;
     WriteBuffer _wb;

@@ -14,20 +14,22 @@
  *                         addresses the child in the V-cache),
  *   - for split level-1 caches, which of the I/D halves holds the child.
  *
- * As in the V-cache, the simulator additionally keeps the child's full
- * block address next to the architected v-pointer bits. Both are owned
- * and written by the hierarchy's SynonymDirectory (the pointer
- * organization verifies the architected bits agree with the full
- * address; the reverse-lookup-table organization leaves them unused);
- * this cache only provides the storage.
+ * In place of the architected v-pointer bits the simulator keeps the
+ * child's full block address: the v-pointer is a pure function of it
+ * (its low virtual-page-number bits), so storing both would only
+ * duplicate state. The address is owned and written by the hierarchy's
+ * SynonymDirectory (the pointer organization derives the v-pointer
+ * from it and verifies that the bits plus the page offset reach the
+ * child's V-cache set; the reverse-lookup-table organization leaves it
+ * unused); this cache only provides the storage.
  *
- * That storage is one flat array per R-cache (carved from the owning
- * hierarchy's Arena when one is given): line (set, way) owns the
- * subCount() consecutive entries starting at (set * assoc + way) *
- * subCount(). Every level-1 miss, percolation and snoop reads them, so
- * they sit next to their neighbours rather than behind a per-line heap
- * pointer, and building or destroying a simulator allocates or frees
- * nothing per line.
+ * That storage is one flat array per R-cache, carved from an Arena
+ * (the owning hierarchy's, or one the cache sizes for itself): line
+ * (set, way) owns the subCount() consecutive entries starting at
+ * (set * assoc + way) * subCount(). Every level-1 miss, percolation
+ * and snoop reads them, so they sit next to their neighbours rather
+ * than behind a per-line heap pointer, and building or destroying a
+ * simulator allocates or frees nothing per line.
  *
  * For the same reason lookup(), probe(), victimFor() and install() are
  * defined in this header: they inline into the hierarchy, so their
@@ -43,7 +45,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -58,14 +59,17 @@
 namespace vrc
 {
 
-/** Per-sub-block metadata of an R-cache line (Figure 3, bottom). */
+/**
+ * Per-sub-block metadata of an R-cache line (Figure 3, bottom). The
+ * architected v-pointer is not stored: it is the low bits of
+ * childAddrBlock's virtual page number.
+ */
 struct RSubentry
 {
     bool inclusion = false;  ///< child present in the level-1 cache
     bool buffer = false;     ///< child parked in the write buffer
     bool vdirty = false;     ///< child (or buffered copy) is modified
     std::uint8_t l1Index = 0; ///< which level-1 cache holds the child
-    std::uint32_t vPointer = 0;      ///< architected link bits
     std::uint32_t childAddrBlock = 0; ///< simulator-held child address
                                       ///< (virtual for V-R, physical for
                                       ///< R-R level 1)
@@ -78,9 +82,14 @@ struct RSubentry
     }
 };
 
-// The subentry array is zero-filled arena memory (or a value-initialized
-// owned block) that is never destructed: all-zero bytes must be a fresh
-// RSubentry{}, and there must be no destructor to skip.
+// Three flag bytes, the level-1 select byte and one address: every
+// R-cache sub-block of every simulated CPU pays this, so it stays at 8
+// host bytes.
+static_assert(sizeof(RSubentry) == 8);
+
+// The subentry array is zero-filled arena memory that is never
+// destructed: all-zero bytes must be a fresh RSubentry{}, and there
+// must be no destructor to skip.
 static_assert(std::is_trivially_destructible_v<RSubentry>);
 static_assert(
     [] {
@@ -107,15 +116,21 @@ struct RLineMeta
 class RCache
 {
   public:
+    using Store = TagStore<RLineMeta>;
+    using Line = Store::Line;
+
     /**
      * @param params     size/block/associativity of this cache
      * @param l1_block   level-1 block size (defines sub-block count)
+     * @param arena      carve the arrays from this arena, sized to
+     *                   include footprint(); else the cache owns one
      */
     RCache(const CacheParams &params, std::uint32_t l1_block,
            std::uint64_t seed = 0x2ca1e, Arena *arena = nullptr);
 
-    using Store = TagStore<RLineMeta>;
-    using Line = Store::Line;
+    /** Arena bytes an R-cache of this shape carves: tags plus subentries. */
+    static std::size_t footprint(const CacheParams &params,
+                                 std::uint32_t l1_block);
 
     /** Look up a physical address. Updates recency on hit. */
     std::optional<LineRef>
@@ -255,10 +270,10 @@ class RCache
             _subCount;
     }
 
+    Arena _ownArena; ///< backing store sans an owner's arena (else empty)
     Store _tags;
     std::uint32_t _l1Block;
     std::uint32_t _subCount;
-    std::unique_ptr<RSubentry[]> _owned; ///< subentries sans arena
     /** subCount() subentries per line, lines in (set, way) order. */
     RSubentry *_subs = nullptr;
 };

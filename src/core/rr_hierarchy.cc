@@ -10,15 +10,12 @@ namespace vrc
 RrNoInclHierarchy::RrNoInclHierarchy(const HierarchyParams &params,
                                      AddressSpaceManager &spaces,
                                      SharedBus &bus)
-    : CacheHierarchy(params, spaces, bus, false),
-      _l2(CacheGeometry(params.l2.sizeBytes, params.l2.blockBytes,
-                        params.l2.assoc),
-          params.l2.policy, 0xbeef, &_arena)
+    : CacheHierarchy(params, spaces, bus, false, arenaBytes(params)),
+      _l2(params.l2.geometry(), params.l2.policy, 0xbeef, &_arena)
 {
-    const CacheParams l1 = l1CacheParams();
-    CacheGeometry g1(l1.sizeBytes, l1.blockBytes, l1.assoc);
+    const CacheParams l1 = l1CacheParams(params);
     for (unsigned i = 0; i < l1Count(); ++i) {
-        _l1[i] = std::make_unique<L1Store>(g1, l1.policy,
+        _l1[i] = std::make_unique<L1Store>(l1.geometry(), l1.policy,
                                            i ? 0xbbbb : 0xaaaa, &_arena);
         _l1[i]->setProtection(l1.protection);
     }
@@ -35,6 +32,14 @@ RrNoInclHierarchy::RrNoInclHierarchy(const HierarchyParams &params,
     // level holds, so this hierarchy must see every bus transaction:
     // attach unfilterable (this is the paper's disturbance baseline).
     setCpuId(bus.attach(this));
+}
+
+std::size_t
+RrNoInclHierarchy::arenaBytes(const HierarchyParams &params)
+{
+    const CacheParams l1 = l1CacheParams(params);
+    return l1Count(params) * L1Store::footprint(l1.geometry(), l1.policy) +
+           L2Store::footprint(params.l2.geometry(), params.l2.policy);
 }
 
 void

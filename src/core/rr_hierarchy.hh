@@ -88,6 +88,9 @@ class RrNoInclHierarchy final : public CacheHierarchy
     }
 
   private:
+    /** Arena capacity: the level-1 stores plus the level-2 store. */
+    static std::size_t arenaBytes(const HierarchyParams &params);
+
     /** Complete a drained write-back: into L2 if present, else memory. */
     void onWriteBufferDrain(const WriteBufferEntry &entry);
 

@@ -17,9 +17,11 @@ namespace
  * The paper's organization: the directory *is* the tag arrays. Each
  * R-cache subentry carries the architected v-pointer (plus, for split
  * level-1 caches, which half) naming its child, and each V-cache line
- * carries the architected r-pointer naming its parent; the simulator
- * additionally stores the full addresses next to the architected bits
- * and checkInvariants() proves the bits reconstruct the same sets.
+ * carries the architected r-pointer naming its parent. The simulator
+ * stores the child's full address in the subentry and derives the
+ * v-pointer from it (vPointerBits()); next to the r-pointer it keeps
+ * the parent's full address. checkInvariants() proves that both sets
+ * of bits, with the page offset, reach the linked line's set.
  *
  * link/unlink are (almost) free -- the pointers ride along with the
  * subentry writes the hierarchy performs anyway -- and the directory
@@ -84,7 +86,6 @@ class PointerSynonymDirectory final : public SynonymDirectory
                    "synonym link with no R-cache parent");
         RSubentry &s = _r.sub(*rref, pa);
         s.l1Index = static_cast<std::uint8_t>(l1_index);
-        s.vPointer = vPointerBits(child_block);
         s.childAddrBlock = child_block;
         // The child's architected back-pointer to the R-cache set.
         VCache &vc = *_l1[l1_index];
@@ -142,9 +143,10 @@ class PointerSynonymDirectory final : public SynonymDirectory
     void
     checkInvariants() const override
     {
-        // The architected pointer bits must reconstruct the same sets
-        // as the simulator-held full addresses (the paper's claim that
-        // log2(size/page) bits suffice in each direction).
+        // The architected pointer bits, with the page offset, must
+        // reconstruct the same sets as the simulator-held full
+        // addresses (the paper's claim that log2(size/page) bits
+        // suffice in each direction).
         for (unsigned ci = 0; ci < _l1Count; ++ci) {
             const VCache &vc = *_l1[ci];
             vc.tags().forEachLine(
@@ -168,11 +170,17 @@ class PointerSynonymDirectory final : public SynonymDirectory
                 return;
             for (std::uint32_t i = 0; i < _r.subCount(); ++i) {
                 const RSubentry &s = _r.sub(ref, i);
-                if (s.inclusion) {
-                    panicIfNot(s.vPointer ==
-                                   vPointerBits(s.childAddrBlock),
-                               "stale v-pointer bits");
-                }
+                if (!s.inclusion)
+                    continue;
+                panicIfNot(s.l1Index < _l1Count,
+                           "v-pointer names a missing level-1 cache");
+                const CacheGeometry &vg = _l1[s.l1Index]->geometry();
+                std::uint32_t child = s.childAddrBlock;
+                std::uint32_t rebuilt = vPointerBits(child) * _pageSize +
+                                        child % _pageSize;
+                panicIfNot(vg.setIndex(rebuilt) == vg.setIndex(child),
+                           "v-pointer + page offset misses the V-cache "
+                           "set");
             }
         });
     }

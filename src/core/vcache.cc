@@ -8,9 +8,7 @@ namespace vrc
 
 VCache::VCache(const CacheParams &params, std::uint64_t seed,
                Arena *arena)
-    : _tags(CacheGeometry(params.sizeBytes, params.blockBytes,
-                          params.assoc),
-            params.policy, seed, arena)
+    : _tags(params.geometry(), params.policy, seed, arena)
 {
     _tags.setProtection(params.protection);
 }

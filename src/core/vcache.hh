@@ -33,6 +33,7 @@
 #ifndef VRC_CORE_VCACHE_HH
 #define VRC_CORE_VCACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -59,17 +60,25 @@ struct VLineMeta
 class VCache
 {
   public:
+    using Store = TagStore<VLineMeta>;
+    using Line = Store::Line;
+
     /**
      * @param params     size/block/associativity of this cache
      * @param seed       replacement randomness seed
-     * @param arena      optional arena the tag arrays are carved from
+     * @param arena      carve the tag arrays from this arena, sized to
+     *                   include footprint(); else the cache owns one
      */
     explicit VCache(const CacheParams &params,
                     std::uint64_t seed = 0x5ca1e,
                     Arena *arena = nullptr);
 
-    using Store = TagStore<VLineMeta>;
-    using Line = Store::Line;
+    /** Arena bytes a V-cache of this shape carves. */
+    static std::size_t
+    footprint(const CacheParams &params)
+    {
+        return Store::footprint(params.geometry(), params.policy);
+    }
 
     /**
      * Look up a virtual address.

@@ -13,10 +13,11 @@ namespace vrc
 VrHierarchy::VrHierarchy(const HierarchyParams &params,
                          AddressSpaceManager &spaces, SharedBus &bus,
                          bool l1_virtual, SynonymOrg synonym_org)
-    : CacheHierarchy(params, spaces, bus, true), _l1Virtual(l1_virtual),
+    : CacheHierarchy(params, spaces, bus, true, arenaBytes(params)),
+      _l1Virtual(l1_virtual),
       _r(params.l2, params.l1.blockBytes, 0x2ca1e, &_arena)
 {
-    const CacheParams l1 = l1CacheParams();
+    const CacheParams l1 = l1CacheParams(params);
     for (unsigned i = 0; i < l1Count(); ++i) {
         _l1[i] = std::make_unique<VCache>(l1, i ? 0x1f1f : 0xdada, &_arena);
         // Virtual level-1 tags translate behind the cache (no per-access
@@ -52,6 +53,13 @@ VrHierarchy::VrHierarchy(const HierarchyParams &params,
     // skip us whenever our presence bit is clear.
     setCpuId(bus.attach(
         this, SnoopAgentInfo{true, _own.snoops, _own.snoopMisses}));
+}
+
+std::size_t
+VrHierarchy::arenaBytes(const HierarchyParams &params)
+{
+    return l1Count(params) * VCache::footprint(l1CacheParams(params)) +
+           RCache::footprint(params.l2, params.l1.blockBytes);
 }
 
 void

@@ -128,6 +128,9 @@ class VrHierarchy final : public CacheHierarchy
     const SynonymDirectory &synonymDirectory() const { return *_dir; }
 
   private:
+    /** Arena capacity: the level-1 caches plus the R-cache. */
+    static std::size_t arenaBytes(const HierarchyParams &params);
+
     /** Evict the chosen V-cache victim, notifying the R-cache. */
     void evictVVictim(VCache &vc, LineRef slot);
 

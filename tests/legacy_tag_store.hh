@@ -62,7 +62,7 @@ class LegacyTagStore
     line(LineRef ref)
     {
         Cell &c = cell(ref);
-        return Line{c.valid, c.tag, c.stamp, c.meta};
+        return Line{c.valid, c.tag, c.meta};
     }
 
     Line
@@ -89,6 +89,13 @@ class LegacyTagStore
     {
         if (_policy == ReplPolicy::LRU)
             cell(ref).stamp = ++_clock;
+    }
+
+    /** TagStore::copyStamp; this store keeps a stamp in every cell. */
+    void
+    copyStamp(LineRef from, LineRef to)
+    {
+        cell(to).stamp = cell(from).stamp;
     }
 
     LineRef
@@ -125,7 +132,7 @@ class LegacyTagStore
         c.tag = _geom.tag(addr);
         c.stamp = ++_clock;
         c.meta = Meta{};
-        return Line{c.valid, c.tag, c.stamp, c.meta};
+        return Line{c.valid, c.tag, c.meta};
     }
 
     void
@@ -243,7 +250,7 @@ class LegacyTagStore
         for (std::uint32_t w = 0; w < assoc; ++w) {
             Cell &c = _lines[set * assoc + w];
             const LineRef ref{set, w};
-            Line view{c.valid, c.tag, c.stamp, c.meta};
+            Line view{c.valid, c.tag, c.meta};
             if (!eligible(ref, view))
                 continue;
             ++eligible_count;

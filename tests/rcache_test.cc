@@ -58,7 +58,6 @@ TEST(RCacheTest, ReinstallResetsEverySubentry)
         s.buffer = true;
         s.vdirty = true;
         s.l1Index = 1;
-        s.vPointer = 0x7 + i;
         s.childAddrBlock = 0xabc0 + i * kL1Block;
     }
     rc.invalidate(slot);
@@ -75,7 +74,6 @@ TEST(RCacheTest, ReinstallResetsEverySubentry)
         EXPECT_FALSE(s.buffer) << "sub-block " << i;
         EXPECT_FALSE(s.vdirty) << "sub-block " << i;
         EXPECT_EQ(s.l1Index, 0u) << "sub-block " << i;
-        EXPECT_EQ(s.vPointer, 0u) << "sub-block " << i;
         EXPECT_EQ(s.childAddrBlock, 0u) << "sub-block " << i;
     }
 }

@@ -367,15 +367,16 @@ TEST_P(TagStoreParamTest, MatchesLegacyReferenceUnderRandomOps)
                 EXPECT_EQ(store.lineAddr(ref), legacy.lineAddr(ref));
             }
         } else if (dice < 88) {
-            // Copy one way's recency stamp onto another way of its set
-            // through the view. No owner does this, so it is the only
-            // way to reach equal stamps; it pins the tie-break (the
-            // lowest eligible way wins).
+            // Copy one way's recency stamp onto another way of its set.
+            // No owner does this, so it is the only way to reach equal
+            // stamps; it pins the tie-break (the lowest eligible way
+            // wins). A store without stamps ignores it, and so does the
+            // legacy store's choice: one way, or Random.
             const LineRef from = randomRef();
             const LineRef to{
                 from.set, static_cast<std::uint32_t>(rng.below(c.assoc))};
-            store.line(to).stamp = store.line(from).stamp;
-            legacy.line(to).stamp = legacy.line(from).stamp;
+            store.copyStamp(from, to);
+            legacy.copyStamp(from, to);
         } else if (dice < 93) {
             EXPECT_EQ(store.validCount(), legacy.validCount());
         } else if (dice < 99) {
