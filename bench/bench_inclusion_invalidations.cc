@@ -7,6 +7,7 @@
  */
 
 #include "bench_util.hh"
+#include "sim/parallel_runner.hh"
 
 int
 main(int argc, char **argv)
@@ -59,7 +60,6 @@ main(int argc, char **argv)
     {
         std::uint64_t inclusion = 0, forced = 0, refs = 0;
     };
-    PerfTimer timer;
     ParallelRunner pool;
     std::vector<CellResult> results =
         pool.map(cells.size(), [&](std::size_t i) {
@@ -77,7 +77,6 @@ main(int argc, char **argv)
                 sim.refsProcessed()};
         });
 
-    std::uint64_t total_refs = 0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         const CellResult &r = results[i];
@@ -89,10 +88,7 @@ main(int argc, char **argv)
             .cell(r.inclusion)
             .cell(r.forced)
             .cell(r.refs);
-        total_refs += r.refs;
     }
-    perfRecord("bench_inclusion_invalidations", "total",
-               timer.seconds(), total_refs);
     std::cout << t;
     std::cout << "\npaper: 21 inclusion invalidations for pops at "
                  "16K(2-way)/256K over ~3.3M references.\n";

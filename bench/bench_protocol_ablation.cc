@@ -12,6 +12,7 @@
  */
 
 #include "bench_util.hh"
+#include "sim/parallel_runner.hh"
 
 int
 main(int argc, char **argv)
@@ -25,8 +26,6 @@ main(int argc, char **argv)
     const CoherencePolicy policies[] = {CoherencePolicy::WriteInvalidate,
                                         CoherencePolicy::WriteUpdate};
 
-    PerfTimer total;
-    std::uint64_t total_refs = 0;
     for (const char *name : {"thor", "pops", "abaqus"}) {
         const TraceBundle &bundle = profileTrace(name, scale);
         TextTable t;
@@ -46,7 +45,7 @@ main(int argc, char **argv)
         {
             double h1 = 0.0;
             std::uint64_t misses = 0, busTxs = 0, updates = 0;
-            std::uint64_t l1Msgs = 0, memWrites = 0, refs = 0;
+            std::uint64_t l1Msgs = 0, memWrites = 0;
         };
         ParallelRunner pool;
         std::vector<Row> rows = pool.map(2, [&](std::size_t i) {
@@ -61,8 +60,7 @@ main(int argc, char **argv)
                        sim.bus().transactions(),
                        sim.bus().stats().value("update"),
                        sim.totalCounter("l1_coherence_msgs"),
-                       sim.totalCounter("memory_writes"),
-                       sim.refsProcessed()};
+                       sim.totalCounter("memory_writes")};
         });
         for (std::size_t i = 0; i < rows.size(); ++i) {
             t.row()
@@ -73,12 +71,9 @@ main(int argc, char **argv)
                 .cell(rows[i].updates)
                 .cell(rows[i].l1Msgs)
                 .cell(rows[i].memWrites);
-            total_refs += rows[i].refs;
         }
         std::cout << t << "\n";
     }
-    perfRecord("bench_protocol_ablation", "total", total.seconds(),
-               total_refs);
     std::cout << "expected shape: update raises h1 (no invalidation "
                  "misses) at the cost of one bus broadcast and one "
                  "memory write per shared write.\n";

@@ -94,8 +94,6 @@ main(int argc, char **argv)
     const TraceBundle &bundle = profileTrace("pops", scale);
     std::cout << "strike spec: " << kStrikeSpec << "\n\n";
 
-    PerfTimer total;
-    std::uint64_t total_refs = 0;
     TextTable t;
     t.row()
         .cell("org")
@@ -113,14 +111,12 @@ main(int argc, char **argv)
 
     for (HierarchyKind kind : kAllHierarchyKinds) {
         // Unarmed baseline: the recovery-cost denominator.
-        PerfTimer timer;
         CellResult base =
             runCell(bundle, kind, ArrayProtection::Secded, false);
         for (ArrayProtection prot :
              {ArrayProtection::None, ArrayProtection::Parity,
               ArrayProtection::Secded}) {
             CellResult r = runCell(bundle, kind, prot, true);
-            total_refs += r.refsDone;
             std::string refs = std::to_string(r.refsDone);
             if (r.halted)
                 refs += "*";
@@ -141,8 +137,6 @@ main(int argc, char **argv)
                                            base.busTransactions)
                           : std::string("-"));
         }
-        perfRecord("bench_soft_error_avf", hierarchyKindName(kind),
-                   timer.seconds(), base.refsDone);
     }
     std::cout << t;
 
@@ -155,7 +149,5 @@ main(int argc, char **argv)
         "(vr, rr) refetch level-1 strikes from the level-2 parent for\n"
         "free; rr-noincl pays bus refetches and halts on any detected\n"
         "dirty level-1 strike.\n";
-    perfRecord("bench_soft_error_avf", "total", total.seconds(),
-               total_refs);
     return 0;
 }

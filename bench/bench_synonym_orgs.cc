@@ -78,12 +78,7 @@ main(int argc, char **argv)
             for (auto kind : kOrgs)
                 jobs.push_back({kind, l1, l2});
 
-        PerfTimer timer;
         std::vector<SimSummary> all = runSimulations(bundle, jobs);
-        std::uint64_t refs = 0;
-        for (const auto &s : all)
-            refs += s.refs;
-        perfRecord("bench_synonym_orgs", trace, timer.seconds(), refs);
 
         std::cout << "--- " << trace << " ---\n";
         TextTable t;

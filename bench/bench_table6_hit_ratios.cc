@@ -14,8 +14,6 @@ main(int argc, char **argv)
     double scale = benchScaleFromArgs(argc, argv);
     banner("Table 6: hit ratios (V-R vs R-R, direct-mapped)", scale);
 
-    PerfTimer total;
-    std::uint64_t total_refs = 0;
     for (const char *name : {"thor", "pops", "abaqus"}) {
         const TraceBundle &bundle = profileTrace(name, scale);
         TextTable t;
@@ -31,15 +29,9 @@ main(int argc, char **argv)
         for (auto [l1, l2] : paperSizePairs())
             jobs.push_back({HierarchyKind::RealRealIncl, l1, l2});
 
-        PerfTimer timer;
         std::vector<SimSummary> res = runSimulations(bundle, jobs);
         std::vector<SimSummary> vr(res.begin(), res.begin() + 3);
         std::vector<SimSummary> rr(res.begin() + 3, res.end());
-        std::uint64_t refs = 0;
-        for (const auto &s : res)
-            refs += s.refs;
-        perfRecord("bench_table6", name, timer.seconds(), refs);
-        total_refs += refs;
         t.row().cell("h1VR");
         for (const auto &s : vr)
             t.cell(s.h1, 3);
@@ -58,6 +50,5 @@ main(int argc, char **argv)
     std::cout << "expected shape (paper): h1VR == h1RR for thor/pops "
                  "(rare switches); h1VR a few points below h1RR for "
                  "abaqus, gap growing with V-cache size.\n";
-    perfRecord("bench_table6", "total", total.seconds(), total_refs);
     return 0;
 }

@@ -7,26 +7,17 @@
  *   --scale=<f>    run on an arbitrary fraction
  *   --jobs=<n>     simulate up to n table cells concurrently
  * and prints one paper-style table to stdout.
- *
- * When VRC_PERF_OUT names a file, each binary also appends one JSON
- * line per timed section (wall-clock seconds, references simulated,
- * refs/sec, worker count); scripts/collect_perf.sh assembles those
- * lines into BENCH_perf.json.
  */
 
 #ifndef VRC_BENCH_BENCH_UTIL_HH
 #define VRC_BENCH_BENCH_UTIL_HH
 
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 
 #include "base/table.hh"
 #include "sim/experiment.hh"
-#include "sim/parallel_runner.hh"
 
 namespace vrc
 {
@@ -56,59 +47,6 @@ banner(const std::string &what, double scale)
         std::cout << "(scaled run: " << scale
                   << " of the paper's trace length)\n";
     std::cout << "\n";
-}
-
-/** Wall-clock stopwatch for bench self-timing. */
-class PerfTimer
-{
-  public:
-    PerfTimer() : _start(std::chrono::steady_clock::now()) {}
-
-    double
-    seconds() const
-    {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - _start)
-            .count();
-    }
-
-  private:
-    std::chrono::steady_clock::time_point _start;
-};
-
-/**
- * Record one timed section of a bench run.
- *
- * Always prints the timing to stderr; when the VRC_PERF_OUT
- * environment variable names a file, also appends a JSON line with the
- * raw numbers so scripts/collect_perf.sh can build BENCH_perf.json.
- *
- * @param bench   binary name, e.g. "bench_table6"
- * @param section what was timed, e.g. a workload name or "total"
- * @param seconds wall-clock time of the section
- * @param refs    trace references simulated in the section (0 if n/a)
- */
-inline void
-perfRecord(const std::string &bench, const std::string &section,
-           double seconds, std::uint64_t refs)
-{
-    unsigned jobs = ParallelRunner::defaultJobs();
-    double rate = seconds > 0.0 ? static_cast<double>(refs) / seconds
-                                : 0.0;
-    std::cerr << "[perf] " << bench << "/" << section << ": " << seconds
-              << " s";
-    if (refs)
-        std::cerr << ", " << refs << " refs, " << rate << " refs/s";
-    std::cerr << ", jobs=" << jobs << "\n";
-
-    const char *path = std::getenv("VRC_PERF_OUT");
-    if (!path || !path[0])
-        return;
-    std::ofstream out(path, std::ios::app);
-    out << "{\"bench\":\"" << bench << "\",\"section\":\"" << section
-        << "\",\"seconds\":" << seconds << ",\"refs\":" << refs
-        << ",\"refs_per_sec\":" << rate << ",\"jobs\":" << jobs
-        << "}\n";
 }
 
 /** Print a histogram in the paper's "bucket / count" layout. */

@@ -35,13 +35,7 @@ runCoherenceTable(const std::string &table, const std::string &trace,
         for (auto kind : kinds)
             jobs.push_back({kind, l1, l2});
 
-    PerfTimer timer;
     std::vector<SimSummary> all = runSimulations(bundle, jobs);
-    std::uint64_t refs = 0;
-    for (const auto &s : all)
-        refs += s.refs;
-    perfRecord(table, trace, timer.seconds(), refs);
-
     std::size_t batch = 0;
     for (auto [l1, l2] : paperSizePairs()) {
         std::vector<SimSummary> res(all.begin() + batch,

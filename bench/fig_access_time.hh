@@ -100,12 +100,7 @@ runAnalyticFigure(const std::string &figure, const std::string &trace,
         jobs.push_back({HierarchyKind::VirtualReal, l1, l2});
         jobs.push_back({HierarchyKind::RealRealIncl, l1, l2});
     }
-    PerfTimer timer;
     std::vector<SimSummary> res = runSimulations(bundle, jobs);
-    std::uint64_t refs = 0;
-    for (const auto &s : res)
-        refs += s.refs;
-    perfRecord(figure, trace, timer.seconds(), refs);
 
     std::vector<SlowdownPoint> grid = slowdownGrid(res, tp);
 
@@ -181,8 +176,8 @@ struct ContentionPoint
  * the V-R / R-R pair shares it.
  */
 inline std::vector<ContentionPoint>
-contentionSweep(const std::string &figure, const std::string &trace,
-                double scale, std::uint32_t l1, std::uint32_t l2)
+contentionSweep(const std::string &trace, double scale, std::uint32_t l1,
+                std::uint32_t l2)
 {
     std::vector<ContentionPoint> points;
     for (std::uint32_t cpus : {1u, 2u, 4u, 8u, 16u}) {
@@ -195,11 +190,7 @@ contentionSweep(const std::string &figure, const std::string &trace,
                         TimingMode::Cycle});
         jobs.push_back({HierarchyKind::RealRealIncl, l1, l2, false, 0,
                         TimingMode::Cycle});
-        PerfTimer timer;
         std::vector<SimSummary> res = runSimulations(bundle, jobs);
-        perfRecord(figure,
-                   trace + "-contention-cpus" + std::to_string(cpus),
-                   timer.seconds(), res[0].refs + res[1].refs);
 
         points.push_back({cpus, res[0].avgAccessCycles,
                           res[0].busUtilization, res[0].avgBusWait,
@@ -217,7 +208,7 @@ runContentionFigure(const std::string &figure, const std::string &trace,
     // enough that the bus is not the whole story.
     auto [l1, l2] = paperSizePairs()[1];
     std::vector<ContentionPoint> pts =
-        contentionSweep(figure, trace, scale, l1, l2);
+        contentionSweep(trace, scale, l1, l2);
 
     if (csv) {
         std::cout << "trace,cpus,vr_access_cycles,vr_bus_util,"

@@ -30,14 +30,9 @@ runSplitTable(const std::string &table, const std::string &trace,
     for (auto [l1, l2] : paperSizePairs())
         jobs.push_back({HierarchyKind::VirtualReal, l1, l2, false});
 
-    PerfTimer timer;
     std::vector<SimSummary> res = runSimulations(bundle, jobs);
     std::vector<SimSummary> split(res.begin(), res.begin() + 3);
     std::vector<SimSummary> unified(res.begin() + 3, res.end());
-    std::uint64_t refs = 0;
-    for (const auto &s : res)
-        refs += s.refs;
-    perfRecord(table, trace, timer.seconds(), refs);
 
     TextTable t;
     t.row().cell(trace);

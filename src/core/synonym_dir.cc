@@ -18,10 +18,11 @@ namespace
  * R-cache subentry carries the architected v-pointer (plus, for split
  * level-1 caches, which half) naming its child, and each V-cache line
  * carries the architected r-pointer naming its parent. The simulator
- * stores the child's full address in the subentry and derives the
- * v-pointer from it (vPointerBits()); next to the r-pointer it keeps
- * the parent's full address. checkInvariants() proves that both sets
- * of bits, with the page offset, reach the linked line's set.
+ * stores the full addresses instead -- the child's in the subentry,
+ * the parent's in the V-cache line -- and derives both pointers from
+ * them (vPointerBits(), rPointerBits()). checkInvariants() proves
+ * that both sets of bits, with the page offset, reach the linked
+ * line's set.
  *
  * link/unlink are (almost) free -- the pointers ride along with the
  * subentry writes the hierarchy performs anyway -- and the directory
@@ -87,11 +88,6 @@ class PointerSynonymDirectory final : public SynonymDirectory
         RSubentry &s = _r.sub(*rref, pa);
         s.l1Index = static_cast<std::uint8_t>(l1_index);
         s.childAddrBlock = child_block;
-        // The child's architected back-pointer to the R-cache set.
-        VCache &vc = *_l1[l1_index];
-        auto child = vc.findOccupied(child_block);
-        panicIfNot(child.has_value(), "synonym link with no L1 child");
-        vc.line(*child).meta.rPointer = rPointerBits(pa.value());
     }
 
     void
@@ -154,10 +150,8 @@ class PointerSynonymDirectory final : public SynonymDirectory
                     if (!l.valid)
                         return;
                     std::uint32_t pa = l.meta.physBlockAddr;
-                    panicIfNot(l.meta.rPointer == rPointerBits(pa),
-                               "stale r-pointer bits");
                     std::uint32_t rebuilt =
-                        l.meta.rPointer * _pageSize + pa % _pageSize;
+                        rPointerBits(pa) * _pageSize + pa % _pageSize;
                     panicIfNot(_r.geometry().setIndex(rebuilt) ==
                                    _r.geometry().setIndex(pa),
                                "r-pointer + page offset misses the "

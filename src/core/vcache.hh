@@ -12,15 +12,14 @@
  * purposes while retaining contents, and a dirty swapped block is only
  * written back when its slot is eventually reclaimed.
  *
- * Alongside the architected r-pointer bits the simulator keeps the full
- * physical block address of each line. Hardware does not store those
- * bits -- it relocates the parent by indexing the R-cache with
- * r-pointer + page offset and searching the set -- but the information
- * content is identical. The r-pointer bits themselves are owned and
- * written by the hierarchy's SynonymDirectory (the pointer
- * organization), which also verifies that the architected bits
- * reconstruct the same R-cache set; this cache only provides the
- * storage.
+ * In place of the architected r-pointer bits the simulator keeps the
+ * full physical block address of each line. Hardware does not store
+ * that address -- it relocates the parent by indexing the R-cache with
+ * r-pointer + page offset and searching the set -- but the r-pointer
+ * is its low page-number bits, so nothing is lost. The hierarchy's
+ * SynonymDirectory (the pointer organization) derives the r-pointer
+ * from the stored address and verifies that it, with the page offset,
+ * reconstructs the same R-cache set.
  *
  * The searches the replay makes on every reference -- lookup(),
  * victimFor(), findOccupied() and install() -- are defined here in the
@@ -52,7 +51,6 @@ struct VLineMeta
 {
     bool dirty = false;
     bool swappedValid = false;  ///< belongs to a switched-out process
-    std::uint32_t rPointer = 0; ///< architected link bits to the R-cache
     std::uint32_t physBlockAddr = 0; ///< simulator-held full link
 };
 
@@ -114,9 +112,10 @@ class VCache
     }
 
     /**
-     * Install a block for @p va into @p slot. The architected
-     * r-pointer bits are not written here: the hierarchy's synonym
-     * directory links parent and child right after every install.
+     * Install a block for @p va into @p slot. The stored physical
+     * block address is the child's whole link to its parent; the
+     * hierarchy's synonym directory links the parent right after
+     * every install.
      *
      * @param pa_block block-aligned physical address
      * @param dirty    initial dirty state

@@ -69,6 +69,7 @@ summarizeSimulation(const MpSimulator &sim, const SimJob &job)
     s.synonymMoves = sim.totalCounter("synonym_moves");
     s.writebackCancels = sim.totalCounter("writeback_cancels");
     s.swappedWritebacks = sim.totalCounter("swapped_writebacks");
+    s.writeBufferStalls = sim.totalCounter("wb_stalls");
     s.busTransactions = sim.bus().transactions();
     s.memoryWrites = sim.totalCounter("memory_writes");
     s.refs = sim.refsProcessed();

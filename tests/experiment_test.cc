@@ -158,6 +158,30 @@ TEST(ExperimentTest, SplitRatiosCloseToUnified)
     EXPECT_NEAR(split.h1, uni.h1, 0.05);
 }
 
+TEST(ExperimentTest, WriteBufferStallsReachSummaryAndJournalLine)
+{
+    // The write buffer drains on the reference clock, so both timing
+    // engines stall on the same references.
+    const auto &b = bundleFor("pops", 0.01);
+    SimJob job{HierarchyKind::VirtualReal, 4 * 1024, 64 * 1024};
+    MpSimulator sim(makeMachineConfig(job.kind, job.l1Size, job.l2Size,
+                                      b.profile.pageSize),
+                    b.profile);
+    sim.run(b.records);
+    std::uint64_t stalls = sim.totalCounter("wb_stalls");
+    ASSERT_GT(stalls, 0u);
+    EXPECT_EQ(summarizeSimulation(sim, job).writeBufferStalls, stalls);
+
+    for (TimingMode mode : {TimingMode::Analytic, TimingMode::Cycle}) {
+        job.timingMode = mode;
+        SimSummary s = runSimulationJob(b, job);
+        EXPECT_EQ(s.writeBufferStalls, stalls) << timingModeName(mode);
+        auto r = decodeSummaryLine(encodeSummaryLine(0, s));
+        ASSERT_TRUE(r.ok()) << r.error().describe();
+        EXPECT_EQ(r.take().second.writeBufferStalls, stalls);
+    }
+}
+
 /** The summary line of one MpSimulator::run() over all of @p b. */
 std::string
 singleRunLine(const TraceBundle &b, const SimJob &job)

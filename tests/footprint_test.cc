@@ -112,7 +112,7 @@ TEST_F(ContentionArenaTest, VrArenaIsExactlyTheGeometry)
     const std::size_t v_line = kTagBytes + kValidBytes + sizeof(VLineMeta);
     const std::size_t r_line = kTagBytes + kValidBytes +
                                sizeof(RLineMeta) + sizeof(RSubentry);
-    EXPECT_EQ(v_line, 17u);
+    EXPECT_EQ(v_line, 13u);
     EXPECT_EQ(r_line, 15u);
     const std::size_t expect = kL1Lines * v_line + kL2Lines * r_line;
 

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -88,6 +91,29 @@ TEST(ParallelRunnerTest, CollectsEveryFailureWithItsIndex)
     }
 }
 
+TEST(ParallelRunnerTest, FourWorkersHoldFourItemsAtOnce)
+{
+    // Each item waits until all four have arrived. A runner that has
+    // collapsed to serial never gathers them, so every wait runs out
+    // against one shared deadline: the test fails in seconds instead
+    // of hanging.
+    std::mutex mu;
+    std::condition_variable cv;
+    unsigned arrived = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    ParallelRunner pool(4);
+    std::vector<int> met = pool.map(4, [&](std::size_t) {
+        std::unique_lock<std::mutex> lock(mu);
+        ++arrived;
+        cv.notify_all();
+        return cv.wait_until(lock, deadline, [&] { return arrived == 4; })
+                   ? 1
+                   : 0;
+    });
+    EXPECT_EQ(met, (std::vector<int>{1, 1, 1, 1}));
+}
+
 TEST(ParallelRunnerTest, DefaultJobsOverride)
 {
     ParallelRunner::setDefaultJobs(3);
@@ -98,10 +124,11 @@ TEST(ParallelRunnerTest, DefaultJobsOverride)
 }
 
 /**
- * The guarantee the benches and BENCH_perf.json rest on: running the
- * same job list with one worker or many produces identical summaries,
- * field for field (compared through the JSON serialization, which
- * covers every table-facing number).
+ * The guarantee the bench tables and the vrcbench sweep rest on (the
+ * sweep is what scripts/bench_pairs.py times, parent against change,
+ * pair by pair): running the same job list with one worker or many
+ * produces identical summaries, field for field (compared through the
+ * JSON serialization, which covers every table-facing number).
  */
 TEST(ParallelRunnerTest, SimulationsDeterministicAcrossThreadCounts)
 {
