@@ -14,12 +14,10 @@
 using namespace vrc;
 
 int
-main(int argc, char **argv)
+main()
 {
-    double scale = benchScaleFromArgs(argc, argv, 0.05);
-
     // A sharing-heavy profile: more shared pages, more shared writes.
-    WorkloadProfile profile = scaled(popsProfile(), 0.1 * scale);
+    WorkloadProfile profile = scaled(popsProfile(), 0.1);
     profile.sharedFrac = 0.12;
     profile.sharedWriteFrac = 0.4;
 

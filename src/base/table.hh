@@ -2,9 +2,9 @@
  * @file
  * Plain-text table formatting for experiment output.
  *
- * The bench binaries print tables shaped like the paper's; this helper
- * keeps column widths aligned and supports numeric cells with fixed
- * precision.
+ * The artifact registry (sim/artifacts.hh) prints tables shaped like
+ * the paper's; this helper keeps column widths aligned and supports
+ * numeric cells with fixed precision.
  */
 
 #ifndef VRC_BASE_TABLE_HH

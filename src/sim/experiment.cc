@@ -1,11 +1,8 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "base/bitops.hh"
-#include "base/fault.hh"
 #include "sim/parallel_runner.hh"
 
 namespace vrc
@@ -132,32 +129,6 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>>
 smallSizePairs()
 {
     return {{512, 64 * 1024}, {1024, 128 * 1024}, {2048, 256 * 1024}};
-}
-
-double
-benchScaleFromArgs(int argc, char **argv, double quick)
-{
-    double scale = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            scale = quick;
-        else if (std::strncmp(argv[i], "--scale=", 8) == 0)
-            scale = std::atof(argv[i] + 8);
-        else if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            ParallelRunner::setDefaultJobs(
-                static_cast<unsigned>(std::atoi(argv[i] + 7)));
-        else if (std::strncmp(argv[i], "--inject-faults=", 16) == 0) {
-            Status armed = configureFaultInjection(argv[i] + 16);
-            if (!armed)
-                fatal(armed.error().describe());
-        }
-    }
-    if (scale != 0.0)
-        return scale;
-    if (const char *env = std::getenv("VRC_QUICK");
-        env && env[0] == '1')
-        return quick;
-    return 1.0;
 }
 
 } // namespace vrc

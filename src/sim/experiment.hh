@@ -1,8 +1,8 @@
 /**
  * @file
  * Experiment helpers: run one simulation and summarize the counters the
- * paper's tables report. Shared by the bench binaries and the
- * integration tests.
+ * paper's tables report. Shared by the artifact registry, the tools
+ * and the integration tests.
  */
 
 #ifndef VRC_SIM_EXPERIMENT_HH
@@ -129,13 +129,6 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> paperSizePairs();
 
 /** The paper's three small size pairs (Table 7). */
 std::vector<std::pair<std::uint32_t, std::uint32_t>> smallSizePairs();
-
-/**
- * Resolve the trace-length scale factor for bench binaries: 1.0 by
- * default, smaller when --quick is passed or VRC_QUICK is set in the
- * environment.
- */
-double benchScaleFromArgs(int argc, char **argv, double quick = 0.05);
 
 } // namespace vrc
 

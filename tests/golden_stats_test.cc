@@ -10,7 +10,10 @@
  * are diffed against checked-in golden files, so any silent counter
  * drift -- a replacement decision, a coherence message, a hit ratio
  * off by one reference -- fails tier-1 immediately instead of only
- * surfacing in the (tolerance-based) paper-number tests.
+ * surfacing in the (tolerance-based) paper-number tests. The grids
+ * come from the artifact registry (sim/artifacts.hh), and the text
+ * each registry artifact renders is pinned as well, under
+ * tests/golden/rendered/.
  *
  * The corpus runs at a reduced trace scale (kGoldenScale) to stay
  * fast; scale changes the numbers, not their determinism. To
@@ -33,7 +36,7 @@
 #include <vector>
 
 #include "base/fault.hh"
-#include "core/timing.hh"
+#include "sim/artifacts.hh"
 #include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "trace/trace_stats.hh"
@@ -53,13 +56,7 @@ constexpr double kGoldenScale = 0.02;
 const TraceBundle &
 goldenTrace(const std::string &name)
 {
-    static std::map<std::string, TraceBundle> cache;
-    auto it = cache.find(name);
-    if (it == cache.end()) {
-        WorkloadProfile p = scaled(profileByName(name), kGoldenScale);
-        it = cache.emplace(name, generateTrace(p)).first;
-    }
-    return it->second;
+    return artifactTrace(name, kGoldenScale);
 }
 
 std::string
@@ -132,53 +129,27 @@ compareGolden(const std::string &name,
     }
 }
 
-/** The shared hit-ratio artifact behind Tables 6 and 7. */
+/**
+ * The summaries of registry artifact @p name's grids, one line per
+ * cell; a "trace <name>" line heads each grid when there are several.
+ */
 std::vector<std::string>
-hitRatioLines(const std::vector<std::pair<std::uint32_t, std::uint32_t>>
-                  &pairs)
+gridLines(const std::string &name)
 {
+    const Artifact *a = findArtifact(name);
+    EXPECT_NE(a, nullptr) << name;
+    if (!a)
+        return {};
+    std::vector<std::vector<SimSummary>> res =
+        runArtifactGrids(*a, kGoldenScale);
     std::vector<std::string> lines;
-    for (const char *name : {"thor", "pops", "abaqus"}) {
-        const TraceBundle &bundle = goldenTrace(name);
-        std::vector<SimJob> jobs;
-        for (auto [l1, l2] : pairs)
-            jobs.push_back({HierarchyKind::VirtualReal, l1, l2});
-        for (auto [l1, l2] : pairs)
-            jobs.push_back({HierarchyKind::RealRealIncl, l1, l2});
-        lines.push_back(std::string("trace ") + name);
-        for (const std::string &l : summaryLines(bundle, jobs))
-            lines.push_back(l);
+    for (std::size_t g = 0; g < res.size(); ++g) {
+        if (res.size() > 1)
+            lines.push_back("trace " + a->grids[g].trace);
+        for (std::size_t i = 0; i < res[g].size(); ++i)
+            lines.push_back(encodeSummaryLine(i, res[g][i]));
     }
     return lines;
-}
-
-/** Tables 8-10: split vs unified V-caches on one trace. */
-std::vector<std::string>
-splitTableLines(const std::string &trace)
-{
-    const TraceBundle &bundle = goldenTrace(trace);
-    std::vector<SimJob> jobs;
-    for (auto [l1, l2] : paperSizePairs())
-        jobs.push_back({HierarchyKind::VirtualReal, l1, l2, true});
-    for (auto [l1, l2] : paperSizePairs())
-        jobs.push_back({HierarchyKind::VirtualReal, l1, l2, false});
-    return summaryLines(bundle, jobs);
-}
-
-/** Tables 11-13: coherence messages per CPU on one trace. */
-std::vector<std::string>
-coherenceTableLines(const std::string &trace)
-{
-    const TraceBundle &bundle = goldenTrace(trace);
-    std::vector<SimJob> jobs;
-    for (auto [l1, l2] : paperSizePairs()) {
-        for (auto kind :
-             {HierarchyKind::VirtualReal, HierarchyKind::RealRealIncl,
-              HierarchyKind::RealRealNoIncl}) {
-            jobs.push_back({kind, l1, l2});
-        }
-    }
-    return summaryLines(bundle, jobs);
 }
 
 /**
@@ -187,34 +158,18 @@ coherenceTableLines(const std::string &trace)
  * proper, 0..10% translation slowdown).
  */
 std::vector<std::string>
-figureLines(const std::string &trace)
+figureLines(const std::string &name)
 {
-    const TraceBundle &bundle = goldenTrace(trace);
-    std::vector<SimJob> jobs;
-    for (auto [l1, l2] : paperSizePairs()) {
-        jobs.push_back({HierarchyKind::VirtualReal, l1, l2});
-        jobs.push_back({HierarchyKind::RealRealIncl, l1, l2});
-    }
-    std::vector<SimSummary> res = runSimulations(bundle, jobs);
-
+    std::vector<SimSummary> res =
+        runArtifactGrids(*findArtifact(name), kGoldenScale).at(0);
     std::vector<std::string> lines;
     for (std::size_t i = 0; i < res.size(); ++i)
         lines.push_back(encodeSummaryLine(i, res[i]));
-
-    TimingParams tp; // t1 = 1, t2 = 4, as the figures assume
-    std::size_t i = 0;
-    for (auto [l1, l2] : paperSizePairs()) {
-        const SimSummary &vr = res[i++];
-        const SimSummary &rr = res[i++];
-        for (int pct = 0; pct <= 10; ++pct) {
-            TimingParams slowed = tp;
-            slowed.l1SlowdownPct = pct;
-            lines.push_back(
-                "grid " + std::to_string(l1) + " " +
-                std::to_string(l2) + " " + std::to_string(pct) + " " +
-                hex(avgAccessTimeTwoTerm(vr.h1, vr.h2, tp)) + " " +
-                hex(avgAccessTimeTwoTerm(rr.h1, rr.h2, slowed)));
-        }
+    for (const SlowdownPoint &pt : slowdownGrid(res)) {
+        lines.push_back("grid " + std::to_string(pt.l1) + " " +
+                        std::to_string(pt.l2) + " " +
+                        std::to_string(pt.pct) + " " + hex(pt.tVr) +
+                        " " + hex(pt.tRr));
     }
     return lines;
 }
@@ -305,57 +260,57 @@ TEST(GoldenStats, Table5TraceCharacteristics)
 
 TEST(GoldenStats, Table6HitRatios)
 {
-    compareGolden("table6", hitRatioLines(paperSizePairs()));
+    compareGolden("table6", gridLines("table6"));
 }
 
 TEST(GoldenStats, Table7SmallCaches)
 {
-    compareGolden("table7", hitRatioLines(smallSizePairs()));
+    compareGolden("table7", gridLines("table7"));
 }
 
 TEST(GoldenStats, Table8SplitThor)
 {
-    compareGolden("table8", splitTableLines("thor"));
+    compareGolden("table8", gridLines("table8"));
 }
 
 TEST(GoldenStats, Table9SplitPops)
 {
-    compareGolden("table9", splitTableLines("pops"));
+    compareGolden("table9", gridLines("table9"));
 }
 
 TEST(GoldenStats, Table10SplitAbaqus)
 {
-    compareGolden("table10", splitTableLines("abaqus"));
+    compareGolden("table10", gridLines("table10"));
 }
 
 TEST(GoldenStats, Table11CoherencePops)
 {
-    compareGolden("table11", coherenceTableLines("pops"));
+    compareGolden("table11", gridLines("table11"));
 }
 
 TEST(GoldenStats, Table12CoherenceThor)
 {
-    compareGolden("table12", coherenceTableLines("thor"));
+    compareGolden("table12", gridLines("table12"));
 }
 
 TEST(GoldenStats, Table13CoherenceAbaqus)
 {
-    compareGolden("table13", coherenceTableLines("abaqus"));
+    compareGolden("table13", gridLines("table13"));
 }
 
 TEST(GoldenStats, Figure4Thor)
 {
-    compareGolden("fig4", figureLines("thor"));
+    compareGolden("fig4", figureLines("fig4"));
 }
 
 TEST(GoldenStats, Figure5Pops)
 {
-    compareGolden("fig5", figureLines("pops"));
+    compareGolden("fig5", figureLines("fig5"));
 }
 
 TEST(GoldenStats, Figure6Abaqus)
 {
-    compareGolden("fig6", figureLines("abaqus"));
+    compareGolden("fig6", figureLines("fig6"));
 }
 
 /**
@@ -366,20 +321,25 @@ TEST(GoldenStats, Figure6Abaqus)
  */
 TEST(GoldenStats, SynonymOrgs)
 {
-    std::vector<std::string> lines;
-    for (const char *name : {"thor", "pops", "abaqus"}) {
-        const TraceBundle &bundle = goldenTrace(name);
-        std::vector<SimJob> jobs;
-        for (auto [l1, l2] : paperSizePairs()) {
-            jobs.push_back({HierarchyKind::VirtualReal, l1, l2});
-            jobs.push_back({HierarchyKind::VirtualRealRlt, l1, l2});
-            jobs.push_back({HierarchyKind::RealRealIncl, l1, l2});
-        }
-        lines.push_back(std::string("trace ") + name);
-        for (const std::string &l : summaryLines(bundle, jobs))
-            lines.push_back(l);
+    compareGolden("synonym_orgs", gridLines("synonym-orgs"));
+}
+
+/**
+ * The text a reader compares with the paper: every registry artifact
+ * rendered at golden scale, byte for byte, with a zero exit code.
+ */
+TEST(GoldenStats, RenderedArtifacts)
+{
+    for (const Artifact &a : artifacts()) {
+        SCOPED_TRACE(a.name);
+        std::ostringstream out;
+        EXPECT_EQ(runArtifact(a, kGoldenScale, 0, out), 0);
+        std::vector<std::string> lines;
+        std::istringstream in(out.str());
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+        compareGolden("rendered/" + a.name, lines);
     }
-    compareGolden("synonym_orgs", lines);
 }
 
 /**
@@ -468,8 +428,8 @@ softErrorAvfLines(const char *spec)
 
 /**
  * Soft-error drift net: every organization under each array-protection
- * policy, armed with bench_soft_error_avf's strike spec. Pins how each
- * strike resolved (the soft_* counters of the hierarchies and the bus),
+ * policy, armed with the soft-error-avf artifact's strike spec. Pins how
+ * each strike resolved (the soft_* counters of the hierarchies and the bus),
  * the machine checks and presence scrubs, the bus transactions the
  * recoveries added, and where and why a run halted.
  */

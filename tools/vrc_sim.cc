@@ -13,6 +13,9 @@
  *           [--block1=16] [--block2=16] [--split] [--scale=1.0]
  *           [--timing=analytic|cycle] [--check] [--per-cpu]
  *
+ * `--artifact=<name>|all` renders the paper's tables and figures from
+ * the registry in sim/artifacts.hh.
+ *
  * Campaign mode (`--sweep`) runs the 4-organization x 3-size
  * grid as a fault-tolerant campaign: checkpointed to a journal,
  * resumable after a kill, watchdogged, with failing cells retried and
@@ -35,6 +38,7 @@
 #include "cache/protection.hh"
 #include "core/clock.hh"
 #include "core/timing.hh"
+#include "sim/artifacts.hh"
 #include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "sim/shard.hh"
@@ -78,6 +82,10 @@ usage()
         "  --events=<n>     print the first n hierarchy events\n"
         "  --warmup=<f>     reset statistics after fraction f of the\n"
         "                   trace (steady-state measurement)\n"
+        "paper artifacts:\n"
+        "  --artifact=<name>|all  render one of the paper's tables or\n"
+        "                   figures (or every one) at --scale with\n"
+        "                   --jobs workers; an unknown name lists them\n"
         "campaign mode:\n"
         "  --sweep          run the 4-org x 3-size grid as a campaign\n"
         "  --checkpoint=<path>  journal completed cells; with --resume,\n"
@@ -180,18 +188,6 @@ listOrgs()
     std::exit(0);
 }
 
-/** The paper's grid: every organization at every large size pair. */
-std::vector<SimJob>
-sweepJobs(TimingMode timing_mode)
-{
-    std::vector<SimJob> jobs;
-    for (HierarchyKind kind : kAllHierarchyKinds) {
-        for (auto [l1, l2] : paperSizePairs())
-            jobs.push_back({kind, l1, l2, false, 0, timing_mode});
-    }
-    return jobs;
-}
-
 /** Shared result reporting for --sweep and --coordinate. */
 int
 reportCampaign(const std::vector<SimJob> &jobs,
@@ -257,7 +253,7 @@ int
 runSweep(const TraceBundle &bundle, const CampaignOptions &opt,
          bool json, const std::string &out_path, TimingMode timing_mode)
 {
-    std::vector<SimJob> jobs = sweepJobs(timing_mode);
+    std::vector<SimJob> jobs = sweepGrid(timing_mode);
     installShutdownHandlers();
     Result<CampaignResult> run =
         runSimulationCampaign(bundle, jobs, opt);
@@ -273,7 +269,7 @@ runCoordinate(const TraceBundle &bundle,
               const ShardCoordinatorOptions &opt, bool json,
               const std::string &out_path, TimingMode timing_mode)
 {
-    std::vector<SimJob> jobs = sweepJobs(timing_mode);
+    std::vector<SimJob> jobs = sweepGrid(timing_mode);
     installShutdownHandlers();
     ShardCoordinator coordinator(opt);
     Status bound = coordinator.bind();
@@ -303,6 +299,32 @@ runCoordinate(const TraceBundle &bundle,
         return coordinator.conflictDetected() ? 6 : 2;
     }
     return reportCampaign(jobs, run.take(), json, out_path);
+}
+
+/**
+ * --artifact: render @p name, or every artifact in turn for "all".
+ * An unknown name is a usage error that lists the valid ones.
+ */
+int
+runArtifacts(const std::string &name, double scale, unsigned jobs)
+{
+    if (name == "all") {
+        int code = 0;
+        for (const Artifact &a : artifacts()) {
+            std::cout << "== " << a.name << "\n";
+            int rc = runArtifact(a, scale, jobs, std::cout);
+            code = code ? code : rc;
+        }
+        return code;
+    }
+    if (const Artifact *a = findArtifact(name))
+        return runArtifact(*a, scale, jobs, std::cout);
+    std::cerr << "vrc_sim: unknown artifact '" << name
+              << "'; valid names:\n";
+    for (const Artifact &a : artifacts())
+        std::cerr << "  " << a.name << "  " << a.title << "\n";
+    std::cerr << "  all  every artifact above, in order\n";
+    return 2;
 }
 
 int
@@ -352,7 +374,7 @@ runServe(const ServeOptions &so)
 int
 main(int argc, char **argv)
 {
-    std::string profile_name, profile_file, trace_path, value;
+    std::string profile_name, profile_file, trace_path, artifact, value;
     HierarchyKind kind = HierarchyKind::VirtualReal;
     std::uint32_t l1 = 16 * 1024, l2 = 256 * 1024;
     std::uint32_t assoc1 = 1, assoc2 = 1, block1 = 16, block2 = 16;
@@ -376,6 +398,8 @@ main(int argc, char **argv)
             profile_file = value;
         else if (argValue(argv[i], "--profile", value))
             profile_name = value;
+        else if (argValue(argv[i], "--artifact", value))
+            artifact = value;
         else if (argValue(argv[i], "--trace", value))
             trace_path = value;
         else if (argValue(argv[i], "--org", value))
@@ -497,6 +521,8 @@ main(int argc, char **argv)
                       serve_opt.manifest);
         return runServe(serve_opt);
     }
+    if (!artifact.empty())
+        return runArtifacts(artifact, scale, campaign.jobs);
     if (profile_name.empty() && profile_file.empty())
         usage();
 

@@ -6,7 +6,8 @@
  * shapes) at a configurable trace scale and prints PASS/FAIL per
  * claim, exiting nonzero if any fails. This turns the reproduction
  * record into an executable regression suite: run it after any change
- * to the workload model or the hierarchies.
+ * to the workload model or the hierarchies. The cells come from the
+ * artifact registry's grids (sim/artifacts.hh).
  *
  * Usage: vrc-validate [--scale=<f>]   (default 0.05)
  */
@@ -18,9 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "base/log.hh"
 #include "base/table.hh"
 #include "core/timing.hh"
-#include "sim/experiment.hh"
+#include "sim/artifacts.hh"
 #include "trace/trace_stats.hh"
 
 using namespace vrc;
@@ -53,18 +55,28 @@ fmt(double v, int prec = 3)
     return os.str();
 }
 
-const TraceBundle &
-bundle(const std::string &name, double scale)
+/**
+ * The cell of registry artifact @p artifact on @p trace with @p kind at
+ * level-1 size @p l1. Each artifact's grids are simulated once.
+ */
+const SimSummary &
+cell(const std::string &artifact, double scale, const std::string &trace,
+     HierarchyKind kind, std::uint32_t l1, bool split = false)
 {
-    static std::map<std::string, TraceBundle> cache;
-    auto it = cache.find(name);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(name, generateTrace(
-                                    scaled(profileByName(name), scale)))
-                 .first;
+    static std::map<std::string, std::vector<std::vector<SimSummary>>>
+        cache;
+    const Artifact &a = *findArtifact(artifact);
+    auto it = cache.find(artifact);
+    if (it == cache.end())
+        it = cache.emplace(artifact, runArtifactGrids(a, scale)).first;
+    for (std::size_t g = 0; g < a.grids.size(); ++g) {
+        for (const SimSummary &s : it->second[g]) {
+            if (a.grids[g].trace == trace && s.kind == kind &&
+                s.l1Size == l1 && s.split == split)
+                return s;
+        }
     }
-    return it->second;
+    fatal("no ", artifact, " cell on ", trace, " at ", l1);
 }
 
 std::uint64_t
@@ -92,7 +104,7 @@ main(int argc, char **argv)
     // --- Table 5: reference mix --------------------------------------
     for (const char *name : {"thor", "pops", "abaqus"}) {
         WorkloadProfile p = profileByName(name);
-        auto c = characterize(bundle(name, scale).records);
+        auto c = characterize(artifactTrace(name, scale).records);
         double total = static_cast<double>(c.totalRefs);
         bool ok =
             std::abs(c.instrCount / total - p.instrFrac) < 0.03 &&
@@ -104,22 +116,20 @@ main(int argc, char **argv)
     }
 
     // --- Table 6 shapes ----------------------------------------------
+    const HierarchyKind vr_kind = HierarchyKind::VirtualReal;
+    const HierarchyKind rr_kind = HierarchyKind::RealRealIncl;
     {
-        const TraceBundle &b = bundle("pops", scale);
-        SimSummary vr = runSimulationJob(
-            b, SimJob{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024});
-        SimSummary rr = runSimulationJob(
-            b, SimJob{HierarchyKind::RealRealIncl, 8 * 1024, 128 * 1024});
+        const SimSummary &vr = cell("table6", scale, "pops", vr_kind, 8192);
+        const SimSummary &rr = cell("table6", scale, "pops", rr_kind, 8192);
         check("Table 6: h1VR == h1RR for rare-switch traces",
               std::abs(vr.h1 - rr.h1) < 0.01,
               fmt(vr.h1) + " vs " + fmt(rr.h1));
     }
     {
-        const TraceBundle &b = bundle("abaqus", scale * 5);
-        SimSummary vr = runSimulationJob(
-            b, SimJob{HierarchyKind::VirtualReal, 16 * 1024, 256 * 1024});
-        SimSummary rr = runSimulationJob(
-            b, SimJob{HierarchyKind::RealRealIncl, 16 * 1024, 256 * 1024});
+        const SimSummary &vr =
+            cell("table6", scale, "abaqus", vr_kind, 16384);
+        const SimSummary &rr =
+            cell("table6", scale, "abaqus", rr_kind, 16384);
         check("Table 6: flushing costs the V-cache under frequent "
               "switches",
               rr.h1 > vr.h1, fmt(rr.h1) + " > " + fmt(vr.h1));
@@ -131,14 +141,12 @@ main(int argc, char **argv)
 
     // --- Table 6: h1 grows with size ---------------------------------
     {
-        const TraceBundle &b = bundle("thor", scale);
         double prev = 0.0;
         bool mono = true;
         for (auto [l1, l2] : paperSizePairs()) {
-            SimSummary s = runSimulationJob(
-                b, SimJob{HierarchyKind::VirtualReal, l1, l2});
-            mono = mono && s.h1 > prev;
-            prev = s.h1;
+            double h1 = cell("table6", scale, "thor", vr_kind, l1).h1;
+            mono = mono && h1 > prev;
+            prev = h1;
         }
         check("Table 6: h1 grows with cache size", mono,
               "final h1 " + fmt(prev));
@@ -146,11 +154,9 @@ main(int argc, char **argv)
 
     // --- Tables 11-13: shielding -------------------------------------
     {
-        const TraceBundle &b = bundle("pops", scale);
-        SimSummary vr = runSimulationJob(
-            b, SimJob{HierarchyKind::VirtualReal, 4 * 1024, 64 * 1024});
-        SimSummary ni = runSimulationJob(
-            b, SimJob{HierarchyKind::RealRealNoIncl, 4 * 1024, 64 * 1024});
+        const SimSummary &vr = cell("table11", scale, "pops", vr_kind, 4096);
+        const SimSummary &ni = cell("table11", scale, "pops",
+                                    HierarchyKind::RealRealNoIncl, 4096);
         check("Tables 11-13: no-inclusion L1 disturbed several-fold "
               "more",
               sumMsgs(ni) > 2 * sumMsgs(vr),
@@ -160,25 +166,26 @@ main(int argc, char **argv)
 
     // --- Tables 8-10: split vs unified -------------------------------
     {
-        const TraceBundle &b = bundle("thor", scale);
-        SimJob job{HierarchyKind::VirtualReal, 8 * 1024, 128 * 1024};
-        SimSummary uni = runSimulationJob(b, job);
-        job.split = true;
-        SimSummary spl = runSimulationJob(b, job);
+        const SimSummary &uni = cell("table8", scale, "thor", vr_kind, 8192);
+        const SimSummary &spl =
+            cell("table8", scale, "thor", vr_kind, 8192, true);
         check("Tables 8-10: split I/D close to unified",
               std::abs(spl.h1 - uni.h1) < 0.05,
               fmt(spl.h1) + " vs " + fmt(uni.h1));
     }
 
+    // The last two claims read what no grid holds: a 2-way geometry
+    // and the total miss counter.
+    const TraceBundle &pops = artifactTrace("pops", scale);
+
     // --- Section 2: inclusion invalidations rare ----------------------
     {
-        MachineConfig mc = makeMachineConfig(
-            HierarchyKind::VirtualReal, 16 * 1024, 256 * 1024, 4096);
+        MachineConfig mc =
+            makeMachineConfig(vr_kind, 16 * 1024, 256 * 1024, 4096);
         mc.hierarchy.l1.assoc = 2;
         mc.hierarchy.l2.assoc = 2;
-        const TraceBundle &b = bundle("pops", scale);
-        MpSimulator sim(mc, b.profile);
-        sim.run(b.records);
+        MpSimulator sim(mc, pops.profile);
+        sim.run(pops.records);
         check("Section 2: inclusion invalidations rare at 2-way",
               sim.totalCounter("inclusion_invalidations") <
                   sim.refsProcessed() / 2000,
@@ -190,17 +197,16 @@ main(int argc, char **argv)
 
     // --- Inclusion equalizes L2 misses -------------------------------
     {
-        const TraceBundle &b = bundle("pops", scale);
         auto misses = [&](HierarchyKind kind) {
             MachineConfig mc = makeMachineConfig(kind, 8 * 1024,
                                                  128 * 1024, 4096);
-            MpSimulator sim(mc, b.profile);
-            sim.run(b.records);
+            MpSimulator sim(mc, pops.profile);
+            sim.run(pops.records);
             return sim.totalCounter("misses");
         };
         double ratio =
-            static_cast<double>(misses(HierarchyKind::VirtualReal)) /
-            static_cast<double>(misses(HierarchyKind::RealRealIncl));
+            static_cast<double>(misses(vr_kind)) /
+            static_cast<double>(misses(rr_kind));
         check("Section 4: inclusion equalizes level-2 misses",
               std::abs(ratio - 1.0) < 0.02, "ratio " + fmt(ratio));
     }
