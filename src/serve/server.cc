@@ -76,12 +76,23 @@ struct Session
 
     FrameReader frames{wireMaxPayloadDefault}; ///< reader thread only
 
+    /** Cancelled on close: the parent of every segment attempt. */
+    CancelToken gone;
+
     bool
     alive() const
     {
         SessionState s = state.load(std::memory_order_acquire);
         return s == SessionState::AwaitHello ||
                s == SessionState::Ready;
+    }
+
+    /** Leave the live states, cancelling any segment in replay. */
+    void
+    end(SessionState st)
+    {
+        state.store(st, std::memory_order_release);
+        gone.cancel();
     }
 };
 
@@ -154,22 +165,19 @@ struct ServeServer::Impl
                  s.id);
             writeAllFd(s.fd, frame.data(), frame.size() / 2);
             shutLocked(s);
-            s.state.store(SessionState::Closed,
-                          std::memory_order_release);
+            s.end(SessionState::Closed);
             bumpStat(&ServiceStats::responsesTorn);
             return false;
         }
         if (!writeAllFd(s.fd, frame.data(), frame.size())) {
             shutLocked(s);
-            s.state.store(SessionState::Closed,
-                          std::memory_order_release);
+            s.end(SessionState::Closed);
             return false;
         }
         if (fault == ServeFault::Drop) {
             warn("serve: fault injection dropping session ", s.id);
             shutLocked(s);
-            s.state.store(SessionState::Closed,
-                          std::memory_order_release);
+            s.end(SessionState::Closed);
             bumpStat(&ServiceStats::responsesDropped);
             return false;
         }
@@ -215,8 +223,7 @@ struct ServeServer::Impl
             }
             shutLocked(s);
         }
-        s.state.store(SessionState::Poisoned,
-                      std::memory_order_release);
+        s.end(SessionState::Poisoned);
     }
 
     /** Close a session cleanly (BYE handled, EOF, drain teardown). */
@@ -228,8 +235,7 @@ struct ServeServer::Impl
             shutLocked(s);
         }
         if (s.alive())
-            s.state.store(SessionState::Closed,
-                          std::memory_order_release);
+            s.end(SessionState::Closed);
     }
 
     // ---- session read side (one thread per connection) -------------
@@ -399,10 +405,8 @@ struct ServeServer::Impl
         }
         WorkloadProfile profile =
             scaled(profileByName(req.profileName), req.scale);
-        Status sizes = checkCacheSizes(
-            makeMachineConfig(req.job.kind, req.job.l1Size,
-                              req.job.l2Size, profile.pageSize,
-                              req.job.split));
+        Status sizes =
+            checkCacheSizes(jobMachineConfig(req.job, profile.pageSize));
         if (!sizes) {
             refuse(FrameType::Error, ErrorKind::Bounds,
                    sizes.error().message);
@@ -490,89 +494,47 @@ struct ServeServer::Impl
     {
         Session &s = *w.session;
         const SubmitRequest &req = w.submit;
+        const std::string timeout =
+            makeError(ErrorKind::Timeout, "segment deadline of ",
+                      opt.segmentDeadline, " s exceeded")
+                .message;
 
         unsigned taken = 0;
-        SimSummary summary;
-        bool ok = false, timed_out = false, abandoned = false;
-        ErrorKind fail_kind = ErrorKind::Worker;
-        std::string fail_msg;
-
-        for (unsigned attempt = 0;; ++attempt) {
-            if (!s.alive() ||
-                s.state.load(std::memory_order_acquire) !=
-                    SessionState::Ready) {
-                abandoned = true;
+        Result<SimSummary> out =
+            makeError(ErrorKind::Cancelled, "client went away");
+        for (unsigned attempt = 0; !s.gone.cancelled(); ++attempt) {
+            CancelToken token(&s.gone);
+            out = invokeGuarded(
+                [&](const CancelToken &) {
+                    maybeInjectCellFault(
+                        static_cast<std::size_t>(req.segmentId),
+                        attempt, token);
+                    std::unique_ptr<MpSimulator> sim =
+                        pool.acquire(w.profile, req.job);
+                    ++taken;
+                    // The deadline starts with the replay: an injected
+                    // stall or an inline construction does not count.
+                    token.expireAfter(opt.segmentDeadline);
+                    replayCancellable(*sim, req.records, token);
+                    return summarizeSimulation(*sim, req.job);
+                },
+                token, timeout);
+            // A machine check would strike again and a timeout would
+            // run out again.
+            if (out || attempt >= opt.maxRetries ||
+                out.error().kind == ErrorKind::Unrecoverable ||
+                out.error().kind == ErrorKind::Timeout)
                 break;
-            }
-            try {
-                CancelToken token;
-                maybeInjectCellFault(
-                    static_cast<std::size_t>(req.segmentId), attempt,
-                    token);
-                std::unique_ptr<MpSimulator> sim =
-                    pool.acquire(w.profile, req.job);
-                ++taken;
-                Clock::time_point start = Clock::now();
-                const TraceRecord *p = req.records.data();
-                std::size_t left = req.records.size();
-                while (left > 0) {
-                    std::size_t chunk =
-                        std::min<std::size_t>(left, 8192);
-                    sim->runBatch(p, chunk);
-                    p += chunk;
-                    left -= chunk;
-                    if (opt.segmentDeadline > 0.0 &&
-                        secondsSince(start) > opt.segmentDeadline)
-                        throw ErrorException(makeError(
-                            ErrorKind::Timeout,
-                            "segment deadline of ",
-                            opt.segmentDeadline, " s exceeded"));
-                    if (!s.alive())
-                        throw ErrorException(makeError(
-                            ErrorKind::Cancelled,
-                            "client went away mid-segment"));
-                }
-                summary = summarizeSimulation(*sim, req.job);
-                sim.reset(); // dirty: never reuse
-                ok = true;
-            } catch (const FaultUnrecoverable &e) {
-                // A simulated machine check is deterministic for the
-                // segment; retrying replays the same strike.
-                fail_kind = ErrorKind::Unrecoverable;
-                fail_msg = e.err().message;
-                break;
-            } catch (const ErrorException &e) {
-                fail_kind = e.err().kind;
-                fail_msg = e.err().message;
-                if (fail_kind == ErrorKind::Cancelled) {
-                    abandoned = true;
-                    break;
-                }
-                if (fail_kind == ErrorKind::Timeout) {
-                    timed_out = true;
-                    break;
-                }
-                if (attempt >= opt.maxRetries)
-                    break;
-                continue;
-            } catch (const std::exception &e) {
-                fail_kind = ErrorKind::Worker;
-                fail_msg = e.what();
-                if (attempt >= opt.maxRetries)
-                    break;
-                continue;
-            }
-            break;
         }
 
         // Free the client's slot before the reply goes out: a
         // closed-loop client resubmits the moment it reads the frame.
         s.inflight.fetch_sub(1, std::memory_order_relaxed);
-        if (ok) {
+        if (out) {
             // Index 0 keeps the line byte-comparable with batch
             // vrc-sim --summary output; the frame carries the id.
             ResultReply r{req.segmentId,
-                          encodeSummaryLine(0, summary)};
+                          encodeSummaryLine(0, out.value())};
             ServeFault fault = maybeInjectServeFault(
                 s.id,
                 s.txSeq.fetch_add(1, std::memory_order_relaxed) + 1);
@@ -580,15 +542,16 @@ struct ServeServer::Impl
             bumpStat(&ServiceStats::segmentsCompleted);
             return taken;
         }
-        if (abandoned) {
+        if (s.gone.cancelled()) { // the client went away mid-segment
             bumpStat(&ServiceStats::segmentsAbandoned);
             return taken;
         }
+        const Error &err = out.error();
         sendFrame(s, encodeErrorReply(
             FrameType::Error,
-            ErrorReply{req.segmentId, fail_kind, fail_msg}));
+            ErrorReply{req.segmentId, err.kind, err.message}));
         bumpStat(&ServiceStats::segmentsFailed);
-        if (timed_out)
+        if (err.kind == ErrorKind::Timeout)
             bumpStat(&ServiceStats::segmentsTimedOut);
         return taken;
     }

@@ -20,9 +20,13 @@
  *    queue cap; work beyond either bound is refused with an explicit
  *    SHED frame (backpressure the client can see), never queued
  *    without limit.
- *  - Per-segment deadlines: replay runs in cancellable chunks and a
- *    segment that exceeds the deadline is cut off with a Timeout
- *    error, exactly like a campaign cell hitting its watchdog.
+ *  - Per-segment deadlines: each attempt is the campaign's cell
+ *    attempt (invokeGuarded() over replayCancellable()), so a segment
+ *    that exceeds the deadline is cut off with a Timeout error by the
+ *    same code that times out a campaign cell. The deadline starts
+ *    with the replay; the attempt's token is a child of the session's,
+ *    which closing the session cancels, so a client gone mid-segment
+ *    stops the replay too.
  *  - Bounded retry + quarantine: transient failures (including
  *    injected ones) are retried like campaign cells; clients whose
  *    sessions keep getting poisoned are quarantined by name and

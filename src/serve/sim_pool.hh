@@ -128,12 +128,8 @@ class SimulatorPool
     {
         if (const std::function<void()> &hook = constructHookForTest())
             hook();
-        MachineConfig mc =
-            makeMachineConfig(job.kind, job.l1Size, job.l2Size,
-                              profile.pageSize, job.split);
-        mc.invariantPeriod = job.invariantPeriod;
-        mc.timingMode = job.timingMode;
-        return std::make_unique<MpSimulator>(mc, profile);
+        return std::make_unique<MpSimulator>(
+            jobMachineConfig(job, profile.pageSize), profile);
     }
 
     std::size_t _stockPerKey;

@@ -1167,6 +1167,12 @@ artifactTrace(const std::string &name, double scale)
 std::vector<std::vector<SimSummary>>
 runArtifactGrids(const Artifact &a, double scale, unsigned jobs)
 {
+    // A figure's contention table and its CSV share one grid, so
+    // `--artifact=all` asks for the same cells twice in a row.
+    static std::pair<std::vector<ArtifactGrid>, double> lastGrids;
+    static std::vector<std::vector<SimSummary>> lastCells;
+    if (lastGrids == std::pair{a.grids, scale})
+        return lastCells;
     std::vector<std::vector<SimSummary>> cells;
     for (const ArtifactGrid &g : a.grids) {
         if (g.cpus == 0) {
@@ -1179,7 +1185,8 @@ runArtifactGrids(const Artifact &a, double scale, unsigned jobs)
             cells.push_back(runSimulations(bundle, g.jobs, jobs));
         }
     }
-    return cells;
+    lastGrids = {a.grids, scale};
+    return lastCells = cells;
 }
 
 int

@@ -29,6 +29,8 @@ struct ArtifactGrid
     std::string trace;        ///< built-in profile name
     std::uint32_t cpus = 0;   ///< processor count; 0 keeps the profile's
     std::vector<SimJob> jobs;
+
+    bool operator==(const ArtifactGrid &) const = default;
 };
 
 struct Artifact;
@@ -69,7 +71,11 @@ const Artifact *findArtifact(const std::string &name);
  */
 const TraceBundle &artifactTrace(const std::string &name, double scale);
 
-/** Simulate every grid of @p a at @p scale, in grid order. */
+/**
+ * Simulate every grid of @p a at @p scale, in grid order. A call with
+ * the previous call's grids and scale returns its cells again. Not
+ * thread-safe: call it from one thread.
+ */
 std::vector<std::vector<SimSummary>>
 runArtifactGrids(const Artifact &a, double scale, unsigned jobs = 0);
 

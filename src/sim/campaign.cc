@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -80,47 +79,6 @@ parseDouble(const std::string &tok, double &out)
     char *end = nullptr;
     out = std::strtod(tok.c_str(), &end); // accepts hexfloat
     return end && *end == '\0' && !tok.empty();
-}
-
-/** Outcome of one cell attempt. */
-struct AttemptOutcome
-{
-    bool ok = false;
-    ErrorKind kind = ErrorKind::Worker;
-    SimSummary summary;
-    std::string error;
-};
-
-/** Shared state between a watchdogged attempt thread and its waiter. */
-struct AttemptState
-{
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    AttemptOutcome out;
-    CancelToken token;
-};
-
-/** Invoke the cell body, mapping every throw onto the taxonomy. */
-template <typename Invoke>
-AttemptOutcome
-invokeGuarded(Invoke &&invoke, const CancelToken &token)
-{
-    AttemptOutcome out;
-    try {
-        out.summary = invoke(token);
-        out.ok = true;
-    } catch (const ErrorException &e) {
-        out.kind = e.err().kind;
-        out.error = e.err().message;
-    } catch (const std::exception &e) {
-        out.kind = ErrorKind::Worker;
-        out.error = e.what();
-    } catch (...) {
-        out.kind = ErrorKind::Worker;
-        out.error = "unknown exception";
-    }
-    return out;
 }
 
 } // namespace
@@ -239,6 +197,26 @@ std::uint64_t
 shardCellId(const TraceBundle &bundle, const SimJob &job)
 {
     return hashJob(hashWorkload(bundle), job);
+}
+
+Result<SimSummary>
+invokeGuarded(const std::function<SimSummary(const CancelToken &)> &body,
+              const CancelToken &token, const std::string &timeoutMessage)
+{
+    Error err = makeError(ErrorKind::Worker, "unknown exception");
+    try {
+        SimSummary s = body(token);
+        if (!token.expired())
+            return s;
+    } catch (const ErrorException &e) {
+        err = e.err();
+    } catch (const std::exception &e) {
+        err.message = e.what();
+    } catch (...) {
+    }
+    if (token.expired())
+        return makeError(ErrorKind::Timeout, timeoutMessage);
+    return err;
 }
 
 CampaignRunner::CampaignRunner(CampaignOptions opt)
@@ -399,7 +377,7 @@ CellLedger::fail(std::size_t i, ErrorKind kind, const std::string &error)
     f.timedOut = kind == ErrorKind::Timeout;
     f.kind = kind;
     f.error = error;
-    if (f.attempts > _opt.maxRetries) {
+    if (f.attempts > _opt.maxRetries || kind == ErrorKind::Unrecoverable) {
         _quarantined[i] = true;
         warn("cell ", i, " quarantined after ", f.attempts,
              " failed attempt", f.attempts == 1 ? "" : "s", ": ", error);
@@ -464,57 +442,10 @@ CampaignRunner::run(std::size_t n, const std::string &key,
         if (!ledger.completed(i))
             pending.push_back(i);
 
-    std::mutex mu; // ledger, stragglers
-    std::vector<std::thread> stragglers;
-
-    // One attempt of one cell, under the watchdog when configured.
-    auto attempt = [&](std::size_t idx,
-                       unsigned attempt_no) -> AttemptOutcome {
-        auto invoke = [&fn, idx,
-                       attempt_no](const CancelToken &tok) {
-            maybeInjectCellFault(idx, attempt_no, tok);
-            return fn(idx, tok);
-        };
-        if (_opt.deadlineSeconds <= 0.0) {
-            CancelToken token;
-            return invokeGuarded(invoke, token);
-        }
-        auto st = std::make_shared<AttemptState>();
-        std::thread th([st, invoke] {
-            AttemptOutcome out = invokeGuarded(invoke, st->token);
-            {
-                std::lock_guard<std::mutex> g(st->mu);
-                st->out = std::move(out);
-                st->done = true;
-            }
-            st->cv.notify_all();
-        });
-        std::unique_lock<std::mutex> lk(st->mu);
-        bool finished = st->cv.wait_for(
-            lk, std::chrono::duration<double>(_opt.deadlineSeconds),
-            [&] { return st->done; });
-        if (finished) {
-            lk.unlock();
-            th.join();
-            return st->out;
-        }
-        // Watchdog: ask the cell to stop and move on; the straggler
-        // thread is joined before run() returns so it cannot outlive
-        // the caller's data.
-        st->token.cancel();
-        lk.unlock();
-        {
-            std::lock_guard<std::mutex> g(mu);
-            stragglers.push_back(std::move(th));
-        }
-        AttemptOutcome out;
-        out.kind = ErrorKind::Timeout;
-        std::ostringstream os;
-        os << "watchdog: deadline of " << _opt.deadlineSeconds
-           << " s exceeded";
-        out.error = os.str();
-        return out;
-    };
+    std::mutex mu; // ledger
+    std::ostringstream timeout;
+    timeout << "watchdog: deadline of " << _opt.deadlineSeconds
+            << " s exceeded";
 
     ParallelRunner pool(_opt.jobs);
     pool.forEachIndex(pending.size(), [&](std::size_t pi) {
@@ -525,29 +456,35 @@ CampaignRunner::run(std::size_t n, const std::string &key,
             return;
         std::size_t idx = pending[pi];
         for (unsigned a = 0;; ++a) {
-            AttemptOutcome out = attempt(idx, a);
-            if (out.ok) {
-                std::string line = encodeSummaryLine(idx, out.summary);
+            CancelToken token;
+            token.expireAfter(_opt.deadlineSeconds);
+            Result<SimSummary> out = invokeGuarded(
+                [&](const CancelToken &tok) {
+                    maybeInjectCellFault(idx, a, tok);
+                    return fn(idx, tok);
+                },
+                token, timeout.str());
+            if (out) {
+                std::string line = encodeSummaryLine(idx, out.value());
                 std::lock_guard<std::mutex> g(mu);
-                ledger.complete(idx, out.summary, line);
+                ledger.complete(idx, out.value(), line);
                 return;
             }
             std::optional<double> backoff;
             {
                 std::lock_guard<std::mutex> g(mu);
-                backoff = ledger.fail(idx, out.kind, out.error);
+                backoff = ledger.fail(idx, out.error().kind,
+                                      out.error().message);
             }
             if (!backoff)
                 return;
             warn("cell ", idx, " attempt ", a + 1, " failed (",
-                 out.error, "); retrying in ", *backoff, " s");
+                 out.error().message, "); retrying in ", *backoff, " s");
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(*backoff));
         }
     });
 
-    for (std::thread &t : stragglers)
-        t.join();
     return ledger.finish(shutdownRequested() > 0);
 }
 

@@ -18,12 +18,12 @@
  *    count. A key derived from the workload and the job list guards
  *    against resuming someone else's checkpoint.
  *  - Watchdog: each cell attempt runs under an optional wall-clock
- *    deadline. On expiry the cell's CancelToken is cancelled (the
- *    simulation loop polls it), the attempt is declared timed out,
- *    and the sweep moves on. Straggler threads are joined before
- *    run() returns, so nothing outlives the caller's data.
+ *    deadline on its CancelToken, which the replay loop polls: an
+ *    attempt past it unwinds on its own worker thread and is declared
+ *    timed out (invokeGuarded()).
  *  - Bounded retry: a failing attempt is retried up to maxRetries
- *    times with exponential backoff before the cell is quarantined.
+ *    times with exponential backoff before the cell is quarantined;
+ *    a machine check, which a retry would replay, at once.
  *  - Quarantine: cells that exhaust their retries land in a failure
  *    manifest (who, how many attempts, last error, timed out or not)
  *    while every healthy cell completes; the result JSON carries the
@@ -125,13 +125,25 @@ struct CampaignResult
 };
 
 /**
- * The work of one cell. Runs on a worker (or watchdog) thread; must
- * poll @p token at reasonable intervals if watchdog deadlines are to
- * bite. Report failure by throwing; ErrorException keeps the
- * taxonomy kind, anything else is recorded as ErrorKind::Worker.
+ * The work of one cell. Runs on a worker thread; must poll @p token
+ * at reasonable intervals if watchdog deadlines are to bite. Report
+ * failure by throwing; ErrorException keeps the taxonomy kind,
+ * anything else is recorded as ErrorKind::Worker.
  */
 using CampaignCellFn =
     std::function<SimSummary(std::size_t, const CancelToken &)>;
+
+/**
+ * One cell attempt, shared by the sweep, the shard worker and the
+ * service: @p body under @p token, every throw mapped onto the
+ * taxonomy (an ErrorException keeps its error, anything else is
+ * Worker). Once @p token's deadline has passed, whatever @p body did,
+ * the attempt is a Timeout described by @p timeoutMessage.
+ */
+Result<SimSummary>
+invokeGuarded(const std::function<SimSummary(const CancelToken &)> &body,
+              const CancelToken &token,
+              const std::string &timeoutMessage = {});
 
 /** Checkpoint-journaling, watchdogged, retrying sweep driver. */
 class CampaignRunner
@@ -254,8 +266,9 @@ std::string canonicalJournalText(const JournalContents &j);
  * ShardCoordinator: the checkpoint journal, each cell's result (its
  * summary and verbatim line) or failures, the capped exponential
  * backoff between attempts, quarantine once a cell has failed
- * maxRetries + 1 times, and the failure manifest. A result that
- * arrives after quarantine still completes the cell. Not thread-safe;
+ * maxRetries + 1 times (once for a machine check, which a retry would
+ * replay), and the failure manifest. A result that arrives after
+ * quarantine still completes the cell. Not thread-safe;
  * each driver calls it under its own lock.
  */
 class CellLedger

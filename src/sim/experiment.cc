@@ -84,26 +84,41 @@ runSimulationJob(const TraceBundle &bundle, const SimJob &job)
     return runSimulationCancellable(bundle, job, CancelToken{});
 }
 
+MachineConfig
+jobMachineConfig(const SimJob &job, std::uint32_t page_size)
+{
+    MachineConfig mc = makeMachineConfig(job.kind, job.l1Size, job.l2Size,
+                                         page_size, job.split);
+    mc.invariantPeriod = job.invariantPeriod;
+    mc.timingMode = job.timingMode;
+    return mc;
+}
+
+void
+replayCancellable(MpSimulator &sim, const std::vector<TraceRecord> &records,
+                  const CancelToken &token)
+{
+    constexpr std::size_t chunk = 8192;
+    for (std::size_t done = 0;;) {
+        if (token.cancelled())
+            throw ErrorException(makeError(
+                ErrorKind::Cancelled, "simulation cancelled after ",
+                done, " of ", records.size(), " records"));
+        if (done == records.size())
+            return;
+        std::size_t n = std::min(chunk, records.size() - done);
+        sim.runBatch(records.data() + done, n);
+        done += n;
+    }
+}
+
 SimSummary
 runSimulationCancellable(const TraceBundle &bundle, const SimJob &job,
                          const CancelToken &token)
 {
-    MachineConfig mc =
-        makeMachineConfig(job.kind, job.l1Size, job.l2Size,
-                          bundle.profile.pageSize, job.split);
-    mc.invariantPeriod = job.invariantPeriod;
-    mc.timingMode = job.timingMode;
-    MpSimulator sim(mc, bundle.profile);
-    constexpr std::size_t chunk = 8192;
-    const std::vector<TraceRecord> &records = bundle.records;
-    for (std::size_t i = 0; i < records.size(); i += chunk) {
-        if (token.cancelled())
-            throw ErrorException(makeError(
-                ErrorKind::Cancelled, "simulation cancelled after ",
-                i, " of ", records.size(), " records"));
-        sim.runBatch(records.data() + i,
-                     std::min(chunk, records.size() - i));
-    }
+    MpSimulator sim(jobMachineConfig(job, bundle.profile.pageSize),
+                    bundle.profile);
+    replayCancellable(sim, bundle.records, token);
     return summarizeSimulation(sim, job);
 }
 

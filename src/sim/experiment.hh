@@ -87,7 +87,25 @@ struct SimJob
 
     /** Timing engine for this cell (functional results identical). */
     TimingMode timingMode = TimingMode::Analytic;
+
+    bool operator==(const SimJob &) const = default;
 };
+
+/** The machine @p job describes, for a workload of @p page_size pages. */
+MachineConfig jobMachineConfig(const SimJob &job, std::uint32_t page_size);
+
+/**
+ * Replay @p records through @p sim's MpSimulator::runBatch() in
+ * 8192-record chunks, polling @p token before each chunk and after the
+ * last. A token cancelled (or expired) mid-replay unwinds the replay
+ * with an ErrorException of kind Cancelled ("after i of N records")
+ * instead of burning the rest of the trace; counters are identical to
+ * one MpSimulator::run() over the whole trace. The one replay loop of
+ * campaign cells, shard workers and served segments.
+ */
+void replayCancellable(MpSimulator &sim,
+                       const std::vector<TraceRecord> &records,
+                       const CancelToken &token);
 
 /**
  * Run one full simulation of @p bundle for @p job and collect the
@@ -101,12 +119,7 @@ SimSummary summarizeSimulation(const MpSimulator &sim,
 
 /**
  * Build the machine for @p job and replay @p bundle through
- * MpSimulator::runBatch() in 8192-record chunks, polling @p token
- * before each chunk: when the watchdog cancels it mid-replay, the run
- * unwinds with an ErrorException of kind Cancelled ("after i of N
- * records") instead of burning the rest of the trace. Counters are
- * identical to one MpSimulator::run() over the whole trace. Used by
- * the campaign engine and shard workers.
+ * replayCancellable() under @p token, then summarize it.
  */
 SimSummary runSimulationCancellable(const TraceBundle &bundle,
                                     const SimJob &job,

@@ -981,41 +981,37 @@ runShardWorker(const ShardWorkerOptions &opt)
                         faultConfig().stallSeconds));
                 hb.pause.store(false, std::memory_order_release);
             }
-            try {
-                CancelToken token;
-                SimSummary s = runSimulationCancellable(
-                    bundle, cell.job, token);
-                std::string line =
-                    encodeSummaryLine(cell.index, s);
-                std::string frame = encodeCellResult(CellResultReply{
-                    assign.assignId, cell.index, line});
-                if (fault == ShardFaultKind::Tear) {
-                    warn("shard-worker '", opt.name,
-                         "': injected reply tear on cell ",
-                         cell.index);
-                    std::lock_guard<std::mutex> g(sendMu);
-                    [[maybe_unused]] Status torn = client.send(
-                        frame.substr(0, frame.size() / 2));
-                    std::_Exit(141);
-                }
-                {
-                    std::lock_guard<std::mutex> g(sendMu);
-                    Status sent = client.send(frame);
-                    if (!sent)
-                        return stats;
-                }
-                ++done.completed;
-                hb.cellsDone.fetch_add(1);
-                ++stats.cellsRun;
-            } catch (const ErrorException &e) {
-                done.failures.push_back({cell.index, e.err().kind,
-                                         e.err().message});
-                ++stats.cellsFailed;
-            } catch (const std::exception &e) {
+            Result<SimSummary> out = invokeGuarded(
+                [&](const CancelToken &tok) {
+                    return runSimulationCancellable(bundle, cell.job, tok);
+                },
+                CancelToken{});
+            if (!out) {
                 done.failures.push_back(
-                    {cell.index, ErrorKind::Worker, e.what()});
+                    {cell.index, out.error().kind, out.error().message});
                 ++stats.cellsFailed;
+                continue;
             }
+            std::string frame = encodeCellResult(CellResultReply{
+                assign.assignId, cell.index,
+                encodeSummaryLine(cell.index, out.value())});
+            if (fault == ShardFaultKind::Tear) {
+                warn("shard-worker '", opt.name,
+                     "': injected reply tear on cell ", cell.index);
+                std::lock_guard<std::mutex> g(sendMu);
+                [[maybe_unused]] Status torn =
+                    client.send(frame.substr(0, frame.size() / 2));
+                std::_Exit(141);
+            }
+            {
+                std::lock_guard<std::mutex> g(sendMu);
+                Status sent = client.send(frame);
+                if (!sent)
+                    return stats;
+            }
+            ++done.completed;
+            hb.cellsDone.fetch_add(1);
+            ++stats.cellsRun;
         }
         std::lock_guard<std::mutex> g(sendMu);
         Status sent = client.send(encodeShardDone(done));

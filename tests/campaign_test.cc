@@ -1,8 +1,9 @@
 /**
  * @file
  * CampaignRunner tests: journal round-trip, kill/resume equivalence,
- * key mismatch rejection, retry, quarantine, and the watchdog; and the
- * CellLedger both campaign drivers keep their books in.
+ * key mismatch rejection, retry, quarantine (at once for a machine
+ * check), and the watchdog over a real replay; and the CellLedger both
+ * campaign drivers keep their books in.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,10 @@
 #include <vector>
 
 #include "base/error.hh"
+#include "base/fault.hh"
 #include "sim/campaign.hh"
+#include "trace/generator.hh"
+#include "trace/workload.hh"
 
 namespace vrc
 {
@@ -266,6 +270,88 @@ TEST(CampaignRunnerTest, WatchdogQuarantinesStalledCell)
     EXPECT_EQ(res.quarantined[0].index, 1u);
     EXPECT_TRUE(res.quarantined[0].timedOut);
     EXPECT_EQ(res.quarantined[0].kind, ErrorKind::Timeout);
+}
+
+/** The manifest file's text. */
+std::string
+readAll(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+TEST(CampaignRunnerTest, WatchdogStopsARealReplay)
+{
+    // A real replay of ~650k references, far longer than its 5 ms
+    // deadline: the replay loop polls the token and unwinds.
+    static const TraceBundle bundle =
+        generateTrace(scaled(profileByName("pops"), 0.2));
+    TempPath mf("campaign_watchdog.manifest");
+    CampaignOptions opt;
+    opt.deadlineSeconds = 0.005;
+    opt.manifest = mf.path;
+    auto r = CampaignRunner{opt}.run(
+        3, "k", [](std::size_t i, const CancelToken &token) {
+            if (i == 1)
+                return runSimulationCancellable(
+                    bundle, SimJob{HierarchyKind::VirtualReal, 4096, 65536},
+                    token);
+            return cellSummary(i);
+        });
+    ASSERT_TRUE(r.ok());
+    CampaignResult res = r.take();
+    EXPECT_EQ(res.completedCells(), 2u);
+    ASSERT_EQ(res.quarantined.size(), 1u);
+    EXPECT_EQ(res.quarantined[0].index, 1u);
+    EXPECT_TRUE(res.quarantined[0].timedOut);
+    EXPECT_EQ(res.quarantined[0].kind, ErrorKind::Timeout);
+    EXPECT_EQ(res.quarantined[0].error,
+              "watchdog: deadline of 0.005 s exceeded");
+    std::string manifest = readAll(mf.path);
+    EXPECT_NE(manifest.find("\"timed_out\":true,\"kind\":\"timeout\""),
+              std::string::npos)
+        << manifest;
+}
+
+TEST(CampaignRunnerTest, MachineCheckIsQuarantinedAtFirstFailure)
+{
+    // Every bus transaction is lost, so cell 1's first broadcast
+    // exhausts the retry budget: a machine check that a retry of the
+    // same machine would replay exactly.
+    struct Armed
+    {
+        Armed() { EXPECT_TRUE(configureSoftErrors("seed=13,bus=1.0")); }
+        ~Armed() { disarmSoftErrors(); }
+    } armed;
+    static const TraceBundle bundle =
+        generateTrace(scaled(profileByName("pops"), 0.002));
+    TempPath mf("campaign_machine_check.manifest");
+    CampaignOptions opt;
+    opt.maxRetries = 2;
+    opt.backoffSeconds = 0.001;
+    opt.manifest = mf.path;
+    auto r = CampaignRunner{opt}.run(
+        3, "k", [](std::size_t i, const CancelToken &token) {
+            if (i == 1)
+                return runSimulationCancellable(
+                    bundle, SimJob{HierarchyKind::VirtualReal, 4096, 65536},
+                    token);
+            return cellSummary(i);
+        });
+    ASSERT_TRUE(r.ok());
+    CampaignResult res = r.take();
+    EXPECT_EQ(res.completedCells(), 2u);
+    ASSERT_EQ(res.quarantined.size(), 1u);
+    EXPECT_EQ(res.quarantined[0].index, 1u);
+    EXPECT_EQ(res.quarantined[0].attempts, 1u);
+    EXPECT_EQ(res.quarantined[0].kind, ErrorKind::Unrecoverable);
+    std::string manifest = readAll(mf.path);
+    EXPECT_NE(manifest.find("\"attempts\":1,\"timed_out\":false,"
+                            "\"kind\":\"unrecoverable\""),
+              std::string::npos)
+        << manifest;
 }
 
 TEST(CampaignRunnerTest, ResultJsonIndependentOfRestoredCount)

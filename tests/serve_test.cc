@@ -3,8 +3,8 @@
  * ServeServer tests: an in-process server on a unix socket in the
  * test temp dir, driven through the real ServeClient. Covers batch
  * byte-equality, session poisoning isolation, backpressure shedding,
- * per-segment deadlines, simulator-pool refill, graceful drain, and
- * client quarantine.
+ * per-segment deadlines, a client gone mid-segment, simulator-pool
+ * refill, graceful drain, and client quarantine.
  */
 
 #include <gtest/gtest.h>
@@ -293,6 +293,44 @@ TEST(ServeTest, SegmentDeadlineTimesOut)
     server.requestDrain();
     EXPECT_EQ(server.waitUntilDrained(), 0);
     EXPECT_EQ(server.stats().segmentsTimedOut, 1u);
+}
+
+TEST(ServeTest, ClientGoneMidSegmentIsAbandoned)
+{
+    TempSock sock("serve_abandon.sock");
+    ServeOptions opt;
+    opt.unixPath = sock.path;
+    opt.workers = 1;
+    ServeServer server(opt);
+    ASSERT_TRUE(server.start().ok());
+
+    // ~1.3M records replay for far longer than the server takes to
+    // see the EOF, so the segment is cut short, never answered.
+    SubmitRequest req = submitFor(1, 0, 0);
+    for (int i = 0; i < 200; ++i)
+        req.records.insert(req.records.end(), bundle().records.begin(),
+                           bundle().records.end());
+    ServeClient c;
+    attach(c, sock.path, "gone-client");
+    ASSERT_TRUE(c.submit(req).ok());
+    c.close();
+
+    // The worker abandons the segment, whether it sees the close
+    // before or during the replay. Drain only once it has settled: a
+    // drain that beat the admission would refuse the segment instead.
+    auto settled = [&server] {
+        ServiceStats st = server.stats();
+        return st.segmentsAbandoned + st.segmentsCompleted +
+               st.segmentsFailed;
+    };
+    for (int i = 0; i < 6000 && settled() == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    server.requestDrain();
+    EXPECT_EQ(server.waitUntilDrained(), 0);
+    ServiceStats st = server.stats();
+    EXPECT_EQ(st.segmentsAbandoned, 1u);
+    EXPECT_EQ(st.segmentsCompleted, 0u);
+    EXPECT_EQ(st.segmentsFailed, 0u);
 }
 
 TEST(ServeTest, FailedSegmentsKeepThePoolStocked)

@@ -573,17 +573,15 @@ main(int argc, char **argv)
         return runSweep(bundle, campaign, json, out_path, timing_mode);
     }
 
-    MachineConfig mc =
-        makeMachineConfig(kind, l1, l2, profile.pageSize, split);
+    SimJob job{kind, l1, l2, split, check ? std::uint64_t{10'000} : 0,
+               timing_mode};
+    MachineConfig mc = jobMachineConfig(job, profile.pageSize);
     mc.hierarchy.l1.assoc = assoc1;
     mc.hierarchy.l2.assoc = assoc2;
     mc.hierarchy.l1.blockBytes = block1;
     mc.hierarchy.l2.blockBytes = block2;
     mc.hierarchy.l1.protection = protect;
     mc.hierarchy.l2.protection = protect;
-    mc.timingMode = timing_mode;
-    if (check)
-        mc.invariantPeriod = 10'000;
     Status sizes = checkCacheSizes(mc);
     if (!sizes) {
         std::cerr << "vrc_sim: " << sizes.error().message << "\n";
@@ -636,10 +634,7 @@ main(int argc, char **argv)
         sim.checkInvariants();
 
     if (summary_only) {
-        SimJob job{kind, l1, l2, split,
-                   check ? std::uint64_t{10'000} : 0, timing_mode};
-        std::cout << encodeSummaryLine(0,
-                                       summarizeSimulation(sim, job))
+        std::cout << encodeSummaryLine(0, summarizeSimulation(sim, job))
                   << "\n";
         return 0;
     }
