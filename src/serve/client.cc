@@ -1,29 +1,15 @@
 #include "serve/client.hh"
 
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 namespace vrc
 {
-
-namespace
-{
-
-using Clock = std::chrono::steady_clock;
-
-} // namespace
-
-ServeClient::~ServeClient()
-{
-    close();
-}
 
 Status
 ServeClient::connectUnix(const std::string &path)
@@ -45,8 +31,7 @@ ServeClient::connectUnix(const std::string &path)
         return makeError(ErrorKind::Io, "connect(", path, "): ",
                          connected.error().message);
     }
-    _fd = fd;
-    _frames = FrameReader();
+    _conn.reset(fd);
     return okStatus();
 }
 
@@ -68,17 +53,16 @@ ServeClient::connectTcp(int port)
         return makeError(ErrorKind::Io, "connect(127.0.0.1:", port,
                          "): ", connected.error().message);
     }
-    _fd = fd;
-    _frames = FrameReader();
+    _conn.reset(fd);
     return okStatus();
 }
 
 Status
 ServeClient::send(const std::string &bytes)
 {
-    if (_fd < 0)
+    if (_conn.fd() < 0)
         return makeError(ErrorKind::Io, "send on a closed client");
-    if (!writeAllFd(_fd, bytes.data(), bytes.size()))
+    if (!_conn.send(bytes))
         return makeError(ErrorKind::Io, "write: ",
                          std::strerror(errno));
     return okStatus();
@@ -99,66 +83,20 @@ ServeClient::submit(const SubmitRequest &req)
 Result<Frame>
 ServeClient::readFrame(double timeoutSeconds)
 {
-    if (_fd < 0)
-        return makeError(ErrorKind::Io, "read on a closed client");
-    Clock::time_point start = Clock::now();
-    char buf[64 * 1024];
-    for (;;) {
-        FrameReader::State st = _frames.poll();
-        if (st == FrameReader::State::Frame)
-            return _frames.take();
-        if (st == FrameReader::State::Broken)
-            return _frames.error();
-
-        double elapsed =
-            std::chrono::duration<double>(Clock::now() - start)
-                .count();
-        double left = timeoutSeconds - elapsed;
-        if (left <= 0.0)
-            return makeError(ErrorKind::Timeout,
-                             "no frame within ", timeoutSeconds,
-                             " s");
-        pollfd p = {};
-        p.fd = _fd;
-        p.events = POLLIN;
-        int pr = ::poll(&p, 1,
-                        static_cast<int>(left * 1000.0) + 1);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            return makeError(ErrorKind::Io, "poll: ",
-                             std::strerror(errno));
-        }
-        if (pr == 0)
-            continue; // loop re-checks the deadline
-        long n = readSomeFd(_fd, buf, sizeof(buf));
-        if (n == 0)
-            return makeError(ErrorKind::Io,
-                             "server closed the connection");
-        if (n < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                continue;
-            return makeError(ErrorKind::Io, "read: ",
-                             std::strerror(errno));
-        }
-        _frames.feed(buf, static_cast<std::size_t>(n));
-    }
+    return _conn.readFrame(timeoutSeconds);
 }
 
 void
 ServeClient::closeWrite()
 {
-    if (_fd >= 0)
-        ::shutdown(_fd, SHUT_WR);
+    if (_conn.fd() >= 0)
+        ::shutdown(_conn.fd(), SHUT_WR);
 }
 
 void
 ServeClient::close()
 {
-    if (_fd >= 0) {
-        ::close(_fd);
-        _fd = -1;
-    }
+    _conn.close();
 }
 
 } // namespace vrc

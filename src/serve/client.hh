@@ -25,7 +25,6 @@ class ServeClient
 {
   public:
     ServeClient() = default;
-    ~ServeClient();
 
     ServeClient(const ServeClient &) = delete;
     ServeClient &operator=(const ServeClient &) = delete;
@@ -36,11 +35,11 @@ class ServeClient
     /** Connect to 127.0.0.1:@p port. */
     Status connectTcp(int port);
 
-    /** True between a successful connect and close()/peer EOF. */
-    bool connected() const { return _fd >= 0; }
+    /** True between a successful connect and close(). */
+    bool connected() const { return _conn.fd() >= 0; }
 
     /** Raw socket fd (chaos clients poke it directly). */
-    int fd() const { return _fd; }
+    int fd() const { return _conn.fd(); }
 
     /** Send raw bytes verbatim (also how garbage gets sent). */
     Status send(const std::string &bytes);
@@ -65,8 +64,7 @@ class ServeClient
     void close();
 
   private:
-    int _fd = -1;
-    FrameReader _frames;
+    FrameConn _conn;
 };
 
 } // namespace vrc

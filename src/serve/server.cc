@@ -1,16 +1,15 @@
 #include "serve/server.hh"
 
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -20,26 +19,13 @@
 #include "base/json_escape.hh"
 #include "base/log.hh"
 #include "base/shutdown.hh"
-#include "serve/sim_pool.hh"
 #include "serve/wire.hh"
 #include "sim/campaign.hh"
+#include "sim/mp_sim.hh"
 #include "trace/workload.hh"
 
 namespace vrc
 {
-
-namespace
-{
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t)
-{
-    return std::chrono::duration<double>(Clock::now() - t).count();
-}
-
-} // namespace
 
 const char *
 sessionStateName(SessionState s)
@@ -57,24 +43,30 @@ sessionStateName(SessionState s)
     return "unknown";
 }
 
+std::function<void()> &
+simulatorBuildHookForTest()
+{
+    static std::function<void()> hook;
+    return hook;
+}
+
 /** One connected client. */
 struct Session
 {
+    Session(int fd, std::size_t maxFrameBytes) : conn(fd, maxFrameBytes)
+    {
+    }
+
     std::uint64_t id = 0;
-    int fd = -1;
+    FrameConn conn;
     std::atomic<SessionState> state{SessionState::AwaitHello};
     std::string client; ///< HELLO name; reader thread writes it once
                         ///< before flipping state to Ready
-
-    std::mutex writeMu;       ///< serializes the socket's write side
-    bool writeShut = false;   ///< under writeMu
 
     std::atomic<std::size_t> inflight{0};
     std::atomic<std::uint64_t> txSeq{0};
     std::atomic<bool> readerDone{false};
     std::thread reader;
-
-    FrameReader frames{wireMaxPayloadDefault}; ///< reader thread only
 
     /** Cancelled on close: the parent of every segment attempt. */
     CancelToken gone;
@@ -103,6 +95,49 @@ struct Work
     SubmitRequest submit;
     WorkloadProfile profile; ///< resolved and scaled at admission
 };
+
+namespace
+{
+
+/** What a simulator's construction depends on. */
+struct MachineKey
+{
+    std::string profile;
+    std::uint32_t numCpus = 0;
+    std::uint32_t pageSize = 0;
+    SimJob job;
+
+    bool operator==(const MachineKey &) const = default;
+};
+
+MachineKey
+machineKey(const Work &w)
+{
+    return {w.profile.name, w.profile.numCpus, w.profile.pageSize,
+            w.submit.job};
+}
+
+/**
+ * A worker's one never-used simulator, built after a reply for the
+ * key that segment had, so the next segment of that key starts at
+ * replay. A simulator that has replayed anything is never reused.
+ */
+struct Spare
+{
+    MachineKey key;
+    std::unique_ptr<MpSimulator> sim;
+};
+
+std::unique_ptr<MpSimulator>
+buildSimulator(const Work &w)
+{
+    if (const std::function<void()> &hook = simulatorBuildHookForTest())
+        hook();
+    return std::make_unique<MpSimulator>(
+        jobMachineConfig(w.submit.job, w.profile.pageSize), w.profile);
+}
+
+} // namespace
 
 struct ServeServer::Impl
 {
@@ -133,55 +168,37 @@ struct ServeServer::Impl
     std::map<std::string, unsigned> poisonCounts;
     std::uint64_t sessionsReaped = 0;
 
-    SimulatorPool pool{2};
+    std::atomic<std::uint64_t> spareHits{0};
+    std::atomic<std::uint64_t> spareMisses{0};
 
     std::atomic<bool> started{false};
 
     // ---- session write side ----------------------------------------
 
-    /** Shut the socket down (both ways) with writeMu already held. */
-    void
-    shutLocked(Session &s)
-    {
-        if (!s.writeShut) {
-            s.writeShut = true;
-            ::shutdown(s.fd, SHUT_RDWR);
-        }
-    }
-
     /**
      * Send one frame, applying an injected service fault when armed.
-     * Returns false when the session is gone (or was just cut).
+     * A write that fails, and either fault, closes the session.
      */
-    bool
+    void
     sendFrame(Session &s, const std::string &frame,
               ServeFault fault = ServeFault::None)
     {
-        std::lock_guard<std::mutex> g(s.writeMu);
-        if (s.writeShut || !s.alive())
-            return false;
         if (fault == ServeFault::Tear) {
             warn("serve: fault injection tearing a frame on session ",
                  s.id);
-            writeAllFd(s.fd, frame.data(), frame.size() / 2);
-            shutLocked(s);
-            s.end(SessionState::Closed);
-            bumpStat(&ServiceStats::responsesTorn);
-            return false;
+            if (s.conn.send(std::string_view(frame).substr(
+                                0, frame.size() / 2),
+                            true))
+                bumpStat(&ServiceStats::responsesTorn);
+        } else if (fault == ServeFault::Drop) {
+            if (s.conn.send(frame, true)) {
+                warn("serve: fault injection dropping session ", s.id);
+                bumpStat(&ServiceStats::responsesDropped);
+            }
+        } else if (s.conn.send(frame)) {
+            return;
         }
-        if (!writeAllFd(s.fd, frame.data(), frame.size())) {
-            shutLocked(s);
-            s.end(SessionState::Closed);
-            return false;
-        }
-        if (fault == ServeFault::Drop) {
-            warn("serve: fault injection dropping session ", s.id);
-            shutLocked(s);
-            s.end(SessionState::Closed);
-            bumpStat(&ServiceStats::responsesDropped);
-            return false;
-        }
-        return true;
+        closeSession(s);
     }
 
     void
@@ -213,16 +230,9 @@ struct ServeServer::Impl
                     st.quarantinedClients.push_back(s.client);
             }
         }
-        {
-            std::lock_guard<std::mutex> g(s.writeMu);
-            if (!s.writeShut && s.alive()) {
-                std::string f = encodeErrorReply(
-                    FrameType::Error,
-                    ErrorReply{0, err.kind, err.message});
-                writeAllFd(s.fd, f.data(), f.size());
-            }
-            shutLocked(s);
-        }
+        s.conn.send(encodeErrorReply(FrameType::Error,
+                                     ErrorReply{0, err.kind, err.message}),
+                    true);
         s.end(SessionState::Poisoned);
     }
 
@@ -230,10 +240,7 @@ struct ServeServer::Impl
     void
     closeSession(Session &s)
     {
-        {
-            std::lock_guard<std::mutex> g(s.writeMu);
-            shutLocked(s);
-        }
+        s.conn.shut();
         if (s.alive())
             s.end(SessionState::Closed);
     }
@@ -244,65 +251,29 @@ struct ServeServer::Impl
     readerLoop(std::shared_ptr<Session> sp)
     {
         Session &s = *sp;
-        const Clock::time_point never = Clock::time_point{};
-        Clock::time_point frame_started = never;
-        char buf[64 * 1024];
-
+        // Slowloris guillotine: once a frame has begun it must complete
+        // within readTimeoutSeconds. An idle connection (no partial
+        // frame) may wait indefinitely, in short turns that re-check
+        // whether the session is still alive.
+        constexpr double idleTurnSeconds = 0.1;
         while (s.alive()) {
-            pollfd p = {};
-            p.fd = s.fd;
-            p.events = POLLIN;
-            int pr = ::poll(&p, 1, 100);
-            if (pr < 0) {
-                if (errno == EINTR)
-                    continue;
+            bool partial = s.conn.pendingBytes() > 0;
+            Result<Frame> f = s.conn.readFrame(
+                partial ? opt.readTimeoutSeconds : idleTurnSeconds);
+            if (f) {
+                handleFrame(sp, f.take());
+                continue;
+            }
+            const Error &err = f.error();
+            if (err.kind == ErrorKind::Io)
                 closeSession(s);
-                break;
-            }
-            if (pr > 0 &&
-                (p.revents & (POLLIN | POLLHUP | POLLERR))) {
-                long n = readSomeFd(s.fd, buf, sizeof(buf));
-                if (n == 0) {
-                    closeSession(s);
-                    break;
-                }
-                if (n < 0) {
-                    if (errno == EAGAIN || errno == EWOULDBLOCK)
-                        continue;
-                    closeSession(s);
-                    break;
-                }
-                s.frames.feed(buf, static_cast<std::size_t>(n));
-                while (s.alive()) {
-                    FrameReader::State fs = s.frames.poll();
-                    if (fs == FrameReader::State::Frame) {
-                        handleFrame(sp, s.frames.take());
-                        continue;
-                    }
-                    if (fs == FrameReader::State::Broken)
-                        poison(s, s.frames.error());
-                    break;
-                }
-            }
-            // Slowloris guillotine: a frame must complete within
-            // readTimeoutSeconds of its first byte. Completed frames
-            // reset the clock; an idle connection (no partial frame)
-            // is fine indefinitely.
-            if (s.alive()) {
-                if (s.frames.pendingBytes() > 0) {
-                    if (frame_started == never)
-                        frame_started = Clock::now();
-                    else if (secondsSince(frame_started) >
-                             opt.readTimeoutSeconds)
-                        poison(s, makeError(
-                            ErrorKind::Timeout,
-                            "frame stalled for more than ",
-                            opt.readTimeoutSeconds,
-                            " s (slowloris?)"));
-                } else {
-                    frame_started = never;
-                }
-            }
+            else if (err.kind != ErrorKind::Timeout)
+                poison(s, err);
+            else if (partial)
+                poison(s, makeError(ErrorKind::Timeout,
+                                    "frame stalled for more than ",
+                                    opt.readTimeoutSeconds,
+                                    " s (slowloris?)"));
         }
         s.readerDone.store(true, std::memory_order_release);
     }
@@ -459,6 +430,7 @@ struct ServeServer::Impl
     void
     workerLoop()
     {
+        Spare spare;
         for (;;) {
             Work w;
             {
@@ -471,26 +443,47 @@ struct ServeServer::Impl
                 w = std::move(queue.front());
                 queue.pop_front();
             }
-            unsigned taken = runSegment(w);
-            // The reply is out, so construction lands between this
-            // worker's segments instead of inside a round trip. A
-            // build that throws (say, no memory for a huge L2) costs
-            // a later segment an inline construction, not the worker.
-            for (unsigned i = 0; i < taken && !drainFlagged(); ++i) {
+            // The reply is out, so the spare's construction lands
+            // between this worker's segments instead of inside a round
+            // trip. A build that throws (say, no memory for a huge L2)
+            // costs a later segment an inline construction, not the
+            // worker.
+            if (runSegment(w, spare) && !drainFlagged()) {
                 try {
-                    pool.restock(w.profile, w.submit.job);
+                    spare.sim = buildSimulator(w);
+                    spare.key = machineKey(w);
                 } catch (const std::exception &e) {
-                    warn("serve: simulator pool refill failed: ",
+                    warn("serve: spare simulator build failed: ",
                          e.what());
-                    break;
                 }
             }
         }
     }
 
-    /** Run and answer one segment; returns the simulators it took. */
-    unsigned
-    runSegment(Work &w)
+    /**
+     * A never-used simulator for @p w: the spare when it was built for
+     * the same machine, else a new one (the mismatched spare is
+     * dropped first, so a worker never holds two unused simulators).
+     */
+    std::unique_ptr<MpSimulator>
+    takeSimulator(Spare &spare, const Work &w)
+    {
+        std::unique_ptr<MpSimulator> sim = std::move(spare.sim);
+        if (sim && spare.key == machineKey(w)) {
+            ++spareHits;
+            return sim;
+        }
+        sim.reset();
+        ++spareMisses;
+        return buildSimulator(w);
+    }
+
+    /**
+     * Run and answer one segment. True when an attempt took a
+     * simulator, so the worker's spare is gone.
+     */
+    bool
+    runSegment(Work &w, Spare &spare)
     {
         Session &s = *w.session;
         const SubmitRequest &req = w.submit;
@@ -499,7 +492,7 @@ struct ServeServer::Impl
                       opt.segmentDeadline, " s exceeded")
                 .message;
 
-        unsigned taken = 0;
+        bool took = false;
         Result<SimSummary> out =
             makeError(ErrorKind::Cancelled, "client went away");
         for (unsigned attempt = 0; !s.gone.cancelled(); ++attempt) {
@@ -510,8 +503,8 @@ struct ServeServer::Impl
                         static_cast<std::size_t>(req.segmentId),
                         attempt, token);
                     std::unique_ptr<MpSimulator> sim =
-                        pool.acquire(w.profile, req.job);
-                    ++taken;
+                        takeSimulator(spare, w);
+                    took = true;
                     // The deadline starts with the replay: an injected
                     // stall or an inline construction does not count.
                     token.expireAfter(opt.segmentDeadline);
@@ -540,11 +533,11 @@ struct ServeServer::Impl
                 s.txSeq.fetch_add(1, std::memory_order_relaxed) + 1);
             sendFrame(s, encodeResult(r), fault);
             bumpStat(&ServiceStats::segmentsCompleted);
-            return taken;
+            return took;
         }
         if (s.gone.cancelled()) { // the client went away mid-segment
             bumpStat(&ServiceStats::segmentsAbandoned);
-            return taken;
+            return took;
         }
         const Error &err = out.error();
         sendFrame(s, encodeErrorReply(
@@ -553,7 +546,7 @@ struct ServeServer::Impl
         bumpStat(&ServiceStats::segmentsFailed);
         if (err.kind == ErrorKind::Timeout)
             bumpStat(&ServiceStats::segmentsTimedOut);
-        return taken;
+        return took;
     }
 
     // ---- accept / drain --------------------------------------------
@@ -581,9 +574,7 @@ struct ServeServer::Impl
     void
     adopt(int fd)
     {
-        auto s = std::make_shared<Session>();
-        s->fd = fd;
-        s->frames = FrameReader(opt.maxFrameBytes);
+        auto s = std::make_shared<Session>(fd, opt.maxFrameBytes);
         {
             std::lock_guard<std::mutex> g(sessMu);
             s->id = nextSessionId++;
@@ -621,8 +612,7 @@ struct ServeServer::Impl
         for (auto &s : dead) {
             if (s->reader.joinable())
                 s->reader.join();
-            ::close(s->fd);
-            s->fd = -1;
+            s->conn.close();
             std::lock_guard<std::mutex> g(statsMu);
             ++sessionsReaped;
         }
@@ -708,14 +698,9 @@ ServeServer::waitUntilDrained()
         im.sendFrame(*s, bye);
         im.closeSession(*s);
     }
-    for (auto &s : all) {
+    for (auto &s : all)
         if (s->reader.joinable())
             s->reader.join();
-        if (s->fd >= 0) {
-            ::close(s->fd);
-            s->fd = -1;
-        }
-    }
     im.started.store(false);
 
     int sig = shutdownSignal();
@@ -761,8 +746,8 @@ ServeServer::stats() const
     Impl &im = *_impl;
     std::lock_guard<std::mutex> g(im.statsMu);
     ServiceStats s = im.st;
-    s.poolHits = im.pool.hits();
-    s.poolMisses = im.pool.misses();
+    s.poolHits = im.spareHits;
+    s.poolMisses = im.spareMisses;
     return s;
 }
 

@@ -4,8 +4,9 @@
  *
  * Many concurrent clients stream trace segments over the framed wire
  * protocol (wire.hh) on a unix socket and/or localhost TCP; the
- * server multiplexes them onto a pool of worker threads drawing
- * warmed simulators from a SimulatorPool, and streams back each
+ * server multiplexes them onto a pool of worker threads, each
+ * replaying on a never-used simulator (its one spare, built after its
+ * previous reply, when the machine matches), and streams back each
  * segment's stats as the campaign journal's hexfloat summary line --
  * bit-identical to running the same segment through batch vrc-sim.
  *
@@ -46,6 +47,7 @@
 #define VRC_SERVE_SERVER_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -124,10 +126,19 @@ struct ServiceStats
     std::uint64_t segmentsAbandoned = 0; ///< client gone mid-segment
     std::uint64_t responsesDropped = 0;  ///< injected connection drops
     std::uint64_t responsesTorn = 0;     ///< injected torn frames
-    std::uint64_t poolHits = 0;
-    std::uint64_t poolMisses = 0;
+    std::uint64_t poolHits = 0;   ///< attempts replayed on a spare
+    std::uint64_t poolMisses = 0; ///< attempts that built inline
     std::vector<std::string> quarantinedClients;
 };
+
+/**
+ * Test hook run before every simulator build, a segment's inline one
+ * and a worker's spare alike. A test installs one that throws to stand
+ * in for a failed allocation, or that blocks to hold a segment;
+ * install it before the server starts and clear it after the server
+ * is destroyed.
+ */
+std::function<void()> &simulatorBuildHookForTest();
 
 /** The service. Construct, start(), then waitUntilDrained(). */
 class ServeServer

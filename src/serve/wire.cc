@@ -1,6 +1,8 @@
 #include "serve/wire.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 
@@ -153,6 +155,59 @@ decodeJobFields(std::uint8_t org, std::uint8_t split, std::uint8_t timing,
     job.split = split != 0;
     job.timingMode = static_cast<TimingMode>(timing);
     return okStatus();
+}
+
+// Every socket syscall retries EINTR (and writes retry short writes):
+// see FrameConn.
+
+/** write() all @p n bytes. */
+bool
+writeAllFd(int fd, const char *data, std::size_t n)
+{
+    std::size_t off = 0;
+    while (off < n) {
+        // MSG_NOSIGNAL: a peer that vanished mid-write must surface
+        // as EPIPE, not kill a library embedder that never installed
+        // a SIGPIPE handler (a stalled shard worker writing a stale
+        // result into a torn-down coordinator socket, for instance).
+        ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
+        if (w < 0 && errno == ENOTSOCK)
+            w = ::write(fd, data + off, n - off);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        off += static_cast<std::size_t>(w);
+    }
+    return true;
+}
+
+/**
+ * One read() of up to @p n bytes: the byte count, 0 at EOF, or -1
+ * with errno set.
+ */
+long
+readSomeFd(int fd, char *data, std::size_t n)
+{
+    for (;;) {
+        ssize_t r = ::read(fd, data, n);
+        if (r < 0 && errno == EINTR)
+            continue;
+        return static_cast<long>(r);
+    }
+}
+
+/** accept(): the fd, or -1 with errno set. */
+int
+acceptRetryFd(int listenFd)
+{
+    for (;;) {
+        int fd = ::accept(listenFd, nullptr, nullptr);
+        if (fd < 0 && errno == EINTR)
+            continue;
+        return fd;
+    }
 }
 
 } // namespace
@@ -584,47 +639,87 @@ FrameReader::take()
     return f;
 }
 
-bool
-writeAllFd(int fd, const char *data, std::size_t n)
+void
+FrameConn::reset(int fd, std::size_t maxPayload)
 {
-    std::size_t off = 0;
-    while (off < n) {
-        // MSG_NOSIGNAL: a peer that vanished mid-write must surface
-        // as EPIPE, not kill a library embedder that never installed
-        // a SIGPIPE handler (a stalled shard worker writing a stale
-        // result into a torn-down coordinator socket, for instance).
-        ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
-        if (w < 0 && errno == ENOTSOCK)
-            w = ::write(fd, data + off, n - off);
-        if (w < 0) {
+    std::lock_guard<std::mutex> g(_writeMu);
+    if (_fd >= 0)
+        ::close(_fd);
+    _fd = fd;
+    _shut = false;
+    _frames = FrameReader(maxPayload);
+}
+
+bool
+FrameConn::send(std::string_view bytes, bool thenShut)
+{
+    std::lock_guard<std::mutex> g(_writeMu);
+    if (_shut || _fd < 0) {
+        errno = EPIPE;
+        return false;
+    }
+    bool wrote = writeAllFd(_fd, bytes.data(), bytes.size());
+    if (!wrote || thenShut) {
+        _shut = true;
+        ::shutdown(_fd, SHUT_RDWR);
+    }
+    return wrote;
+}
+
+void
+FrameConn::shut()
+{
+    std::lock_guard<std::mutex> g(_writeMu);
+    if (!_shut && _fd >= 0) {
+        _shut = true;
+        ::shutdown(_fd, SHUT_RDWR);
+    }
+}
+
+Result<Frame>
+FrameConn::readFrame(double timeoutSeconds)
+{
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point start = Clock::now();
+    char buf[64 * 1024];
+    for (;;) {
+        FrameReader::State st = _frames.poll();
+        if (st == FrameReader::State::Frame)
+            return _frames.take();
+        if (st == FrameReader::State::Broken)
+            return _frames.error();
+        if (_fd < 0)
+            return makeError(ErrorKind::Io,
+                             "read on a closed connection");
+
+        double left =
+            timeoutSeconds -
+            std::chrono::duration<double>(Clock::now() - start).count();
+        if (left <= 0.0)
+            return makeError(ErrorKind::Timeout, "no frame within ",
+                             timeoutSeconds, " s");
+        pollfd p = {_fd, POLLIN, 0};
+        int pr = ::poll(&p, 1,
+                        static_cast<int>(std::min(left, 60.0) * 1000.0) + 1);
+        if (pr < 0) {
             if (errno == EINTR)
                 continue;
-            return false;
+            return makeError(ErrorKind::Io, "poll: ",
+                             std::strerror(errno));
         }
-        off += static_cast<std::size_t>(w);
-    }
-    return true;
-}
-
-long
-readSomeFd(int fd, char *data, std::size_t n)
-{
-    for (;;) {
-        ssize_t r = ::read(fd, data, n);
-        if (r < 0 && errno == EINTR)
-            continue;
-        return static_cast<long>(r);
-    }
-}
-
-int
-acceptRetryFd(int listenFd)
-{
-    for (;;) {
-        int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0 && errno == EINTR)
-            continue;
-        return fd;
+        if (pr == 0)
+            continue; // the loop re-checks the deadline
+        long n = readSomeFd(_fd, buf, sizeof(buf));
+        if (n == 0)
+            return makeError(ErrorKind::Io,
+                             "peer closed the connection");
+        if (n < 0) {
+            if (errno == EAGAIN || errno == EWOULDBLOCK)
+                continue;
+            return makeError(ErrorKind::Io, "read: ",
+                             std::strerror(errno));
+        }
+        _frames.feed(buf, static_cast<std::size_t>(n));
     }
 }
 

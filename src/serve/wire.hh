@@ -32,7 +32,9 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/error.hh"
@@ -200,27 +202,6 @@ Result<CellResultReply> decodeCellResult(const std::string &payload);
 Result<ShardDoneReply> decodeShardDone(const std::string &payload);
 Result<HeartbeatMsg> decodeHeartbeat(const std::string &payload);
 
-// ---- EINTR / short-write safe fd helpers ----------------------------
-//
-// Every blocking socket syscall in the serve and shard layers goes
-// through these: a signal landing mid-call (SIGUSR1 from a profiler,
-// SIGCHLD from a supervisor, the drain SIGTERM itself when the handler
-// is installed without SA_RESTART) must retry the call, not tear a
-// frame in half or poison the session.
-
-/** write() all @p n bytes, retrying EINTR and short writes. */
-bool writeAllFd(int fd, const char *data, std::size_t n);
-
-/**
- * One read() of up to @p n bytes, retrying EINTR. Returns the byte
- * count, 0 at EOF, or -1 with errno set (EAGAIN passes through so
- * poll()-driven loops keep their semantics).
- */
-long readSomeFd(int fd, char *data, std::size_t n);
-
-/** accept() retrying EINTR. Returns the fd or -1 with errno set. */
-int acceptRetryFd(int listenFd);
-
 /**
  * A server's listening sockets: a unix-domain path and/or a TCP port
  * on 127.0.0.1. Shared by the segment service and the shard
@@ -326,6 +307,76 @@ class FrameReader
     std::size_t _pos = 0;
     bool _broken = false;
     Error _error;
+};
+
+/**
+ * One framed stream socket: the fd, its FrameReader and a write lock.
+ * The service's sessions, the shard coordinator's worker connections
+ * and ServeClient all speak VRCW through one of these, so the socket
+ * is read and written in exactly one place (and a transport other
+ * than a socket would plug in here).
+ *
+ * Every syscall retries EINTR and short writes: a signal landing
+ * mid-call (SIGUSR1 from a profiler, SIGCHLD from a supervisor, the
+ * drain SIGTERM itself when the handler is installed without
+ * SA_RESTART) must not tear a frame in half or poison the session.
+ *
+ * Threading: any thread may send() or shut(); one reader thread owns
+ * readFrame(). reset() and close() must not race a readFrame().
+ * Destruction closes the fd.
+ */
+class FrameConn
+{
+  public:
+    explicit FrameConn(int fd = -1,
+                       std::size_t maxPayload = wireMaxPayloadDefault)
+        : _fd(fd), _frames(maxPayload)
+    {
+    }
+
+    ~FrameConn() { close(); }
+
+    FrameConn(const FrameConn &) = delete;
+    FrameConn &operator=(const FrameConn &) = delete;
+
+    /** Close the current fd, if any; adopt @p fd with nothing buffered. */
+    void reset(int fd, std::size_t maxPayload = wireMaxPayloadDefault);
+
+    /** Close the fd; later sends and reads fail. */
+    void close() { reset(-1); }
+
+    /** The socket (-1 once closed). */
+    int fd() const { return _fd; }
+
+    /**
+     * Write @p bytes whole under the write lock, then shut the socket
+     * when @p thenShut, so no other thread's frame lands between the
+     * two. Returns false, writing nothing and with errno EPIPE, once
+     * the socket is shut or closed; a failed write shuts it too.
+     */
+    bool send(std::string_view bytes, bool thenShut = false);
+
+    /** Shut the socket down both ways (idempotent); later sends fail. */
+    void shut();
+
+    /**
+     * The next frame, buffered ones first, waiting up to
+     * @p timeoutSeconds for more bytes. Fails with Timeout when no
+     * frame completed in time (pendingBytes() then tells an idle link
+     * from a stalled frame), Io at peer EOF, on a read error or on a
+     * closed connection, or the reader's sticky Parse/Format/Bounds
+     * error for a broken stream.
+     */
+    Result<Frame> readFrame(double timeoutSeconds);
+
+    /** Bytes of an incomplete frame buffered by the reader. */
+    std::size_t pendingBytes() const { return _frames.pendingBytes(); }
+
+  private:
+    int _fd;
+    FrameReader _frames; ///< the reader thread's
+    std::mutex _writeMu;
+    bool _shut = false; ///< under _writeMu
 };
 
 } // namespace vrc

@@ -15,10 +15,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "base/fault.hh"
 #include "base/log.hh"
 #include "base/shutdown.hh"
@@ -152,24 +148,15 @@ namespace
 /** One connected worker. */
 struct WorkerConn
 {
+    explicit WorkerConn(int fd) : conn(fd) {}
+
     std::uint64_t id = 0;
-    int fd = -1;
+    FrameConn conn;
     std::string name;       ///< from HELLO; empty until then
     bool ready = false;     ///< HELLO accepted
     bool gone = false;      ///< connection dead (no more dispatch)
-    bool writeShut = false;
     std::int64_t assignment = -1; ///< active assignment id, -1 = idle
-    std::mutex writeMu;
     std::thread reader;
-
-    /** Shut the socket both ways; later sends fail. */
-    void
-    cut()
-    {
-        std::lock_guard<std::mutex> g(writeMu);
-        writeShut = true;
-        ::shutdown(fd, SHUT_RDWR);
-    }
 };
 
 /** One dispatched shard. */
@@ -224,23 +211,6 @@ struct ShardCoordinator::Impl
 
     std::thread acceptThread;
 
-    // ---- socket plumbing -------------------------------------------
-
-    /** Send one frame to a worker; false cuts the connection. */
-    bool
-    sendToWorker(WorkerConn &w, const std::string &frame)
-    {
-        std::lock_guard<std::mutex> g(w.writeMu);
-        if (w.writeShut)
-            return false;
-        if (!writeAllFd(w.fd, frame.data(), frame.size())) {
-            w.writeShut = true;
-            ::shutdown(w.fd, SHUT_RDWR);
-            return false;
-        }
-        return true;
-    }
-
     // ---- accept + reader threads -----------------------------------
 
     void
@@ -258,8 +228,7 @@ struct ShardCoordinator::Impl
     void
     adopt(int fd)
     {
-        auto w = std::make_shared<WorkerConn>();
-        w->fd = fd;
+        auto w = std::make_shared<WorkerConn>(fd);
         {
             std::lock_guard<std::mutex> g(mu);
             w->id = nextWorkerId++;
@@ -271,47 +240,23 @@ struct ShardCoordinator::Impl
     void
     readerLoop(WorkerConn &w)
     {
-        FrameReader frames;
-        char buf[64 * 1024];
-        bool alive = true;
-        while (alive && !stopping.load(std::memory_order_acquire)) {
-            pollfd p = {w.fd, POLLIN, 0};
-            int pr = ::poll(&p, 1, 100);
-            if (pr < 0) {
-                if (errno == EINTR)
-                    continue;
-                break;
-            }
-            if (pr == 0)
+        // Short turns, so a stopping coordinator is noticed.
+        while (!stopping.load(std::memory_order_acquire)) {
+            Result<Frame> f = w.conn.readFrame(0.1);
+            if (f) {
+                if (!handleFrame(w, f.take()))
+                    break;
                 continue;
-            if (!(p.revents & (POLLIN | POLLHUP | POLLERR)))
+            }
+            if (f.error().kind == ErrorKind::Timeout)
                 continue;
-            long rn = readSomeFd(w.fd, buf, sizeof(buf));
-            if (rn == 0)
-                break;
-            if (rn < 0) {
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    continue;
-                break;
+            if (f.error().kind != ErrorKind::Io) {
+                std::lock_guard<std::mutex> g(mu);
+                warn("coordinate: torn frame stream from worker '",
+                     w.name, "': ", f.error().message);
+                strikeLocked(w.name);
             }
-            frames.feed(buf, static_cast<std::size_t>(rn));
-            for (;;) {
-                FrameReader::State fs = frames.poll();
-                if (fs == FrameReader::State::NeedMore)
-                    break;
-                if (fs == FrameReader::State::Broken) {
-                    std::lock_guard<std::mutex> g(mu);
-                    warn("coordinate: torn frame stream from worker '",
-                         w.name, "': ", frames.error().message);
-                    strikeLocked(w.name);
-                    alive = false;
-                    break;
-                }
-                if (!handleFrame(w, frames.take())) {
-                    alive = false;
-                    break;
-                }
-            }
+            break;
         }
         std::lock_guard<std::mutex> g(mu);
         markGoneLocked(w);
@@ -337,11 +282,10 @@ struct ShardCoordinator::Impl
             }
             w.name = hello.value().client;
             if (quarantinedNames.count(w.name)) {
-                sendToWorker(
-                    w, encodeErrorReply(
-                           FrameType::Quarantined,
-                           ErrorReply{0, ErrorKind::Worker,
-                                      "worker is quarantined"}));
+                w.conn.send(encodeErrorReply(
+                    FrameType::Quarantined,
+                    ErrorReply{0, ErrorKind::Worker,
+                               "worker is quarantined"}));
                 return false;
             }
             w.ready = true;
@@ -484,12 +428,11 @@ struct ShardCoordinator::Impl
             for (auto &w : workers) {
                 if (w->name != name || w->gone)
                     continue;
-                sendToWorker(
-                    *w, encodeErrorReply(
-                            FrameType::Quarantined,
-                            ErrorReply{0, ErrorKind::Worker,
-                                       "worker is quarantined"}));
-                w->cut();
+                w->conn.send(encodeErrorReply(
+                                 FrameType::Quarantined,
+                                 ErrorReply{0, ErrorKind::Worker,
+                                            "worker is quarantined"}),
+                             true);
             }
         }
     }
@@ -501,7 +444,7 @@ struct ShardCoordinator::Impl
         if (w.gone)
             return;
         w.gone = true;
-        w.cut();
+        w.conn.shut();
         if (w.ready && !stopping.load(std::memory_order_acquire))
             ++stats.workersLost;
         if (w.assignment >= 0) {
@@ -653,7 +596,7 @@ struct ShardCoordinator::Impl
             a.cells = cells;
             a.lastProgress = now;
             a.active = true;
-            if (!sendToWorker(*w, encodeShardAssign(assign))) {
+            if (!w->conn.send(encodeShardAssign(assign))) {
                 // The write failed: the reader will notice EOF and
                 // recycle the cells; just put them straight back.
                 for (std::size_t idx : cells)
@@ -683,14 +626,10 @@ struct ShardCoordinator::Impl
         if (acceptThread.joinable())
             acceptThread.join();
         for (auto &w : workers) {
-            if (w->fd < 0)
-                continue;
-            sendToWorker(*w, encodeBye());
-            w->cut();
+            w->conn.send(encodeBye(), true);
             if (w->reader.joinable())
                 w->reader.join();
-            ::close(w->fd);
-            w->fd = -1;
+            w->conn.close();
         }
         listeners.close();
     }
@@ -814,11 +753,14 @@ ShardCoordinator::run(const TraceBundle &bundle,
 namespace
 {
 
-/** Per-assignment heartbeat pump. */
+/**
+ * Per-assignment heartbeat pump. It shares the client with the cell
+ * sender; ServeClient::send() writes each frame whole under the
+ * connection's lock.
+ */
 struct HeartbeatPump
 {
     ServeClient &client;
-    std::mutex &sendMu;
     std::uint64_t assignId;
     double period;
     std::atomic<bool> stop{false};
@@ -826,17 +768,21 @@ struct HeartbeatPump
     std::atomic<std::uint32_t> cellsDone{0};
     std::thread th;
 
-    HeartbeatPump(ServeClient &c, std::mutex &m, std::uint64_t id,
-                  double p)
-        : client(c), sendMu(m), assignId(id), period(p)
+    HeartbeatPump(ServeClient &c, std::uint64_t id, double p)
+        : client(c), assignId(id), period(p)
     {
         th = std::thread([this] { pump(); });
     }
 
-    ~HeartbeatPump()
+    ~HeartbeatPump() { halt(); }
+
+    /** Stop beating; no heartbeat is sent after this returns. */
+    void
+    halt()
     {
         stop.store(true, std::memory_order_release);
-        th.join();
+        if (th.joinable())
+            th.join();
     }
 
     void
@@ -847,7 +793,6 @@ struct HeartbeatPump
             if (slept >= period) {
                 slept = 0.0;
                 if (!pause.load(std::memory_order_acquire)) {
-                    std::lock_guard<std::mutex> g(sendMu);
                     Status sent = client.send(encodeHeartbeat(
                         HeartbeatMsg{assignId,
                                      cellsDone.load()}));
@@ -883,13 +828,9 @@ runShardWorker(const ShardWorkerOptions &opt)
                          "(need --connect-unix or --connect-tcp)");
     }
 
-    std::mutex sendMu;
-    {
-        std::lock_guard<std::mutex> g(sendMu);
-        Status h = client.hello(opt.name);
-        if (!h)
-            return h.error();
-    }
+    Status h = client.hello(opt.name);
+    if (!h)
+        return h.error();
 
     ShardWorkerStats stats;
 
@@ -949,7 +890,6 @@ runShardWorker(const ShardWorkerOptions &opt)
                     {cell.index, ErrorKind::Bounds,
                      "unknown workload profile '" +
                          assign.profileName + "'"});
-            std::lock_guard<std::mutex> g(sendMu);
             Status sent = client.send(encodeShardDone(done));
             if (!sent)
                 return stats;
@@ -958,8 +898,7 @@ runShardWorker(const ShardWorkerOptions &opt)
         const TraceBundle &bundle =
             bundleFor(assign.profileName, assign.scale);
 
-        HeartbeatPump hb(client, sendMu, assign.assignId,
-                         opt.heartbeatSeconds);
+        HeartbeatPump hb(client, assign.assignId, opt.heartbeatSeconds);
         for (const ShardCell &cell : assign.cells) {
             ShardFaultKind fault =
                 maybeInjectShardFault(cell.index, cell.attempt);
@@ -998,24 +937,18 @@ runShardWorker(const ShardWorkerOptions &opt)
             if (fault == ShardFaultKind::Tear) {
                 warn("shard-worker '", opt.name,
                      "': injected reply tear on cell ", cell.index);
-                std::lock_guard<std::mutex> g(sendMu);
+                hb.halt(); // the torn frame is the last bytes sent
                 [[maybe_unused]] Status torn =
                     client.send(frame.substr(0, frame.size() / 2));
                 std::_Exit(141);
             }
-            {
-                std::lock_guard<std::mutex> g(sendMu);
-                Status sent = client.send(frame);
-                if (!sent)
-                    return stats;
-            }
+            if (!client.send(frame))
+                return stats;
             ++done.completed;
             hb.cellsDone.fetch_add(1);
             ++stats.cellsRun;
         }
-        std::lock_guard<std::mutex> g(sendMu);
-        Status sent = client.send(encodeShardDone(done));
-        if (!sent)
+        if (!client.send(encodeShardDone(done)))
             return stats;
     }
 }

@@ -3,12 +3,13 @@
  * ServeServer tests: an in-process server on a unix socket in the
  * test temp dir, driven through the real ServeClient. Covers batch
  * byte-equality, session poisoning isolation, backpressure shedding,
- * per-segment deadlines, a client gone mid-segment, simulator-pool
- * refill, graceful drain, and client quarantine.
+ * per-segment deadlines, a client gone mid-segment, the workers' spare
+ * simulators, graceful drain, and client quarantine.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -18,7 +19,6 @@
 
 #include "serve/client.hh"
 #include "serve/server.hh"
-#include "serve/sim_pool.hh"
 #include "serve/wire.hh"
 #include "sim/campaign.hh"
 #include "sim/experiment.hh"
@@ -94,6 +94,20 @@ attach(ServeClient &c, const std::string &sock,
     Status hi = c.hello(name);
     ASSERT_TRUE(hi.ok()) << hi.error().describe();
 }
+
+/**
+ * Installs a simulator build hook for one test. Declare it before the
+ * server, so it is cleared only after every worker has been joined.
+ */
+struct ConstructHook
+{
+    explicit ConstructHook(std::function<void()> hook)
+    {
+        simulatorBuildHookForTest() = std::move(hook);
+    }
+
+    ~ConstructHook() { simulatorBuildHookForTest() = nullptr; }
+};
 
 TEST(ServeTest, ResultIsByteIdenticalToBatchMode)
 {
@@ -239,6 +253,15 @@ TEST(ServeTest, BadCacheSizeIsRefusedAndSessionSurvives)
 
 TEST(ServeTest, PerClientCapShedsExcessSubmits)
 {
+    // Segment 1 is held in its simulator build until the client has
+    // read the SHED for segment 2, so segment 1 is still in flight when
+    // segment 2 is admitted, however fast the replay would have been.
+    std::atomic<bool> shed_read{false};
+    ConstructHook hook([&shed_read] {
+        for (int i = 0; i < 60000 && !shed_read.load(); ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+
     TempSock sock("serve_shed.sock");
     ServeOptions opt;
     opt.unixPath = sock.path;
@@ -249,8 +272,8 @@ TEST(ServeTest, PerClientCapShedsExcessSubmits)
 
     ServeClient c;
     attach(c, sock.path, "greedy");
-    // Two submits back to back: the long first one is admitted; the
-    // second arrives while the first still runs and must be SHED.
+    // Two submits back to back: the first is admitted; the second
+    // arrives while the first still runs and must be SHED.
     ASSERT_TRUE(c.submit(longSubmit(1)).ok());
     ASSERT_TRUE(c.submit(submitFor(2, 0, 64)).ok());
 
@@ -258,10 +281,12 @@ TEST(ServeTest, PerClientCapShedsExcessSubmits)
     for (int i = 0; i < 2; ++i) {
         auto fr = c.readFrame(60.0);
         ASSERT_TRUE(fr.ok()) << fr.error().describe();
-        if (fr.value().type == FrameType::Shed)
+        if (fr.value().type == FrameType::Shed) {
             saw_shed = true;
-        else if (fr.value().type == FrameType::Result)
+            shed_read = true;
+        } else if (fr.value().type == FrameType::Result) {
             saw_result = true;
+        }
     }
     EXPECT_TRUE(saw_shed);
     EXPECT_TRUE(saw_result);
@@ -363,8 +388,8 @@ TEST(ServeTest, FailedSegmentsKeepThePoolStocked)
 
     server.requestDrain();
     EXPECT_EQ(server.waitUntilDrained(), 0);
-    // One worker refills the shelf after every segment, timed out or
-    // not, so only the very first acquire constructs inline.
+    // One worker builds its spare after every segment, timed out or
+    // not, so only the very first segment constructs inline.
     ServiceStats st = server.stats();
     EXPECT_EQ(st.poolMisses, 1u);
     EXPECT_EQ(st.poolHits, 8u);
@@ -400,23 +425,11 @@ TEST(ServeTest, ClosedLoopClientAtCapIsNeverShed)
     EXPECT_EQ(st.segmentsShed, 0u);
 }
 
-/** Installs a SimulatorPool construction hook for one test. */
-struct ConstructHook
-{
-    explicit ConstructHook(std::function<void()> hook)
-    {
-        SimulatorPool::constructHookForTest() = std::move(hook);
-    }
-
-    ~ConstructHook() { SimulatorPool::constructHookForTest() = nullptr; }
-};
-
 TEST(ServeTest, FailedSimulatorBuildsDoNotStopTheServer)
 {
     // Builds 1 and 3 throw as an out-of-memory construction would.
-    // Build 1 is segment 1's inline acquire, build 3 the refill after
-    // segment 2's reply. Declared before the server, so the hook is
-    // cleared only after every worker has been joined.
+    // Build 1 is segment 1's inline build, build 3 the spare after
+    // segment 2's reply.
     unsigned builds = 0;
     ConstructHook hook([&builds] {
         ++builds;
@@ -451,14 +464,47 @@ TEST(ServeTest, FailedSimulatorBuildsDoNotStopTheServer)
 
     server.requestDrain();
     EXPECT_EQ(server.waitUntilDrained(), 0);
-    // Segment 1 took no simulator, so nothing was refilled for it;
-    // segment 2's refill failed, so segment 3 built inline; its
-    // refill stocked the shelf for segment 4.
+    // Segment 1 took no simulator, so no spare was built for it;
+    // segment 2's spare failed, so segment 3 built inline; its spare
+    // served segment 4.
     ServiceStats st = server.stats();
     EXPECT_EQ(st.poolMisses, 3u);
     EXPECT_EQ(st.poolHits, 1u);
     EXPECT_EQ(st.segmentsFailed, 1u);
     EXPECT_EQ(st.segmentsCompleted, 3u);
+}
+
+TEST(ServeTest, KeySwitchBuildsInlineAndReplacesTheSpare)
+{
+    TempSock sock("serve_key_switch.sock");
+    ServeOptions opt;
+    opt.unixPath = sock.path;
+    opt.workers = 1;
+    ServeServer server(opt);
+    ASSERT_TRUE(server.start().ok());
+
+    ServeClient c;
+    attach(c, sock.path, "key-switch");
+    // Machines A, B, A: each segment finds the spare built for the
+    // other machine, so each builds inline and leaves a spare of its
+    // own machine behind.
+    for (std::uint64_t seg = 1; seg <= 3; ++seg) {
+        SubmitRequest req = submitFor(seg, 0, 256);
+        if (seg == 2)
+            req.job.l2Size = 512 * 1024;
+        ASSERT_TRUE(c.submit(req).ok());
+        auto fr = c.readFrame(60.0);
+        ASSERT_TRUE(fr.ok()) << fr.error().describe();
+        ASSERT_EQ(fr.value().type, FrameType::Result) << "segment " << seg;
+    }
+
+    server.requestDrain();
+    EXPECT_EQ(server.waitUntilDrained(), 0);
+    ServiceStats st = server.stats();
+    EXPECT_EQ(st.poolMisses, 3u);
+    EXPECT_EQ(st.poolHits, 0u);
+    EXPECT_EQ(st.segmentsCompleted, 3u);
+    EXPECT_EQ(st.segmentsFailed, 0u);
 }
 
 TEST(ServeTest, DrainRefusesNewWorkAndFinishesInFlight)

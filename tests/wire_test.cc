@@ -1,14 +1,17 @@
 /**
  * @file
  * Wire-protocol tests: frame encode/decode round trips, validating
- * decode of hostile payloads, and the incremental FrameReader
- * (byte-at-a-time feeding, torn payloads, sticky breakage).
+ * decode of hostile payloads, the incremental FrameReader
+ * (byte-at-a-time feeding, torn payloads, sticky breakage), and
+ * FrameConn on a socket pair (split frames, timeouts, broken streams,
+ * EOF, concurrent senders, signals mid-frame).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <limits>
@@ -402,6 +405,175 @@ TEST(WireTest, DecodeShardFramesRejectHostileValues)
     EXPECT_FALSE(decodeShardDone(p).ok());
 }
 
+// ---- FrameConn ------------------------------------------------------
+
+/** A FrameConn on one end of a socket pair; the test writes the other. */
+struct ConnPair
+{
+    FrameConn conn;
+    int peer = -1;
+
+    explicit ConnPair(std::size_t maxPayload = wireMaxPayloadDefault)
+    {
+        int fds[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0) {
+            conn.reset(fds[0], maxPayload);
+            peer = fds[1];
+        }
+    }
+
+    ~ConnPair()
+    {
+        if (peer >= 0)
+            ::close(peer);
+    }
+
+    bool
+    write(const std::string &bytes) const
+    {
+        return ::write(peer, bytes.data(), bytes.size()) ==
+               static_cast<ssize_t>(bytes.size());
+    }
+};
+
+TEST(WireTest, FrameConnJoinsAFrameSplitAcrossTwoWrites)
+{
+    ConnPair p;
+    ASSERT_GE(p.peer, 0);
+    std::string frame = encodeHeartbeat(HeartbeatMsg{7, 3});
+    ASSERT_TRUE(p.write(frame.substr(0, 5)));
+    std::thread late([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        EXPECT_TRUE(p.write(frame.substr(5)));
+    });
+    Result<Frame> f = p.conn.readFrame(10.0);
+    late.join();
+    ASSERT_TRUE(f.ok()) << f.error().describe();
+    EXPECT_EQ(f.value().type, FrameType::Heartbeat);
+    Result<HeartbeatMsg> hb = decodeHeartbeat(f.value().payload);
+    ASSERT_TRUE(hb.ok());
+    EXPECT_EQ(hb.value().assignId, 7u);
+    EXPECT_EQ(hb.value().cellsDone, 3u);
+    EXPECT_EQ(p.conn.pendingBytes(), 0u);
+}
+
+TEST(WireTest, FrameConnTimesOutWithThePartialFramePending)
+{
+    ConnPair p;
+    ASSERT_GE(p.peer, 0);
+    // Idle: a timeout with nothing buffered.
+    Result<Frame> idle = p.conn.readFrame(0.02);
+    ASSERT_FALSE(idle.ok());
+    EXPECT_EQ(idle.error().kind, ErrorKind::Timeout);
+    EXPECT_EQ(p.conn.pendingBytes(), 0u);
+    // Stalled: three header bytes and silence.
+    ASSERT_TRUE(p.write(encodeBye().substr(0, 3)));
+    Result<Frame> stalled = p.conn.readFrame(0.05);
+    ASSERT_FALSE(stalled.ok());
+    EXPECT_EQ(stalled.error().kind, ErrorKind::Timeout);
+    EXPECT_EQ(p.conn.pendingBytes(), 3u);
+}
+
+TEST(WireTest, FrameConnReturnsTheReadersErrorForABrokenStream)
+{
+    ConnPair p;
+    ASSERT_GE(p.peer, 0);
+    ASSERT_TRUE(p.write("definitely not a VRCW frame"));
+    Result<Frame> bad = p.conn.readFrame(10.0);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.error().kind, ErrorKind::Parse);
+    // Sticky: the same error again, not Io or Timeout.
+    Result<Frame> again = p.conn.readFrame(0.02);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.error().kind, ErrorKind::Parse);
+
+    // An oversized claim is refused from the header alone.
+    ConnPair small(16);
+    ASSERT_GE(small.peer, 0);
+    ASSERT_TRUE(small.write(encodeHello(HelloRequest{1, "a-long-name"})));
+    Result<Frame> big = small.conn.readFrame(10.0);
+    ASSERT_FALSE(big.ok());
+    EXPECT_EQ(big.error().kind, ErrorKind::Bounds);
+}
+
+TEST(WireTest, FrameConnReportsPeerEofAsIo)
+{
+    ConnPair p;
+    ASSERT_GE(p.peer, 0);
+    // Frames written before the close still arrive first.
+    ASSERT_TRUE(p.write(encodeBye()));
+    ::close(p.peer);
+    p.peer = -1;
+    Result<Frame> bye = p.conn.readFrame(10.0);
+    ASSERT_TRUE(bye.ok()) << bye.error().describe();
+    EXPECT_EQ(bye.value().type, FrameType::Bye);
+    Result<Frame> eof = p.conn.readFrame(10.0);
+    ASSERT_FALSE(eof.ok());
+    EXPECT_EQ(eof.error().kind, ErrorKind::Io);
+    // A closed connection reads and sends nothing.
+    p.conn.close();
+    EXPECT_EQ(p.conn.readFrame(0.01).error().kind, ErrorKind::Io);
+    EXPECT_FALSE(p.conn.send(encodeBye()));
+}
+
+TEST(WireTest, FrameConnSendThenShutEndsTheStream)
+{
+    ConnPair p;
+    ASSERT_GE(p.peer, 0);
+    FrameConn peer(p.peer);
+    p.peer = -1; // owned by `peer` now
+    EXPECT_TRUE(p.conn.send(encodeBye(), true));
+    EXPECT_FALSE(p.conn.send(encodeBye())); // shut: nothing more goes out
+    Result<Frame> bye = peer.readFrame(10.0);
+    ASSERT_TRUE(bye.ok()) << bye.error().describe();
+    EXPECT_EQ(bye.value().type, FrameType::Bye);
+    EXPECT_EQ(peer.readFrame(10.0).error().kind, ErrorKind::Io);
+}
+
+TEST(WireTest, FrameConnConcurrentSendsStayWholeAndOrdered)
+{
+    // The shard worker's heartbeat pump and its cell sender share one
+    // connection; so do the service's workers answering one session.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    int small = 16 * 1024; // force short writes mid-frame
+    ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+    FrameConn out(fds[0]), in(fds[1]);
+
+    constexpr std::uint32_t perThread = 200;
+    std::vector<std::thread> senders;
+    for (std::uint64_t t = 0; t < 2; ++t)
+        senders.emplace_back([&out, t] {
+            for (std::uint32_t i = 0; i < perThread; ++i)
+                EXPECT_TRUE(out.send(encodeCellResult(CellResultReply{
+                    t, i, std::string(20000, char('a' + t))})));
+        });
+
+    std::uint32_t next[2] = {0, 0};
+    auto readAll = [&] {
+        for (std::uint32_t n = 0; n < 2 * perThread; ++n) {
+            Result<Frame> f = in.readFrame(30.0);
+            ASSERT_TRUE(f.ok()) << f.error().describe();
+            ASSERT_EQ(f.value().type, FrameType::CellResult);
+            Result<CellResultReply> r =
+                decodeCellResult(f.value().payload);
+            ASSERT_TRUE(r.ok()) << r.error().describe();
+            std::uint64_t t = r.value().assignId;
+            ASSERT_LT(t, 2u);
+            EXPECT_EQ(r.value().index, next[t]++);
+            EXPECT_EQ(r.value().summaryLine,
+                      std::string(20000, char('a' + t)));
+        }
+    };
+    readAll();
+    in.shut(); // a failed check above leaves senders blocked; free them
+    for (std::thread &th : senders)
+        th.join();
+    EXPECT_EQ(next[0], perThread);
+    EXPECT_EQ(next[1], perThread);
+    EXPECT_EQ(in.pendingBytes(), 0u);
+}
+
 // ---- EINTR / short-write regression ----------------------------------
 
 namespace
@@ -417,9 +589,9 @@ countSignal(int)
 TEST(WireTest, SignalsMidFrameDoNotTearTheStream)
 {
     // A profiler/supervisor signal landing mid write() or mid read()
-    // must not tear a frame: writeAllFd retries EINTR and short
-    // writes, readSomeFd retries EINTR. Regression for the serve and
-    // shard layers' syscall loops.
+    // must not tear a frame: FrameConn retries EINTR and short writes
+    // on send and EINTR on read. Regression for the serve and shard
+    // layers' syscall loops.
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     int small = 16 * 1024; // force many short writes
@@ -440,44 +612,33 @@ TEST(WireTest, SignalsMidFrameDoNotTearTheStream)
     CellResultReply big{1, 2, std::string(4u << 20, 's')};
     std::string frame = encodeCellResult(big);
 
+    FrameConn out(fds[0]), in(fds[1]);
     std::atomic<bool> writeOk{false};
     std::atomic<bool> writerDone{false};
     std::thread writer([&] {
-        writeOk = writeAllFd(fds[0], frame.data(), frame.size());
+        writeOk = out.send(frame);
         writerDone = true;
         ::shutdown(fds[0], SHUT_WR);
     });
 
-    // Bombard the writer while draining the other end slowly.
-    FrameReader rd;
-    char buf[8192];
-    std::string got;
+    // Bombard the writer while draining the other end in short turns.
+    Result<Frame> got = makeError(ErrorKind::Timeout, "not yet");
     int salvos = 0;
     for (;;) {
         if (!writerDone && salvos++ < 100000)
             pthread_kill(writer.native_handle(), SIGUSR1);
-        long n = readSomeFd(fds[1], buf, sizeof(buf));
-        if (n == 0)
+        got = in.readFrame(0.001);
+        if (got)
             break;
-        if (n < 0) {
-            ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
-                << strerror(errno);
-            continue;
-        }
-        rd.feed(buf, static_cast<std::size_t>(n));
-        if (rd.poll() == FrameReader::State::Frame)
-            break;
-        ASSERT_NE(rd.poll(), FrameReader::State::Broken)
-            << rd.error().message;
+        ASSERT_EQ(got.error().kind, ErrorKind::Timeout)
+            << got.error().describe();
     }
     writer.join();
-    ::close(fds[0]);
-    ::close(fds[1]);
     sigaction(SIGUSR1, &old, nullptr);
 
     EXPECT_TRUE(writeOk);
-    ASSERT_EQ(rd.poll(), FrameReader::State::Frame);
-    Frame f = rd.take();
+    ASSERT_TRUE(got.ok());
+    Frame f = got.take();
     EXPECT_EQ(f.type, FrameType::CellResult);
     Result<CellResultReply> d = decodeCellResult(f.payload);
     ASSERT_TRUE(d.ok());
