@@ -265,6 +265,37 @@ BM_ColdSegment(benchmark::State &state)
 }
 BENCHMARK(BM_ColdSegment)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
+/**
+ * Building and destroying one MpSimulator over pops, with no replay:
+ * each organization at the contention shape (16 CPUs, 512 B / 64 KiB,
+ * cycle engine), and vr at the serve shape (4 CPUs, 16 / 256 KiB).
+ */
+void
+BM_MpSimulatorConstruct(benchmark::State &state, HierarchyKind kind,
+                        std::uint32_t cpus)
+{
+    const bool serve = cpus == 4;
+    WorkloadProfile p = popsProfile();
+    p.numCpus = cpus;
+    MachineConfig mc = makeMachineConfig(kind, serve ? 16 * 1024 : 512,
+                                         serve ? 256 * 1024 : 64 * 1024,
+                                         p.pageSize);
+    mc.timingMode = serve ? TimingMode::Analytic : TimingMode::Cycle;
+    for (auto _ : state) {
+        MpSimulator sim(mc, p);
+        benchmark::DoNotOptimize(sim.refsProcessed());
+    }
+}
+BENCHMARK_CAPTURE(BM_MpSimulatorConstruct, vr, HierarchyKind::VirtualReal, 16);
+BENCHMARK_CAPTURE(BM_MpSimulatorConstruct, rr_incl,
+                  HierarchyKind::RealRealIncl, 16);
+BENCHMARK_CAPTURE(BM_MpSimulatorConstruct, rr_noincl,
+                  HierarchyKind::RealRealNoIncl, 16);
+BENCHMARK_CAPTURE(BM_MpSimulatorConstruct, vr_rlt,
+                  HierarchyKind::VirtualRealRlt, 16);
+BENCHMARK_CAPTURE(BM_MpSimulatorConstruct, vr_serve,
+                  HierarchyKind::VirtualReal, 4);
+
 } // namespace
 
 BENCHMARK_MAIN();

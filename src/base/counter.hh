@@ -10,11 +10,14 @@
 #ifndef VRC_BASE_COUNTER_HH
 #define VRC_BASE_COUNTER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace vrc
 {
@@ -48,8 +51,9 @@ class Counter
  * Storage is split for locality: the Counter payloads live packed in a
  * deque (stable addresses, a whole group's counters typically within
  * one chunk, so per-reference increments touch one or two cache lines
- * instead of a node per counter), while the name index is a side map
- * used only by registration and reporting.
+ * instead of a node per counter), while the names sit in a parallel
+ * vector used only by registration and reporting. A group holds a few
+ * dozen counters, so a scan registers one with no node per name.
  */
 class StatGroup
 {
@@ -64,15 +68,13 @@ class StatGroup
 
     /** Fetch (creating on first use) the counter called @p key. */
     Counter &
-    counter(const std::string &key)
+    counter(std::string_view key)
     {
-        auto it = _byName.find(key);
-        if (it != _byName.end())
-            return *it->second;
-        _slots.emplace_back();
-        Counter *slot = &_slots.back();
-        _byName.emplace(key, slot);
-        return *slot;
+        const std::size_t i = indexOf(key);
+        if (i < _keys.size())
+            return _slots[i];
+        _keys.emplace_back(key);
+        return _slots.emplace_back();
     }
 
     /**
@@ -81,17 +83,17 @@ class StatGroup
      * for per-event increments (never call this inside a hot loop).
      */
     Counter &
-    handle(const std::string &key)
+    handle(std::string_view key)
     {
         return counter(key);
     }
 
     /** Read-only lookup; returns 0 for unknown keys. */
     std::uint64_t
-    value(const std::string &key) const
+    value(std::string_view key) const
     {
-        auto it = _byName.find(key);
-        return it == _byName.end() ? 0 : it->second->value();
+        const std::size_t i = indexOf(key);
+        return i < _keys.size() ? _slots[i].value() : 0;
     }
 
     const std::string &name() const { return _name; }
@@ -101,8 +103,8 @@ class StatGroup
     all() const
     {
         std::map<std::string, Counter> out;
-        for (const auto &[key, slot] : _byName)
-            out.emplace(key, *slot);
+        for (std::size_t i = 0; i < _keys.size(); ++i)
+            out.emplace(_keys[i], _slots[i]);
         return out;
     }
 
@@ -117,14 +119,20 @@ class StatGroup
     void
     print(std::ostream &os) const
     {
-        for (const auto &[key, slot] : _byName)
-            os << _name << "." << key << " = " << slot->value() << '\n';
+        for (const auto &[key, ctr] : all())
+            os << _name << "." << key << " = " << ctr.value() << '\n';
     }
 
   private:
+    std::size_t
+    indexOf(std::string_view key) const
+    {
+        return std::find(_keys.begin(), _keys.end(), key) - _keys.begin();
+    }
+
     std::string _name;
     std::deque<Counter> _slots;
-    std::map<std::string, Counter *> _byName;
+    std::vector<std::string> _keys; ///< _slots[i] is named _keys[i]
 };
 
 } // namespace vrc

@@ -162,8 +162,15 @@ class Rng
             return {0};
         if (toUnit(top) < p)
             return {U128{1} << 64};
-        // Invariant: toUnit(lo) < p and !(toUnit(hi) < p).
+        // Invariant: toUnit(lo) < p and !(toUnit(hi) < p). The answer
+        // is within an ulp of p * 2^64: start next to it if that holds.
         std::uint64_t lo = 0, hi = top;
+        const std::uint64_t near = static_cast<std::uint64_t>(p * 0x1p64);
+        constexpr std::uint64_t kSlack = std::uint64_t{1} << 12;
+        if (near > kSlack && toUnit(near - kSlack) < p)
+            lo = near - kSlack;
+        if (near < top - kSlack && !(toUnit(near + kSlack) < p))
+            hi = near + kSlack;
         while (hi - lo > 1) {
             std::uint64_t mid = lo + (hi - lo) / 2;
             if (toUnit(mid) < p)

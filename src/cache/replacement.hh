@@ -11,7 +11,6 @@
 #define VRC_CACHE_REPLACEMENT_HH
 
 #include <cstdint>
-#include <string>
 
 namespace vrc
 {
@@ -37,17 +36,6 @@ replPolicyName(ReplPolicy p)
         return "Random";
     }
     return "?";
-}
-
-/** Parse a policy name; returns LRU for unknown strings. */
-inline ReplPolicy
-replPolicyFromName(const std::string &s)
-{
-    if (s == "FIFO" || s == "fifo")
-        return ReplPolicy::FIFO;
-    if (s == "Random" || s == "random")
-        return ReplPolicy::Random;
-    return ReplPolicy::LRU;
 }
 
 } // namespace vrc

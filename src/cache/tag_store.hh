@@ -25,7 +25,9 @@
  * exist only where a victim choice compares them -- LRU or FIFO with
  * more than one way -- so a direct-mapped or Random store allocates
  * none, and footprint() (what an owner sizes its arena with) counts
- * exactly the arrays the constructor carves.
+ * exactly the arrays the constructor carves. Likewise only a Random
+ * store holds an Rng (on the heap, seeded at construction): seeding
+ * MT19937-64 is most of what building an LRU or FIFO store would cost.
  *
  * The original array-of-structures store survives as a test oracle
  * (tests/legacy_tag_store.hh): TagStoreParamTest drives both through
@@ -41,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <type_traits>
 
@@ -124,7 +127,9 @@ class TagStore
      */
     TagStore(const CacheGeometry &geom, ReplPolicy policy,
              std::uint64_t seed = 0x5eed, Arena *arena = nullptr)
-        : _geom(geom), _policy(policy), _rng(seed),
+        : _geom(geom), _policy(policy),
+          _rng(policy == ReplPolicy::Random ? std::make_unique<Rng>(seed)
+                                            : nullptr),
           _assoc(geom.assoc()),
           _lruMulti(policy == ReplPolicy::LRU && geom.assoc() > 1),
           _ownArena(arena ? 0 : footprint(geom, policy))
@@ -418,7 +423,7 @@ class TagStore
             ++eligible_count;
             if (_policy == ReplPolicy::Random) {
                 // Reservoir-sample one eligible way uniformly.
-                if (_rng.below(eligible_count) == 0)
+                if (_rng->below(eligible_count) == 0)
                     best = ref;
             } else if (!best || _stamp[i] < best_stamp) {
                 // Stamps are compared only from a second eligible way
@@ -443,7 +448,7 @@ class TagStore
 
     CacheGeometry _geom;
     ReplPolicy _policy;
-    Rng _rng;
+    std::unique_ptr<Rng> _rng; ///< null unless the policy is Random
     std::uint64_t _clock = 0;
     std::uint32_t _assoc;
     bool _lruMulti;  ///< touch() moves stamps: LRU and more than one way

@@ -17,9 +17,9 @@
 #define VRC_CACHE_WRITE_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "base/counter.hh"
 
@@ -51,6 +51,7 @@ class WriteBuffer
           _coherenceFlushes(&_stats.handle("coherence_flushes")),
           _drains(&_stats.handle("drains"))
     {
+        _entries.reserve(capacity);
     }
 
     /** Install the retirement callback (normally the hierarchy's). */
@@ -175,7 +176,7 @@ class WriteBuffer
     retireFront()
     {
         WriteBufferEntry e = _entries.front();
-        _entries.pop_front();
+        _entries.erase(_entries.begin());
         refreshNextDrain();
         (*_drains)++;
         if (_onDrain)
@@ -197,7 +198,8 @@ class WriteBuffer
     std::uint64_t _drainLatency;
     /** Due time of the oldest entry; kNeverDrains while empty. */
     std::uint64_t _nextDrain = kNeverDrains;
-    std::deque<WriteBufferEntry> _entries;
+    /** Oldest first; reserved once, and a retire shifts only a few. */
+    std::vector<WriteBufferEntry> _entries;
     DrainHandler _onDrain;
     StatGroup _stats;
 

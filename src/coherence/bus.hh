@@ -26,7 +26,6 @@
 #define VRC_COHERENCE_BUS_HH
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -117,7 +116,6 @@ class SharedBus
             _arbiter->post(tx.source, tx.op);
         (*_txCtr)++;
         (*_opCtrs[static_cast<int>(tx.op)])++;
-        _opCounts[static_cast<int>(tx.op)] += 1;
         if (tx.source < _perCpuTx.size())
             _perCpuTx[tx.source] += 1;
 
@@ -241,13 +239,6 @@ class SharedBus
     /** Total transactions issued. */
     std::uint64_t transactions() const { return _txCtr->value(); }
 
-    /** Transactions of one operation kind (O(1), no string lookup). */
-    std::uint64_t
-    opCount(BusOp op) const
-    {
-        return _opCounts[static_cast<int>(op)];
-    }
-
     /** Transactions issued by one CPU. */
     std::uint64_t
     transactionsFrom(CpuId cpu) const
@@ -262,7 +253,6 @@ class SharedBus
     resetStats()
     {
         _stats.reset();
-        _opCounts = {};
         _snoopsFiltered = 0;
         std::fill(_perCpuTx.begin(), _perCpuTx.end(), 0);
     }
@@ -301,7 +291,6 @@ class SharedBus
                 _arbiter->post(tx.source, tx.op);
             (*_txCtr)++;
             (*_opCtrs[static_cast<int>(tx.op)])++;
-            _opCounts[static_cast<int>(tx.op)] += 1;
             if (tx.source < _perCpuTx.size())
                 _perCpuTx[tx.source] += 1;
             _stats.counter("soft_timeouts")++;
@@ -320,7 +309,6 @@ class SharedBus
     Counter *_txCtr;
     Counter *_memSupplyCtr;
     Counter *_opCtrs[4];
-    std::array<std::uint64_t, 4> _opCounts{};
     PresenceMap _presence;
     bool _filterEnabled = true;
     std::uint64_t _snoopsFiltered = 0;

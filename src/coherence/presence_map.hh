@@ -115,6 +115,9 @@ class PresenceMap
 
     std::size_t size() const { return _size; }
 
+    /** Number of slots (a power of two; grows as entries are added). */
+    std::size_t capacity() const { return _slots.size(); }
+
   private:
     struct Slot
     {

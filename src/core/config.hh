@@ -162,15 +162,6 @@ struct HierarchyParams
     {
         return l2.blockBytes / l1.blockBytes;
     }
-
-    /** Convenience: set both level sizes (e.g. "16K/256K" configs). */
-    HierarchyParams &
-    withSizes(std::uint32_t l1_bytes, std::uint32_t l2_bytes)
-    {
-        l1.sizeBytes = l1_bytes;
-        l2.sizeBytes = l2_bytes;
-        return *this;
-    }
 };
 
 /** Human-readable "16K/256K"-style label for a size pair. */

@@ -1,7 +1,8 @@
 #include "core/synonym_dir.hh"
 
-#include <vector>
+#include <span>
 
+#include "base/arena.hh"
 #include "base/bitops.hh"
 #include "base/log.hh"
 #include "core/rcache.hh"
@@ -209,7 +210,16 @@ class RltSynonymDirectory final : public SynonymDirectory
         : _l1Block(params.l1.blockBytes),
           _assoc(params.rltAssoc),
           _numSets(params.rltEntries / params.rltAssoc),
-          _entries(std::size_t{_numSets} * _assoc)
+          // One zeroed block (every entry starts invalid), with stamps
+          // only where the LRU victim choice reads them.
+          _arena(Arena::footprint(params.rltEntries * sizeof(Entry)) +
+                 (_assoc > 1 ? Arena::footprint(params.rltEntries *
+                                                 sizeof(std::uint64_t))
+                             : 0)),
+          _entries(_arena.allocArray<Entry>(params.rltEntries)),
+          _stamps(_assoc > 1 ? _arena.allocArray<std::uint64_t>(
+                                   params.rltEntries)
+                             : nullptr)
     {
         panicIfNot(_assoc >= 1 && params.rltEntries >= params.rltAssoc,
                    "RLT geometry: entries must cover one set");
@@ -247,7 +257,7 @@ class RltSynonymDirectory final : public SynonymDirectory
             if (e.valid && e.physBlock == key) {
                 e.l1Index = static_cast<std::uint8_t>(l1_index);
                 e.childBlock = child_block;
-                e.stamp = ++_clock;
+                touch(e);
                 return;
             }
         }
@@ -263,11 +273,13 @@ class RltSynonymDirectory final : public SynonymDirectory
             // Conflict: the set is full of other blocks. Force the LRU
             // victim's level-1 copy out; the hierarchy's callback ends
             // with unlink(victim), freeing the slot.
-            Entry *victim = &base[0];
+            const std::size_t first = base - _entries;
+            std::uint32_t lru = 0;
             for (std::uint32_t w = 1; w < _assoc; ++w) {
-                if (base[w].stamp < victim->stamp)
-                    victim = &base[w];
+                if (_stamps[first + w] < _stamps[first + lru])
+                    lru = w;
             }
+            Entry *victim = &base[lru];
             PhysAddr victim_pa(victim->physBlock * _l1Block);
             SynonymChild child{victim->l1Index, victim->childBlock};
             ++_conflicts;
@@ -280,7 +292,7 @@ class RltSynonymDirectory final : public SynonymDirectory
         slot->physBlock = key;
         slot->l1Index = static_cast<std::uint8_t>(l1_index);
         slot->childBlock = child_block;
-        slot->stamp = ++_clock;
+        touch(*slot);
     }
 
     void
@@ -301,7 +313,7 @@ class RltSynonymDirectory final : public SynonymDirectory
     forEachLink(const std::function<void(PhysAddr, const SynonymChild &)>
                     &fn) const override
     {
-        for (const Entry &e : _entries) {
+        for (const Entry &e : std::span(_entries, _numSets * _assoc)) {
             if (e.valid) {
                 fn(PhysAddr(e.physBlock * _l1Block),
                    SynonymChild{e.l1Index, e.childBlock});
@@ -320,7 +332,7 @@ class RltSynonymDirectory final : public SynonymDirectory
         std::uint64_t addr_bits = 32 - log2Exact(_l1Block);
         std::uint64_t tag_bits = addr_bits - log2Exact(_numSets);
         std::uint64_t per_entry = 1 + tag_bits + addr_bits + 1;
-        return std::uint64_t{_entries.size()} * per_entry;
+        return std::uint64_t{_numSets} * _assoc * per_entry;
     }
 
     void
@@ -347,14 +359,23 @@ class RltSynonymDirectory final : public SynonymDirectory
     std::uint64_t conflicts() const { return _conflicts; }
 
   private:
+    /** One link, 12 bytes; all-zero is an invalid entry. */
     struct Entry
     {
-        bool valid = false;
-        std::uint8_t l1Index = 0;
-        std::uint32_t physBlock = 0;   ///< physical address / L1 block
-        std::uint32_t childBlock = 0;  ///< level-1 block address
-        std::uint64_t stamp = 0;       ///< LRU clock (links only)
+        std::uint32_t physBlock;   ///< physical address / L1 block
+        std::uint32_t childBlock;  ///< level-1 block address
+        bool valid;
+        std::uint8_t l1Index;
     };
+
+    /** Stamp @p e most recently linked, where LRU reads stamps. */
+    void
+    touch(const Entry &e)
+    {
+        ++_clock;
+        if (_stamps)
+            _stamps[&e - _entries] = _clock;
+    }
 
     std::uint32_t
     blockKey(PhysAddr pa) const
@@ -377,7 +398,9 @@ class RltSynonymDirectory final : public SynonymDirectory
     std::uint32_t _l1Block;
     std::uint32_t _assoc;
     std::uint32_t _numSets;
-    std::vector<Entry> _entries;
+    Arena _arena;
+    Entry *_entries;
+    std::uint64_t *_stamps; ///< per entry; null if 1-way
     std::uint64_t _clock = 0;
     std::uint64_t _conflicts = 0;
 };

@@ -103,13 +103,6 @@ struct WorkloadProfile
     std::uint32_t hotspotBlocks = 4;  ///< size of the hotspot set
 
     std::uint64_t seed = 1;
-
-    /** Fraction of data references among all references. */
-    double
-    dataFrac() const
-    {
-        return readFrac + writeFrac;
-    }
 };
 
 /**

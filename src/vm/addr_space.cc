@@ -37,23 +37,29 @@ AddressSpaceManager::allocFrame(std::uint32_t color)
 PhysAddr
 AddressSpaceManager::translate(ProcessId pid, VirtAddr va)
 {
+    if (auto pa = tryTranslate(pid, va))
+        return *pa;
     Vpn vpn = va.vpn(_pageSize);
-    PageTable &pt = _tables[pid];
-    auto ppn = pt.lookup(vpn);
-    if (!ppn) {
-        ppn = allocFrame(vpn % numColors);
-        pt.map(vpn, *ppn);
-    }
-    return makePhysAddr(*ppn, va.pageOffset(_pageSize), _pageSize);
+    Ppn ppn = allocFrame(vpn % numColors);
+    _spaces[pid].table.map(vpn, ppn);
+    return makePhysAddr(ppn, va.pageOffset(_pageSize), _pageSize);
 }
 
 std::optional<PhysAddr>
 AddressSpaceManager::tryTranslate(ProcessId pid, VirtAddr va) const
 {
-    auto table_it = _tables.find(pid);
-    if (table_it == _tables.end())
+    auto space_it = _spaces.find(pid);
+    if (space_it == _spaces.end())
         return std::nullopt;
-    auto ppn = table_it->second.lookup(va.vpn(_pageSize));
+    const Space &s = space_it->second;
+    const Vpn vpn = va.vpn(_pageSize);
+    auto ppn = s.table.lookup(vpn);
+    for (auto it = s.attached.rbegin(); !ppn && it != s.attached.rend();
+         ++it) {
+        const std::vector<Ppn> &frames = _segments[it->second];
+        if (vpn - it->first < frames.size())
+            ppn = frames[vpn - it->first];
+    }
     if (!ppn)
         return std::nullopt;
     return makePhysAddr(*ppn, va.pageOffset(_pageSize), _pageSize);
@@ -76,10 +82,13 @@ void
 AddressSpaceManager::attachSegment(ProcessId pid, SegmentId seg, Vpn base)
 {
     panicIfNot(seg < _segments.size(), "unknown segment id");
-    PageTable &pt = _tables[pid];
-    const auto &frames = _segments[seg];
-    for (std::size_t i = 0; i < frames.size(); ++i)
-        pt.map(base + static_cast<Vpn>(i), frames[i]);
+    Space &s = _spaces[pid];
+    // The attachment wins over earlier mappings of its pages.
+    if (s.table.size() != 0) {
+        for (std::size_t i = 0; i < _segments[seg].size(); ++i)
+            s.table.unmap(base + static_cast<Vpn>(i));
+    }
+    s.attached.emplace_back(base, seg);
 }
 
 const std::vector<Ppn> &

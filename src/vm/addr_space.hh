@@ -12,6 +12,7 @@
  *    cross-processor sharing (coherence traffic) and synonyms (two
  *    virtual addresses naming the same physical block), the two
  *    phenomena the paper's hierarchy must handle.
+ *    Each attaches as a {base, segment} range, not page by page.
  */
 
 #ifndef VRC_VM_ADDR_SPACE_HH
@@ -20,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/addr.hh"
@@ -70,7 +72,9 @@ class AddressSpaceManager
     /**
      * Map a shared segment into @p pid starting at virtual page @p base.
      * Different processes (or the same process twice) may attach the same
-     * segment at different bases, creating synonyms.
+     * segment at different bases, creating synonyms. The attachment
+     * overrides any earlier mapping of its pages in @p pid; a later
+     * pageTable(pid).map() of one of them overrides it in turn.
      */
     void attachSegment(ProcessId pid, SegmentId seg, Vpn base);
 
@@ -80,14 +84,15 @@ class AddressSpaceManager
     /** Page size in bytes. */
     std::uint32_t pageSize() const { return _pageSize; }
 
-    /** Per-process page table (created on demand). */
-    PageTable &pageTable(ProcessId pid) { return _tables[pid]; }
+    /** Per-process page table (created on demand): private pages and
+     *  remaps; unmapping one uncovers any segment page it overrode. */
+    PageTable &pageTable(ProcessId pid) { return _spaces[pid].table; }
 
     /** Number of frames handed out so far (without wrap). */
     std::uint64_t framesAllocated() const { return _framesAllocated; }
 
     /** Number of distinct processes seen. */
-    std::size_t processCount() const { return _tables.size(); }
+    std::size_t processCount() const { return _spaces.size(); }
 
     /** Number of page colors the allocator maintains. */
     static constexpr std::uint32_t numColors = 8;
@@ -103,10 +108,17 @@ class AddressSpaceManager
      */
     Ppn allocFrame(std::uint32_t color);
 
+    /** One process: its page table, then its {base, segment}s. */
+    struct Space
+    {
+        PageTable table;
+        std::vector<std::pair<Vpn, SegmentId>> attached; ///< oldest first
+    };
+
     std::uint32_t _pageSize;
     std::uint32_t _physPages;
     std::array<std::uint64_t, numColors> _nextPerColor{};
-    std::unordered_map<ProcessId, PageTable> _tables;
+    std::unordered_map<ProcessId, Space> _spaces;
     std::vector<std::vector<Ppn>> _segments;
     std::uint64_t _framesAllocated = 0;
 };

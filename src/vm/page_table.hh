@@ -48,9 +48,6 @@ class PageTable
     /** Drop every mapping. */
     void clear() { _map.clear(); }
 
-    /** Iterate underlying mappings (vpn -> ppn). */
-    const std::unordered_map<Vpn, Ppn> &entries() const { return _map; }
-
   private:
     std::unordered_map<Vpn, Ppn> _map;
 };

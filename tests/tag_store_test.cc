@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/tag_store.hh"
 
 namespace vrc
@@ -93,6 +95,27 @@ TEST(TagStoreTest, RandomVictimIsValidChoice)
         EXPECT_EQ(v.set, 0u);
         EXPECT_LT(v.way, 2u);
     }
+}
+
+/** Victim ways of 10k fills into a 4-way Random store seeded @p seed. */
+std::vector<std::uint32_t>
+randomVictims(std::uint64_t seed)
+{
+    Store s(smallGeom(4), ReplPolicy::Random, seed);
+    std::vector<std::uint32_t> ways;
+    for (std::uint32_t i = 0; i < 10000; ++i) {
+        const std::uint32_t addr = i * 16; // 4 sets round robin, new tags
+        LineRef v = s.victim(addr);
+        ways.push_back(v.way);
+        s.fill(v, addr);
+    }
+    return ways;
+}
+
+TEST(TagStoreTest, RandomVictimsFollowTheSeed)
+{
+    EXPECT_EQ(randomVictims(1234), randomVictims(1234));
+    EXPECT_NE(randomVictims(1234), randomVictims(1235));
 }
 
 TEST(TagStoreTest, VictimWherePredicate)
