@@ -14,14 +14,16 @@
  *
  * Until armed, each hook is a single branch on a bool.
  *
- * Arming is process-wide and intended to happen once, from the CLI,
- * before any worker threads start.
+ * Arming this injector (--inject-faults) is process-wide and intended
+ * to happen once, from the CLI, before any worker threads start. The
+ * soft-error model below is instead a setting of each machine.
  */
 
 #ifndef VRC_BASE_FAULT_HH
 #define VRC_BASE_FAULT_HH
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -409,7 +411,10 @@ disarmFaultInjection()
 // (seed, site, keys), so a schedule reproduces from its spec string at
 // any --jobs count, and an unarmed run takes one branch per reference.
 
-/** Strike probabilities per fault site. All off by default. */
+/**
+ * Strike probabilities per fault site, all off by default: a setting
+ * of one simulated machine (HierarchyParams::softErrors).
+ */
 struct SoftErrorConfig
 {
     std::uint64_t seed = 0; ///< 0 = disarmed
@@ -418,47 +423,42 @@ struct SoftErrorConfig
     double ptr = 0.0;       ///< P(strike r-/v-pointer metadata) per ref
     double bus = 0.0;       ///< P(one bus broadcast attempt is lost)
     unsigned busRetryLimit = 4; ///< lost attempts before machine check
+
+    /** True when a nonzero seed armed the model. */
+    bool armed() const { return seed != 0; }
+
+    /** Pure strike-parameter hash of (seed, site, a, b). */
+    std::uint64_t
+    hash(const char *site, std::uint64_t a, std::uint64_t b) const
+    {
+        using namespace fault_detail;
+        return splitmix64(seed ^ hashSite(site) ^ splitmix64(a * 2 + 1) ^
+                          splitmix64(~b));
+    }
+
+    /**
+     * Strike verdict: true with probability @p p as a pure function of
+     * (seed, site, a, b) -- thread- and schedule-independent.
+     */
+    bool
+    strikes(const char *site, std::uint64_t a, std::uint64_t b,
+            double p) const
+    {
+        return p > 0.0 && armed() &&
+            static_cast<double>(hash(site, a, b) >> 11) * 0x1.0p-53 < p;
+    }
+
+    bool operator==(const SoftErrorConfig &) const = default;
 };
 
-/** Process-wide soft-error configuration. */
-inline SoftErrorConfig &
-softErrorConfig()
-{
-    static SoftErrorConfig cfg;
-    return cfg;
-}
-
-/** True when a nonzero seed armed the soft-error model. */
-inline bool
-softErrorsArmed()
-{
-    return softErrorConfig().seed != 0;
-}
-
-/** Pure strike-parameter hash of (seed, site, a, b). */
-inline std::uint64_t
-softErrorHash(const char *site, std::uint64_t a, std::uint64_t b)
-{
-    return fault_detail::splitmix64(
-        softErrorConfig().seed ^ fault_detail::hashSite(site) ^
-        fault_detail::splitmix64(a * 2 + 1) ^
-        fault_detail::splitmix64(~b));
-}
-
-/**
- * Deterministic strike verdict: true with probability @p p as a pure
- * function of (seed, site, a, b) -- thread- and schedule-independent.
- */
-inline bool
-softErrorDecision(const char *site, std::uint64_t a, std::uint64_t b,
-                  double p)
-{
-    if (p <= 0.0 || !softErrorsArmed())
-        return false;
-    double u =
-        static_cast<double>(softErrorHash(site, a, b) >> 11) * 0x1.0p-53;
-    return u < p;
-}
+/** The spec key of each strike probability. */
+inline constexpr std::pair<const char *, double SoftErrorConfig::*>
+    kSoftErrorSites[] = {
+        {"tag", &SoftErrorConfig::tag},
+        {"state", &SoftErrorConfig::state},
+        {"ptr", &SoftErrorConfig::ptr},
+        {"bus", &SoftErrorConfig::bus},
+};
 
 /**
  * Flip count of one strike, drawn from the same hash stream: single-bit
@@ -472,13 +472,13 @@ softErrorFlips(std::uint64_t h)
 }
 
 /**
- * Arm the soft-error model from a spec string:
+ * Parse a strike spec:
  * "seed=N[,tag=P][,state=P][,ptr=P][,bus=P][,retry=N]".
  * A bare number is shorthand for "seed=N" with default probabilities
  * (tag/state/ptr 1e-3, bus 1e-4).
  */
-inline Status
-configureSoftErrors(const std::string &spec)
+inline Result<SoftErrorConfig>
+parseSoftErrors(const std::string &spec)
 {
     using namespace fault_detail;
     SoftErrorConfig cfg;
@@ -491,14 +491,7 @@ configureSoftErrors(const std::string &spec)
                 return readSpecInt(val, cfg.seed);
             if (key == "retry")
                 return readSpecInt(val, cfg.busRetryLimit);
-            using P = double SoftErrorConfig::*;
-            static const std::pair<const char *, P> probs[] = {
-                {"tag", &SoftErrorConfig::tag},
-                {"state", &SoftErrorConfig::state},
-                {"ptr", &SoftErrorConfig::ptr},
-                {"bus", &SoftErrorConfig::bus},
-            };
-            for (auto [name, prob] : probs) {
+            for (auto [name, prob] : kSoftErrorSites) {
                 if (key == name) {
                     any_prob = true;
                     return readSpecReal(val, 1.0, cfg.*prob);
@@ -507,8 +500,8 @@ configureSoftErrors(const std::string &spec)
             return "a known key";
         });
     if (!parsed)
-        return parsed;
-    if (!cfg.seed)
+        return parsed.error();
+    if (!cfg.armed())
         return makeError(ErrorKind::Parse,
                          "soft-error spec needs a nonzero seed: '",
                          spec, "'");
@@ -516,15 +509,20 @@ configureSoftErrors(const std::string &spec)
         cfg.tag = cfg.state = cfg.ptr = 1e-3;
         cfg.bus = 1e-4;
     }
-    softErrorConfig() = cfg;
-    return okStatus();
+    return cfg;
 }
 
-/** Disarm (tests). */
-inline void
-disarmSoftErrors()
+/** @p cfg as a full spec that parseSoftErrors() reads back exactly. */
+inline std::string
+softErrorSpec(const SoftErrorConfig &cfg)
 {
-    softErrorConfig() = SoftErrorConfig{};
+    std::string spec = "seed=" + std::to_string(cfg.seed);
+    for (auto [name, prob] : kSoftErrorSites) {
+        char buf[32];
+        spec += std::string(",") + name + "=";
+        spec.append(buf, std::to_chars(buf, buf + sizeof buf, cfg.*prob).ptr);
+    }
+    return spec + ",retry=" + std::to_string(cfg.busRetryLimit);
 }
 
 

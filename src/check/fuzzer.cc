@@ -1,15 +1,15 @@
 #include "check/fuzzer.hh"
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "base/fault.hh"
 #include "base/rng.hh"
 #include "check/oracle.hh"
 #include "coherence/dma.hh"
-#include "core/mutation.hh"
 #include "sim/mp_sim.hh"
 #include "trace/record.hh"
 #include "trace/workload.hh"
@@ -53,196 +53,192 @@ runFuzz(const FuzzOptions &opt)
 {
     FuzzResult result;
 
-    MutationFlags saved_flags = mutationFlags();
-    mutationFlags().dropInclusionUpdate = opt.mutateInclusion;
+    WorkloadProfile profile;
+    profile.name = "fuzz";
+    profile.numCpus = opt.cpus;
+    profile.pageSize = opt.pageSize;
+    profile.processesPerCpu = opt.processesPerCpu;
+    profile.sharedPages = 8;
+    profile.seed = opt.seed;
 
-    {
-        WorkloadProfile profile;
-        profile.name = "fuzz";
-        profile.numCpus = opt.cpus;
-        profile.pageSize = opt.pageSize;
-        profile.processesPerCpu = opt.processesPerCpu;
-        profile.sharedPages = 8;
-        profile.seed = opt.seed;
+    MachineConfig cfg;
+    cfg.kind = opt.kind;
+    cfg.hierarchy.l1 =
+        CacheParams{opt.l1Bytes, opt.l1Block, 1, ReplPolicy::LRU};
+    // Associative level 2 so relaxed-inclusion victim choice (and
+    // its forced fallback) are both exercised.
+    cfg.hierarchy.l2 =
+        CacheParams{opt.l2Bytes, opt.l2Block, 2, ReplPolicy::LRU};
+    cfg.hierarchy.pageSize = opt.pageSize;
+    cfg.hierarchy.rltEntries = opt.rltEntries;
+    cfg.hierarchy.rltAssoc = opt.rltAssoc;
+    cfg.hierarchy.splitL1 = opt.splitL1;
+    cfg.hierarchy.protocol = opt.protocol;
+    cfg.hierarchy.softErrors = opt.softErrors;
+    cfg.hierarchy.mutations.dropInclusionUpdate = opt.mutateInclusion;
+    cfg.hierarchy.writeBufferDepth = 2;
+    cfg.hierarchy.writeBufferDrainLatency = 8;
+    cfg.invariantPeriod = 0;
 
-        MachineConfig cfg;
-        cfg.kind = opt.kind;
-        cfg.hierarchy.l1 =
-            CacheParams{opt.l1Bytes, opt.l1Block, 1, ReplPolicy::LRU};
-        // Associative level 2 so relaxed-inclusion victim choice (and
-        // its forced fallback) are both exercised.
-        cfg.hierarchy.l2 =
-            CacheParams{opt.l2Bytes, opt.l2Block, 2, ReplPolicy::LRU};
-        cfg.hierarchy.pageSize = opt.pageSize;
-        cfg.hierarchy.rltEntries = opt.rltEntries;
-        cfg.hierarchy.rltAssoc = opt.rltAssoc;
-        cfg.hierarchy.splitL1 = opt.splitL1;
-        cfg.hierarchy.protocol = opt.protocol;
-        cfg.hierarchy.writeBufferDepth = 2;
-        cfg.hierarchy.writeBufferDrainLatency = 8;
-        cfg.invariantPeriod = 0;
+    MpSimulator sim(cfg, profile);
+    DmaDevice dma(sim.bus(), opt.l2Block);
 
-        MpSimulator sim(cfg, profile);
-        DmaDevice dma(sim.bus(), opt.l2Block);
+    Rng rng(opt.seed * 0x9e3779b97f4a7c15ULL + 1);
 
-        Rng rng(opt.seed * 0x9e3779b97f4a7c15ULL + 1);
+    // A small pool of physical frames that every process maps from
+    // several virtual pages: dense aliasing (synonyms within and
+    // across processes) plus cross-CPU sharing on a footprint that
+    // overflows the tiny caches constantly.
+    const std::uint32_t pid_count = opt.cpus * opt.processesPerCpu;
+    const std::uint32_t pool_base = 0x9000;
+    auto pool_vpn = [](ProcessId pid, std::uint32_t k) {
+        return static_cast<Vpn>(0x300 + k * 7 + pid);
+    };
+    for (ProcessId pid = 0; pid < pid_count; ++pid) {
+        for (std::uint32_t k = 0; k < opt.vpnsPerProcess; ++k) {
+            sim.spaces().pageTable(pid).map(
+                pool_vpn(pid, k),
+                pool_base +
+                    static_cast<std::uint32_t>(
+                        rng.below(opt.frames)));
+        }
+    }
 
-        // A small pool of physical frames that every process maps from
-        // several virtual pages: dense aliasing (synonyms within and
-        // across processes) plus cross-CPU sharing on a footprint that
-        // overflows the tiny caches constantly.
-        const std::uint32_t pid_count = opt.cpus * opt.processesPerCpu;
-        const std::uint32_t pool_base = 0x9000;
-        auto pool_vpn = [](ProcessId pid, std::uint32_t k) {
-            return static_cast<Vpn>(0x300 + k * 7 + pid);
-        };
-        for (ProcessId pid = 0; pid < pid_count; ++pid) {
-            for (std::uint32_t k = 0; k < opt.vpnsPerProcess; ++k) {
-                sim.spaces().pageTable(pid).map(
-                    pool_vpn(pid, k),
-                    pool_base +
-                        static_cast<std::uint32_t>(
-                            rng.below(opt.frames)));
+    CoherenceOracle oracle(opt.ringCapacity);
+    bool failed = false;
+    oracle.setViolationHandler(
+        [&](const CoherenceOracle::Violation &v) {
+            if (result.violation.empty()) {
+                result.violation =
+                    v.message + " [" + v.context + "]";
             }
+            failed = true;
+        });
+    oracle.attach(sim);
+
+    std::vector<ProcessId> current(opt.cpus);
+    for (std::uint32_t c = 0; c < opt.cpus; ++c)
+        current[c] = c * opt.processesPerCpu;
+
+    const std::uint32_t l1_blocks_per_page =
+        opt.pageSize / opt.l1Block;
+    const std::uint32_t l2_blocks_per_page =
+        opt.pageSize / opt.l2Block;
+    const std::uint64_t hard_cap = opt.ops * 64 + 64;
+
+    std::uint64_t i = 0;
+    for (; i < hard_cap; ++i) {
+        if (i >= opt.ops &&
+            sim.bus().transactions() >= opt.minTransactions) {
+            break;
         }
 
-        CoherenceOracle oracle(opt.ringCapacity);
-        bool failed = false;
-        oracle.setViolationHandler(
-            [&](const CoherenceOracle::Violation &v) {
-                if (result.violation.empty()) {
-                    result.violation =
-                        v.message + " [" + v.context + "]";
-                }
-                failed = true;
-            });
-        oracle.attach(sim);
-
-        std::vector<ProcessId> current(opt.cpus);
-        for (std::uint32_t c = 0; c < opt.cpus; ++c)
-            current[c] = c * opt.processesPerCpu;
-
-        const std::uint32_t l1_blocks_per_page =
-            opt.pageSize / opt.l1Block;
-        const std::uint32_t l2_blocks_per_page =
-            opt.pageSize / opt.l2Block;
-        const std::uint64_t hard_cap = opt.ops * 64 + 64;
-
-        std::uint64_t i = 0;
-        for (; i < hard_cap; ++i) {
-            if (i >= opt.ops &&
-                sim.bus().transactions() >= opt.minTransactions) {
-                break;
+        // Draw the op kind and ALL of its parameters before
+        // consulting opMask (see the RNG-stream discipline in the
+        // header).
+        std::uint64_t slot = rng.below(32);
+        try {
+        if (slot < 24) {
+            CpuId cpu = static_cast<CpuId>(rng.below(opt.cpus));
+            std::uint32_t k = static_cast<std::uint32_t>(
+                rng.below(opt.vpnsPerProcess));
+            std::uint32_t block = static_cast<std::uint32_t>(
+                rng.below(l1_blocks_per_page));
+            std::uint64_t t = rng.below(16);
+            if (enabled(opt, FuzzOpKind::MemRef)) {
+                RefType type = t < 5 ? RefType::Instr
+                    : t < 10 ? RefType::Read : RefType::Write;
+                std::uint32_t va =
+                    pool_vpn(current[cpu], k) * opt.pageSize +
+                    block * opt.l1Block;
+                sim.step(makeRef(cpu, type, current[cpu],
+                                 VirtAddr(va)));
+                result.refs += 1;
             }
-
-            // Draw the op kind and ALL of its parameters before
-            // consulting opMask (see the RNG-stream discipline in the
-            // header).
-            std::uint64_t slot = rng.below(32);
-            try {
-            if (slot < 24) {
-                CpuId cpu = static_cast<CpuId>(rng.below(opt.cpus));
-                std::uint32_t k = static_cast<std::uint32_t>(
-                    rng.below(opt.vpnsPerProcess));
-                std::uint32_t block = static_cast<std::uint32_t>(
-                    rng.below(l1_blocks_per_page));
-                std::uint64_t t = rng.below(16);
-                if (enabled(opt, FuzzOpKind::MemRef)) {
-                    RefType type = t < 5 ? RefType::Instr
-                        : t < 10 ? RefType::Read : RefType::Write;
-                    std::uint32_t va =
-                        pool_vpn(current[cpu], k) * opt.pageSize +
-                        block * opt.l1Block;
-                    sim.step(makeRef(cpu, type, current[cpu],
-                                     VirtAddr(va)));
-                    result.refs += 1;
-                }
-            } else if (slot < 27) {
-                CpuId cpu = static_cast<CpuId>(rng.below(opt.cpus));
-                if (enabled(opt, FuzzOpKind::ContextSwitch)) {
-                    ProcessId base = cpu * opt.processesPerCpu;
-                    current[cpu] = base +
-                        (current[cpu] - base + 1) % opt.processesPerCpu;
-                    sim.step(makeContextSwitch(cpu, current[cpu]));
-                    result.contextSwitches += 1;
-                }
-            } else if (slot < 31) {
-                bool is_write = slot >= 29;
-                std::uint32_t frame = static_cast<std::uint32_t>(
-                    rng.below(opt.frames));
-                std::uint32_t block = static_cast<std::uint32_t>(
-                    rng.below(l2_blocks_per_page));
-                std::uint32_t blocks =
-                    1 + static_cast<std::uint32_t>(rng.below(4));
-                FuzzOpKind k = is_write ? FuzzOpKind::DmaWrite
-                                        : FuzzOpKind::DmaRead;
-                if (enabled(opt, k)) {
-                    PhysAddr base(
-                        (pool_base + frame) * opt.pageSize +
-                        block * opt.l2Block);
-                    if (is_write)
-                        dma.write(base, blocks * opt.l2Block);
-                    else
-                        dma.read(base, blocks * opt.l2Block);
-                }
-            } else {
-                ProcessId pid =
-                    static_cast<ProcessId>(rng.below(pid_count));
-                std::uint32_t k = static_cast<std::uint32_t>(
-                    rng.below(opt.vpnsPerProcess));
-                std::uint32_t frame = static_cast<std::uint32_t>(
-                    rng.below(opt.frames));
-                if (enabled(opt, FuzzOpKind::PageRemap)) {
-                    sim.remapPage(pid, pool_vpn(pid, k),
-                                  pool_base + frame);
-                }
+        } else if (slot < 27) {
+            CpuId cpu = static_cast<CpuId>(rng.below(opt.cpus));
+            if (enabled(opt, FuzzOpKind::ContextSwitch)) {
+                ProcessId base = cpu * opt.processesPerCpu;
+                current[cpu] = base +
+                    (current[cpu] - base + 1) % opt.processesPerCpu;
+                sim.step(makeContextSwitch(cpu, current[cpu]));
+                result.contextSwitches += 1;
             }
-            } catch (const FaultUnrecoverable &mc) {
-                // Uncorrectable soft error: the machine halts. Not a
-                // coherence violation, and the interrupted operation
-                // may have left mid-flight state, so stop here without
-                // a final sweep.
-                result.machineCheck = true;
-                result.machineCheckReason = mc.what();
-                break;
+        } else if (slot < 31) {
+            bool is_write = slot >= 29;
+            std::uint32_t frame = static_cast<std::uint32_t>(
+                rng.below(opt.frames));
+            std::uint32_t block = static_cast<std::uint32_t>(
+                rng.below(l2_blocks_per_page));
+            std::uint32_t blocks =
+                1 + static_cast<std::uint32_t>(rng.below(4));
+            FuzzOpKind k = is_write ? FuzzOpKind::DmaWrite
+                                    : FuzzOpKind::DmaRead;
+            if (enabled(opt, k)) {
+                PhysAddr base(
+                    (pool_base + frame) * opt.pageSize +
+                    block * opt.l2Block);
+                if (is_write)
+                    dma.write(base, blocks * opt.l2Block);
+                else
+                    dma.read(base, blocks * opt.l2Block);
             }
+        } else {
+            ProcessId pid =
+                static_cast<ProcessId>(rng.below(pid_count));
+            std::uint32_t k = static_cast<std::uint32_t>(
+                rng.below(opt.vpnsPerProcess));
+            std::uint32_t frame = static_cast<std::uint32_t>(
+                rng.below(opt.frames));
+            if (enabled(opt, FuzzOpKind::PageRemap)) {
+                sim.remapPage(pid, pool_vpn(pid, k),
+                              pool_base + frame);
+            }
+        }
+        } catch (const FaultUnrecoverable &mc) {
+            // Uncorrectable soft error: the machine halts. Not a
+            // coherence violation, and the interrupted operation
+            // may have left mid-flight state, so stop here without
+            // a final sweep.
+            result.machineCheck = true;
+            result.machineCheckReason = mc.what();
+            break;
+        }
 
+        if (failed) {
+            result.failingOp = i;
+            break;
+        }
+        if (opt.sweepPeriod && (i + 1) % opt.sweepPeriod == 0) {
+            oracle.sweep();
             if (failed) {
                 result.failingOp = i;
                 break;
             }
-            if (opt.sweepPeriod && (i + 1) % opt.sweepPeriod == 0) {
-                oracle.sweep();
-                if (failed) {
-                    result.failingOp = i;
-                    break;
-                }
-            }
-            if (opt.invariantPeriod && !opt.mutateInclusion &&
-                (i + 1) % opt.invariantPeriod == 0) {
-                sim.checkInvariants();
-            }
         }
-        result.opsRun = i;
-
-        if (!failed && !result.machineCheck) {
-            oracle.sweep();
-            if (failed)
-                result.failingOp = i;
-            if (!opt.mutateInclusion)
-                sim.checkInvariants();
-        }
-
-        result.ok = !failed;
-        result.busTransactions = sim.bus().transactions();
-        if (failed) {
-            std::ostringstream os;
-            oracle.dumpJson(os);
-            result.ringJson = os.str();
+        if (opt.invariantPeriod && !opt.mutateInclusion &&
+            (i + 1) % opt.invariantPeriod == 0) {
+            sim.checkInvariants();
         }
     }
+    result.opsRun = i;
 
-    mutationFlags() = saved_flags;
+    if (!failed && !result.machineCheck) {
+        oracle.sweep();
+        if (failed)
+            result.failingOp = i;
+        if (!opt.mutateInclusion)
+            sim.checkInvariants();
+    }
+
+    result.ok = !failed;
+    result.busTransactions = sim.bus().transactions();
+    if (failed) {
+        std::ostringstream os;
+        oracle.dumpJson(os);
+        result.ringJson = os.str();
+    }
+
     return result;
 }
 
@@ -275,8 +271,11 @@ replayToJson(const FuzzOptions &opt)
        << "\"sweep_period\": " << opt.sweepPeriod << ",\n"
        << "\"invariant_period\": " << opt.invariantPeriod << ",\n"
        << "\"mutate_inclusion\": "
-       << (opt.mutateInclusion ? "true" : "false") << ",\n"
-       << "\"ring_capacity\": " << opt.ringCapacity << "\n"
+       << (opt.mutateInclusion ? "true" : "false") << ",\n";
+    if (opt.softErrors.armed())
+        os << "\"soft_errors\": \"" << softErrorSpec(opt.softErrors)
+           << "\",\n";
+    os << "\"ring_capacity\": " << opt.ringCapacity << "\n"
        << "}\n";
     return os.str();
 }
@@ -284,35 +283,40 @@ replayToJson(const FuzzOptions &opt)
 namespace
 {
 
-/** Find `"key": <number|bool>` in flat JSON; false if absent. */
+/**
+ * Read `"key": <value>` of flat JSON into @p out: a number, a bool
+ * (true/false) or a string without escapes. False, with @p out
+ * untouched, if the key is absent or its value does not fit @p out.
+ */
+template <typename T>
 bool
-jsonField(const std::string &json, const char *key, std::uint64_t &out)
+jsonField(const std::string &json, const char *key, T &out)
 {
     std::string pat = std::string("\"") + key + "\"";
     std::size_t pos = json.find(pat);
+    if (pos != std::string::npos)
+        pos = json.find(':', pos + pat.size());
+    if (pos != std::string::npos)
+        pos = json.find_first_not_of(" \t", pos + 1);
     if (pos == std::string::npos)
         return false;
-    pos = json.find(':', pos + pat.size());
-    if (pos == std::string::npos)
-        return false;
-    ++pos;
-    while (pos < json.size() &&
-           (json[pos] == ' ' || json[pos] == '\t'))
-        ++pos;
-    if (json.compare(pos, 4, "true") == 0) {
-        out = 1;
+    if constexpr (std::is_same_v<T, bool>) {
+        bool t = json.compare(pos, 4, "true") == 0;
+        if (!t && json.compare(pos, 5, "false") != 0)
+            return false;
+        out = t;
         return true;
-    }
-    if (json.compare(pos, 5, "false") == 0) {
-        out = 0;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        std::size_t end = json.find('"', pos + 1);
+        if (json[pos] != '"' || end == std::string::npos)
+            return false;
+        out = json.substr(pos + 1, end - pos - 1);
         return true;
+    } else {
+        const char *last = json.data() + json.size();
+        return std::from_chars(json.data() + pos, last, out).ec ==
+            std::errc{};
     }
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(json.c_str() + pos, &end, 10);
-    if (end == json.c_str() + pos)
-        return false;
-    out = v;
-    return true;
 }
 
 } // namespace
@@ -325,50 +329,37 @@ replayFromJson(const std::string &json, FuzzOptions &out)
         return false;
 
     FuzzOptions opt;
-    if (jsonField(json, "seed", v))
-        opt.seed = v;
-    if (jsonField(json, "ops", v))
-        opt.ops = v;
-    if (jsonField(json, "min_transactions", v))
-        opt.minTransactions = v;
-    if (jsonField(json, "cpus", v))
-        opt.cpus = static_cast<std::uint32_t>(v);
+    jsonField(json, "seed", opt.seed);
+    jsonField(json, "ops", opt.ops);
+    jsonField(json, "min_transactions", opt.minTransactions);
+    jsonField(json, "cpus", opt.cpus);
     if (jsonField(json, "kind", v) && v < kHierarchyKindCount)
         opt.kind = static_cast<HierarchyKind>(v);
     if (jsonField(json, "protocol", v))
         opt.protocol = static_cast<CoherencePolicy>(v);
-    if (jsonField(json, "split_l1", v))
-        opt.splitL1 = v != 0;
-    if (jsonField(json, "l1_bytes", v))
-        opt.l1Bytes = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "l2_bytes", v))
-        opt.l2Bytes = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "l1_block", v))
-        opt.l1Block = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "l2_block", v))
-        opt.l2Block = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "page_size", v))
-        opt.pageSize = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "rlt_entries", v))
-        opt.rltEntries = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "rlt_assoc", v))
-        opt.rltAssoc = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "frames", v))
-        opt.frames = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "vpns_per_process", v))
-        opt.vpnsPerProcess = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "processes_per_cpu", v))
-        opt.processesPerCpu = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "op_mask", v))
-        opt.opMask = static_cast<std::uint32_t>(v);
-    if (jsonField(json, "sweep_period", v))
-        opt.sweepPeriod = v;
-    if (jsonField(json, "invariant_period", v))
-        opt.invariantPeriod = v;
-    if (jsonField(json, "mutate_inclusion", v))
-        opt.mutateInclusion = v != 0;
-    if (jsonField(json, "ring_capacity", v))
-        opt.ringCapacity = static_cast<std::size_t>(v);
+    jsonField(json, "split_l1", opt.splitL1);
+    jsonField(json, "l1_bytes", opt.l1Bytes);
+    jsonField(json, "l2_bytes", opt.l2Bytes);
+    jsonField(json, "l1_block", opt.l1Block);
+    jsonField(json, "l2_block", opt.l2Block);
+    jsonField(json, "page_size", opt.pageSize);
+    jsonField(json, "rlt_entries", opt.rltEntries);
+    jsonField(json, "rlt_assoc", opt.rltAssoc);
+    jsonField(json, "frames", opt.frames);
+    jsonField(json, "vpns_per_process", opt.vpnsPerProcess);
+    jsonField(json, "processes_per_cpu", opt.processesPerCpu);
+    jsonField(json, "op_mask", opt.opMask);
+    jsonField(json, "sweep_period", opt.sweepPeriod);
+    jsonField(json, "invariant_period", opt.invariantPeriod);
+    jsonField(json, "mutate_inclusion", opt.mutateInclusion);
+    jsonField(json, "ring_capacity", opt.ringCapacity);
+    std::string spec;
+    if (jsonField(json, "soft_errors", spec)) {
+        Result<SoftErrorConfig> strikes = parseSoftErrors(spec);
+        if (!strikes)
+            return false;
+        opt.softErrors = strikes.take();
+    }
     out = opt;
     return true;
 }
@@ -387,8 +378,8 @@ tryLoadReplay(const std::string &path)
     FuzzOptions opt;
     if (!replayFromJson(text, opt))
         return makeErrorAt(ErrorKind::Parse, path, 0,
-                           "not a recognizable vrc-fuzz replay "
-                           "(missing or wrong \"format\" field)");
+                           "not a recognizable vrc-fuzz replay (bad "
+                           "\"format\" field or \"soft_errors\" spec)");
     return opt;
 }
 

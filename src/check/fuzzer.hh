@@ -95,6 +95,7 @@ struct FuzzOptions
      * (core/mutation.hh) so the run proves the oracle detects it.
      */
     bool mutateInclusion = false;
+    SoftErrorConfig softErrors; ///< the machine's strikes (off)
 
     std::size_t ringCapacity = 64;
 };

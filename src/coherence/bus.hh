@@ -73,8 +73,9 @@ class BusObserver
 class SharedBus
 {
   public:
-    SharedBus()
-        : _stats("bus"),
+    /** @param soft_errors the machine's strike schedule (bus loss) */
+    explicit SharedBus(const SoftErrorConfig &soft_errors = {})
+        : _softErrors(soft_errors), _stats("bus"),
           _txCtr(&_stats.handle("transactions")),
           _memSupplyCtr(&_stats.handle("memory_supplies"))
     {
@@ -109,7 +110,7 @@ class SharedBus
     BusResult
     broadcast(const BusTransaction &tx)
     {
-        if (softErrorsArmed())
+        if (_softErrors.armed()) [[unlikely]]
             absorbLostAttempts(tx);
         ++_txSeq;
         if (_arbiter)
@@ -276,7 +277,7 @@ class SharedBus
     void
     absorbLostAttempts(const BusTransaction &tx)
     {
-        const SoftErrorConfig &sc = softErrorConfig();
+        const SoftErrorConfig &sc = _softErrors;
         if (sc.bus <= 0.0)
             return;
         std::uint64_t key =
@@ -284,8 +285,7 @@ class SharedBus
             (static_cast<std::uint64_t>(tx.op) << 32) ^
             tx.blockAddr.value();
         for (unsigned attempt = 0;
-             softErrorDecision("bus-drop", key,
-                               _txSeq * 16 + attempt, sc.bus);
+             sc.strikes("bus-drop", key, _txSeq * 16 + attempt, sc.bus);
              ++attempt) {
             if (_arbiter)
                 _arbiter->post(tx.source, tx.op);
@@ -302,6 +302,7 @@ class SharedBus
         }
     }
 
+    SoftErrorConfig _softErrors;
     std::vector<Snooper *> _snoopers;
     std::vector<SnoopAgentInfo> _agents;
     std::vector<std::uint64_t> _perCpuTx;

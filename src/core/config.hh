@@ -11,11 +11,13 @@
 #include <string>
 #include <string_view>
 
+#include "base/fault.hh"
 #include "base/log.hh"
 #include "cache/cache_geometry.hh"
 #include "cache/protection.hh"
 #include "cache/replacement.hh"
 #include "coherence/protocol.hh"
+#include "core/mutation.hh"
 
 namespace vrc
 {
@@ -155,6 +157,8 @@ struct HierarchyParams
 
     /** Snooping protocol family at the second level. */
     CoherencePolicy protocol = CoherencePolicy::WriteInvalidate;
+    SoftErrorConfig softErrors{}; ///< this machine's strikes (off)
+    MutationFlags mutations{};    ///< deliberate bugs (checker tests)
 
     /** Sub-blocks per level-2 line (ratio of the block sizes). */
     std::uint32_t

@@ -335,7 +335,7 @@ class CacheHierarchy : public Snooper
         _wb.tick(_refIndex);
         noteRef(t);
         // Cold: keeps the strike schedule out of the inlined hot path.
-        if (softErrorsArmed()) [[unlikely]]
+        if (_params.softErrors.armed()) [[unlikely]]
             maybeInjectSoftErrors();
     }
 
@@ -667,25 +667,25 @@ class CacheHierarchy : public Snooper
     void
     maybeInjectSoftErrors()
     {
-        const SoftErrorConfig &sc = softErrorConfig();
+        const SoftErrorConfig &sc = _params.softErrors;
         const std::uint64_t cpu = cpuId();
         auto l1_of = [this](std::uint64_t h) {
             return static_cast<unsigned>((h >> 7) % l1Count());
         };
-        if (softErrorDecision("l1-tag", cpu, _refIndex, sc.tag)) {
-            std::uint64_t h = softErrorHash("l1-tag-cell", cpu, _refIndex);
+        if (sc.strikes("l1-tag", cpu, _refIndex, sc.tag)) {
+            std::uint64_t h = sc.hash("l1-tag-cell", cpu, _refIndex);
             strikeL1(l1_of(h), "soft_faults_tag", h);
         }
-        if (softErrorDecision("l2-state", cpu, _refIndex, sc.state)) {
+        if (sc.strikes("l2-state", cpu, _refIndex, sc.state)) {
             strikeL2("soft_faults_state",
-                     softErrorHash("l2-state-cell", cpu, _refIndex));
+                     sc.hash("l2-state-cell", cpu, _refIndex));
         }
         if (_pointerMeta &&
-            softErrorDecision("meta-ptr", cpu, _refIndex, sc.ptr)) {
+            sc.strikes("meta-ptr", cpu, _refIndex, sc.ptr)) {
             // Pointer metadata lives on both sides of the hierarchy: the
             // V-cache r-pointer array or an R-cache subentry (v-pointer,
             // inclusion bits), chosen by one more hash bit.
-            std::uint64_t h = softErrorHash("meta-ptr-cell", cpu, _refIndex);
+            std::uint64_t h = sc.hash("meta-ptr-cell", cpu, _refIndex);
             if (h & 1)
                 strikeL1(l1_of(h >> 1), "soft_faults_ptr", h >> 1);
             else

@@ -5,9 +5,10 @@
  * A checker that never fires is indistinguishable from one that works.
  * These flags let a test (or `vrc-fuzz --smoke`) flip a single known
  * invariant update inside a hierarchy and assert that the coherence
- * oracle reports the resulting corruption. They are plain globals --
- * the simulator is single-threaded per machine -- and default to off,
- * so normal builds and runs are unaffected.
+ * oracle reports the resulting corruption. They are a setting of one
+ * machine (HierarchyParams::mutations), so a mutated machine can run
+ * beside correct ones, and default to off, so normal runs are
+ * unaffected.
  */
 
 #ifndef VRC_CORE_MUTATION_HH
@@ -28,14 +29,6 @@ struct MutationFlags
      */
     bool dropInclusionUpdate = false;
 };
-
-/** Process-wide mutation flags (off unless a test enables one). */
-inline MutationFlags &
-mutationFlags()
-{
-    static MutationFlags flags;
-    return flags;
-}
 
 } // namespace vrc
 

@@ -5,7 +5,6 @@
 
 #include "base/bitops.hh"
 #include "base/log.hh"
-#include "core/mutation.hh"
 
 namespace vrc
 {
@@ -268,7 +267,7 @@ VrHierarchy::handleRHit(RefType type, VirtAddr l1_key, unsigned ci,
     } else {
         // Plain second-level hit: data supply to the V-cache.
         vc.install(slot, l1_key, pa.value(), false);
-        s.inclusion = !mutationFlags().dropInclusionUpdate;
+        s.inclusion = !_params.mutations.dropInclusionUpdate;
         _dir->link(pa, ci, va_block, _backInvalidate);
         s.vdirty = false;
         (*_c.l2Hits)++;

@@ -966,19 +966,13 @@ struct AvfCell
 
 AvfCell
 runAvfCell(const TraceBundle &bundle, HierarchyKind kind,
-           ArrayProtection prot, bool armed)
+           ArrayProtection prot, const SoftErrorConfig &strikes)
 {
-    if (armed) {
-        Status st = configureSoftErrors(kStrikeSpec);
-        if (!st)
-            fatal(st.error().describe());
-    } else {
-        disarmSoftErrors();
-    }
     MachineConfig mc = makeMachineConfig(kind, 16 * 1024, 256 * 1024,
                                          bundle.profile.pageSize);
     mc.hierarchy.l1.protection = prot;
     mc.hierarchy.l2.protection = prot;
+    mc.hierarchy.softErrors = strikes;
     MpSimulator sim(mc, bundle.profile);
 
     AvfCell r;
@@ -993,7 +987,6 @@ runAvfCell(const TraceBundle &bundle, HierarchyKind kind,
     for (const char *counter : kAvfCounters)
         r.counters.push_back(sim.totalCounter(counter));
     r.busTransactions = sim.bus().transactions();
-    disarmSoftErrors();
     return r;
 }
 
@@ -1010,27 +1003,37 @@ softErrorAvf(const ArtifactRun &run, std::ostream &out)
     const TraceBundle &bundle = artifactTrace("pops", run.scale);
     out << "strike spec: " << kStrikeSpec << "\n\n";
 
+    // Per organization, an unarmed baseline (prots[0]), then each
+    // protection armed: strikes are per machine, so one batch runs all.
+    using P = ArrayProtection;
+    const P prots[] = {P::Secded, P::None, P::Parity, P::Secded};
+    const std::size_t per_kind = std::size(prots);
+    const SoftErrorConfig strikes = parseSoftErrors(kStrikeSpec).take();
+    std::vector<AvfCell> cells = ParallelRunner(run.jobs).map(
+        kHierarchyKindCount * per_kind, [&](std::size_t i) {
+            std::size_t p = i % per_kind;
+            return runAvfCell(bundle, kAllHierarchyKinds[i / per_kind],
+                              prots[p], p ? strikes : SoftErrorConfig{});
+        });
+
     TextTable t = headed({"org", "protect", "refs", "silent", "corr",
                           "det", "recov", "refetchL2", "refetchBus",
                           "mcheck", "extra bus"});
-    for (HierarchyKind kind : kAllHierarchyKinds) {
-        AvfCell base =
-            runAvfCell(bundle, kind, ArrayProtection::Secded, false);
-        for (ArrayProtection prot :
-             {ArrayProtection::None, ArrayProtection::Parity,
-              ArrayProtection::Secded}) {
-            AvfCell r = runAvfCell(bundle, kind, prot, true);
-            t.row()
-                .cell(hierarchyKindName(kind))
-                .cell(arrayProtectionName(prot))
-                .cell(std::to_string(r.refsDone) + (r.halted ? "*" : ""));
-            for (std::uint64_t v : r.counters)
-                t.cell(v);
-            t.cell(r.busTransactions >= base.busTransactions && !r.halted
-                       ? std::to_string(r.busTransactions -
-                                        base.busTransactions)
-                       : std::string("-"));
-        }
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const std::size_t p = i % per_kind;
+        if (p == 0)
+            continue;
+        const AvfCell &base = cells[i - p], &r = cells[i];
+        t.row()
+            .cell(hierarchyKindName(kAllHierarchyKinds[i / per_kind]))
+            .cell(arrayProtectionName(prots[p]))
+            .cell(std::to_string(r.refsDone) + (r.halted ? "*" : ""));
+        for (std::uint64_t v : r.counters)
+            t.cell(v);
+        t.cell(r.busTransactions >= base.busTransactions && !r.halted
+                   ? std::to_string(r.busTransactions -
+                                    base.busTransactions)
+                   : std::string("-"));
     }
     out << t;
     out << "\n(* = halted by machine check before the end of the trace)\n"

@@ -147,7 +147,8 @@ class DecodeRing
 MpSimulator::MpSimulator(const MachineConfig &config,
                          const WorkloadProfile &profile)
     : _config(config),
-      _spaces(profile.pageSize, config.physPages)
+      _spaces(profile.pageSize, config.physPages),
+      _bus(config.hierarchy.softErrors)
 {
     panicIfNot(config.hierarchy.pageSize == profile.pageSize,
                "hierarchy/profile page size mismatch");

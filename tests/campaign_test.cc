@@ -320,25 +320,23 @@ TEST(CampaignRunnerTest, MachineCheckIsQuarantinedAtFirstFailure)
     // Every bus transaction is lost, so cell 1's first broadcast
     // exhausts the retry budget: a machine check that a retry of the
     // same machine would replay exactly.
-    struct Armed
-    {
-        Armed() { EXPECT_TRUE(configureSoftErrors("seed=13,bus=1.0")); }
-        ~Armed() { disarmSoftErrors(); }
-    } armed;
     static const TraceBundle bundle =
         generateTrace(scaled(profileByName("pops"), 0.002));
+    const SimJob job{HierarchyKind::VirtualReal, 4096, 65536};
+    MachineConfig mc = jobMachineConfig(job, bundle.profile.pageSize);
+    mc.hierarchy.softErrors = parseSoftErrors("seed=13,bus=1.0").take();
     TempPath mf("campaign_machine_check.manifest");
     CampaignOptions opt;
     opt.maxRetries = 2;
     opt.backoffSeconds = 0.001;
     opt.manifest = mf.path;
     auto r = CampaignRunner{opt}.run(
-        3, "k", [](std::size_t i, const CancelToken &token) {
-            if (i == 1)
-                return runSimulationCancellable(
-                    bundle, SimJob{HierarchyKind::VirtualReal, 4096, 65536},
-                    token);
-            return cellSummary(i);
+        3, "k", [&](std::size_t i, const CancelToken &token) {
+            if (i != 1)
+                return cellSummary(i);
+            MpSimulator sim(mc, bundle.profile);
+            replayCancellable(sim, bundle.records, token);
+            return summarizeSimulation(sim, job);
         });
     ASSERT_TRUE(r.ok());
     CampaignResult res = r.take();

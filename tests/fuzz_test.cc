@@ -14,7 +14,6 @@
 #include <tuple>
 
 #include "check/fuzzer.hh"
-#include "core/mutation.hh"
 
 namespace vrc
 {
@@ -153,6 +152,7 @@ TEST(FuzzTest, ReplayRoundTripPreservesOptions)
     opt.minTransactions = 77;
     opt.opMask = 0x0b;
     opt.mutateInclusion = false;
+    opt.softErrors = parseSoftErrors("seed=29,tag=1e-4,bus=0.05").take();
 
     FuzzOptions parsed;
     ASSERT_TRUE(replayFromJson(replayToJson(opt), parsed));
@@ -168,14 +168,23 @@ TEST(FuzzTest, ReplayRoundTripPreservesOptions)
     EXPECT_EQ(parsed.opMask, opt.opMask);
     EXPECT_EQ(parsed.sweepPeriod, opt.sweepPeriod);
     EXPECT_EQ(parsed.mutateInclusion, opt.mutateInclusion);
+    EXPECT_EQ(parsed.softErrors, opt.softErrors);
 
-    // A replayed configuration reproduces the original run exactly.
+    // A replayed configuration reproduces the original run exactly,
+    // strikes included (lost bus attempts are extra transactions).
     opt.opMask = opMaskAll;
     ASSERT_TRUE(replayFromJson(replayToJson(opt), parsed));
     FuzzResult a = runFuzz(opt);
     FuzzResult b = runFuzz(parsed);
     EXPECT_EQ(a.refs, b.refs);
     EXPECT_EQ(a.busTransactions, b.busTransactions);
+    EXPECT_EQ(a.machineCheck, b.machineCheck);
+    opt.softErrors = {};
+    EXPECT_LT(runFuzz(opt).busTransactions, a.busTransactions);
+
+    // A file without the field (as before it existed) loads disarmed.
+    ASSERT_TRUE(replayFromJson("{\"format\": 1}", parsed));
+    EXPECT_FALSE(parsed.softErrors.armed());
 }
 
 TEST(FuzzTest, ReplayRejectsGarbage)
@@ -184,6 +193,8 @@ TEST(FuzzTest, ReplayRejectsGarbage)
     EXPECT_FALSE(replayFromJson("", out));
     EXPECT_FALSE(replayFromJson("{\"seed\": 3}", out));
     EXPECT_FALSE(replayFromJson("{\"format\": 2, \"seed\": 3}", out));
+    EXPECT_FALSE(replayFromJson(
+        "{\"format\": 1, \"soft_errors\": \"seed=0,tag=1\"}", out));
 }
 
 TEST(FuzzTest, TryLoadReplayReportsStructuredErrors)
@@ -220,9 +231,6 @@ TEST(FuzzTest, MutationSmokeDetectsPlantedBug)
         << "a failure must carry the protocol event history";
     EXPECT_NE(r.ringJson.find("VIOLATION"), std::string::npos);
     EXPECT_LT(r.failingOp, opt.ops);
-
-    // The mutation hook is scoped to the run, not leaked globally.
-    EXPECT_FALSE(mutationFlags().dropInclusionUpdate);
 }
 
 TEST(FuzzTest, MinimizeKeepsTheFailureReproducible)

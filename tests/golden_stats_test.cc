@@ -370,23 +370,19 @@ TEST(GoldenStats, CycleEngineSummaries)
 std::vector<std::string>
 softErrorAvfLines(const char *spec)
 {
-    struct Disarm
-    {
-        ~Disarm() { disarmSoftErrors(); }
-    } disarm;
-
     const TraceBundle &bundle = goldenTrace("pops");
+    const SoftErrorConfig strikes = parseSoftErrors(spec).take();
     std::vector<std::string> lines;
     for (HierarchyKind kind : kAllHierarchyKinds) {
         for (ArrayProtection prot :
              {ArrayProtection::None, ArrayProtection::Parity,
               ArrayProtection::Secded}) {
-            EXPECT_TRUE(configureSoftErrors(spec)) << spec;
             MachineConfig mc =
                 makeMachineConfig(kind, 16 * 1024, 256 * 1024,
                                   bundle.profile.pageSize);
             mc.hierarchy.l1.protection = prot;
             mc.hierarchy.l2.protection = prot;
+            mc.hierarchy.softErrors = strikes;
             MpSimulator sim(mc, bundle.profile);
 
             std::uint64_t refs = 0;

@@ -17,7 +17,6 @@
 
 #include "check/oracle.hh"
 #include "coherence/dma.hh"
-#include "core/mutation.hh"
 #include "sim/mp_sim.hh"
 #include "trace/generator.hh"
 
@@ -147,12 +146,11 @@ TEST(OracleTest, SilentWithDmaAndRemapTraffic)
 
 TEST(OracleTest, DetectsDroppedInclusionUpdate)
 {
-    mutationFlags().dropInclusionUpdate = true;
-
     auto bundle = generateTrace(tinyProfile());
-    MpSimulator sim(smallConfig(HierarchyKind::VirtualReal,
-                                CoherencePolicy::WriteInvalidate),
-                    bundle.profile);
+    MachineConfig mc = smallConfig(HierarchyKind::VirtualReal,
+                                   CoherencePolicy::WriteInvalidate);
+    mc.hierarchy.mutations.dropInclusionUpdate = true;
+    MpSimulator sim(mc, bundle.profile);
 
     CoherenceOracle oracle(64);
     std::vector<CoherenceOracle::Violation> hits;
@@ -167,8 +165,6 @@ TEST(OracleTest, DetectsDroppedInclusionUpdate)
         if (!hits.empty())
             break;
     }
-
-    mutationFlags().dropInclusionUpdate = false;
 
     ASSERT_FALSE(hits.empty())
         << "the oracle must catch the dropped inclusion-bit update";

@@ -105,27 +105,9 @@ equivTrace(const std::string &name)
     return it->second;
 }
 
-/** Arm/disarm the process-wide soft-error model around one run. */
-class SoftErrorArm
-{
-  public:
-    explicit SoftErrorArm(std::uint64_t seed)
-    {
-        if (seed != 0) {
-            auto st = configureSoftErrors("seed=" +
-                                          std::to_string(seed));
-            armed = st.ok();
-        }
-    }
-    ~SoftErrorArm() { disarmSoftErrors(); }
-    bool armed = false;
-};
-
 RunResult
 runOnce(const EquivConfig &cfg)
 {
-    SoftErrorArm soft(cfg.softErrorSeed);
-
     const TraceBundle &bundle = equivTrace(cfg.trace);
     MachineConfig mc =
         makeMachineConfig(cfg.kind, cfg.l1Size, cfg.l2Size,
@@ -135,6 +117,10 @@ runOnce(const EquivConfig &cfg)
     mc.hierarchy.l1.policy = cfg.policy;
     mc.hierarchy.l2.policy = cfg.policy;
     mc.hierarchy.protocol = cfg.protocol;
+    if (cfg.softErrorSeed != 0) {
+        mc.hierarchy.softErrors =
+            parseSoftErrors(std::to_string(cfg.softErrorSeed)).take();
+    }
     mc.timingMode = cfg.timingMode;
     mc.invariantPeriod = 4096;
 

@@ -18,19 +18,12 @@ namespace vrc
 namespace
 {
 
-class SoftErrorFuzz : public ::testing::Test
-{
-  protected:
-    void SetUp() override { disarmSoftErrors(); }
-    void TearDown() override { disarmSoftErrors(); }
-};
-
-TEST_F(SoftErrorFuzz, RecoveryStatesPassTheOracle)
+TEST(SoftErrorFuzz, RecoveryStatesPassTheOracle)
 {
     // Rates high enough that nearly every seed takes strikes, across
     // all four organizations and both protocols (the "mix" mapping).
-    ASSERT_TRUE(
-        configureSoftErrors("seed=29,tag=1e-4,state=2e-5,ptr=2e-5"));
+    const SoftErrorConfig soft =
+        parseSoftErrors("seed=29,tag=1e-4,state=2e-5,ptr=2e-5").take();
 
     unsigned machine_checks = 0;
     std::uint64_t strikes = 0;
@@ -44,6 +37,7 @@ TEST_F(SoftErrorFuzz, RecoveryStatesPassTheOracle)
             : CoherencePolicy::WriteUpdate;
         opt.sweepPeriod = 128;
         opt.invariantPeriod = 512;
+        opt.softErrors = soft;
 
         FuzzResult r = runFuzz(opt);
         EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.violation;
@@ -57,36 +51,18 @@ TEST_F(SoftErrorFuzz, RecoveryStatesPassTheOracle)
     (void)machine_checks;
 }
 
-TEST_F(SoftErrorFuzz, BusLossUnderFuzzKeepsCoherence)
+TEST(SoftErrorFuzz, BusLossUnderFuzzKeepsCoherence)
 {
-    ASSERT_TRUE(configureSoftErrors("seed=31,bus=0.02"));
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         FuzzOptions opt;
         opt.seed = seed;
         opt.ops = 2000;
         opt.kind = HierarchyKind::VirtualReal;
         opt.sweepPeriod = 128;
+        opt.softErrors = parseSoftErrors("seed=31,bus=0.02").take();
         FuzzResult r = runFuzz(opt);
         EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.violation;
     }
-}
-
-TEST_F(SoftErrorFuzz, DisarmedFuzzIsUnchanged)
-{
-    FuzzOptions opt;
-    opt.seed = 3;
-    opt.ops = 1500;
-    FuzzResult base = runFuzz(opt);
-    ASSERT_TRUE(base.ok);
-    EXPECT_FALSE(base.machineCheck);
-
-    // Arm-then-disarm must leave no residue in a later run.
-    ASSERT_TRUE(configureSoftErrors("seed=5,tag=0.5"));
-    disarmSoftErrors();
-    FuzzResult again = runFuzz(opt);
-    EXPECT_TRUE(again.ok);
-    EXPECT_EQ(base.busTransactions, again.busTransactions);
-    EXPECT_EQ(base.refs, again.refs);
 }
 
 } // namespace

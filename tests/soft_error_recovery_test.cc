@@ -17,23 +17,28 @@
 #include "base/fault.hh"
 #include "cache/protection.hh"
 #include "cache/tag_store.hh"
+#include "check/oracle.hh"
 #include "core/events.hh"
 #include "sim/experiment.hh"
 #include "sim/json_stats.hh"
 #include "sim/mp_sim.hh"
+#include "sim/parallel_runner.hh"
 
 namespace vrc
 {
 namespace
 {
 
-/** Every test starts and ends disarmed (the config is process-wide). */
+/** Strikes from a valid spec. */
+SoftErrorConfig
+strikes(const std::string &spec)
+{
+    return parseSoftErrors(spec).take();
+}
+
 class SoftErrorTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { disarmSoftErrors(); }
-    void TearDown() override { disarmSoftErrors(); }
-
     static TraceBundle &
     bundle()
     {
@@ -42,13 +47,14 @@ class SoftErrorTest : public ::testing::Test
     }
 
     static MpSimulator
-    makeSim(HierarchyKind kind,
+    makeSim(HierarchyKind kind, const SoftErrorConfig &soft = {},
             ArrayProtection prot = ArrayProtection::Secded)
     {
         MachineConfig mc = makeMachineConfig(
             kind, 8 * 1024, 64 * 1024, bundle().profile.pageSize);
         mc.hierarchy.l1.protection = prot;
         mc.hierarchy.l2.protection = prot;
+        mc.hierarchy.softErrors = soft;
         return MpSimulator(mc, bundle().profile);
     }
 
@@ -128,58 +134,55 @@ TEST(ArrayProtection, TagStoreCountsAbsorbedFaults)
 
 TEST_F(SoftErrorTest, SpecParsing)
 {
-    ASSERT_TRUE(configureSoftErrors("seed=9,tag=0.25,bus=0.5,retry=7"));
-    EXPECT_TRUE(softErrorsArmed());
-    EXPECT_EQ(softErrorConfig().seed, 9u);
-    EXPECT_DOUBLE_EQ(softErrorConfig().tag, 0.25);
-    EXPECT_DOUBLE_EQ(softErrorConfig().state, 0.0);
-    EXPECT_DOUBLE_EQ(softErrorConfig().bus, 0.5);
-    EXPECT_EQ(softErrorConfig().busRetryLimit, 7u);
+    Result<SoftErrorConfig> c =
+        parseSoftErrors("seed=9,tag=0.25,bus=0.5,retry=7");
+    ASSERT_TRUE(c);
+    EXPECT_TRUE(c.value().armed());
+    EXPECT_EQ(c.value().seed, 9u);
+    EXPECT_DOUBLE_EQ(c.value().tag, 0.25);
+    EXPECT_DOUBLE_EQ(c.value().state, 0.0);
+    EXPECT_DOUBLE_EQ(c.value().bus, 0.5);
+    EXPECT_EQ(c.value().busRetryLimit, 7u);
 
     // Bare seed: default probabilities arm every site.
-    ASSERT_TRUE(configureSoftErrors("1234"));
-    EXPECT_EQ(softErrorConfig().seed, 1234u);
-    EXPECT_GT(softErrorConfig().tag, 0.0);
-    EXPECT_GT(softErrorConfig().bus, 0.0);
-
-    EXPECT_FALSE(configureSoftErrors("seed=0,tag=0.5"));
-    EXPECT_FALSE(configureSoftErrors("seed=4,unknown=1"));
-    EXPECT_FALSE(configureSoftErrors("seed=4,tag=abc"));
+    c = parseSoftErrors("1234");
+    ASSERT_TRUE(c);
+    EXPECT_EQ(c.value().seed, 1234u);
+    EXPECT_GT(c.value().tag, 0.0);
+    EXPECT_GT(c.value().bus, 0.0);
 
     // Integers must be whole, unsigned and in range; probabilities must
-    // be finite and within [0,1]. None of these may arm the model.
-    disarmSoftErrors();
+    // be finite and within [0,1]; the seed must be nonzero.
     for (const char *bad :
-         {"seed=-1", "seed=1.9", "seed=1e3", "seed=+5",
+         {"seed=0,tag=0.5", "seed=4,unknown=1", "seed=4,tag=abc",
+          "seed=-1", "seed=1.9", "seed=1e3", "seed=+5",
           "seed=18446744073709551616", "-1", "seed=4,retry=-1",
           "seed=4,retry=4294967296", "seed=4,retry=2.5", "seed=4,tag=-5",
           "seed=4,tag=nan", "seed=4,tag=inf", "seed=4,state=1.5",
           "seed=4,ptr=", "seed=4,bus=0.1x"}) {
-        EXPECT_FALSE(configureSoftErrors(bad)) << bad;
-        EXPECT_FALSE(softErrorsArmed()) << bad;
+        EXPECT_FALSE(parseSoftErrors(bad)) << bad;
     }
-    ASSERT_TRUE(configureSoftErrors("seed=18446744073709551615,tag=1,"
-                                    "retry=4294967295"));
-    EXPECT_EQ(softErrorConfig().seed, 18446744073709551615u);
-    EXPECT_EQ(softErrorConfig().busRetryLimit, 4294967295u);
-    EXPECT_DOUBLE_EQ(softErrorConfig().tag, 1.0);
-
-    disarmSoftErrors();
-    EXPECT_FALSE(softErrorsArmed());
+    c = parseSoftErrors("seed=18446744073709551615,tag=1,"
+                        "retry=4294967295");
+    ASSERT_TRUE(c);
+    EXPECT_EQ(c.value().seed, 18446744073709551615u);
+    EXPECT_EQ(c.value().busRetryLimit, 4294967295u);
+    EXPECT_DOUBLE_EQ(c.value().tag, 1.0);
 }
 
 TEST_F(SoftErrorTest, DecisionIsAPureFunction)
 {
-    ASSERT_TRUE(configureSoftErrors("seed=77,tag=0.5"));
-    bool first = softErrorDecision("l1-tag", 3, 1000, 0.5);
+    const SoftErrorConfig sc = strikes("seed=77,tag=0.5");
+    bool first = sc.strikes("l1-tag", 3, 1000, 0.5);
     for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(softErrorDecision("l1-tag", 3, 1000, 0.5), first);
+        EXPECT_EQ(sc.strikes("l1-tag", 3, 1000, 0.5), first);
     // Different sites draw from independent streams.
     unsigned hits = 0;
     for (std::uint64_t r = 0; r < 64; ++r)
-        hits += softErrorDecision("l1-tag", 0, r, 0.5) ? 1 : 0;
+        hits += sc.strikes("l1-tag", 0, r, 0.5) ? 1 : 0;
     EXPECT_GT(hits, 0u);
     EXPECT_LT(hits, 64u);
+    EXPECT_FALSE(SoftErrorConfig{}.strikes("l1-tag", 3, 1000, 1.0));
 }
 
 // --- the disarmed contract -------------------------------------------
@@ -216,8 +219,7 @@ TEST_P(RecoverableStrikes, ArchitecturalStatsMatchUnarmedRun)
     // Tag strikes under SECDED: mostly corrected in place, the rest
     // detected and recovered by refetch. The workload replays bit-for-
     // bit because recovery restores the struck line's exact content.
-    ASSERT_TRUE(configureSoftErrors("seed=7,tag=2e-5"));
-    MpSimulator armed = makeSim(GetParam());
+    MpSimulator armed = makeSim(GetParam(), strikes("seed=7,tag=2e-5"));
     armed.run(bundle().records);
     armed.checkInvariants();
 
@@ -257,46 +259,36 @@ INSTANTIATE_TEST_SUITE_P(AllOrganizations, RecoverableStrikes,
 
 TEST_F(SoftErrorTest, SameSeedReproducesTheSameRun)
 {
-    ASSERT_TRUE(configureSoftErrors("seed=11,tag=5e-5,state=1e-5"));
-    MpSimulator a = makeSim(HierarchyKind::VirtualReal);
+    const SoftErrorConfig sc = strikes("seed=11,tag=5e-5,state=1e-5");
+    MpSimulator a = makeSim(HierarchyKind::VirtualReal, sc);
     a.run(bundle().records);
     std::string first = toJson(a);
     EXPECT_NE(first.find("soft_"), std::string::npos);
 
-    MpSimulator b = makeSim(HierarchyKind::VirtualReal);
+    MpSimulator b = makeSim(HierarchyKind::VirtualReal, sc);
     b.run(bundle().records);
     EXPECT_EQ(first, toJson(b));
 }
 
 TEST_F(SoftErrorTest, SweepResultsIndependentOfWorkerThreads)
 {
-    ASSERT_TRUE(configureSoftErrors("seed=5,tag=2e-5"));
-    std::vector<SimJob> jobs = {
-        {HierarchyKind::VirtualReal, 8 * 1024, 64 * 1024, false, 0},
-        {HierarchyKind::RealRealIncl, 8 * 1024, 64 * 1024, false, 0},
-        {HierarchyKind::RealRealNoIncl, 8 * 1024, 64 * 1024, false, 0},
+    const SoftErrorConfig sc = strikes("seed=5,tag=2e-5");
+    auto run = [&](unsigned threads) {
+        return ParallelRunner(threads).map(3, [&](std::size_t i) {
+            MpSimulator sim = makeSim(kAllHierarchyKinds[i], sc);
+            sim.run(bundle().records);
+            return toJson(sim);
+        });
     };
-    std::vector<SimSummary> serial =
-        runSimulations(bundle(), jobs, 1);
-    std::vector<SimSummary> parallel =
-        runSimulations(bundle(), jobs, 4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_DOUBLE_EQ(serial[i].h1, parallel[i].h1) << i;
-        EXPECT_DOUBLE_EQ(serial[i].h2, parallel[i].h2) << i;
-        EXPECT_EQ(serial[i].busTransactions,
-                  parallel[i].busTransactions) << i;
-        EXPECT_EQ(serial[i].memoryWrites, parallel[i].memoryWrites)
-            << i;
-    }
+    EXPECT_EQ(run(1), run(4));
 }
 
 // --- recovery emits events -------------------------------------------
 
 TEST_F(SoftErrorTest, RecoveryEmitsFaultEvents)
 {
-    ASSERT_TRUE(configureSoftErrors("seed=3,tag=5e-4"));
-    MpSimulator sim = makeSim(HierarchyKind::VirtualReal);
+    MpSimulator sim =
+        makeSim(HierarchyKind::VirtualReal, strikes("seed=3,tag=5e-4"));
 
     std::uint64_t corrected = 0, detected = 0;
     CallbackObserver obs([&](const HierarchyEvent &ev) {
@@ -338,9 +330,9 @@ TEST_P(MachineCheckStrikes, UncorrectableDirtyLineRaisesMachineCheck)
     // detected fault lands on a line holding (level 1) or shielding
     // (level 2) dirty data almost immediately.
     auto [kind, level] = GetParam();
-    ASSERT_TRUE(configureSoftErrors(level == 1 ? "seed=2,tag=1.0"
-                                               : "seed=2,state=1.0"));
-    MpSimulator sim = makeSim(kind, ArrayProtection::Parity);
+    MpSimulator sim = makeSim(
+        kind, strikes(level == 1 ? "seed=2,tag=1.0" : "seed=2,state=1.0"),
+        ArrayProtection::Parity);
     std::string halt;
     try {
         sim.run(bundle().records);
@@ -370,9 +362,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_F(SoftErrorTest, UnprotectedArraysNeverDetectAnything)
 {
-    ASSERT_TRUE(configureSoftErrors("seed=2,tag=0.01"));
-    MpSimulator sim =
-        makeSim(HierarchyKind::VirtualReal, ArrayProtection::None);
+    MpSimulator sim = makeSim(HierarchyKind::VirtualReal,
+                              strikes("seed=2,tag=0.01"),
+                              ArrayProtection::None);
     sim.run(bundle().records);
 
     // Every strike is silent data corruption: nothing detected, no
@@ -387,8 +379,8 @@ TEST_F(SoftErrorTest, UnprotectedArraysNeverDetectAnything)
 
 TEST_F(SoftErrorTest, LostBusTransactionsAreRetried)
 {
-    ASSERT_TRUE(configureSoftErrors("seed=13,bus=0.05"));
-    MpSimulator sim = makeSim(HierarchyKind::VirtualReal);
+    MpSimulator sim =
+        makeSim(HierarchyKind::VirtualReal, strikes("seed=13,bus=0.05"));
     sim.run(bundle().records);
     sim.checkInvariants();
 
@@ -398,7 +390,6 @@ TEST_F(SoftErrorTest, LostBusTransactionsAreRetried)
 
     // Each retried attempt is a real (visible) bus transaction.
     MpSimulator base = makeSim(HierarchyKind::VirtualReal);
-    disarmSoftErrors();
     base.run(bundle().records);
     EXPECT_EQ(sim.bus().transactions(),
               base.bus().transactions() + bs.value("soft_retries"));
@@ -408,11 +399,56 @@ TEST_F(SoftErrorTest, RetryBudgetExhaustionIsAMachineCheck)
 {
     // Every attempt is lost: the first broadcast burns the whole
     // retry budget and halts.
-    ASSERT_TRUE(configureSoftErrors("seed=13,bus=1.0"));
-    MpSimulator sim = makeSim(HierarchyKind::VirtualReal);
+    const SoftErrorConfig sc = strikes("seed=13,bus=1.0");
+    MpSimulator sim = makeSim(HierarchyKind::VirtualReal, sc);
     EXPECT_THROW(sim.run(bundle().records), FaultUnrecoverable);
-    EXPECT_EQ(sim.bus().stats().value("soft_retries"),
-              softErrorConfig().busRetryLimit);
+    EXPECT_EQ(sim.bus().stats().value("soft_retries"), sc.busRetryLimit);
+}
+
+// --- machines share no settings -------------------------------------
+
+TEST_F(SoftErrorTest, MachinesSideBySideKeepTheirOwnSettings)
+{
+    // Three machines of one trace: struck, plain, and with a planted
+    // inclusion bug. Each runs beside the others as it runs alone.
+    const TraceBundle &b = bundle();
+    std::vector<MachineConfig> machines(
+        3, makeMachineConfig(HierarchyKind::VirtualReal, 16 * 1024,
+                             256 * 1024, b.profile.pageSize));
+    machines[0].hierarchy.softErrors =
+        strikes("seed=97,tag=5e-4,state=1e-4,ptr=1e-4,bus=2e-5");
+    machines[2].hierarchy.mutations.dropInclusionUpdate = true;
+
+    auto run = [&](std::size_t i) {
+        MpSimulator sim(machines[i], b.profile);
+        CoherenceOracle oracle(16);
+        oracle.setViolationHandler([](const auto &) {});
+        oracle.attach(sim);
+        if (i == 2) {
+            // Run on, the bug trips the hierarchy's own panics: sweep
+            // after every reference and stop at the first violation.
+            for (const TraceRecord &r : b.records) {
+                sim.step(r);
+                oracle.sweep();
+                if (oracle.violations())
+                    break;
+            }
+        } else {
+            sim.run(b.records);
+            oracle.sweep();
+            sim.checkInvariants();
+        }
+        return std::pair(toJson(sim), oracle.violations());
+    };
+    auto side_by_side = ParallelRunner(3).map(3, run);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(side_by_side[i], run(i)) << "machine " << i;
+
+    EXPECT_NE(side_by_side[0].first.find("soft_"), std::string::npos);
+    EXPECT_EQ(side_by_side[1].first.find("soft_"), std::string::npos);
+    EXPECT_EQ(side_by_side[0].second, 0u);
+    EXPECT_EQ(side_by_side[1].second, 0u);
+    EXPECT_GT(side_by_side[2].second, 0u);
 }
 
 } // namespace

@@ -236,16 +236,12 @@ TEST(TraceStreamTest, MachineCheckStopsPipelineAndJoinsProducer)
     // Parity with a strike per reference machine-checks almost at
     // once, long before the producer runs out of trace: replay throws
     // while decoding is still under way.
-    struct Disarm
-    {
-        ~Disarm() { disarmSoftErrors(); }
-    } disarm;
-    ASSERT_TRUE(configureSoftErrors("seed=2,tag=1.0"));
     WorkloadProfile p = scaled(popsProfile(), 0.02);
     MachineConfig mc = makeMachineConfig(HierarchyKind::VirtualReal,
                                          8 * 1024, 64 * 1024, p.pageSize);
     mc.hierarchy.l1.protection = ArrayProtection::Parity;
     mc.hierarchy.l2.protection = ArrayProtection::Parity;
+    mc.hierarchy.softErrors = parseSoftErrors("seed=2,tag=1.0").take();
 
     MpSimulator materialized(mc, p);
     EXPECT_THROW(materialized.run(generateTrace(p).records),

@@ -63,10 +63,10 @@ usage()
         "  --json            machine-readable result lines\n"
         "  --smoke           mutation smoke test: inject a known bug,\n"
         "                    succeed only if the oracle fires\n"
-        "  --soft-errors=<spec>  arm the soft-error model while fuzzing\n"
-        "                    (seed=N[,tag=P][,state=P][,ptr=P][,bus=P]);\n"
-        "                    an episode halted by a machine check still\n"
-        "                    counts as ok\n";
+        "  --soft-errors=<spec>  strike every fuzzed machine with soft\n"
+        "                    errors (seed=N[,tag=P][,state=P][,ptr=P]\n"
+        "                    [,bus=P][,retry=N]), recorded in replay\n"
+        "                    files; a machine-check halt counts as ok\n";
     std::exit(2);
 }
 
@@ -235,9 +235,10 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
         } else if (argValue(argv[i], "--soft-errors", value)) {
-            Status armed = configureSoftErrors(value);
-            if (!armed)
-                fatal(armed.error().describe());
+            Result<SoftErrorConfig> strikes = parseSoftErrors(value);
+            if (!strikes)
+                fatal(strikes.error().describe());
+            base.softErrors = strikes.take();
         } else {
             usage();
         }

@@ -99,8 +99,8 @@ usage()
         "  --inject-faults=<spec>  arm deterministic fault injection\n"
         "                   (seed=N[,corrupt=P][,truncate=P][,throw=P]\n"
         "                   [,stall=P][,stall_ms=M])\n"
-        "soft errors:\n"
-        "  --soft-errors=<spec>  arm the in-hierarchy soft-error model\n"
+        "soft errors (a single run's machine only):\n"
+        "  --soft-errors=<spec>  strike the machine's arrays and bus\n"
         "                   (seed=N[,tag=P][,state=P][,ptr=P][,bus=P]\n"
         "                   [,retry=N]; a bare number is seed=N with\n"
         "                   default rates)\n"
@@ -387,7 +387,8 @@ main(int argc, char **argv)
     ServeOptions serve_opt;
     TimingMode timing_mode = TimingMode::Analytic;
     CampaignOptions campaign;
-    ArrayProtection protect = ArrayProtection::Secded;
+    SoftErrorConfig soft_errors;
+    std::optional<ArrayProtection> protect;
     std::string out_path;
     std::uint64_t events = 0;
     double warmup = 0.0;
@@ -500,17 +501,22 @@ main(int argc, char **argv)
             if (!armed)
                 fatal(armed.error().describe());
         } else if (argValue(argv[i], "--soft-errors", value)) {
-            Status armed = configureSoftErrors(value);
-            if (!armed)
-                fatal(armed.error().describe());
+            Result<SoftErrorConfig> strikes = parseSoftErrors(value);
+            if (!strikes)
+                fatal(strikes.error().describe());
+            soft_errors = strikes.take();
         } else if (argValue(argv[i], "--protect", value)) {
-            std::optional<ArrayProtection> p = parseArrayProtection(value);
-            if (!p)
+            protect = parseArrayProtection(value);
+            if (!protect)
                 fatal("unknown protection policy: ", value);
-            protect = *p;
         } else
             usage();
     }
+    if ((soft_errors.armed() || protect) &&
+        (sweep || coordinate || serve || shard_worker || !artifact.empty()))
+        fatal("--soft-errors and --protect shape a single run's machine; "
+              "they cannot be combined with --sweep, --coordinate, "
+              "--serve, --shard-worker or --artifact");
     if (shard_worker)
         return runWorker(worker_opt);
     if (serve) {
@@ -580,8 +586,9 @@ main(int argc, char **argv)
     mc.hierarchy.l2.assoc = assoc2;
     mc.hierarchy.l1.blockBytes = block1;
     mc.hierarchy.l2.blockBytes = block2;
-    mc.hierarchy.l1.protection = protect;
-    mc.hierarchy.l2.protection = protect;
+    if (protect)
+        mc.hierarchy.l1.protection = mc.hierarchy.l2.protection = *protect;
+    mc.hierarchy.softErrors = soft_errors;
     Status sizes = checkCacheSizes(mc);
     if (!sizes) {
         std::cerr << "vrc_sim: " << sizes.error().message << "\n";
@@ -682,31 +689,25 @@ main(int argc, char **argv)
         t.row().cell("bus busy ticks").cell(sim.busBusyTime(), 1);
         t.row().cell("bus wait ticks").cell(sim.busWaitTime(), 1);
     }
-    if (softErrorsArmed()) {
+    if (soft_errors.armed()) {
         t.separator();
-        t.row().cell("protection").cell(arrayProtectionName(protect));
-        t.row().cell("soft faults tag").cell(
-            sim.totalCounter("soft_faults_tag"));
-        t.row().cell("soft faults state").cell(
-            sim.totalCounter("soft_faults_state"));
-        t.row().cell("soft faults ptr").cell(
-            sim.totalCounter("soft_faults_ptr"));
-        t.row().cell("soft masked").cell(sim.totalCounter("soft_masked"));
-        t.row().cell("soft silent").cell(sim.totalCounter("soft_silent"));
-        t.row().cell("soft corrected").cell(
-            sim.totalCounter("soft_corrected"));
-        t.row().cell("soft detected").cell(
-            sim.totalCounter("soft_detected"));
-        t.row().cell("soft recovered").cell(
-            sim.totalCounter("soft_recovered"));
-        t.row().cell("soft refetches (L2)").cell(
-            sim.totalCounter("soft_refetches_l2"));
-        t.row().cell("soft refetches (bus)").cell(
-            sim.totalCounter("soft_refetches_bus"));
-        t.row().cell("presence scrubs").cell(
-            sim.totalCounter("presence_scrubs"));
-        t.row().cell("machine checks").cell(
-            sim.totalCounter("machine_checks"));
+        t.row().cell("protection").cell(
+            arrayProtectionName(mc.hierarchy.l1.protection));
+        const std::pair<const char *, const char *> rows[] = {
+            {"soft faults tag", "soft_faults_tag"},
+            {"soft faults state", "soft_faults_state"},
+            {"soft faults ptr", "soft_faults_ptr"},
+            {"soft masked", "soft_masked"},
+            {"soft silent", "soft_silent"},
+            {"soft corrected", "soft_corrected"},
+            {"soft detected", "soft_detected"},
+            {"soft recovered", "soft_recovered"},
+            {"soft refetches (L2)", "soft_refetches_l2"},
+            {"soft refetches (bus)", "soft_refetches_bus"},
+            {"presence scrubs", "presence_scrubs"},
+            {"machine checks", "machine_checks"}};
+        for (auto [label, counter] : rows)
+            t.row().cell(label).cell(sim.totalCounter(counter));
         t.row().cell("bus timeouts").cell(
             sim.bus().stats().value("soft_timeouts"));
         t.row().cell("bus retries").cell(
