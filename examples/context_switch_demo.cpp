@@ -83,7 +83,7 @@ main()
             .cell(dirty)
             .cell(flush_cost)
             .cell(h.stats().value("swapped_writebacks"))
-            .cell(h.writeBuffer().stalls());
+            .cell(h.stats().value("wb_stalls"));
         h.contextSwitch(pid == 0 ? 1 : 0);
     }
     std::cout << t;

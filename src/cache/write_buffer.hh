@@ -5,10 +5,11 @@
  * Dirty level-1 victims are parked here so the processor does not wait
  * for the level-2 update. Entries retire (drain) a fixed number of
  * references after being pushed; pushing onto a full buffer forces the
- * oldest entry out first and counts a stall. The buffer participates in
- * coherence: a bus request may flush or invalidate a buffered block
- * (the paper's flush(buffer) / invalidation(buffer) signals), and a
- * synonym "sameset" may cancel a pending write-back entirely.
+ * oldest entry out first and reports a stall, which the hierarchy
+ * counts as wb_stalls. The buffer participates in coherence: a bus
+ * request may flush or invalidate a buffered block (the paper's
+ * flush(buffer) / invalidation(buffer) signals), and a synonym
+ * "sameset" may cancel a pending write-back entirely.
  *
  * Simulated time is the reference counter maintained by the hierarchy.
  */
@@ -20,8 +21,6 @@
 #include <functional>
 #include <optional>
 #include <vector>
-
-#include "base/counter.hh"
 
 namespace vrc
 {
@@ -44,12 +43,7 @@ class WriteBuffer
      * @param drain_latency  references after which an entry retires
      */
     WriteBuffer(std::uint32_t capacity, std::uint64_t drain_latency)
-        : _capacity(capacity), _drainLatency(drain_latency),
-          _stats("write_buffer"), _stalls(&_stats.handle("stalls")),
-          _pushes(&_stats.handle("pushes")),
-          _removes(&_stats.handle("removes")),
-          _coherenceFlushes(&_stats.handle("coherence_flushes")),
-          _drains(&_stats.handle("drains"))
+        : _capacity(capacity), _drainLatency(drain_latency)
     {
         _entries.reserve(capacity);
     }
@@ -77,16 +71,13 @@ class WriteBuffer
     bool
     push(std::uint32_t phys_block_addr, std::uint64_t now)
     {
-        bool stalled = false;
-        if (_entries.size() >= _capacity) {
+        const bool stalled = _entries.size() >= _capacity;
+        if (stalled)
             retireFront();
-            stalled = true;
-            (*_stalls)++;
-        }
         _entries.push_back(WriteBufferEntry{phys_block_addr, now});
         if (_entries.size() == 1)
             _nextDrain = now + _drainLatency;
-        (*_pushes)++;
+        ++_pushes;
         return stalled;
     }
 
@@ -115,7 +106,7 @@ class WriteBuffer
                 WriteBufferEntry e = *it;
                 _entries.erase(it);
                 refreshNextDrain();
-                (*_removes)++;
+                ++_removes;
                 return e;
             }
         }
@@ -135,7 +126,6 @@ class WriteBuffer
                 WriteBufferEntry e = *it;
                 _entries.erase(it);
                 refreshNextDrain();
-                (*_coherenceFlushes)++;
                 if (_onDrain)
                     _onDrain(e);
                 return true;
@@ -165,11 +155,9 @@ class WriteBuffer
     std::uint32_t capacity() const { return _capacity; }
     bool empty() const { return _entries.empty(); }
 
-    std::uint64_t stalls() const { return _stalls->value(); }
-    std::uint64_t pushes() const { return _pushes->value(); }
-    std::uint64_t drains() const { return _drains->value(); }
-
-    const StatGroup &stats() const { return _stats; }
+    std::uint64_t pushes() const { return _pushes; }
+    std::uint64_t removes() const { return _removes; }
+    std::uint64_t drains() const { return _drains; }
 
   private:
     void
@@ -178,7 +166,7 @@ class WriteBuffer
         WriteBufferEntry e = _entries.front();
         _entries.erase(_entries.begin());
         refreshNextDrain();
-        (*_drains)++;
+        ++_drains;
         if (_onDrain)
             _onDrain(e);
     }
@@ -201,18 +189,9 @@ class WriteBuffer
     /** Oldest first; reserved once, and a retire shifts only a few. */
     std::vector<WriteBufferEntry> _entries;
     DrainHandler _onDrain;
-    StatGroup _stats;
-
-    /**
-     * Handles resolved once at construction (StatGroup handle
-     * contract): the push/remove/flush/retire paths increment through
-     * these and never perform a string-keyed lookup.
-     */
-    Counter *_stalls;
-    Counter *_pushes;
-    Counter *_removes;
-    Counter *_coherenceFlushes;
-    Counter *_drains;
+    std::uint64_t _pushes = 0;
+    std::uint64_t _removes = 0;
+    std::uint64_t _drains = 0;
 };
 
 } // namespace vrc

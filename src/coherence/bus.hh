@@ -50,9 +50,34 @@ struct SnoopAgentInfo
 
     /** Counters to bump on the agent's behalf when a snoop is skipped
      *  (may be null for agents that keep no snoop statistics). */
-    Counter *snoops = nullptr;
-    Counter *snoopMisses = nullptr;
+    std::uint64_t *snoops = nullptr;
+    std::uint64_t *snoopMisses = nullptr;
 };
+
+/**
+ * The bus counter table (see VRC_STAT_TABLE): one count per operation
+ * under busOpName(), and the soft-error timeouts and retries, shown
+ * from their first increment on.
+ */
+#define VRC_BUS_STATS(X)                                               \
+    X(Invalidate, "invalidate", Always)                                \
+    X(MemorySupplies, "memory_supplies", Always)                       \
+    X(ReadMiss, "read-miss", Always)                                   \
+    X(ReadModWrite, "read-modified-write", Always)                     \
+    X(SoftRetries, "soft_retries", OnFirstUse)                         \
+    X(SoftTimeouts, "soft_timeouts", OnFirstUse)                       \
+    X(Transactions, "transactions", Always)                            \
+    X(Update, "update", Always)
+
+/** The bus counters (VRC_BUS_STATS). */
+struct BusStats
+{
+    static constexpr std::uint32_t OnFirstUse = 0;
+    static constexpr std::uint32_t Always = 1;
+
+    VRC_STAT_TABLE(VRC_BUS_STATS)
+};
+using BusStat = BusStats::Stat;
 
 /**
  * Passive listener notified after every completed broadcast. Used by
@@ -75,14 +100,8 @@ class SharedBus
   public:
     /** @param soft_errors the machine's strike schedule (bus loss) */
     explicit SharedBus(const SoftErrorConfig &soft_errors = {})
-        : _softErrors(soft_errors), _stats("bus"),
-          _txCtr(&_stats.handle("transactions")),
-          _memSupplyCtr(&_stats.handle("memory_supplies"))
+        : _softErrors(soft_errors), _n(BusStats::Always)
     {
-        for (int i = 0; i < 4; ++i) {
-            _opCtrs[i] =
-                &_stats.handle(busOpName(static_cast<BusOp>(i)));
-        }
     }
 
     /**
@@ -115,10 +134,7 @@ class SharedBus
         ++_txSeq;
         if (_arbiter)
             _arbiter->post(tx.source, tx.op);
-        (*_txCtr)++;
-        (*_opCtrs[static_cast<int>(tx.op)])++;
-        if (tx.source < _perCpuTx.size())
-            _perCpuTx[tx.source] += 1;
+        countAttempt(tx);
 
         AgentMask present = ~AgentMask{0};
         if (_filterEnabled)
@@ -146,7 +162,7 @@ class SharedBus
         res.shared = merged.sharedAck;
         res.suppliedByCache = merged.suppliedData;
         if (!res.suppliedByCache && tx.op != BusOp::Invalidate)
-            (*_memSupplyCtr)++;
+            ++_n[Stat::MemorySupplies];
         if (_observer)
             _observer->onTransaction(tx, res);
         return res;
@@ -238,7 +254,7 @@ class SharedBus
     std::size_t agentCount() const { return _snoopers.size(); }
 
     /** Total transactions issued. */
-    std::uint64_t transactions() const { return _txCtr->value(); }
+    std::uint64_t transactions() const { return _n[Stat::Transactions]; }
 
     /** Transactions issued by one CPU. */
     std::uint64_t
@@ -247,20 +263,33 @@ class SharedBus
         return cpu < _perCpuTx.size() ? _perCpuTx[cpu] : 0;
     }
 
-    const StatGroup &stats() const { return _stats; }
+    const StatGroup<BusStats> &stats() const { return _n; }
 
     /** Zero transaction counters (warm-up support). */
     void
     resetStats()
     {
-        _stats.reset();
+        _n.reset();
         _snoopsFiltered = 0;
         std::fill(_perCpuTx.begin(), _perCpuTx.end(), 0);
     }
 
   private:
     using AgentMask = std::uint64_t;
+    using Stat = BusStat;
     static constexpr std::size_t maxFilterableAgents = 64;
+
+    /** Count one attempt of @p tx: a slot of bus time. */
+    void
+    countAttempt(const BusTransaction &tx)
+    {
+        constexpr Stat by_op[] = {Stat::ReadMiss, Stat::Invalidate,
+                                  Stat::ReadModWrite, Stat::Update};
+        ++_n[Stat::Transactions];
+        ++_n[by_op[static_cast<int>(tx.op)]];
+        if (tx.source < _perCpuTx.size())
+            _perCpuTx[tx.source] += 1;
+    }
 
     /**
      * Soft-error model: an armed bus may lose a broadcast in flight.
@@ -289,16 +318,13 @@ class SharedBus
              ++attempt) {
             if (_arbiter)
                 _arbiter->post(tx.source, tx.op);
-            (*_txCtr)++;
-            (*_opCtrs[static_cast<int>(tx.op)])++;
-            if (tx.source < _perCpuTx.size())
-                _perCpuTx[tx.source] += 1;
-            _stats.counter("soft_timeouts")++;
+            countAttempt(tx);
+            ++_n.show(Stat::SoftTimeouts);
             if (attempt + 1 > sc.busRetryLimit) {
                 throw FaultUnrecoverable(
                     "bus transaction lost beyond the retry budget");
             }
-            _stats.counter("soft_retries")++;
+            ++_n.show(Stat::SoftRetries);
         }
     }
 
@@ -306,10 +332,7 @@ class SharedBus
     std::vector<Snooper *> _snoopers;
     std::vector<SnoopAgentInfo> _agents;
     std::vector<std::uint64_t> _perCpuTx;
-    StatGroup _stats;
-    Counter *_txCtr;
-    Counter *_memSupplyCtr;
-    Counter *_opCtrs[4];
+    StatGroup<BusStats> _n;
     PresenceMap _presence;
     bool _filterEnabled = true;
     std::uint64_t _snoopsFiltered = 0;

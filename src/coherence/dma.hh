@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "base/counter.hh"
 #include "coherence/bus.hh"
 
 namespace vrc
@@ -31,7 +30,7 @@ class DmaDevice : public Snooper
      * @param block_bytes coherence granularity (the caches' L2 line)
      */
     DmaDevice(SharedBus &bus, std::uint32_t block_bytes)
-        : _bus(bus), _blockBytes(block_bytes), _stats("dma")
+        : _bus(bus), _blockBytes(block_bytes)
     {
         // The device holds no cached state, so it never needs to be
         // probed: attach filterable and never publish presence.
@@ -51,10 +50,10 @@ class DmaDevice : public Snooper
         forEachBlock(base, len, [&](PhysAddr block) {
             BusResult r = _bus.broadcast(
                 BusTransaction{BusOp::ReadMiss, block, _busId});
-            _stats.counter("blocks_read")++;
+            ++_blocksRead;
             if (r.suppliedByCache) {
                 ++supplied;
-                _stats.counter("supplied_by_cache")++;
+                ++_suppliedByCache;
             }
         });
         return supplied;
@@ -72,7 +71,7 @@ class DmaDevice : public Snooper
         forEachBlock(base, len, [&](PhysAddr block) {
             _bus.broadcast(
                 BusTransaction{BusOp::ReadModWrite, block, _busId});
-            _stats.counter("blocks_written")++;
+            ++_blocksWritten;
         });
     }
 
@@ -84,7 +83,10 @@ class DmaDevice : public Snooper
     }
 
     CpuId busId() const { return _busId; }
-    const StatGroup &stats() const { return _stats; }
+    std::uint64_t blocksRead() const { return _blocksRead; }
+    std::uint64_t blocksWritten() const { return _blocksWritten; }
+    /** Blocks a DMA read took from a cache rather than memory. */
+    std::uint64_t suppliedByCache() const { return _suppliedByCache; }
 
   private:
     template <typename Fn>
@@ -101,7 +103,9 @@ class DmaDevice : public Snooper
     SharedBus &_bus;
     std::uint32_t _blockBytes;
     CpuId _busId;
-    StatGroup _stats;
+    std::uint64_t _blocksRead = 0;
+    std::uint64_t _blocksWritten = 0;
+    std::uint64_t _suppliedByCache = 0;
 };
 
 } // namespace vrc

@@ -104,36 +104,93 @@ struct BlockProbe
 };
 
 /**
+ * The counter table of every hierarchy, one X(enumerator, name, shown
+ * by) row per counter in name byte order. The third column says which
+ * organizations show the counter from construction on (the
+ * HierarchyStats kinds), so a key an organization never shows is absent
+ * from its reports and reads 0 through value(). The soft-error rows
+ * (soft_*, machine_checks, presence_scrubs) show from their first
+ * increment on, so a run that never strikes reports exactly the
+ * unarmed statistics.
+ */
+#define VRC_HIERARCHY_STATS(X)                                         \
+    X(BufferFlushes, "buffer_flushes", Every)                          \
+    X(BufferInvalidations, "buffer_invalidations", Every)              \
+    X(BufferPullbacks, "buffer_pullbacks", NoInclusion)                \
+    X(ContextSwitches, "context_switches", Every)                      \
+    X(FillsFromCache, "fills_from_cache", Every)                       \
+    X(FillsFromMemory, "fills_from_memory", Every)                     \
+    X(ForcedRReplacements, "forced_r_replacements", VirtualReal)       \
+    X(InclusionInvalidations, "inclusion_invalidations", VirtualReal)  \
+    X(InvalidationsSent, "invalidations_sent", Every)                  \
+    X(L1CoherenceMsgs, "l1_coherence_msgs", Every)                     \
+    X(L1Flushes, "l1_flushes", Every)                                  \
+    X(L1Hits, "l1_hits", Every)                                        \
+    X(L1HitsInstr, "l1_hits_instr", Every)                             \
+    X(L1HitsRead, "l1_hits_read", Every)                               \
+    X(L1HitsWrite, "l1_hits_write", Every)                             \
+    X(L1Invalidations, "l1_invalidations", Every)                      \
+    X(L1Probes, "l1_probes", NoInclusion)                              \
+    X(L1Updates, "l1_updates", Every)                                  \
+    X(L2Hits, "l2_hits", Every)                                        \
+    X(MachineChecks, "machine_checks", OnFirstUse)                     \
+    X(MemoryWrites, "memory_writes", Every)                            \
+    X(Misses, "misses", Every)                                         \
+    X(PresenceScrubs, "presence_scrubs", OnFirstUse)                   \
+    X(Refs, "refs", Every)                                             \
+    X(RefsInstr, "refs_instr", Every)                                  \
+    X(RefsRead, "refs_read", Every)                                    \
+    X(RefsWrite, "refs_write", Every)                                  \
+    X(RltConflictInvalidations, "rlt_conflict_invalidations", Rlt)     \
+    X(SnoopHits, "snoop_hits", VirtualReal)                            \
+    X(SnoopMisses, "snoop_misses", VirtualReal)                        \
+    X(Snoops, "snoops", VirtualReal)                                   \
+    X(SoftCorrected, "soft_corrected", OnFirstUse)                     \
+    X(SoftDetected, "soft_detected", OnFirstUse)                       \
+    X(SoftFaultsPtr, "soft_faults_ptr", OnFirstUse)                    \
+    X(SoftFaultsState, "soft_faults_state", OnFirstUse)                \
+    X(SoftFaultsTag, "soft_faults_tag", OnFirstUse)                    \
+    X(SoftMasked, "soft_masked", OnFirstUse)                           \
+    X(SoftRecovered, "soft_recovered", OnFirstUse)                     \
+    X(SoftRefetchesBus, "soft_refetches_bus", OnFirstUse)              \
+    X(SoftRefetchesL2, "soft_refetches_l2", OnFirstUse)                \
+    X(SoftSilent, "soft_silent", OnFirstUse)                           \
+    X(SwappedWritebacks, "swapped_writebacks", VirtualReal)            \
+    X(SynonymFromBuffer, "synonym_from_buffer", VirtualReal)           \
+    X(SynonymHits, "synonym_hits", VirtualReal)                        \
+    X(SynonymMoves, "synonym_moves", VirtualReal)                      \
+    X(SynonymSameset, "synonym_sameset", VirtualReal)                  \
+    X(TlbShootdowns, "tlb_shootdowns", Every)                          \
+    X(UpdatesSent, "updates_sent", Every)                              \
+    X(WbStalls, "wb_stalls", Every)                                    \
+    X(WritebackCancels, "writeback_cancels", Every)                    \
+    X(WritebackCompletions, "writeback_completions", Every)            \
+    X(Writebacks, "writebacks", Every)                                 \
+    X(WritebacksBypassingL2, "writebacks_bypassing_l2", NoInclusion)
+
+/** The per-CPU hierarchy counters (VRC_HIERARCHY_STATS). */
+struct HierarchyStats
+{
+    // Organization kinds, the bits of StatRow::shownBy.
+    static constexpr std::uint32_t OnFirstUse = 0;
+    static constexpr std::uint32_t Every = 1;         ///< all four
+    static constexpr std::uint32_t VirtualReal = 2;   ///< vr, rr, vr-rlt
+    static constexpr std::uint32_t Rlt = 4;           ///< vr-rlt
+    static constexpr std::uint32_t NoInclusion = 8;   ///< rr-noincl
+
+    VRC_STAT_TABLE(VRC_HIERARCHY_STATS)
+};
+using HierarchyStat = HierarchyStats::Stat;
+
+/**
  * A private two-level cache hierarchy attached to one processor and to
- * the shared bus.
- *
- * Statistics contract (counters in stats()). Every organization
- * registers these at construction, so experiments aggregate uniformly:
- *
- *   refs, refs_instr, refs_read, refs_write
- *   l1_hits, l1_hits_instr, l1_hits_read, l1_hits_write
- *   l2_hits, misses, fills_from_cache, fills_from_memory
- *   l1_coherence_msgs        -- messages percolated to level 1
- *   l1_flushes, l1_invalidations, l1_updates
- *   buffer_flushes, buffer_invalidations
- *   writebacks, writeback_cancels, writeback_completions, wb_stalls
- *   invalidations_sent, updates_sent, memory_writes
- *   context_switches, tlb_shootdowns
- *
- * VrHierarchy (vr, rr-incl, vr-rlt) adds synonym_hits,
- * synonym_sameset, synonym_moves, synonym_from_buffer,
- * swapped_writebacks, inclusion_invalidations (L2 replacements that
- * killed L1 children), forced_r_replacements and snoops, snoop_hits,
- * snoop_misses; vr-rlt also rlt_conflict_invalidations.
- * RrNoInclHierarchy adds l1_probes, buffer_pullbacks and
- * writebacks_bypassing_l2. A key an organization never registers reads
- * 0 through value(). The soft-error counters (soft_*, machine_checks,
- * presence_scrubs) are created on first use, so a run that never
- * strikes reports exactly the unarmed statistics.
+ * the shared bus. Its counters are HierarchyStats; stats() reads them.
  */
 class CacheHierarchy : public Snooper
 {
   public:
+    using Stat = HierarchyStat;
+
     ~CacheHierarchy() override = default;
 
     CacheHierarchy(const CacheHierarchy &) = delete;
@@ -187,7 +244,7 @@ class CacheHierarchy : public Snooper
     tlbShootdown(ProcessId pid, Vpn vpn)
     {
         if (_tlb.invalidate(pid, vpn))
-            (*_c.tlbShootdowns)++;
+            ++_n[Stat::TlbShootdowns];
     }
 
     /** Number of level-1 caches (1 unified, 2 split). */
@@ -210,16 +267,15 @@ class CacheHierarchy : public Snooper
     CpuId cpuId() const { return _cpuId; }
     void setCpuId(CpuId id) { _cpuId = id; }
 
-    /** Statistics (see the class comment for the counter contract). */
-    StatGroup &stats() { return _stats; }
-    const StatGroup &stats() const { return _stats; }
+    /** The counters (HierarchyStats). */
+    const StatGroup<HierarchyStats> &stats() const { return _n; }
 
     /** Level-1 hit ratio over all references. */
     double
     h1() const
     {
-        auto refs = _stats.value("refs");
-        return refs ? static_cast<double>(_stats.value("l1_hits")) /
+        auto refs = _n[Stat::Refs];
+        return refs ? static_cast<double>(_n[Stat::L1Hits]) /
                 static_cast<double>(refs)
                     : 0.0;
     }
@@ -231,27 +287,19 @@ class CacheHierarchy : public Snooper
     double
     h2() const
     {
-        auto refs = _stats.value("refs");
-        auto l1_hits = _stats.value("l1_hits");
-        auto l1_misses = refs - l1_hits;
+        auto l1_misses = _n[Stat::Refs] - _n[Stat::L1Hits];
         if (l1_misses == 0)
             return 0.0;
-        return static_cast<double>(_stats.value("l2_hits") +
-                                   _stats.value("synonym_hits")) /
+        return static_cast<double>(_n[Stat::L2Hits] +
+                                   _n[Stat::SynonymHits]) /
             static_cast<double>(l1_misses);
     }
 
-    /** L1 hit ratio restricted to one reference type. */
-    double
-    h1ForType(RefType t) const
-    {
-        auto refs = _refsByType[static_cast<int>(t)]->value();
-        if (refs == 0)
-            return 0.0;
-        return static_cast<double>(
-                   _hitsByType[static_cast<int>(t)]->value()) /
-            static_cast<double>(refs);
-    }
+    /** The refs_* and l1_hits_* counters, indexed by RefType. */
+    static constexpr Stat kRefsByType[] = {Stat::RefsInstr, Stat::RefsRead,
+                                           Stat::RefsWrite};
+    static constexpr Stat kL1HitsByType[] = {
+        Stat::L1HitsInstr, Stat::L1HitsRead, Stat::L1HitsWrite};
 
     /**
      * Distribution of distances (in local references) between successive
@@ -269,7 +317,7 @@ class CacheHierarchy : public Snooper
     void
     resetStats()
     {
-        _stats.reset();
+        _n.reset();
         _wbIntervals.clear();
         _lastWriteBackRef = 0;
         _sawWriteBack = false;
@@ -282,45 +330,19 @@ class CacheHierarchy : public Snooper
      * @param bus          the shared snooping bus (the subclass attaches)
      * @param pointer_meta the organization keeps r-/v-pointer metadata,
      *                     which the meta-ptr soft-error site strikes
+     * @param shown        the HierarchyStats kinds it shows
      * @param arena_bytes  capacity of the arena: the sum of the
      *                     footprints of every cache the subclass carves
      */
     CacheHierarchy(const HierarchyParams &params, AddressSpaceManager &spaces,
-                   SharedBus &bus, bool pointer_meta,
+                   SharedBus &bus, bool pointer_meta, std::uint32_t shown,
                    std::size_t arena_bytes)
         : _params(params), _spaces(spaces), _bus(bus),
           _arena(arena_bytes),
           _wb(params.writeBufferDepth, params.writeBufferDrainLatency),
-          _tlb(params.tlbEntries, params.tlbAssoc),
-          _pointerMeta(pointer_meta), _stats("hierarchy"),
-          _wbIntervals(10), _refsCtr(&_stats.counter("refs")),
-          _l1HitsCtr(&_stats.counter("l1_hits")),
-          _refsByType{&_stats.counter("refs_instr"),
-                      &_stats.counter("refs_read"),
-                      &_stats.counter("refs_write")},
-          _hitsByType{&_stats.counter("l1_hits_instr"),
-                      &_stats.counter("l1_hits_read"),
-                      &_stats.counter("l1_hits_write")}
+          _tlb(params.tlbEntries, params.tlbAssoc), _n(shown),
+          _pointerMeta(pointer_meta), _wbIntervals(10)
     {
-        _c.writebackCompletions = &_stats.handle("writeback_completions");
-        _c.wbStalls = &_stats.handle("wb_stalls");
-        _c.writebacks = &_stats.handle("writebacks");
-        _c.writebackCancels = &_stats.handle("writeback_cancels");
-        _c.l2Hits = &_stats.handle("l2_hits");
-        _c.invalidationsSent = &_stats.handle("invalidations_sent");
-        _c.updatesSent = &_stats.handle("updates_sent");
-        _c.memoryWrites = &_stats.handle("memory_writes");
-        _c.misses = &_stats.handle("misses");
-        _c.fillsFromCache = &_stats.handle("fills_from_cache");
-        _c.fillsFromMemory = &_stats.handle("fills_from_memory");
-        _c.l1CoherenceMsgs = &_stats.handle("l1_coherence_msgs");
-        _c.contextSwitches = &_stats.handle("context_switches");
-        _c.l1Flushes = &_stats.handle("l1_flushes");
-        _c.bufferFlushes = &_stats.handle("buffer_flushes");
-        _c.l1Invalidations = &_stats.handle("l1_invalidations");
-        _c.bufferInvalidations = &_stats.handle("buffer_invalidations");
-        _c.l1Updates = &_stats.handle("l1_updates");
-        _c.tlbShootdowns = &_stats.handle("tlb_shootdowns");
     }
 
     /**
@@ -416,14 +438,14 @@ class CacheHierarchy : public Snooper
         if (_params.protocol == CoherencePolicy::WriteInvalidate) {
             _bus.broadcast(
                 BusTransaction{BusOp::Invalidate, line, cpuId()});
-            (*_c.invalidationsSent)++;
+            ++_n[Stat::InvalidationsSent];
             state = CoherenceState::Private;
             return true;
         }
         BusResult br =
             _bus.broadcast(BusTransaction{BusOp::Update, line, cpuId()});
-        (*_c.updatesSent)++;
-        (*_c.memoryWrites)++; // bus write-through
+        ++_n[Stat::UpdatesSent];
+        ++_n[Stat::MemoryWrites]; // bus write-through
         state = br.shared ? CoherenceState::Shared : CoherenceState::Private;
         return false;
     }
@@ -447,11 +469,11 @@ class CacheHierarchy : public Snooper
         BusOp op = (is_write && !update_protocol) ? BusOp::ReadModWrite
                                                   : BusOp::ReadMiss;
         BusResult br = _bus.broadcast(BusTransaction{op, line, cpuId()});
-        (*_c.misses)++;
+        ++_n[Stat::Misses];
         if (br.suppliedByCache)
-            (*_c.fillsFromCache)++;
+            ++_n[Stat::FillsFromCache];
         else
-            (*_c.fillsFromMemory)++;
+            ++_n[Stat::FillsFromMemory];
 
         if (is_write && !update_protocol) {
             state = CoherenceState::Private; // read-modified-write
@@ -461,8 +483,8 @@ class CacheHierarchy : public Snooper
         if (is_write && br.shared) {
             // Propagate the write to the other copies and memory.
             _bus.broadcast(BusTransaction{BusOp::Update, line, cpuId()});
-            (*_c.updatesSent)++;
-            (*_c.memoryWrites)++;
+            ++_n[Stat::UpdatesSent];
+            ++_n[Stat::MemoryWrites];
             return false;
         }
         return is_write;
@@ -484,12 +506,11 @@ class CacheHierarchy : public Snooper
     // unarmed run and only the soft_* counters, the recovery events and
     // the real extra bus transactions differ.
 
-    /** Strike level-1 cache @p ci; @p site names the site counter. */
-    virtual void strikeL1(unsigned ci, const char *site,
-                          std::uint64_t h) = 0;
+    /** Strike level-1 cache @p ci; @p site is the site counter. */
+    virtual void strikeL1(unsigned ci, Stat site, std::uint64_t h) = 0;
 
     /** Strike the level-2 array. */
-    virtual void strikeL2(const char *site, std::uint64_t h) = 0;
+    virtual void strikeL2(Stat site, std::uint64_t h) = 0;
 
     /** The line a strike with hash @p h lands on (may be empty). */
     template <typename Store>
@@ -514,26 +535,26 @@ class CacheHierarchy : public Snooper
      */
     template <typename Store>
     bool
-    strikeDetected(Store &store, LineRef ref, const char *site,
+    strikeDetected(Store &store, LineRef ref, Stat site,
                    std::uint64_t h, std::uint32_t va, std::uint32_t pa)
     {
-        softCounter(site)++;
+        ++_n.show(site);
         if (!store.line(ref).valid) {
-            softCounter("soft_masked")++;
+            ++_n.show(Stat::SoftMasked);
             return false;
         }
         switch (store.absorbFault(softErrorFlips(h))) {
           case FaultOutcome::Silent:
-            softCounter("soft_silent")++;
+            ++_n.show(Stat::SoftSilent);
             return false;
           case FaultOutcome::Corrected:
-            softCounter("soft_corrected")++;
+            ++_n.show(Stat::SoftCorrected);
             emitEvent(EventKind::FaultCorrected, _refIndex, va, pa);
             return false;
           case FaultOutcome::Detected:
             break;
         }
-        softCounter("soft_detected")++;
+        ++_n.show(Stat::SoftDetected);
         emitEvent(EventKind::FaultDetected, _refIndex, va, pa);
         return true;
     }
@@ -546,13 +567,13 @@ class CacheHierarchy : public Snooper
     void
     refetchStruck(bool over_bus, std::uint32_t va, std::uint32_t pa)
     {
-        softCounter("soft_recovered")++;
+        ++_n.show(Stat::SoftRecovered);
         if (over_bus) {
-            softCounter("soft_refetches_bus")++;
+            ++_n.show(Stat::SoftRefetchesBus);
             _bus.broadcast(BusTransaction{
                 BusOp::ReadMiss, PhysAddr(l2Block(pa)), cpuId()});
         } else {
-            softCounter("soft_refetches_l2")++;
+            ++_n.show(Stat::SoftRefetchesL2);
         }
         emitEvent(EventKind::FaultCorrected, _refIndex, va, pa);
     }
@@ -571,28 +592,25 @@ class CacheHierarchy : public Snooper
     {
         store.noteUncorrectable();
         store.invalidate(ref);
-        softCounter("machine_checks")++;
+        ++_n.show(Stat::MachineChecks);
         emitEvent(EventKind::FaultUnrecoverable, _refIndex, 0, pa);
         throw FaultUnrecoverable(why);
     }
-
-    /** Lazily created soft-error counter (see the stats contract). */
-    Counter &softCounter(const char *name) { return _stats.counter(name); }
 
     /** Count one reference of type @p t. */
     void
     noteRef(RefType t)
     {
-        (*_refsCtr)++;
-        (*_refsByType[static_cast<int>(t)])++;
+        ++_n[Stat::Refs];
+        ++_n[kRefsByType[static_cast<int>(t)]];
     }
 
     /** Count one L1 hit of type @p t. */
     void
     noteL1Hit(RefType t)
     {
-        (*_l1HitsCtr)++;
-        (*_hitsByType[static_cast<int>(t)])++;
+        ++_n[Stat::L1Hits];
+        ++_n[kL1HitsByType[static_cast<int>(t)]];
     }
 
     /** Record a write-back event for the interval histogram. */
@@ -632,35 +650,8 @@ class CacheHierarchy : public Snooper
     Tlb _tlb;
     std::uint64_t _refIndex = 0;
 
-    /**
-     * Stats handles shared by every organization, resolved once at
-     * construction (StatGroup handle contract): the access and snoop
-     * paths increment through these and never perform a string-keyed
-     * lookup.
-     */
-    struct Counters
-    {
-        Counter *writebackCompletions;
-        Counter *wbStalls;
-        Counter *writebacks;
-        Counter *writebackCancels;
-        Counter *l2Hits;
-        Counter *invalidationsSent;
-        Counter *updatesSent;
-        Counter *memoryWrites;
-        Counter *misses;
-        Counter *fillsFromCache;
-        Counter *fillsFromMemory;
-        Counter *l1CoherenceMsgs;
-        Counter *contextSwitches;
-        Counter *l1Flushes;
-        Counter *bufferFlushes;
-        Counter *l1Invalidations;
-        Counter *bufferInvalidations;
-        Counter *l1Updates;
-        Counter *tlbShootdowns;
-    };
-    Counters _c;
+    /** The counters; subclasses increment them directly. */
+    StatGroup<HierarchyStats> _n;
 
   private:
     /** Schedule this reference's array strikes (pure seed hash). */
@@ -674,10 +665,10 @@ class CacheHierarchy : public Snooper
         };
         if (sc.strikes("l1-tag", cpu, _refIndex, sc.tag)) {
             std::uint64_t h = sc.hash("l1-tag-cell", cpu, _refIndex);
-            strikeL1(l1_of(h), "soft_faults_tag", h);
+            strikeL1(l1_of(h), Stat::SoftFaultsTag, h);
         }
         if (sc.strikes("l2-state", cpu, _refIndex, sc.state)) {
-            strikeL2("soft_faults_state",
+            strikeL2(Stat::SoftFaultsState,
                      sc.hash("l2-state-cell", cpu, _refIndex));
         }
         if (_pointerMeta &&
@@ -687,21 +678,16 @@ class CacheHierarchy : public Snooper
             // inclusion bits), chosen by one more hash bit.
             std::uint64_t h = sc.hash("meta-ptr-cell", cpu, _refIndex);
             if (h & 1)
-                strikeL1(l1_of(h >> 1), "soft_faults_ptr", h >> 1);
+                strikeL1(l1_of(h >> 1), Stat::SoftFaultsPtr, h >> 1);
             else
-                strikeL2("soft_faults_ptr", h >> 1);
+                strikeL2(Stat::SoftFaultsPtr, h >> 1);
         }
     }
 
     bool _pointerMeta;
     CpuId _cpuId = invalidCpu;
     EventObserver *_observer = nullptr;
-    StatGroup _stats;
     Histogram _wbIntervals;
-    Counter *_refsCtr;
-    Counter *_l1HitsCtr;
-    Counter *_refsByType[3];
-    Counter *_hitsByType[3];
     std::uint64_t _lastWriteBackRef = 0;
     bool _sawWriteBack = false;
 };

@@ -10,7 +10,9 @@ namespace vrc
 RrNoInclHierarchy::RrNoInclHierarchy(const HierarchyParams &params,
                                      AddressSpaceManager &spaces,
                                      SharedBus &bus)
-    : CacheHierarchy(params, spaces, bus, false, arenaBytes(params)),
+    : CacheHierarchy(params, spaces, bus, false,
+                     HierarchyStats::Every | HierarchyStats::NoInclusion,
+                     arenaBytes(params)),
       _l2(params.l2.geometry(), params.l2.policy, 0xbeef, &_arena)
 {
     const CacheParams l1 = l1CacheParams(params);
@@ -22,11 +24,6 @@ RrNoInclHierarchy::RrNoInclHierarchy(const HierarchyParams &params,
     _l2.setProtection(params.l2.protection);
     _wb.setDrainHandler(
         [this](const WriteBufferEntry &e) { onWriteBufferDrain(e); });
-
-    StatGroup &sg = stats();
-    _own.writebacksBypassingL2 = &sg.handle("writebacks_bypassing_l2");
-    _own.bufferPullbacks = &sg.handle("buffer_pullbacks");
-    _own.l1Probes = &sg.handle("l1_probes");
 
     // Without inclusion the second level cannot prove what the first
     // level holds, so this hierarchy must see every bus transaction:
@@ -49,17 +46,17 @@ RrNoInclHierarchy::onWriteBufferDrain(const WriteBufferEntry &entry)
     // line; absorb the data there if it does, else write memory.
     if (auto l2ref = _l2.find(entry.physBlockAddr)) {
         _l2.line(*l2ref).meta.rdirty = true;
-        (*_c.writebackCompletions)++;
+        ++_n[Stat::WritebackCompletions];
     } else {
-        (*_c.memoryWrites)++;
-        (*_own.writebacksBypassingL2)++;
+        ++_n[Stat::MemoryWrites];
+        ++_n[Stat::WritebacksBypassingL2];
     }
 }
 
 // ===== soft-error recovery (the strike path is CacheHierarchy's) =====
 
 void
-RrNoInclHierarchy::strikeL1(unsigned ci, const char *site, std::uint64_t h)
+RrNoInclHierarchy::strikeL1(unsigned ci, Stat site, std::uint64_t h)
 {
     L1Store &store = *_l1[ci];
     LineRef ref = faultTarget(store, h);
@@ -78,7 +75,7 @@ RrNoInclHierarchy::strikeL1(unsigned ci, const char *site, std::uint64_t h)
 }
 
 void
-RrNoInclHierarchy::strikeL2(const char *site, std::uint64_t h)
+RrNoInclHierarchy::strikeL2(Stat site, std::uint64_t h)
 {
     LineRef ref = faultTarget(_l2, h);
     std::uint32_t line_addr = _l2.lineAddr(ref);
@@ -120,8 +117,8 @@ RrNoInclHierarchy::access(const MemAccess &acc)
     L1Store::Line victim = store.line(slot);
     if (victim.valid && victim.meta.dirty) {
         if (_wb.push(store.lineAddr(slot), _refIndex))
-            (*_c.wbStalls)++;
-        (*_c.writebacks)++;
+            ++_n[Stat::WbStalls];
+        ++_n[Stat::Writebacks];
         noteWriteBack(_refIndex);
     }
     store.invalidate(slot);
@@ -131,9 +128,9 @@ RrNoInclHierarchy::access(const MemAccess &acc)
         L1Store::Line l = store.fill(slot, pa_block);
         l.meta.dirty = true;
         l.meta.state = CoherenceState::Private;
-        (*_c.writebackCancels)++;
-        (*_c.l2Hits)++;
-        (*_own.bufferPullbacks)++;
+        ++_n[Stat::WritebackCancels];
+        ++_n[Stat::L2Hits];
+        ++_n[Stat::BufferPullbacks];
         return AccessOutcome::L2Hit;
     }
 
@@ -146,7 +143,7 @@ RrNoInclHierarchy::access(const MemAccess &acc)
         L1Store::Line l = store.fill(slot, pa_block);
         l.meta.dirty = dirty;
         l.meta.state = l2l.meta.state;
-        (*_c.l2Hits)++;
+        ++_n[Stat::L2Hits];
         return AccessOutcome::L2Hit;
     }
 
@@ -156,7 +153,7 @@ RrNoInclHierarchy::access(const MemAccess &acc)
     L2Store::Line l2victim = _l2.line(l2slot);
     if (l2victim.valid) {
         if (l2victim.meta.rdirty)
-            (*_c.memoryWrites)++;
+            ++_n[Stat::MemoryWrites];
         emitEvent(EventKind::L2Evict, _refIndex, 0,
                   _l2.lineAddr(l2slot));
     }
@@ -179,7 +176,7 @@ void
 RrNoInclHierarchy::contextSwitch(ProcessId new_pid)
 {
     (void)new_pid;  // physical tags survive context switches
-    (*_c.contextSwitches)++;
+    ++_n[Stat::ContextSwitches];
 }
 
 SnoopResult
@@ -191,8 +188,8 @@ RrNoInclHierarchy::snoop(const BusTransaction &tx)
 
     // Without inclusion every foreign transaction disturbs level 1:
     // the level-2 directory cannot prove absence.
-    (*_c.l1CoherenceMsgs)++;
-    (*_own.l1Probes)++;
+    ++_n[Stat::L1CoherenceMsgs];
+    ++_n[Stat::L1Probes];
 
     if (tx.op == BusOp::Update) {
         // Foreign write-update: refresh every copy in place; memory was
@@ -206,7 +203,7 @@ RrNoInclHierarchy::snoop(const BusTransaction &tx)
                     l.meta.dirty = false;
                     l.meta.state = CoherenceState::Shared;
                     res.sharedAck = true;
-                    (*_c.l1Updates)++;
+                    ++_n[Stat::L1Updates];
                 }
             }
         }
@@ -235,25 +232,25 @@ RrNoInclHierarchy::snoop(const BusTransaction &tx)
                     // Flush: supply the block and clean the copy.
                     l.meta.dirty = false;
                     res.suppliedData = true;
-                    (*_c.l1Flushes)++;
-                    (*_c.memoryWrites)++;
+                    ++_n[Stat::L1Flushes];
+                    ++_n[Stat::MemoryWrites];
                 }
                 l.meta.state = CoherenceState::Shared;
             }
             if (inval_part) {
                 _l1[ci]->invalidate(*hit);
-                (*_c.l1Invalidations)++;
+                ++_n[Stat::L1Invalidations];
             }
         }
         // The write buffer snoops too.
         if (read_part && _wb.contains(sub_addr)) {
             _wb.remove(sub_addr);
             res.suppliedData = true;
-            (*_c.bufferFlushes)++;
-            (*_c.memoryWrites)++;
+            ++_n[Stat::BufferFlushes];
+            ++_n[Stat::MemoryWrites];
         } else if (inval_part && _wb.contains(sub_addr)) {
             _wb.remove(sub_addr);
-            (*_c.bufferInvalidations)++;
+            ++_n[Stat::BufferInvalidations];
         }
     }
 
@@ -265,7 +262,7 @@ RrNoInclHierarchy::snoop(const BusTransaction &tx)
             if (l2l.meta.rdirty) {
                 l2l.meta.rdirty = false;
                 res.suppliedData = true;
-                (*_c.memoryWrites)++;
+                ++_n[Stat::MemoryWrites];
             }
             l2l.meta.state = CoherenceState::Shared;
         }

@@ -101,20 +101,11 @@ class RrNoInclHierarchy final : public CacheHierarchy
     // either: a clean one probes level 2 and falls back to a bus
     // refetch, and a dirty one is immediately unrecoverable.
 
-    void strikeL1(unsigned ci, const char *site, std::uint64_t h) override;
-    void strikeL2(const char *site, std::uint64_t h) override;
+    void strikeL1(unsigned ci, Stat site, std::uint64_t h) override;
+    void strikeL2(Stat site, std::uint64_t h) override;
 
     std::array<std::unique_ptr<L1Store>, 2> _l1;
     L2Store _l2;
-
-    /** This organization's own stats handles (see CacheHierarchy). */
-    struct OwnCounters
-    {
-        Counter *writebacksBypassingL2;
-        Counter *bufferPullbacks;
-        Counter *l1Probes;
-    };
-    OwnCounters _own;
 };
 
 } // namespace vrc

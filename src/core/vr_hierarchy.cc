@@ -12,7 +12,12 @@ namespace vrc
 VrHierarchy::VrHierarchy(const HierarchyParams &params,
                          AddressSpaceManager &spaces, SharedBus &bus,
                          bool l1_virtual, SynonymOrg synonym_org)
-    : CacheHierarchy(params, spaces, bus, true, arenaBytes(params)),
+    : CacheHierarchy(params, spaces, bus, true,
+                     HierarchyStats::Every | HierarchyStats::VirtualReal |
+                         (synonym_org == SynonymOrg::ReverseLookup
+                              ? HierarchyStats::Rlt
+                              : 0),
+                     arenaBytes(params)),
       _l1Virtual(l1_virtual),
       _r(params.l2, params.l1.blockBytes, 0x2ca1e, &_arena)
 {
@@ -31,27 +36,12 @@ VrHierarchy::VrHierarchy(const HierarchyParams &params,
     _wb.setDrainHandler(
         [this](const WriteBufferEntry &e) { onWriteBufferDrain(e); });
 
-    StatGroup &sg = stats();
-    _own.swappedWritebacks = &sg.handle("swapped_writebacks");
-    _own.synonymSameset = &sg.handle("synonym_sameset");
-    _own.synonymMoves = &sg.handle("synonym_moves");
-    _own.synonymHits = &sg.handle("synonym_hits");
-    _own.synonymFromBuffer = &sg.handle("synonym_from_buffer");
-    _own.inclusionInvalidations = &sg.handle("inclusion_invalidations");
-    _own.forcedRReplacements = &sg.handle("forced_r_replacements");
-    _own.snoops = &sg.handle("snoops");
-    _own.snoopMisses = &sg.handle("snoop_misses");
-    _own.snoopHits = &sg.handle("snoop_hits");
-    if (synonym_org == SynonymOrg::ReverseLookup) {
-        _own.rltConflictInvalidations =
-            &sg.handle("rlt_conflict_invalidations");
-    }
-
     // The R-cache directory covers everything this hierarchy can snoop
     // on (inclusion holds for both V-R and R-R modes), so the bus may
     // skip us whenever our presence bit is clear.
     setCpuId(bus.attach(
-        this, SnoopAgentInfo{true, _own.snoops, _own.snoopMisses}));
+        this, SnoopAgentInfo{true, &_n[Stat::Snoops],
+                             &_n[Stat::SnoopMisses]}));
 }
 
 std::size_t
@@ -76,7 +66,7 @@ VrHierarchy::onWriteBufferDrain(const WriteBufferEntry &entry)
     s.buffer = false;
     s.vdirty = false;
     _r.line(*rref).meta.rdirty = true;
-    (*_c.writebackCompletions)++;
+    ++_n[Stat::WritebackCompletions];
     emitEvent(EventKind::WritebackComplete, _refIndex, 0,
               entry.physBlockAddr);
 }
@@ -101,12 +91,12 @@ VrHierarchy::evictVVictim(VCache &vc, LineRef slot)
         // data as still owned by the level-1 complex.
         s.buffer = true;
         if (_wb.push(victim.meta.physBlockAddr, _refIndex))
-            (*_c.wbStalls)++;
-        (*_c.writebacks)++;
+            ++_n[Stat::WbStalls];
+        ++_n[Stat::Writebacks];
         emitEvent(EventKind::WritebackParked, _refIndex, 0,
                   victim.meta.physBlockAddr);
         if (victim.meta.swappedValid) {
-            (*_own.swappedWritebacks)++;
+            ++_n[Stat::SwappedWritebacks];
             emitEvent(EventKind::SwappedWriteback, _refIndex, 0,
                       victim.meta.physBlockAddr);
         }
@@ -142,8 +132,8 @@ VrHierarchy::backInvalidateChild(PhysAddr pa, const SynonymChild &child)
     panicIfNot(ref.has_value(),
                "directory conflict victim has no level-1 line");
     evictVVictim(oc, *ref);
-    (*_own.rltConflictInvalidations)++;
-    (*_c.l1CoherenceMsgs)++;
+    ++_n[Stat::RltConflictInvalidations];
+    ++_n[Stat::L1CoherenceMsgs];
     emitEvent(EventKind::RltConflictInvalidation, _refIndex,
               child.childAddrBlock, pa.value());
 }
@@ -230,7 +220,7 @@ VrHierarchy::handleRHit(RefType type, VirtAddr l1_key, unsigned ci,
             // sameset: re-tag in place, no data movement.
             oc.retag(*child, l1_key);
             data_slot = *child;
-            (*_own.synonymSameset)++;
+            ++_n[Stat::SynonymSameset];
             emitEvent(EventKind::SynonymSameset, _refIndex,
                       l1_key.value(), pa.value());
         } else {
@@ -238,14 +228,14 @@ VrHierarchy::handleRHit(RefType type, VirtAddr l1_key, unsigned ci,
             bool was_dirty = oc.line(*child).meta.dirty;
             oc.invalidate(*child);
             vc.install(slot, l1_key, pa.value(), was_dirty);
-            (*_own.synonymMoves)++;
+            ++_n[Stat::SynonymMoves];
             emitEvent(EventKind::SynonymMove, _refIndex,
                       l1_key.value(), pa.value());
         }
         // Retarget the existing link in place (same physical block, so
         // a bounded directory can never take a conflict here).
         _dir->link(pa, ci, va_block, _backInvalidate);
-        (*_own.synonymHits)++;
+        ++_n[Stat::SynonymHits];
         outcome = AccessOutcome::SynonymHit;
     } else if (s.buffer) {
         // The block sits in the write buffer (for a direct-mapped
@@ -258,11 +248,11 @@ VrHierarchy::handleRHit(RefType type, VirtAddr l1_key, unsigned ci,
         s.inclusion = true;
         _dir->link(pa, ci, va_block, _backInvalidate);
         panicIfNot(s.vdirty, "buffered block lost its vdirty bit");
-        (*_c.writebackCancels)++;
+        ++_n[Stat::WritebackCancels];
         emitEvent(EventKind::WritebackCancel, _refIndex,
                   l1_key.value(), pa.value());
-        (*_own.synonymHits)++;
-        (*_own.synonymFromBuffer)++;
+        ++_n[Stat::SynonymHits];
+        ++_n[Stat::SynonymFromBuffer];
         outcome = AccessOutcome::SynonymHit;
     } else {
         // Plain second-level hit: data supply to the V-cache.
@@ -270,7 +260,7 @@ VrHierarchy::handleRHit(RefType type, VirtAddr l1_key, unsigned ci,
         s.inclusion = !_params.mutations.dropInclusionUpdate;
         _dir->link(pa, ci, va_block, _backInvalidate);
         s.vdirty = false;
-        (*_c.l2Hits)++;
+        ++_n[Stat::L2Hits];
         emitEvent(EventKind::L2Hit, _refIndex, l1_key.value(),
                   pa.value());
         outcome = AccessOutcome::L2Hit;
@@ -349,8 +339,8 @@ VrHierarchy::evictRLine(LineRef rslot, bool forced)
             oc.invalidate(*child);
             s.inclusion = false;
             _dir->unlink(sub_pa);
-            (*_own.inclusionInvalidations)++;
-            (*_c.l1CoherenceMsgs)++;
+            ++_n[Stat::InclusionInvalidations];
+            ++_n[Stat::L1CoherenceMsgs];
             emitEvent(EventKind::InclusionInvalidation, _refIndex,
                       link->childAddrBlock, sub_addr);
             panicIfNot(forced,
@@ -359,18 +349,18 @@ VrHierarchy::evictRLine(LineRef rslot, bool forced)
         s.vdirty = false;
     }
     if (dirty_data)
-        (*_c.memoryWrites)++;
+        ++_n[Stat::MemoryWrites];
     emitEvent(EventKind::L2Evict, _refIndex, 0, line_addr);
     _r.invalidate(rslot);
     _bus.noteBlockUncached(cpuId(), line_addr);
     if (forced)
-        (*_own.forcedRReplacements)++;
+        ++_n[Stat::ForcedRReplacements];
 }
 
 // ===== soft-error recovery (the strike path is CacheHierarchy's) =====
 
 void
-VrHierarchy::strikeL1(unsigned ci, const char *site, std::uint64_t h)
+VrHierarchy::strikeL1(unsigned ci, Stat site, std::uint64_t h)
 {
     VCache &vc = *_l1[ci];
     LineRef ref = faultTarget(vc.tags(), h);
@@ -403,7 +393,7 @@ VrHierarchy::strikeL1(unsigned ci, const char *site, std::uint64_t h)
 }
 
 void
-VrHierarchy::strikeL2(const char *site, std::uint64_t h)
+VrHierarchy::strikeL2(Stat site, std::uint64_t h)
 {
     LineRef rref = faultTarget(_r.tags(), h);
     std::uint32_t line_addr = _r.lineAddr(rref);
@@ -451,7 +441,7 @@ VrHierarchy::strikeL2(const char *site, std::uint64_t h)
         if (l.valid)
             _bus.noteBlockCached(cpuId(), _r.lineAddr(ref));
     });
-    softCounter("presence_scrubs")++;
+    ++_n.show(Stat::PresenceScrubs);
 }
 
 void
@@ -465,7 +455,7 @@ VrHierarchy::contextSwitch(ProcessId new_pid)
             _l1[i]->markAllSwapped();
     }
     // Physical tags (R-R mode) stay valid across switches.
-    (*_c.contextSwitches)++;
+    ++_n[Stat::ContextSwitches];
     emitEvent(EventKind::ContextSwitch, _refIndex);
 }
 
@@ -486,9 +476,9 @@ VrHierarchy::snoopReadMiss(LineRef rref)
             oc->line(child).meta.dirty = false;
             s.vdirty = false;
             res.suppliedData = true;
-            (*_c.l1CoherenceMsgs)++;
-            (*_c.l1Flushes)++;
-            (*_c.memoryWrites)++;
+            ++_n[Stat::L1CoherenceMsgs];
+            ++_n[Stat::L1Flushes];
+            ++_n[Stat::MemoryWrites];
             emitEvent(EventKind::L1Flush, _refIndex,
                       oc->lineVAddr(child), sub_addr);
         } else if (s.buffer && s.vdirty) {
@@ -498,16 +488,16 @@ VrHierarchy::snoopReadMiss(LineRef rref)
             s.buffer = false;
             s.vdirty = false;
             res.suppliedData = true;
-            (*_c.l1CoherenceMsgs)++;
-            (*_c.bufferFlushes)++;
-            (*_c.memoryWrites)++;
+            ++_n[Stat::L1CoherenceMsgs];
+            ++_n[Stat::BufferFlushes];
+            ++_n[Stat::MemoryWrites];
             emitEvent(EventKind::BufferFlush, _refIndex, 0, sub_addr);
         }
     }
     if (rline.meta.rdirty) {
         rline.meta.rdirty = false;
         res.suppliedData = true;
-        (*_c.memoryWrites)++;
+        ++_n[Stat::MemoryWrites];
     }
     rline.meta.state = CoherenceState::Shared;
     return res;
@@ -527,8 +517,8 @@ VrHierarchy::snoopInvalidate(LineRef rref)
             oc->invalidate(child);
             s.inclusion = false;
             _dir->unlink(PhysAddr(sub_addr));
-            (*_c.l1CoherenceMsgs)++;
-            (*_c.l1Invalidations)++;
+            ++_n[Stat::L1CoherenceMsgs];
+            ++_n[Stat::L1Invalidations];
             emitEvent(EventKind::L1Invalidation, _refIndex,
                       child_block, sub_addr);
         }
@@ -537,8 +527,8 @@ VrHierarchy::snoopInvalidate(LineRef rref)
             auto e = _wb.remove(sub_addr);
             panicIfNot(e.has_value(), "buffer bit with no buffer entry");
             s.buffer = false;
-            (*_c.l1CoherenceMsgs)++;
-            (*_c.bufferInvalidations)++;
+            ++_n[Stat::L1CoherenceMsgs];
+            ++_n[Stat::BufferInvalidations];
             emitEvent(EventKind::BufferInvalidation, _refIndex, 0,
                       sub_addr);
         }
@@ -567,8 +557,8 @@ VrHierarchy::snoopUpdate(LineRef rref)
                 directoryChild(PhysAddr(_r.subBlockAddr(rref, i)));
             oc->line(child).meta.dirty = false;
             s.vdirty = false;
-            (*_c.l1CoherenceMsgs)++;
-            (*_c.l1Updates)++;
+            ++_n[Stat::L1CoherenceMsgs];
+            ++_n[Stat::L1Updates];
             emitEvent(EventKind::L1Update, _refIndex,
                       oc->lineVAddr(child), _r.lineAddr(rref));
         }
@@ -583,12 +573,12 @@ VrHierarchy::snoop(const BusTransaction &tx)
 {
     SnoopResult res;
     auto rref = _r.probe(tx.blockAddr);
-    (*_own.snoops)++;
+    ++_n[Stat::Snoops];
     if (!rref) {
-        (*_own.snoopMisses)++;
+        ++_n[Stat::SnoopMisses];
         return res;
     }
-    (*_own.snoopHits)++;
+    ++_n[Stat::SnoopHits];
 
     switch (tx.op) {
       case BusOp::ReadMiss:

@@ -177,8 +177,8 @@ class VrHierarchy final : public CacheHierarchy
     // detected strike -- a dirty V line, or an R line with a dirty child,
     // parked write-back or rdirty bit -- is a machine check.
 
-    void strikeL1(unsigned ci, const char *site, std::uint64_t h) override;
-    void strikeL2(const char *site, std::uint64_t h) override;
+    void strikeL1(unsigned ci, Stat site, std::uint64_t h) override;
+    void strikeL2(Stat site, std::uint64_t h) override;
 
     bool _l1Virtual;
 
@@ -192,29 +192,6 @@ class VrHierarchy final : public CacheHierarchy
      */
     std::unique_ptr<SynonymDirectory> _dir;
     SynonymDirectory::BackInvalidate _backInvalidate;
-
-    /** This organization's own stats handles (see CacheHierarchy). */
-    struct OwnCounters
-    {
-        Counter *swappedWritebacks;
-        Counter *synonymSameset;
-        Counter *synonymMoves;
-        Counter *synonymHits;
-        Counter *synonymFromBuffer;
-        Counter *inclusionInvalidations;
-        Counter *forcedRReplacements;
-        Counter *snoops;
-        Counter *snoopMisses;
-        Counter *snoopHits;
-
-        /**
-         * Registered only for the reverse-lookup-table organization so
-         * pointer-organization stat dumps stay byte-identical to the
-         * pre-directory code.
-         */
-        Counter *rltConflictInvalidations = nullptr;
-    };
-    OwnCounters _own;
 };
 
 } // namespace vrc

@@ -25,6 +25,8 @@ namespace vrc
 namespace
 {
 
+using Stat = HierarchyStat;
+
 using SizePairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 using Kinds = std::vector<HierarchyKind>;
 
@@ -255,10 +257,10 @@ table3(const ArtifactRun &run, std::ostream &out)
     const Histogram &h = sim.hierarchy(0).writeBackIntervals();
     printIntervalHistogram(h, out);
     const auto &stats = sim.hierarchy(0).stats();
-    out << "\nwrite-backs by CPU 0: " << stats.value("writebacks")
-        << " (of which swapped: " << stats.value("swapped_writebacks")
+    out << "\nwrite-backs by CPU 0: " << stats[Stat::Writebacks]
+        << " (of which swapped: " << stats[Stat::SwappedWritebacks]
         << ")\n";
-    out << "write-back buffer stalls: " << stats.value("wb_stalls")
+    out << "write-back buffer stalls: " << stats[Stat::WbStalls]
         << " (paper: negligible with a single buffer)\n";
     out << "long intervals (>=10) share: "
         << percent(h.overflowCount(), h.samples())
@@ -608,8 +610,8 @@ inclusionInvalidations(const ArtifactRun &run, std::ostream &out)
                     mc.hierarchy.l2.assoc = c.assoc;
                 });
             return std::array<std::uint64_t, 3>{
-                sim->totalCounter("inclusion_invalidations"),
-                sim->totalCounter("forced_r_replacements"),
+                sim->totalCounter(Stat::InclusionInvalidations),
+                sim->totalCounter(Stat::ForcedRReplacements),
                 sim->refsProcessed()};
         });
 
@@ -751,11 +753,11 @@ protocolAblation(const ArtifactRun &run, std::ostream &out)
             t.row()
                 .cell(coherencePolicyName(policies[i]))
                 .cell(sim.h1(), 4)
-                .cell(sim.totalCounter("misses"))
+                .cell(sim.totalCounter(Stat::Misses))
                 .cell(sim.bus().transactions())
-                .cell(sim.bus().stats().value("update"))
-                .cell(sim.totalCounter("l1_coherence_msgs"))
-                .cell(sim.totalCounter("memory_writes"));
+                .cell(sim.bus().stats()[BusStat::Update])
+                .cell(sim.totalCounter(Stat::L1CoherenceMsgs))
+                .cell(sim.totalCounter(Stat::MemoryWrites));
         }
         out << t << "\n";
     }
@@ -787,9 +789,9 @@ ablation(const ArtifactRun &run, std::ostream &out)
                          });
         wb.row()
             .cell(std::uint64_t{depth})
-            .cell(sim->totalCounter("wb_stalls"))
-            .cell(sim->totalCounter("writebacks"))
-            .cell(sim->totalCounter("writeback_cancels"))
+            .cell(sim->totalCounter(Stat::WbStalls))
+            .cell(sim->totalCounter(Stat::Writebacks))
+            .cell(sim->totalCounter(Stat::WritebackCancels))
             .cell(sim->h1(), 4);
     }
     out << wb << "\n";
@@ -805,8 +807,8 @@ ablation(const ArtifactRun &run, std::ostream &out)
                          });
         as.row()
             .cell(std::uint64_t{assoc})
-            .cell(sim->totalCounter("inclusion_invalidations"))
-            .cell(sim->totalCounter("forced_r_replacements"))
+            .cell(sim->totalCounter(Stat::InclusionInvalidations))
+            .cell(sim->totalCounter(Stat::ForcedRReplacements))
             .cell(sim->h2(), 4);
     }
     out << as << "\n";
@@ -827,7 +829,7 @@ ablation(const ArtifactRun &run, std::ostream &out)
             .cell(replPolicyName(policy))
             .cell(sim->h1(), 4)
             .cell(sim->h2(), 4)
-            .cell(sim->totalCounter("misses"));
+            .cell(sim->totalCounter(Stat::Misses));
     }
     out << rp << "\n";
 
@@ -846,7 +848,7 @@ ablation(const ArtifactRun &run, std::ostream &out)
             .cell(sim->h1(), 4)
             .cell(sim->h2(), 4)
             .cell(sim->bus().transactions())
-            .cell(sim->totalCounter("inclusion_invalidations"));
+            .cell(sim->totalCounter(Stat::InclusionInvalidations));
     }
     out << br << "\n";
 
@@ -855,13 +857,13 @@ ablation(const ArtifactRun &run, std::ostream &out)
     out << "--- level-1 write policy traffic (pops, 16K/256K) ---\n";
     auto sim =
         runVr(bundle, 16 * 1024, 256 * 1024, [](MachineConfig &) {});
-    std::uint64_t writes = sim->totalCounter("refs_write");
-    std::uint64_t writebacks = sim->totalCounter("writebacks");
+    std::uint64_t writes = sim->totalCounter(Stat::RefsWrite);
+    std::uint64_t writebacks = sim->totalCounter(Stat::Writebacks);
     TextTable wp = headed({"policy", "L1->L2 write transfers"});
     wp.row().cell("write-through (every write)").cell(writes);
     wp.row().cell("write-back (dirty replacements)").cell(writebacks);
     wp.row().cell("  of which canceled by synonyms").cell(
-        sim->totalCounter("writeback_cancels"));
+        sim->totalCounter(Stat::WritebackCancels));
     out << wp;
     if (writebacks > 0) {
         out << "traffic ratio (WT/WB): "
@@ -950,10 +952,10 @@ tlbStudy(const ArtifactRun &run, std::ostream &out)
 }
 
 /** The strike outcomes the AVF study reports, in column order. */
-const char *const kAvfCounters[] = {
-    "soft_silent",       "soft_corrected",     "soft_detected",
-    "soft_recovered",    "soft_refetches_l2",  "soft_refetches_bus",
-    "machine_checks"};
+constexpr Stat kAvfCounters[] = {
+    Stat::SoftSilent,      Stat::SoftCorrected,    Stat::SoftDetected,
+    Stat::SoftRecovered,   Stat::SoftRefetchesL2,  Stat::SoftRefetchesBus,
+    Stat::MachineChecks};
 
 /** How one AVF cell's strikes resolved. */
 struct AvfCell
@@ -984,7 +986,7 @@ runAvfCell(const TraceBundle &bundle, HierarchyKind kind,
     } catch (const FaultUnrecoverable &) {
         r.halted = true;
     }
-    for (const char *counter : kAvfCounters)
+    for (Stat counter : kAvfCounters)
         r.counters.push_back(sim.totalCounter(counter));
     r.busTransactions = sim.bus().transactions();
     return r;

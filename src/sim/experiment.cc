@@ -56,19 +56,19 @@ summarizeSimulation(const MpSimulator &sim, const SimJob &job)
     s.h1Instr = sim.h1ForType(RefType::Instr);
     s.h1Read = sim.h1ForType(RefType::Read);
     s.h1Write = sim.h1ForType(RefType::Write);
+    using Stat = HierarchyStat;
     for (CpuId c = 0; c < sim.cpuCount(); ++c) {
         s.l1MsgsPerCpu.push_back(
-            sim.hierarchy(c).stats().value("l1_coherence_msgs"));
+            sim.hierarchy(c).stats()[Stat::L1CoherenceMsgs]);
     }
-    s.inclusionInvalidations =
-        sim.totalCounter("inclusion_invalidations");
-    s.synonymHits = sim.totalCounter("synonym_hits");
-    s.synonymMoves = sim.totalCounter("synonym_moves");
-    s.writebackCancels = sim.totalCounter("writeback_cancels");
-    s.swappedWritebacks = sim.totalCounter("swapped_writebacks");
-    s.writeBufferStalls = sim.totalCounter("wb_stalls");
+    s.inclusionInvalidations = sim.totalCounter(Stat::InclusionInvalidations);
+    s.synonymHits = sim.totalCounter(Stat::SynonymHits);
+    s.synonymMoves = sim.totalCounter(Stat::SynonymMoves);
+    s.writebackCancels = sim.totalCounter(Stat::WritebackCancels);
+    s.swappedWritebacks = sim.totalCounter(Stat::SwappedWritebacks);
+    s.writeBufferStalls = sim.totalCounter(Stat::WbStalls);
     s.busTransactions = sim.bus().transactions();
-    s.memoryWrites = sim.totalCounter("memory_writes");
+    s.memoryWrites = sim.totalCounter(Stat::MemoryWrites);
     s.refs = sim.refsProcessed();
     s.timingMode = sim.timingMode();
     s.avgAccessTime = sim.measuredAccessTime();

@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <sstream>
+#include <string_view>
 
 namespace vrc
 {
@@ -10,7 +11,7 @@ namespace
 {
 
 void
-field(std::ostringstream &os, const char *name, double v, bool &first)
+field(std::ostringstream &os, std::string_view name, double v, bool &first)
 {
     if (!first)
         os << ",";
@@ -19,7 +20,7 @@ field(std::ostringstream &os, const char *name, double v, bool &first)
 }
 
 void
-field(std::ostringstream &os, const char *name, std::uint64_t v,
+field(std::ostringstream &os, std::string_view name, std::uint64_t v,
       bool &first)
 {
     if (!first)
@@ -29,7 +30,7 @@ field(std::ostringstream &os, const char *name, std::uint64_t v,
 }
 
 void
-field(std::ostringstream &os, const char *name, const std::string &v,
+field(std::ostringstream &os, std::string_view name, const std::string &v,
       bool &first)
 {
     if (!first)
@@ -102,16 +103,16 @@ toJson(const MpSimulator &sim)
     field(os, "bus_wait_ticks", sim.busWaitTime(), first);
     os << ",\"bus\":{";
     bool bfirst = true;
-    for (const auto &[key, ctr] : sim.bus().stats().all())
-        field(os, key.c_str(), ctr.value(), bfirst);
+    for (const auto &[key, n] : sim.bus().stats().all())
+        field(os, key, n, bfirst);
     os << "},\"per_cpu\":[";
     for (CpuId c = 0; c < sim.cpuCount(); ++c) {
         if (c)
             os << ",";
         os << "{";
         bool cfirst = true;
-        for (const auto &[key, ctr] : sim.hierarchy(c).stats().all())
-            field(os, key.c_str(), ctr.value(), cfirst);
+        for (const auto &[key, n] : sim.hierarchy(c).stats().all())
+            field(os, key, n, cfirst);
         os << "}";
     }
     os << "]}";

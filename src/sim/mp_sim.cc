@@ -258,8 +258,8 @@ MpSimulator::run(TraceStream &stream)
 double
 MpSimulator::h1() const
 {
-    std::uint64_t refs = totalCounter("refs");
-    std::uint64_t hits = totalCounter("l1_hits");
+    std::uint64_t refs = totalCounter(HierarchyStat::Refs);
+    std::uint64_t hits = totalCounter(HierarchyStat::L1Hits);
     return refs ? static_cast<double>(hits) / static_cast<double>(refs)
                 : 0.0;
 }
@@ -267,10 +267,10 @@ MpSimulator::h1() const
 double
 MpSimulator::h2() const
 {
-    std::uint64_t refs = totalCounter("refs");
-    std::uint64_t hits = totalCounter("l1_hits");
-    std::uint64_t l2 =
-        totalCounter("l2_hits") + totalCounter("synonym_hits");
+    std::uint64_t refs = totalCounter(HierarchyStat::Refs);
+    std::uint64_t hits = totalCounter(HierarchyStat::L1Hits);
+    std::uint64_t l2 = totalCounter(HierarchyStat::L2Hits) +
+        totalCounter(HierarchyStat::SynonymHits);
     std::uint64_t miss1 = refs - hits;
     return miss1 ? static_cast<double>(l2) / static_cast<double>(miss1)
                  : 0.0;
@@ -279,19 +279,24 @@ MpSimulator::h2() const
 double
 MpSimulator::h1ForType(RefType t) const
 {
-    // Keys are fixed: build them once, not per call.
-    static const std::string ref_keys[3] = {"refs_instr", "refs_read",
-                                            "refs_write"};
-    static const std::string hit_keys[3] = {
-        "l1_hits_instr", "l1_hits_read", "l1_hits_write"};
-    std::uint64_t refs = totalCounter(ref_keys[static_cast<int>(t)]);
-    std::uint64_t hits = totalCounter(hit_keys[static_cast<int>(t)]);
+    const int i = static_cast<int>(t);
+    std::uint64_t refs = totalCounter(CacheHierarchy::kRefsByType[i]);
+    std::uint64_t hits = totalCounter(CacheHierarchy::kL1HitsByType[i]);
     return refs ? static_cast<double>(hits) / static_cast<double>(refs)
                 : 0.0;
 }
 
 std::uint64_t
-MpSimulator::totalCounter(const std::string &name) const
+MpSimulator::totalCounter(HierarchyStat s) const
+{
+    std::uint64_t total = 0;
+    for (const auto &cpu : _cpus)
+        total += cpu->stats()[s];
+    return total;
+}
+
+std::uint64_t
+MpSimulator::totalCounter(std::string_view name) const
 {
     std::uint64_t total = 0;
     for (const auto &cpu : _cpus)

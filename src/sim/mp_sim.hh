@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "coherence/bus.hh"
@@ -140,8 +141,11 @@ class MpSimulator
     /** Machine-wide level-1 hit ratio for one reference type. */
     double h1ForType(RefType t) const;
 
-    /** Sum of a named counter over all CPUs. */
-    std::uint64_t totalCounter(const std::string &name) const;
+    /** Sum of one hierarchy counter over all CPUs. */
+    std::uint64_t totalCounter(HierarchyStat s) const;
+
+    /** Sum of a named hierarchy counter over all CPUs (0 if unknown). */
+    std::uint64_t totalCounter(std::string_view name) const;
 
     /** References processed (memory references only). */
     std::uint64_t refsProcessed() const { return _refs; }

@@ -47,7 +47,7 @@ Tlb::translate(ProcessId pid, Vpn vpn, AddressSpaceManager &spaces)
     if (hit != _assoc) {
         Slot &s = _slots[base + hit];
         s.lruStamp = _clock;
-        (*_hits)++;
+        ++_hits;
         return s.ppn;
     }
 
@@ -64,7 +64,7 @@ Tlb::translate(ProcessId pid, Vpn vpn, AddressSpaceManager &spaces)
         if (_slots[base + w].lruStamp < _slots[base + vw].lruStamp)
             vw = w;
     }
-    (*_misses)++;
+    ++_misses;
 
     std::uint32_t page_size = spaces.pageSize();
     PhysAddr pa =

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/counter.hh"
 #include "base/types.hh"
 
 namespace vrc
@@ -60,10 +59,8 @@ class Tlb
     /** Invalidate everything. */
     void flush();
 
-    std::uint64_t hits() const { return _hits->value(); }
-    std::uint64_t misses() const { return _misses->value(); }
-
-    const StatGroup &stats() const { return _stats; }
+    std::uint64_t hits() const { return _hits; }
+    std::uint64_t misses() const { return _misses; }
 
     std::uint32_t numEntries() const { return _numSets * _assoc; }
     std::uint32_t associativity() const { return _assoc; }
@@ -96,12 +93,8 @@ class Tlb
     std::vector<std::uint64_t> _keys;  ///< set-major; kInvalidKey = empty
     std::vector<Slot> _slots;          ///< parallel to _keys
     std::uint64_t _clock = 0;
-    mutable StatGroup _stats{"tlb"};
-
-    /** Construction-resolved handles; translate() never does a
-     *  string-keyed lookup (StatGroup handle contract). */
-    Counter *_hits = &_stats.handle("hits");
-    Counter *_misses = &_stats.handle("misses");
+    std::uint64_t _hits = 0;
+    std::uint64_t _misses = 0;
 };
 
 } // namespace vrc

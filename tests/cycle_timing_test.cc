@@ -28,13 +28,13 @@ expectIdenticalCounters(const MpSimulator &a, const MpSimulator &b)
         const auto &sa = a.hierarchy(c).stats();
         const auto &sb = b.hierarchy(c).stats();
         ASSERT_EQ(sa.all().size(), sb.all().size()) << "cpu " << c;
-        for (const auto &[key, ctr] : sa.all()) {
-            EXPECT_EQ(ctr.value(), sb.value(key))
+        for (const auto &[key, n] : sa.all()) {
+            EXPECT_EQ(n, sb.value(key))
                 << "cpu " << c << " counter " << key;
         }
     }
-    for (const auto &[key, ctr] : a.bus().stats().all())
-        EXPECT_EQ(ctr.value(), b.bus().stats().value(key))
+    for (const auto &[key, n] : a.bus().stats().all())
+        EXPECT_EQ(n, b.bus().stats().value(key))
             << "bus counter " << key;
     EXPECT_EQ(a.bus().transactions(), b.bus().transactions());
     EXPECT_EQ(a.refsProcessed(), b.refsProcessed());

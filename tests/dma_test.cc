@@ -104,9 +104,9 @@ TEST_F(DmaTest, DmaRangeCoversAllBlocks)
 {
     // Bytes [8, 50) straddle four 16-byte blocks.
     dma->read(PhysAddr(5 * kPage + 8), 42);
-    EXPECT_EQ(dma->stats().value("blocks_read"), 4u);
+    EXPECT_EQ(dma->blocksRead(), 4u);
     dma->write(PhysAddr(5 * kPage), 16); // exactly one block
-    EXPECT_EQ(dma->stats().value("blocks_written"), 1u);
+    EXPECT_EQ(dma->blocksWritten(), 1u);
 }
 
 TEST_F(DmaTest, DmaToUncachedMemoryDisturbsNothing)

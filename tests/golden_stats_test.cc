@@ -401,18 +401,19 @@ softErrorAvfLines(const char *spec)
                             std::to_string(refs) + " halt " + halt);
 
             std::map<std::string, std::uint64_t> ctrs;
-            auto collect = [&](const StatGroup &sg) {
-                for (const auto &[key, c] : sg.all()) {
-                    if (key.rfind("soft_", 0) == 0 ||
+            auto collect = [&](const std::string &group,
+                               const auto &stats) {
+                for (const auto &[key, n] : stats.all()) {
+                    if (key.starts_with("soft_") ||
                         key == "machine_checks" ||
                         key == "presence_scrubs") {
-                        ctrs[sg.name() + "." + key] += c.value();
+                        ctrs[group + "." + std::string(key)] += n;
                     }
                 }
             };
             for (CpuId c = 0; c < sim.cpuCount(); ++c)
-                collect(sim.hierarchy(c).stats());
-            collect(sim.bus().stats());
+                collect("hierarchy", sim.hierarchy(c).stats());
+            collect("bus", sim.bus().stats());
             for (const auto &[key, v] : ctrs)
                 lines.push_back("  " + key + " " + std::to_string(v));
             lines.push_back("  bus_transactions " +

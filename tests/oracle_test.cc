@@ -140,7 +140,7 @@ TEST(OracleTest, SilentWithDmaAndRemapTraffic)
 
     EXPECT_TRUE(hits.empty())
         << "false positive: " << (hits.empty() ? "" : hits.front());
-    EXPECT_GT(dma.stats().value("blocks_read"), 0u);
+    EXPECT_GT(dma.blocksRead(), 0u);
     sim.checkInvariants();
 }
 

@@ -99,7 +99,7 @@ TEST_P(SnoopFilterEquivalence, DmaTrafficIdentical)
             }
         }
         sim.checkInvariants();
-        *supplied = dma.stats().value("supplied_by_cache");
+        *supplied = dma.suppliedByCache();
         return toJson(sim);
     };
 

@@ -143,14 +143,12 @@ runOnce(const EquivConfig &cfg)
     }
     for (CpuId c = 0; c < sim.cpuCount(); ++c) {
         std::string prefix = "cpu" + std::to_string(c) + ".";
-        for (const auto &[key, ctr] :
-             sim.hierarchy(c).stats().all()) {
-            r.counters[prefix + key] = ctr.value();
-        }
+        for (const auto &[key, n] : sim.hierarchy(c).stats().all())
+            r.counters[prefix + std::string(key)] = n;
         r.events.push_back(observers[c].events());
     }
-    for (const auto &[key, ctr] : sim.bus().stats().all())
-        r.counters["bus." + key] = ctr.value();
+    for (const auto &[key, n] : sim.bus().stats().all())
+        r.counters["bus." + std::string(key)] = n;
     r.h1Bits = bits(sim.h1());
     r.h2Bits = bits(sim.h2());
     r.accessTimeBits = bits(sim.measuredAccessTime());

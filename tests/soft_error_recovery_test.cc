@@ -384,7 +384,7 @@ TEST_F(SoftErrorTest, LostBusTransactionsAreRetried)
     sim.run(bundle().records);
     sim.checkInvariants();
 
-    const StatGroup &bs = sim.bus().stats();
+    const auto &bs = sim.bus().stats();
     EXPECT_GT(bs.value("soft_timeouts"), 0u);
     EXPECT_EQ(bs.value("soft_timeouts"), bs.value("soft_retries"));
 

@@ -142,6 +142,16 @@ usage()
     std::exit(2);
 }
 
+/** A usage or configuration error: report it and exit 2. */
+template <typename... Args>
+[[noreturn]] void
+usageError(const Args &...args)
+{
+    std::cerr << "vrc_sim: ";
+    (std::cerr << ... << args) << std::endl;
+    std::exit(2);
+}
+
 /**
  * Fail fast when an output path cannot be opened for writing, instead
  * of discovering it only after a long campaign has already run.
@@ -173,7 +183,7 @@ parseOrg(const std::string &s)
 {
     if (auto kind = hierarchyKindFromArg(s))
         return *kind;
-    fatal("unknown organization: ", s, " (try --list-orgs)");
+    usageError("unknown organization: ", s, " (try --list-orgs)");
 }
 
 /** --list-orgs: one line per organization, argument first. */
@@ -424,7 +434,7 @@ main(int argc, char **argv)
         else if (argValue(argv[i], "--timing", value)) {
             std::optional<TimingMode> m = parseTimingMode(value);
             if (!m)
-                fatal("unknown timing mode: ", value);
+                usageError("unknown timing mode: ", value);
             timing_mode = *m;
         } else if (std::strcmp(argv[i], "--split") == 0)
             split = true;
@@ -499,24 +509,24 @@ main(int argc, char **argv)
         else if (argValue(argv[i], "--inject-faults", value)) {
             Status armed = configureFaultInjection(value);
             if (!armed)
-                fatal(armed.error().describe());
+                usageError(armed.error().describe());
         } else if (argValue(argv[i], "--soft-errors", value)) {
             Result<SoftErrorConfig> strikes = parseSoftErrors(value);
             if (!strikes)
-                fatal(strikes.error().describe());
+                usageError(strikes.error().describe());
             soft_errors = strikes.take();
         } else if (argValue(argv[i], "--protect", value)) {
             protect = parseArrayProtection(value);
             if (!protect)
-                fatal("unknown protection policy: ", value);
+                usageError("unknown protection policy: ", value);
         } else
             usage();
     }
     if ((soft_errors.armed() || protect) &&
         (sweep || coordinate || serve || shard_worker || !artifact.empty()))
-        fatal("--soft-errors and --protect shape a single run's machine; "
-              "they cannot be combined with --sweep, --coordinate, "
-              "--serve, --shard-worker or --artifact");
+        usageError("--soft-errors and --protect shape a single run's "
+                   "machine; they cannot be combined with --sweep, "
+                   "--coordinate, --serve, --shard-worker or --artifact");
     if (shard_worker)
         return runWorker(worker_opt);
     if (serve) {
@@ -537,14 +547,15 @@ main(int argc, char **argv)
         : loadProfile(profile_file);
     profile = scaled(profile, scale);
     if (stream && (!trace_path.empty() || warmup > 0.0))
-        fatal("--stream cannot be combined with --trace or --warmup");
+        usageError("--stream cannot be combined with --trace or "
+                   "--warmup");
     if (coordinate) {
         if (stream || sweep)
-            fatal("--coordinate cannot be combined with --stream "
-                  "or --sweep");
+            usageError("--coordinate cannot be combined with --stream "
+                       "or --sweep");
         if (!trace_path.empty() || !profile_file.empty())
-            fatal("--coordinate needs a built-in --profile: workers "
-                  "regenerate the trace from its name");
+            usageError("--coordinate needs a built-in --profile: "
+                       "workers regenerate the trace from its name");
         probeWritable("campaign result (--out)", out_path);
         probeWritable("failure manifest (--manifest)",
                       campaign.manifest);
@@ -559,7 +570,7 @@ main(int argc, char **argv)
     }
     if (sweep) {
         if (stream)
-            fatal("--sweep cannot be combined with --stream");
+            usageError("--sweep cannot be combined with --stream");
         probeWritable("campaign result (--out)", out_path);
         probeWritable("failure manifest (--manifest)", campaign.manifest);
         TraceBundle bundle;
@@ -663,22 +674,19 @@ main(int argc, char **argv)
     t.row().cell("h1 instr").cell(sim.h1ForType(RefType::Instr), 4);
     t.row().cell("h1 read").cell(sim.h1ForType(RefType::Read), 4);
     t.row().cell("h1 write").cell(sim.h1ForType(RefType::Write), 4);
-    t.row().cell("synonym hits").cell(sim.totalCounter("synonym_hits"));
-    t.row().cell("synonym moves").cell(
-        sim.totalCounter("synonym_moves"));
-    t.row().cell("write-back cancels").cell(
-        sim.totalCounter("writeback_cancels"));
-    t.row().cell("swapped write-backs").cell(
-        sim.totalCounter("swapped_writebacks"));
-    t.row().cell("inclusion invalidations").cell(
-        sim.totalCounter("inclusion_invalidations"));
-    t.row().cell("L1 coherence messages").cell(
-        sim.totalCounter("l1_coherence_msgs"));
+    using Stat = HierarchyStat;
+    auto total = [&](const char *label, Stat s) {
+        t.row().cell(label).cell(sim.totalCounter(s));
+    };
+    total("synonym hits", Stat::SynonymHits);
+    total("synonym moves", Stat::SynonymMoves);
+    total("write-back cancels", Stat::WritebackCancels);
+    total("swapped write-backs", Stat::SwappedWritebacks);
+    total("inclusion invalidations", Stat::InclusionInvalidations);
+    total("L1 coherence messages", Stat::L1CoherenceMsgs);
     t.row().cell("bus transactions").cell(sim.bus().transactions());
-    t.row().cell("memory writes").cell(
-        sim.totalCounter("memory_writes"));
-    t.row().cell("write-buffer stalls").cell(
-        sim.totalCounter("wb_stalls"));
+    total("memory writes", Stat::MemoryWrites);
+    total("write-buffer stalls", Stat::WbStalls);
     t.separator();
     t.row().cell("timing mode").cell(timingModeName(sim.timingMode()));
     t.row().cell("avg access time").cell(sim.measuredAccessTime(), 4);
@@ -693,25 +701,22 @@ main(int argc, char **argv)
         t.separator();
         t.row().cell("protection").cell(
             arrayProtectionName(mc.hierarchy.l1.protection));
-        const std::pair<const char *, const char *> rows[] = {
-            {"soft faults tag", "soft_faults_tag"},
-            {"soft faults state", "soft_faults_state"},
-            {"soft faults ptr", "soft_faults_ptr"},
-            {"soft masked", "soft_masked"},
-            {"soft silent", "soft_silent"},
-            {"soft corrected", "soft_corrected"},
-            {"soft detected", "soft_detected"},
-            {"soft recovered", "soft_recovered"},
-            {"soft refetches (L2)", "soft_refetches_l2"},
-            {"soft refetches (bus)", "soft_refetches_bus"},
-            {"presence scrubs", "presence_scrubs"},
-            {"machine checks", "machine_checks"}};
-        for (auto [label, counter] : rows)
-            t.row().cell(label).cell(sim.totalCounter(counter));
+        total("soft faults tag", Stat::SoftFaultsTag);
+        total("soft faults state", Stat::SoftFaultsState);
+        total("soft faults ptr", Stat::SoftFaultsPtr);
+        total("soft masked", Stat::SoftMasked);
+        total("soft silent", Stat::SoftSilent);
+        total("soft corrected", Stat::SoftCorrected);
+        total("soft detected", Stat::SoftDetected);
+        total("soft recovered", Stat::SoftRecovered);
+        total("soft refetches (L2)", Stat::SoftRefetchesL2);
+        total("soft refetches (bus)", Stat::SoftRefetchesBus);
+        total("presence scrubs", Stat::PresenceScrubs);
+        total("machine checks", Stat::MachineChecks);
         t.row().cell("bus timeouts").cell(
-            sim.bus().stats().value("soft_timeouts"));
+            sim.bus().stats()[BusStat::SoftTimeouts]);
         t.row().cell("bus retries").cell(
-            sim.bus().stats().value("soft_retries"));
+            sim.bus().stats()[BusStat::SoftRetries]);
     }
     std::cout << t;
 
@@ -736,11 +741,11 @@ main(int argc, char **argv)
             const auto &h = sim.hierarchy(c);
             auto &row = pc.row()
                 .cell(c)
-                .cell(h.stats().value("refs"))
+                .cell(h.stats()[Stat::Refs])
                 .cell(h.h1(), 4)
                 .cell(h.h2(), 4)
-                .cell(h.stats().value("l1_coherence_msgs"))
-                .cell(h.stats().value("writebacks"));
+                .cell(h.stats()[Stat::L1CoherenceMsgs])
+                .cell(h.stats()[Stat::Writebacks]);
             if (cycle) {
                 row.cell(sim.cpuClock(c), 1)
                     .cell(sim.clock(c).busWaitTicks(), 1);

@@ -187,10 +187,10 @@ main(int argc, char **argv)
         MpSimulator sim(mc, pops.profile);
         sim.run(pops.records);
         check("Section 2: inclusion invalidations rare at 2-way",
-              sim.totalCounter("inclusion_invalidations") <
+              sim.totalCounter(HierarchyStat::InclusionInvalidations) <
                   sim.refsProcessed() / 2000,
-              std::to_string(
-                  sim.totalCounter("inclusion_invalidations")) +
+              std::to_string(sim.totalCounter(
+                  HierarchyStat::InclusionInvalidations)) +
                   " over " + std::to_string(sim.refsProcessed()) +
                   " refs");
     }
@@ -202,7 +202,7 @@ main(int argc, char **argv)
                                                  128 * 1024, 4096);
             MpSimulator sim(mc, pops.profile);
             sim.run(pops.records);
-            return sim.totalCounter("misses");
+            return sim.totalCounter(HierarchyStat::Misses);
         };
         double ratio =
             static_cast<double>(misses(vr_kind)) /
