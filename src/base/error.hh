@@ -13,8 +13,8 @@
  *   Result<T>  - either a T or an Error; [[nodiscard]] so a caller
  *                cannot silently drop a failure
  *
- * The legacy fatal()-ing entry points survive as thin wrappers
- * (`r.orDie()`) so interactive tools keep their one-line diagnostics.
+ * A CLI tool that cannot go on without the value ends on the error
+ * with `r.orDie()`, a one-line diagnostic.
  * ErrorException carries an Error across a thread or pool boundary
  * where exceptions are the only transport.
  */
@@ -192,8 +192,8 @@ class [[nodiscard]] Result
     }
 
     /**
-     * Bridge to the legacy CLI behavior: fatal(describe()) on error,
-     * the value otherwise. Keeps `loadTrace()` & friends one-liners.
+     * For CLI tools: fatal(describe()) on error, the value otherwise,
+     * e.g. `tryLoadTrace(path).orDie()`.
      */
     T
     orDie() &&

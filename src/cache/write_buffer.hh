@@ -113,35 +113,6 @@ class WriteBuffer
         return std::nullopt;
     }
 
-    /**
-     * Force a parked block to retire now (coherence flush(buffer)).
-     *
-     * @return true if the block was present.
-     */
-    bool
-    flush(std::uint32_t phys_block_addr)
-    {
-        for (auto it = _entries.begin(); it != _entries.end(); ++it) {
-            if (it->physBlockAddr == phys_block_addr) {
-                WriteBufferEntry e = *it;
-                _entries.erase(it);
-                refreshNextDrain();
-                if (_onDrain)
-                    _onDrain(e);
-                return true;
-            }
-        }
-        return false;
-    }
-
-    /** Retire everything immediately. */
-    void
-    drainAll()
-    {
-        while (!_entries.empty())
-            retireFront();
-    }
-
     /** Visit every parked entry, oldest first (read-only). */
     template <typename Fn>
     void

@@ -10,6 +10,7 @@
 #include "base/rng.hh"
 #include "check/oracle.hh"
 #include "coherence/dma.hh"
+#include "sim/experiment.hh"
 #include "sim/mp_sim.hh"
 #include "trace/record.hh"
 #include "trace/workload.hh"
@@ -46,21 +47,10 @@ enabled(const FuzzOptions &opt, FuzzOpKind k)
     return (opt.opMask & (1u << static_cast<unsigned>(k))) != 0;
 }
 
-} // namespace
-
-FuzzResult
-runFuzz(const FuzzOptions &opt)
+/** The machine runFuzz() builds for @p opt. */
+MachineConfig
+fuzzMachineConfig(const FuzzOptions &opt)
 {
-    FuzzResult result;
-
-    WorkloadProfile profile;
-    profile.name = "fuzz";
-    profile.numCpus = opt.cpus;
-    profile.pageSize = opt.pageSize;
-    profile.processesPerCpu = opt.processesPerCpu;
-    profile.sharedPages = 8;
-    profile.seed = opt.seed;
-
     MachineConfig cfg;
     cfg.kind = opt.kind;
     cfg.hierarchy.l1 =
@@ -79,8 +69,41 @@ runFuzz(const FuzzOptions &opt)
     cfg.hierarchy.writeBufferDepth = 2;
     cfg.hierarchy.writeBufferDrainLatency = 8;
     cfg.invariantPeriod = 0;
+    return cfg;
+}
 
-    MpSimulator sim(cfg, profile);
+} // namespace
+
+Status
+checkFuzzOptions(const FuzzOptions &opt)
+{
+    if (opt.cpus < 1 || opt.cpus > kMaxTraceCpus)
+        return makeErrorAt(ErrorKind::Bounds, "--cpus", 0, "CPU count ",
+                           opt.cpus, " must be from 1 to ", kMaxTraceCpus);
+    // Each is a bound of an Rng::below() draw, which must be positive.
+    if (opt.processesPerCpu < 1 || opt.frames < 1 ||
+        opt.vpnsPerProcess < 1 || opt.l1Block > opt.pageSize ||
+        opt.l2Block > opt.pageSize)
+        return makeError(ErrorKind::Bounds,
+                         "process, frame and page pools must be non-empty "
+                         "and blocks must fit a page");
+    return checkMachineConfig(fuzzMachineConfig(opt));
+}
+
+FuzzResult
+runFuzz(const FuzzOptions &opt)
+{
+    FuzzResult result;
+
+    WorkloadProfile profile;
+    profile.name = "fuzz";
+    profile.numCpus = opt.cpus;
+    profile.pageSize = opt.pageSize;
+    profile.processesPerCpu = opt.processesPerCpu;
+    profile.sharedPages = 8;
+    profile.seed = opt.seed;
+
+    MpSimulator sim(fuzzMachineConfig(opt), profile);
     DmaDevice dma(sim.bus(), opt.l2Block);
 
     Rng rng(opt.seed * 0x9e3779b97f4a7c15ULL + 1);
@@ -380,6 +403,10 @@ tryLoadReplay(const std::string &path)
         return makeErrorAt(ErrorKind::Parse, path, 0,
                            "not a recognizable vrc-fuzz replay (bad "
                            "\"format\" field or \"soft_errors\" spec)");
+    Status checked = checkFuzzOptions(opt);
+    if (!checked)
+        return makeErrorAt(ErrorKind::Bounds, path, 0,
+                           checked.error().message);
     return opt;
 }
 

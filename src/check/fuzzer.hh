@@ -121,7 +121,14 @@ struct FuzzResult
     std::string machineCheckReason;
 };
 
-/** Run one deterministic fuzz episode. */
+/**
+ * Check @p opt before a run builds its machine: 1 to kMaxTraceCpus
+ * processors, non-empty pools, and checkMachineConfig(). A Bounds
+ * error's context names the vrc-fuzz flag that sets the value.
+ */
+Status checkFuzzOptions(const FuzzOptions &opt);
+
+/** Run one deterministic fuzz episode. @pre checkFuzzOptions(opt) */
 FuzzResult runFuzz(const FuzzOptions &opt);
 
 /** Serialize options as a one-object JSON replay file. */
@@ -135,8 +142,9 @@ std::string replayToJson(const FuzzOptions &opt);
 bool replayFromJson(const std::string &json, FuzzOptions &out);
 
 /**
- * Load and validate a replay file. A missing file is an Io error and
- * unrecognizable content a Parse error, so a corrupt replay
+ * Load and validate a replay file. A missing file is an Io error,
+ * unrecognizable content a Parse error and options
+ * checkFuzzOptions() refuses a Bounds error, so a corrupt replay
  * quarantines that run instead of killing a batch. Under
  * --inject-faults the loaded bytes pass through the fault injector.
  */

@@ -377,7 +377,7 @@ struct ServeServer::Impl
         WorkloadProfile profile =
             scaled(profileByName(req.profileName), req.scale);
         Status sizes =
-            checkCacheSizes(jobMachineConfig(req.job, profile.pageSize));
+            checkMachineConfig(jobMachineConfig(req.job, profile.pageSize));
         if (!sizes) {
             refuse(FrameType::Error, ErrorKind::Bounds,
                    sizes.error().message);

@@ -23,23 +23,55 @@ makeMachineConfig(HierarchyKind kind, std::uint32_t l1_size,
 }
 
 Status
-checkCacheSizes(const MachineConfig &mc)
+checkMachineConfig(const MachineConfig &mc)
 {
+    auto bad = [](const std::string &flag, const auto &...what) -> Status {
+        return makeErrorAt(ErrorKind::Bounds, flag, 0, what...);
+    };
     const HierarchyParams &h = mc.hierarchy;
+    if (!isPowerOfTwo(h.pageSize))
+        return bad("", "page size ", h.pageSize, " must be a power of two");
     const CacheParams *levels[] = {&h.l1, &h.l2};
     for (unsigned l = 0; l < 2; ++l) {
         const CacheParams &c = *levels[l];
-        std::uint64_t least = std::uint64_t{c.blockBytes} * c.assoc *
-                              (l == 0 && h.splitL1 ? 2 : 1);
-        if (l == 1) // the synonym r-pointer spans level-2 pages
-            least = std::max<std::uint64_t>(least, h.pageSize);
+        const std::string n = std::to_string(l + 1);
+        if (!isPowerOfTwo(c.blockBytes))
+            return bad("--block" + n, "level-", n, " block size ",
+                       c.blockBytes, " must be a power of two");
+        if (!isPowerOfTwo(c.assoc))
+            return bad("--assoc" + n, "level-", n, " associativity ",
+                       c.assoc, " must be a power of two");
+        const std::uint64_t one_set = std::uint64_t{c.blockBytes} *
+                                      c.assoc *
+                                      (l == 0 && h.splitL1 ? 2 : 1);
+        // At level 2 the synonym r-pointer spans whole pages.
+        const std::uint64_t least =
+            l == 1 ? std::max<std::uint64_t>(one_set, h.pageSize) : one_set;
         if (!isPowerOfTwo(c.sizeBytes) || c.sizeBytes < least ||
             c.sizeBytes > kMaxCacheBytes)
-            return makeError(ErrorKind::Bounds, "level-", l + 1,
-                             " cache size ", c.sizeBytes,
-                             " must be a power of two from ", least,
-                             " to ", kMaxCacheBytes, " bytes");
+            return bad("--l" + n, "level-", n, " cache size ", c.sizeBytes,
+                       " must be a power of two from ", least, " to ",
+                       kMaxCacheBytes, " bytes");
+        // One set of 1-byte blocks leaves the tag store no spare tag
+        // value for its empty-way sentinel.
+        if (c.blockBytes == 1 && c.sizeBytes == one_set)
+            return bad("--block" + n, "level-", n,
+                       " blocks of 1 byte need more than one set");
     }
+    // Only the R-cache splits its blocks into level-1 sub-blocks.
+    if (mc.kind != HierarchyKind::RealRealNoIncl &&
+        h.l2.blockBytes < h.l1.blockBytes)
+        return bad("--block2", "level-2 block size ", h.l2.blockBytes,
+                   " must be a multiple of level-1's ", h.l1.blockBytes);
+    if (h.rltAssoc == 0)
+        return bad("--rlt-assoc", "RLT associativity must be at least 1");
+    if (h.rltEntries % h.rltAssoc != 0 ||
+        !isPowerOfTwo(h.rltEntries / h.rltAssoc) ||
+        h.rltEntries > kMaxRltEntries)
+        return bad("--rlt-entries", "RLT of ", h.rltEntries,
+                   " entries must hold a power-of-two number of ",
+                   h.rltAssoc, "-way sets, at most ", kMaxRltEntries,
+                   " entries");
     return okStatus();
 }
 

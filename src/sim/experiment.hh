@@ -67,14 +67,20 @@ MachineConfig makeMachineConfig(HierarchyKind kind, std::uint32_t l1_size,
 /** Largest level-1 or level-2 cache size a user or client may ask for. */
 constexpr std::uint32_t kMaxCacheBytes = 16u << 20;
 
+/** Largest reverse-lookup table a user or client may ask for. */
+constexpr std::uint32_t kMaxRltEntries = 1u << 20;
+
 /**
- * Check @p mc's level-1 and level-2 sizes before the hierarchy is
- * built (it panics on a bad one): each must be a power of two, hold
- * at least block x assoc bytes (in each half of a split level 1; a
- * whole page at level 2), and be at most kMaxCacheBytes. A Bounds
- * error names the level.
+ * Check @p mc before the machine is built, refusing what its
+ * constructors panic on: a page, block, associativity or size that is
+ * not a power of two; a size under block x assoc (in each half of a
+ * split level 1; a page at level 2), over kMaxCacheBytes, or one set
+ * of 1-byte blocks; a level-2 block smaller than level-1's where the
+ * R-cache holds sub-blocks; an RLT over kMaxRltEntries or without a
+ * power-of-two set count. A Bounds error's context names the value's
+ * flag as the tools spell it (`--block1`), empty for the page size.
  */
-Status checkCacheSizes(const MachineConfig &mc);
+Status checkMachineConfig(const MachineConfig &mc);
 
 /** One cell of an experiment table: a config to simulate. */
 struct SimJob

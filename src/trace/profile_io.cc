@@ -200,12 +200,6 @@ tryReadProfile(std::istream &is, const std::string &context)
     return p;
 }
 
-WorkloadProfile
-readProfile(std::istream &is)
-{
-    return tryReadProfile(is).orDie();
-}
-
 void
 saveProfile(const std::string &path, const WorkloadProfile &p)
 {
@@ -231,12 +225,6 @@ tryLoadProfile(const std::string &path)
         return tryReadProfile(in, path);
     }
     return tryReadProfile(is, path);
-}
-
-WorkloadProfile
-loadProfile(const std::string &path)
-{
-    return tryLoadProfile(path).orDie();
 }
 
 } // namespace vrc

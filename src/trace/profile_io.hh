@@ -6,7 +6,7 @@
  * custom workloads for the CLI tools without recompiling. All keys are
  * optional; unset keys keep the default-constructed value. Unknown
  * keys are errors (they are always typos). The format round-trips:
- * saveProfile followed by loadProfile reproduces the profile exactly.
+ * saveProfile followed by tryLoadProfile reproduces the profile exactly.
  *
  *     name = mywork
  *     num_cpus = 4
@@ -16,8 +16,8 @@
  *     ...
  *
  * The `try*` readers report malformed lines, unknown keys, and
- * unparsable values as a Result with line context; the legacy entry
- * points wrap them with fatal() for the CLI tools.
+ * unparsable values as a Result with line context; a CLI tool ends
+ * on one with `.orDie()`.
  */
 
 #ifndef VRC_TRACE_PROFILE_IO_HH
@@ -44,9 +44,6 @@ Result<WorkloadProfile>
 tryReadProfile(std::istream &is,
                const std::string &context = "<stream>");
 
-/** Legacy wrapper: fatal() on any tryReadProfile() error. */
-WorkloadProfile readProfile(std::istream &is);
-
 /** Write a profile file. fatal() when the file cannot be opened. */
 void saveProfile(const std::string &path, const WorkloadProfile &p);
 
@@ -56,9 +53,6 @@ void saveProfile(const std::string &path, const WorkloadProfile &p);
  * injector before parsing.
  */
 Result<WorkloadProfile> tryLoadProfile(const std::string &path);
-
-/** Legacy wrapper: fatal() on any tryLoadProfile() error. */
-WorkloadProfile loadProfile(const std::string &path);
 
 } // namespace vrc
 

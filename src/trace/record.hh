@@ -32,6 +32,9 @@ enum class RefType : std::uint8_t
 /** Printable name of a reference type. */
 const char *refTypeName(RefType t);
 
+/** Most CPUs a trace can name: TraceRecord::cpu is 8 bits. */
+inline constexpr std::uint32_t kMaxTraceCpus = 256;
+
 /** One trace record (8 bytes packed). */
 struct TraceRecord
 {

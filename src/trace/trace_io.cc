@@ -161,12 +161,6 @@ tryReadTraceBinary(std::istream &is, const std::string &context)
     return validateRecords(std::move(records), context);
 }
 
-std::vector<TraceRecord>
-readTraceBinary(std::istream &is)
-{
-    return tryReadTraceBinary(is).orDie();
-}
-
 void
 writeTraceText(std::ostream &os, const std::vector<TraceRecord> &records)
 {
@@ -221,12 +215,6 @@ tryReadTraceText(std::istream &is, const std::string &context)
     return records;
 }
 
-std::vector<TraceRecord>
-readTraceText(std::istream &is)
-{
-    return tryReadTraceText(is).orDie();
-}
-
 Result<std::vector<TraceRecord>>
 tryReadTraceDinero(std::istream &is, CpuId cpu, ProcessId pid,
                    const std::string &context)
@@ -265,12 +253,6 @@ tryReadTraceDinero(std::istream &is, CpuId cpu, ProcessId pid,
     return records;
 }
 
-std::vector<TraceRecord>
-readTraceDinero(std::istream &is, CpuId cpu, ProcessId pid)
-{
-    return tryReadTraceDinero(is, cpu, pid).orDie();
-}
-
 void
 saveTrace(const std::string &path, const std::vector<TraceRecord> &records)
 {
@@ -298,12 +280,6 @@ tryLoadTrace(const std::string &path)
         return tryReadTraceBinary(in, path);
     }
     return tryReadTraceBinary(is, path);
-}
-
-std::vector<TraceRecord>
-loadTrace(const std::string &path)
-{
-    return tryLoadTrace(path).orDie();
 }
 
 } // namespace vrc

@@ -7,13 +7,11 @@
  * "cpu type pid vaddr" with the type as a letter (I/R/W/S), for
  * human inspection and for importing external traces.
  *
- * Every reader comes in two flavors: a `try*` form that fully
- * validates the input (magic, version, record count against the
- * stream size, type letters/bytes, field ranges) and reports failures
- * as a Result carrying file/line context, and a legacy form that
- * wraps it with fatal() for interactive tools. Campaign code must use
- * the `try*` forms: a corrupt input is a quarantined cell, not a dead
- * process.
+ * Every reader fully validates the input (magic, version, record
+ * count against the stream size, type letters/bytes, field ranges)
+ * and reports failures as a Result carrying file/line context. A CLI
+ * tool ends on one with `.orDie()`; campaign code must not: a corrupt
+ * input is a quarantined cell, not a dead process.
  */
 
 #ifndef VRC_TRACE_TRACE_IO_HH
@@ -62,9 +60,6 @@ Result<std::vector<TraceRecord>>
 tryReadTraceBinary(std::istream &is,
                    const std::string &context = "<stream>");
 
-/** Legacy wrapper: fatal() on any tryReadTraceBinary() error. */
-std::vector<TraceRecord> readTraceBinary(std::istream &is);
-
 /** Write @p records in the line-oriented text format. */
 void writeTraceText(std::ostream &os,
                     const std::vector<TraceRecord> &records);
@@ -78,9 +73,6 @@ Result<std::vector<TraceRecord>>
 tryReadTraceText(std::istream &is,
                  const std::string &context = "<stream>");
 
-/** Legacy wrapper: fatal() on any tryReadTraceText() error. */
-std::vector<TraceRecord> readTraceText(std::istream &is);
-
 /**
  * Import a classic dinero "din" trace: one "<label> <hex-addr>" pair
  * per line, label 0 = data read, 1 = data write, 2 = instruction
@@ -92,11 +84,6 @@ Result<std::vector<TraceRecord>>
 tryReadTraceDinero(std::istream &is, CpuId cpu = 0, ProcessId pid = 0,
                    const std::string &context = "<stream>");
 
-/** Legacy wrapper: fatal() on any tryReadTraceDinero() error. */
-std::vector<TraceRecord> readTraceDinero(std::istream &is,
-                                         CpuId cpu = 0,
-                                         ProcessId pid = 0);
-
 /** Write a binary trace file. fatal() if the file cannot be opened. */
 void saveTrace(const std::string &path,
                const std::vector<TraceRecord> &records);
@@ -107,9 +94,6 @@ void saveTrace(const std::string &path,
  * pass through the fault injector before parsing.
  */
 Result<std::vector<TraceRecord>> tryLoadTrace(const std::string &path);
-
-/** Legacy wrapper: fatal() on any tryLoadTrace() error. */
-std::vector<TraceRecord> loadTrace(const std::string &path);
 
 } // namespace vrc
 

@@ -264,5 +264,75 @@ TEST(ExperimentTest, SizePairHelpers)
     EXPECT_EQ(sizeLabel(512, 64 * 1024), ".5K/64K");
 }
 
+TEST(CheckMachineConfigTest, NamesTheFlagOfTheBadValue)
+{
+    auto context = [](HierarchyKind kind, auto mutate) {
+        MachineConfig mc = makeMachineConfig(kind, 16384, 262144, 4096);
+        mutate(mc.hierarchy);
+        Status st = checkMachineConfig(mc);
+        return st ? std::string("ok") : st.error().context;
+    };
+    using H = HierarchyParams;
+    const HierarchyKind vr = HierarchyKind::VirtualReal;
+    EXPECT_EQ(context(vr, [](H &) {}), "ok");
+    EXPECT_EQ(context(vr, [](H &h) { h.l1.blockBytes = 24; }), "--block1");
+    EXPECT_EQ(context(vr, [](H &h) { h.l1.blockBytes = 0; }), "--block1");
+    EXPECT_EQ(context(vr, [](H &h) { h.l2.blockBytes = 1; }), "--block2");
+    EXPECT_EQ(context(vr,
+                      [](H &h) {
+                          h.l1 = {4, 1, 4, ReplPolicy::LRU};
+                          h.l2.blockBytes = 1;
+                      }),
+              "--block1");
+    EXPECT_EQ(context(vr, [](H &h) { h.l1.assoc = 0; }), "--assoc1");
+    EXPECT_EQ(context(vr, [](H &h) { h.l2.assoc = 3; }), "--assoc2");
+    EXPECT_EQ(context(vr, [](H &h) { h.l1.sizeBytes = 3000; }), "--l1");
+    EXPECT_EQ(context(vr, [](H &h) { h.l2.blockBytes = 8; }), "--block2");
+    // Without inclusion the R-cache holds no level-1 sub-blocks.
+    EXPECT_EQ(context(HierarchyKind::RealRealNoIncl,
+                      [](H &h) { h.l2.blockBytes = 8; }),
+              "ok");
+    EXPECT_EQ(context(vr, [](H &h) { h.rltAssoc = 0; }), "--rlt-assoc");
+    EXPECT_EQ(context(vr, [](H &h) { h.rltEntries = 3; }), "--rlt-entries");
+    EXPECT_EQ(context(vr, [](H &h) { h.rltEntries = kMaxRltEntries * 2; }),
+              "--rlt-entries");
+    MachineConfig mc = makeMachineConfig(vr, 16384, 262144, 3000);
+    Status page = checkMachineConfig(mc);
+    ASSERT_FALSE(page.ok());
+    EXPECT_EQ(page.error().kind, ErrorKind::Bounds);
+    EXPECT_EQ(page.error().context, "");
+}
+
+// Whatever the check accepts must build: the constructors' panics are
+// the reference the check mirrors.
+TEST(CheckMachineConfigTest, EveryAcceptedMachineBuilds)
+{
+    WorkloadProfile profile = popsProfile();
+    unsigned accepted = 0, refused = 0;
+    for (HierarchyKind kind : kAllHierarchyKinds)
+        for (bool split : {false, true})
+            for (std::uint32_t l1 : {2u, 32u, 4096u})
+                for (std::uint32_t b1 : {1u, 2u, 16u, 8192u})
+                    for (std::uint32_t b2 : {2u, 16u, 64u})
+                        for (std::uint32_t a1 : {0u, 2u, 3u})
+                            for (std::uint32_t a2 : {1u, 3u}) {
+        MachineConfig mc =
+            makeMachineConfig(kind, l1, 65536, profile.pageSize, split);
+        mc.hierarchy.l1.blockBytes = b1;
+        mc.hierarchy.l2.blockBytes = b2;
+        mc.hierarchy.l1.assoc = a1;
+        mc.hierarchy.l2.assoc = a2;
+        if (!checkMachineConfig(mc)) {
+            ++refused;
+            continue;
+        }
+        ++accepted;
+        MpSimulator sim(mc, profile);
+        EXPECT_EQ(sim.cpuCount(), profile.numCpus);
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(refused, 0u);
+}
+
 } // namespace
 } // namespace vrc

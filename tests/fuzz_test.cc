@@ -213,6 +213,22 @@ TEST(FuzzTest, TryLoadReplayReportsStructuredErrors)
     ASSERT_FALSE(corrupt.ok());
     EXPECT_EQ(corrupt.error().kind, ErrorKind::Parse);
     EXPECT_EQ(corrupt.error().context, path);
+
+    // Well-formed but unbuildable: refused before a machine exists.
+    for (const char *json : {"{\"format\": 1, \"cpus\": 0}",
+                             "{\"format\": 1, \"l1_block\": 24}",
+                             "{\"format\": 1, \"frames\": 0}",
+                             "{\"format\": 1, \"rlt_assoc\": 0}"}) {
+        SCOPED_TRACE(json);
+        {
+            std::ofstream out(path, std::ios::trunc);
+            out << json << "\n";
+        }
+        auto bad = tryLoadReplay(path);
+        ASSERT_FALSE(bad.ok());
+        EXPECT_EQ(bad.error().kind, ErrorKind::Bounds);
+        EXPECT_EQ(bad.error().context, path);
+    }
     std::remove(path.c_str());
 }
 

@@ -21,7 +21,7 @@ TEST(ProfileIoTest, RoundTripReproducesEveryField)
     WorkloadProfile p = abaqusProfile();
     std::stringstream ss;
     writeProfile(ss, p);
-    WorkloadProfile q = readProfile(ss);
+    WorkloadProfile q = tryReadProfile(ss).orDie();
 
     EXPECT_EQ(q.name, p.name);
     EXPECT_EQ(q.numCpus, p.numCpus);
@@ -50,7 +50,7 @@ TEST(ProfileIoTest, RoundTrippedProfileGeneratesIdenticalTrace)
     WorkloadProfile p = scaled(popsProfile(), 0.003);
     std::stringstream ss;
     writeProfile(ss, p);
-    WorkloadProfile q = readProfile(ss);
+    WorkloadProfile q = tryReadProfile(ss).orDie();
     EXPECT_EQ(generateTrace(p).records, generateTrace(q).records);
 }
 
@@ -61,7 +61,7 @@ TEST(ProfileIoTest, PartialFileKeepsDefaults)
        << "name = tiny\n"
        << "num_cpus = 2\n"
        << "total_refs = 5000\n";
-    WorkloadProfile p = readProfile(ss);
+    WorkloadProfile p = tryReadProfile(ss).orDie();
     EXPECT_EQ(p.name, "tiny");
     EXPECT_EQ(p.numCpus, 2u);
     EXPECT_EQ(p.totalRefs, 5000u);
@@ -74,7 +74,7 @@ TEST(ProfileIoTest, DataLevelsParsing)
 {
     std::stringstream ss;
     ss << "data_levels = 1024:0.5, 8192:0.3,262144:0.2\n";
-    WorkloadProfile p = readProfile(ss);
+    WorkloadProfile p = tryReadProfile(ss).orDie();
     ASSERT_EQ(p.dataLevels.size(), 3u);
     EXPECT_EQ(p.dataLevels[1].bytes, 8192u);
     EXPECT_DOUBLE_EQ(p.dataLevels[1].weight, 0.3);
@@ -84,24 +84,24 @@ TEST(ProfileIoDeathTest, UnknownKeyRejected)
 {
     std::stringstream ss;
     ss << "num_cpuz = 4\n";
-    EXPECT_EXIT(readProfile(ss), ::testing::ExitedWithCode(1),
-                "unknown profile key");
+    EXPECT_EXIT(tryReadProfile(ss).orDie(),
+                ::testing::ExitedWithCode(1), "unknown profile key");
 }
 
 TEST(ProfileIoDeathTest, MissingEqualsRejected)
 {
     std::stringstream ss;
     ss << "just some words\n";
-    EXPECT_EXIT(readProfile(ss), ::testing::ExitedWithCode(1),
-                "no '='");
+    EXPECT_EXIT(tryReadProfile(ss).orDie(),
+                ::testing::ExitedWithCode(1), "no '='");
 }
 
 TEST(ProfileIoDeathTest, BadLevelSyntaxRejected)
 {
     std::stringstream ss;
     ss << "data_levels = 1024-0.5\n";
-    EXPECT_EXIT(readProfile(ss), ::testing::ExitedWithCode(1),
-                "bad data_levels");
+    EXPECT_EXIT(tryReadProfile(ss).orDie(),
+                ::testing::ExitedWithCode(1), "bad data_levels");
 }
 
 TEST(ProfileIoTest, FileRoundTrip)
@@ -109,7 +109,7 @@ TEST(ProfileIoTest, FileRoundTrip)
     std::string path = ::testing::TempDir() + "/vrc_profile_test.prof";
     WorkloadProfile p = thorProfile();
     saveProfile(path, p);
-    WorkloadProfile q = loadProfile(path);
+    WorkloadProfile q = tryLoadProfile(path).orDie();
     EXPECT_EQ(q.name, "thor");
     EXPECT_EQ(q.seed, p.seed);
     std::remove(path.c_str());

@@ -61,7 +61,7 @@ TEST(TraceIoTest, BinaryRoundTrip)
     std::stringstream ss;
     std::uint64_t bytes = writeTraceBinary(ss, trace);
     EXPECT_EQ(bytes, 16 + trace.size() * sizeof(TraceRecord));
-    auto back = readTraceBinary(ss);
+    auto back = tryReadTraceBinary(ss).orDie();
     EXPECT_EQ(back, trace);
 }
 
@@ -69,7 +69,7 @@ TEST(TraceIoTest, BinaryEmptyTrace)
 {
     std::stringstream ss;
     writeTraceBinary(ss, {});
-    EXPECT_TRUE(readTraceBinary(ss).empty());
+    EXPECT_TRUE(tryReadTraceBinary(ss).orDie().empty());
 }
 
 TEST(TraceIoTest, TextRoundTrip)
@@ -77,7 +77,7 @@ TEST(TraceIoTest, TextRoundTrip)
     auto trace = sampleTrace();
     std::stringstream ss;
     writeTraceText(ss, trace);
-    auto back = readTraceText(ss);
+    auto back = tryReadTraceText(ss).orDie();
     EXPECT_EQ(back, trace);
 }
 
@@ -85,7 +85,7 @@ TEST(TraceIoTest, TextSkipsCommentsAndBlanks)
 {
     std::stringstream ss;
     ss << "# a comment\n\n0 R 1 1000\n";
-    auto back = readTraceText(ss);
+    auto back = tryReadTraceText(ss).orDie();
     ASSERT_EQ(back.size(), 1u);
     EXPECT_EQ(back[0].type, RefType::Read);
     EXPECT_EQ(back[0].vaddr, 0x1000u);
@@ -95,8 +95,8 @@ TEST(TraceIoDeathTest, BinaryBadMagic)
 {
     std::stringstream ss;
     ss << "this is not a trace at all, not even close.....";
-    EXPECT_EXIT(readTraceBinary(ss), ::testing::ExitedWithCode(1),
-                "bad magic");
+    EXPECT_EXIT(tryReadTraceBinary(ss).orDie(),
+                ::testing::ExitedWithCode(1), "bad magic");
 }
 
 TEST(TraceIoDeathTest, BinaryTruncatedBody)
@@ -106,24 +106,24 @@ TEST(TraceIoDeathTest, BinaryTruncatedBody)
     writeTraceBinary(ss, trace);
     std::string data = ss.str();
     std::stringstream cut(data.substr(0, data.size() - 8));
-    EXPECT_EXIT(readTraceBinary(cut), ::testing::ExitedWithCode(1),
-                "truncated");
+    EXPECT_EXIT(tryReadTraceBinary(cut).orDie(),
+                ::testing::ExitedWithCode(1), "truncated");
 }
 
 TEST(TraceIoDeathTest, TextBadTypeLetter)
 {
     std::stringstream ss;
     ss << "0 Q 1 1000\n";
-    EXPECT_EXIT(readTraceText(ss), ::testing::ExitedWithCode(1),
-                "bad reference type");
+    EXPECT_EXIT(tryReadTraceText(ss).orDie(),
+                ::testing::ExitedWithCode(1), "bad reference type");
 }
 
 TEST(TraceIoDeathTest, TextMalformedLine)
 {
     std::stringstream ss;
     ss << "zzz\n";
-    EXPECT_EXIT(readTraceText(ss), ::testing::ExitedWithCode(1),
-                "malformed");
+    EXPECT_EXIT(tryReadTraceText(ss).orDie(),
+                ::testing::ExitedWithCode(1), "malformed");
 }
 
 TEST(TraceIoTest, DineroImport)
@@ -133,7 +133,7 @@ TEST(TraceIoTest, DineroImport)
        << "2 1000\n"   // ifetch
        << "0 2000\n"   // read
        << "1 2004\n";  // write
-    auto recs = readTraceDinero(ss, 3, 7);
+    auto recs = tryReadTraceDinero(ss, 3, 7).orDie();
     ASSERT_EQ(recs.size(), 3u);
     EXPECT_EQ(recs[0].type, RefType::Instr);
     EXPECT_EQ(recs[0].vaddr, 0x1000u);
@@ -150,16 +150,16 @@ TEST(TraceIoDeathTest, DineroBadLabel)
 {
     std::stringstream ss;
     ss << "5 1000\n";
-    EXPECT_EXIT(readTraceDinero(ss), ::testing::ExitedWithCode(1),
-                "unknown dinero label");
+    EXPECT_EXIT(tryReadTraceDinero(ss).orDie(),
+                ::testing::ExitedWithCode(1), "unknown dinero label");
 }
 
 TEST(TraceIoDeathTest, DineroMalformed)
 {
     std::stringstream ss;
     ss << "junk\n";
-    EXPECT_EXIT(readTraceDinero(ss), ::testing::ExitedWithCode(1),
-                "malformed dinero");
+    EXPECT_EXIT(tryReadTraceDinero(ss).orDie(),
+                ::testing::ExitedWithCode(1), "malformed dinero");
 }
 
 TEST(TraceIoTest, FileRoundTrip)
@@ -168,14 +168,14 @@ TEST(TraceIoTest, FileRoundTrip)
     std::string path =
         ::testing::TempDir() + "/vrc_trace_io_test.trace";
     saveTrace(path, trace);
-    auto back = loadTrace(path);
+    auto back = tryLoadTrace(path).orDie();
     EXPECT_EQ(back, trace);
     std::remove(path.c_str());
 }
 
 TEST(TraceIoDeathTest, MissingFile)
 {
-    EXPECT_EXIT(loadTrace("/nonexistent/path/to.trace"),
+    EXPECT_EXIT(tryLoadTrace("/nonexistent/path/to.trace").orDie(),
                 ::testing::ExitedWithCode(1), "cannot open");
 }
 

@@ -89,34 +89,6 @@ TEST(WriteBufferTest, RemoveCancelsWithoutDrain)
     EXPECT_FALSE(wb.remove(0x100).has_value());
 }
 
-TEST(WriteBufferTest, FlushDrainsOneEntryNow)
-{
-    WriteBuffer wb(4, 1000);
-    std::vector<std::uint32_t> drained;
-    wb.setDrainHandler([&](const WriteBufferEntry &e) {
-        drained.push_back(e.physBlockAddr);
-    });
-    wb.push(0x100, 0);
-    wb.push(0x200, 0);
-    EXPECT_TRUE(wb.flush(0x200));
-    ASSERT_EQ(drained.size(), 1u);
-    EXPECT_EQ(drained[0], 0x200u);
-    EXPECT_FALSE(wb.flush(0x200)) << "already gone";
-    EXPECT_TRUE(wb.contains(0x100)) << "other entries untouched";
-}
-
-TEST(WriteBufferTest, DrainAll)
-{
-    WriteBuffer wb(4, 1000);
-    int drains = 0;
-    wb.setDrainHandler([&](const WriteBufferEntry &) { ++drains; });
-    wb.push(0x100, 0);
-    wb.push(0x200, 0);
-    wb.drainAll();
-    EXPECT_EQ(drains, 2);
-    EXPECT_TRUE(wb.empty());
-}
-
 TEST(WriteBufferTest, StatsCounters)
 {
     WriteBuffer wb(1, 1000);

@@ -21,12 +21,13 @@
  */
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "base/cli.hh"
 #include "base/fault.hh"
 #include "base/log.hh"
 #include "check/fuzzer.hh"
@@ -46,7 +47,7 @@ usage()
         "  --ops=N           fuzz operations per seed (default 4096)\n"
         "  --transactions=N  keep fuzzing each seed until the bus saw\n"
         "                    at least N transactions\n"
-        "  --cpus=N          processors (default 4)\n"
+        "  --cpus=N          processors (default 4, max 256)\n"
         "  --org=<vr|rr|rr-noincl|vr-rlt|mix>  hierarchy kind (mix:\n"
         "                    derive org/protocol/split from the seed)\n"
         "  --rlt-entries=N / --rlt-assoc=N  reverse-lookup-table\n"
@@ -68,17 +69,6 @@ usage()
         "                    [,bus=P][,retry=N]), recorded in replay\n"
         "                    files; a machine-check halt counts as ok\n";
     std::exit(2);
-}
-
-bool
-argValue(const char *arg, const char *name, std::string &out)
-{
-    std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        out = arg + n + 1;
-        return true;
-    }
-    return false;
 }
 
 std::string
@@ -187,62 +177,62 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t seed_lo = 1, seed_hi = 1;
-    std::string org = "vr", protocol = "wi", replay_path, artifacts;
+    std::string replay_path, artifacts;
+    // nullopt: "mix", derived from each seed.
+    std::optional<HierarchyKind> org = HierarchyKind::VirtualReal;
+    std::optional<CoherencePolicy> protocol =
+        CoherencePolicy::WriteInvalidate;
     FuzzOptions base;
-    bool split = false, minimize = false, json = false, smoke = false;
-    std::string value;
+    bool minimize = false, json = false, smoke = false;
 
-    for (int i = 1; i < argc; ++i) {
-        if (argValue(argv[i], "--seeds", value)) {
-            std::size_t dots = value.find("..");
-            if (dots == std::string::npos)
-                usage();
-            seed_lo = std::strtoull(value.c_str(), nullptr, 0);
-            seed_hi = std::strtoull(value.c_str() + dots + 2, nullptr, 0);
-            if (seed_hi < seed_lo)
-                usage();
-        } else if (argValue(argv[i], "--seed", value)) {
-            seed_lo = seed_hi = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (argValue(argv[i], "--ops", value)) {
-            base.ops = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (argValue(argv[i], "--transactions", value)) {
-            base.minTransactions =
-                std::strtoull(value.c_str(), nullptr, 0);
-        } else if (argValue(argv[i], "--cpus", value)) {
-            base.cpus = std::strtoul(value.c_str(), nullptr, 0);
-        } else if (argValue(argv[i], "--org", value)) {
-            org = value;
-        } else if (argValue(argv[i], "--rlt-entries", value)) {
-            base.rltEntries = std::strtoul(value.c_str(), nullptr, 0);
-        } else if (argValue(argv[i], "--rlt-assoc", value)) {
-            base.rltAssoc = std::strtoul(value.c_str(), nullptr, 0);
-        } else if (argValue(argv[i], "--protocol", value)) {
-            protocol = value;
-        } else if (argValue(argv[i], "--sweep", value)) {
-            base.sweepPeriod = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (argValue(argv[i], "--mask", value)) {
-            base.opMask = std::strtoul(value.c_str(), nullptr, 0);
-        } else if (argValue(argv[i], "--replay", value)) {
-            replay_path = value;
-        } else if (argValue(argv[i], "--artifacts", value)) {
-            artifacts = value;
-        } else if (std::strcmp(argv[i], "--split") == 0) {
-            split = true;
-        } else if (std::strcmp(argv[i], "--minimize") == 0) {
-            minimize = true;
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            json = true;
-        } else if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (argValue(argv[i], "--soft-errors", value)) {
-            Result<SoftErrorConfig> strikes = parseSoftErrors(value);
-            if (!strikes)
-                fatal(strikes.error().describe());
-            base.softErrors = strikes.take();
-        } else {
-            usage();
-        }
-    }
+    const cli::Tool tool{"vrc-fuzz", usage};
+    cli::parse(tool, argc, argv, {
+        {"--seeds",
+         [&](const std::string &v) {
+             std::size_t dots = v.find("..");
+             return cli::accept(
+                 dots != std::string::npos &&
+                 cli::readNumber(v.substr(0, dots), seed_lo) &&
+                 cli::readNumber(v.substr(dots + 2), seed_hi, seed_lo));
+         }},
+        {"--seed",
+         [&](const std::string &v) {
+             Status read = cli::readNumber(v, seed_lo);
+             seed_hi = seed_lo;
+             return read;
+         }},
+        {"--ops", base.ops},
+        {"--transactions", base.minTransactions},
+        {"--cpus", base.cpus},
+        {"--org",
+         [&](const std::string &v) {
+             org = hierarchyKindFromArg(v);
+             return cli::accept(org || v == "mix");
+         }},
+        {"--rlt-entries", base.rltEntries},
+        {"--rlt-assoc", base.rltAssoc},
+        {"--protocol",
+         [&](const std::string &v) {
+             protocol.reset();
+             if (v != "mix")
+                 protocol = v == "wu" ? CoherencePolicy::WriteUpdate
+                                      : CoherencePolicy::WriteInvalidate;
+             return cli::accept(v == "wi" || v == "wu" || v == "mix");
+         }},
+        {"--sweep", base.sweepPeriod},
+        {"--mask", base.opMask},
+        {"--replay", replay_path},
+        {"--artifacts", artifacts},
+        {"--split", base.splitL1},
+        {"--minimize", minimize},
+        {"--json", json},
+        {"--smoke", smoke},
+        {"--soft-errors",
+         [&](const std::string &v) {
+             return cli::store(base.softErrors, parseSoftErrors(v));
+         }},
+    });
+    cli::check(tool, checkFuzzOptions(base));
 
     if (smoke)
         return runSmoke();
@@ -261,30 +251,15 @@ main(int argc, char **argv)
     for (std::uint64_t seed = seed_lo; seed <= seed_hi; ++seed) {
         FuzzOptions opt = base;
         opt.seed = seed;
-        opt.splitL1 = split;
-
-        if (org == "mix") {
-            opt.kind = kAllHierarchyKinds[seed % kHierarchyKindCount];
-            opt.splitL1 =
-                split || (seed / (2 * kHierarchyKindCount)) % 2 == 1;
-        } else if (auto kind = hierarchyKindFromArg(org)) {
-            opt.kind = *kind;
-        } else {
-            usage();
-        }
-
-        if (protocol == "mix") {
-            opt.protocol = (seed / kHierarchyKindCount) % 2 == 0
+        opt.kind =
+            org.value_or(kAllHierarchyKinds[seed % kHierarchyKindCount]);
+        if (!org)
+            opt.splitL1 = base.splitL1 ||
+                          (seed / (2 * kHierarchyKindCount)) % 2 == 1;
+        opt.protocol = protocol.value_or(
+            (seed / kHierarchyKindCount) % 2 == 0
                 ? CoherencePolicy::WriteInvalidate
-                : CoherencePolicy::WriteUpdate;
-        } else if (protocol == "wi") {
-            opt.protocol = CoherencePolicy::WriteInvalidate;
-        } else if (protocol == "wu") {
-            opt.protocol = CoherencePolicy::WriteUpdate;
-        } else {
-            usage();
-        }
-
+                : CoherencePolicy::WriteUpdate);
         rc |= runOne(opt, minimize, artifacts, json);
     }
     return rc;

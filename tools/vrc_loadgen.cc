@@ -28,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -39,6 +38,7 @@
 #include <vector>
 
 #include "base/atomic_file.hh"
+#include "base/cli.hh"
 #include "base/log.hh"
 #include "serve/client.hh"
 #include "serve/wire.hh"
@@ -60,14 +60,14 @@ usage()
     std::cerr <<
         "usage: vrc_loadgen (--connect-unix=<path> | --connect-tcp=<port>)\n"
         "  --profile=<pops|thor|abaqus>  workload (default pops)\n"
-        "  --scale=<f>      rescale the generated trace (default 1.0)\n"
-        "  --org=<vr|rr|rr-noincl>  organization (default vr)\n"
+        "  --scale=<f>      rescale the trace (default 1.0, 1e-6 to 1e6)\n"
+        "  --org=<vr|rr|rr-noincl|vr-rlt>  organization (default vr)\n"
         "  --l1=<bytes> --l2=<bytes>  cache sizes (default 16K/256K)\n"
-        "  --clients=<n>    well-behaved clients (default 4)\n"
+        "  --clients=<n>    well-behaved clients (default 4, 1 to 256)\n"
         "  --segments=<n>   trace segments to submit (default 8)\n"
-        "  --malformed=<n>  garbage-sending clients (default 0)\n"
-        "  --disconnect=<n> mid-segment hangup clients (default 0)\n"
-        "  --slowloris=<n>  byte-dribbling clients (default 0)\n"
+        "  --malformed=<n>  garbage-sending clients (default 0, max 256)\n"
+        "  --disconnect=<n> mid-segment hangup clients (default 0, max 256)\n"
+        "  --slowloris=<n>  byte-dribbling clients (default 0, max 256)\n"
         "  --verify         byte-compare results against batch mode\n"
         "  --retry=<n>      resubmits after shed/lost (default 3)\n"
         "  --timeout=<s>    per-reply wait (default 60)\n"
@@ -76,17 +76,6 @@ usage()
         "  --out=<path>     write received summary lines in segment\n"
         "                   order (diffs against vrc_sim --summary)\n";
     std::exit(2);
-}
-
-bool
-argValue(const char *arg, const char *name, std::string &out)
-{
-    std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        out = arg + n + 1;
-        return true;
-    }
-    return false;
 }
 
 struct Config
@@ -397,71 +386,41 @@ int
 main(int argc, char **argv)
 {
     Config cfg;
-    std::string value;
-    for (int i = 1; i < argc; ++i) {
-        if (argValue(argv[i], "--connect-unix", value))
-            cfg.unixPath = value;
-        else if (argValue(argv[i], "--connect-tcp", value))
-            cfg.tcpPort = static_cast<int>(
-                std::strtol(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--profile", value))
-            cfg.profileName = value;
-        else if (argValue(argv[i], "--scale", value))
-            cfg.scale = std::atof(value.c_str());
-        else if (argValue(argv[i], "--org", value)) {
-            if (value == "vr")
-                cfg.kind = HierarchyKind::VirtualReal;
-            else if (value == "rr")
-                cfg.kind = HierarchyKind::RealRealIncl;
-            else if (value == "rr-noincl")
-                cfg.kind = HierarchyKind::RealRealNoIncl;
-            else
-                usage();
-        } else if (argValue(argv[i], "--l1", value))
-            cfg.l1 = std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--l2", value))
-            cfg.l2 = std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--clients", value))
-            cfg.clients = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--segments", value))
-            cfg.segments = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--malformed", value))
-            cfg.malformed = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--disconnect", value))
-            cfg.disconnect = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--slowloris", value))
-            cfg.slowloris = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        else if (std::strcmp(argv[i], "--verify") == 0)
-            cfg.verify = true;
-        else if (std::strcmp(argv[i], "--tolerate-drain") == 0)
-            cfg.tolerateDrain = true;
-        else if (argValue(argv[i], "--retry", value))
-            cfg.retries = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--timeout", value))
-            cfg.timeout = std::atof(value.c_str());
-        else if (argValue(argv[i], "--out", value))
-            cfg.outPath = value;
-        else
-            usage();
-    }
+    const cli::Tool tool{"vrc-loadgen", usage};
+    cli::parse(tool, argc, argv, {
+        {"--connect-unix", cfg.unixPath},
+        {"--connect-tcp", cfg.tcpPort, 0, 65535},
+        {"--profile", cfg.profileName},
+        {"--scale", cfg.scale, 1e-6, 1e6},
+        {"--org",
+         [&](const std::string &v) {
+             return cli::store(cfg.kind, hierarchyKindFromArg(v));
+         }},
+        {"--l1", cfg.l1},
+        {"--l2", cfg.l2},
+        {"--clients", cfg.clients, 1u, cli::kMaxThreads},
+        {"--segments", cfg.segments, 1u},
+        {"--malformed", cfg.malformed, 0u, cli::kMaxThreads},
+        {"--disconnect", cfg.disconnect, 0u, cli::kMaxThreads},
+        {"--slowloris", cfg.slowloris, 0u, cli::kMaxThreads},
+        {"--verify", cfg.verify},
+        {"--tolerate-drain", cfg.tolerateDrain},
+        {"--retry", cfg.retries},
+        {"--timeout", cfg.timeout, 0.0, 1e6},
+        {"--out", cfg.outPath},
+    });
     if (cfg.unixPath.empty() && cfg.tcpPort < 0)
-        usage();
-    if (cfg.clients == 0 || cfg.segments == 0)
         usage();
 
     Shared sh;
     sh.cfg = cfg;
-    sh.bundle =
-        generateTrace(scaled(profileByName(cfg.profileName),
-                             cfg.scale));
     sh.job = SimJob{cfg.kind, cfg.l1, cfg.l2, false, 0,
                     TimingMode::Analytic};
+    WorkloadProfile profile =
+        scaled(profileByName(cfg.profileName), cfg.scale);
+    cli::check(tool,
+               checkMachineConfig(jobMachineConfig(sh.job, profile.pageSize)));
+    sh.bundle = generateTrace(profile);
 
     // Contiguous segments covering the whole trace.
     std::size_t total = sh.bundle.records.size();

@@ -25,12 +25,12 @@
  */
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "base/atomic_file.hh"
+#include "base/cli.hh"
 #include "sim/campaign.hh"
 #include "sim/shard.hh"
 
@@ -57,34 +57,16 @@ usage()
     std::exit(2);
 }
 
-bool
-argValue(const char *arg, const char *name, std::string &out)
-{
-    std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        out = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string out_path, manifest_path, value;
+    std::string out_path, manifest_path;
     std::vector<std::string> inputs;
-    for (int i = 1; i < argc; ++i) {
-        if (argValue(argv[i], "--out", value))
-            out_path = value;
-        else if (argValue(argv[i], "--manifest", value))
-            manifest_path = value;
-        else if (argv[i][0] == '-')
-            usage();
-        else
-            inputs.push_back(argv[i]);
-    }
+    cli::parse({"vrc-merge", usage}, argc, argv,
+               {{"--out", out_path}, {"--manifest", manifest_path}},
+               &inputs);
     if (out_path.empty() || inputs.empty())
         usage();
 

@@ -5,13 +5,8 @@
  * Runs one of the built-in workloads (or a saved binary trace) through
  * a configurable machine and prints the full statistics: hit ratios by
  * type and level, synonym/coherence/write-buffer activity, and the
- * Section-4 access-time model.
- *
- * Usage:
- *   vrc_sim --profile=pops [--trace=file.vrct] [--org=vr|rr|rr-noincl]
- *           [--l1=16384] [--l2=262144] [--assoc1=1] [--assoc2=1]
- *           [--block1=16] [--block2=16] [--split] [--scale=1.0]
- *           [--timing=analytic|cycle] [--check] [--per-cpu]
+ * Section-4 access-time model. usage() lists every flag; the table in
+ * main() binds each to its destination and bounds.
  *
  * `--artifact=<name>|all` renders the paper's tables and figures from
  * the registry in sim/artifacts.hh.
@@ -23,13 +18,13 @@
  */
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 
 #include "base/atomic_file.hh"
+#include "base/cli.hh"
 #include "base/fault.hh"
 #include "base/log.hh"
 #include "base/shutdown.hh"
@@ -66,7 +61,7 @@ usage()
         "  --l1=<bytes> --l2=<bytes> cache sizes (default 16K/256K)\n"
         "  --assoc1/--assoc2, --block1/--block2   geometry\n"
         "  --split          split level 1 into I and D halves\n"
-        "  --scale=<f>      rescale the generated trace\n"
+        "  --scale=<f>      rescale the generated trace (1e-6 to 1e6)\n"
         "  --timing=<analytic|cycle>  access-time engine: the paper's\n"
         "                   closed form, or the cycle-approximate bus-\n"
         "                   contention model (default analytic; the\n"
@@ -80,8 +75,8 @@ usage()
         "                   (the service's RESULT payload; byte-\n"
         "                   comparable against --serve replies)\n"
         "  --events=<n>     print the first n hierarchy events\n"
-        "  --warmup=<f>     reset statistics after fraction f of the\n"
-        "                   trace (steady-state measurement)\n"
+        "  --warmup=<f>     reset statistics after fraction f (0 to 1) of\n"
+        "                   the trace (steady-state measurement)\n"
         "paper artifacts:\n"
         "  --artifact=<name>|all  render one of the paper's tables or\n"
         "                   figures (or every one) at --scale with\n"
@@ -95,7 +90,7 @@ usage()
         "  --max-retries=<n>  retries before a cell is quarantined\n"
         "  --manifest=<path>  write the failure manifest JSON here\n"
         "  --out=<path>     write the campaign result JSON here\n"
-        "  --jobs=<n>       worker threads for the sweep\n"
+        "  --jobs=<n>       worker threads for the sweep (max 256)\n"
         "  --inject-faults=<spec>  arm deterministic fault injection\n"
         "                   (seed=N[,corrupt=P][,truncate=P][,throw=P]\n"
         "                   [,stall=P][,stall_ms=M])\n"
@@ -125,7 +120,7 @@ usage()
         "  --listen-unix=<path>   unix-domain listening socket\n"
         "  --listen-tcp=<port>    localhost TCP (0 = kernel-assigned;\n"
         "                   the bound port is printed on stdout)\n"
-        "  --workers=<n>    segment worker threads (default 2)\n"
+        "  --workers=<n>    segment worker threads (default 2, max 256)\n"
         "  --queue=<n>      global admission queue bound (default 64)\n"
         "  --per-client=<n> per-session in-flight bound (default 4)\n"
         "  --read-timeout=<s>  kill sessions whose frame stalls\n"
@@ -142,16 +137,6 @@ usage()
     std::exit(2);
 }
 
-/** A usage or configuration error: report it and exit 2. */
-template <typename... Args>
-[[noreturn]] void
-usageError(const Args &...args)
-{
-    std::cerr << "vrc_sim: ";
-    (std::cerr << ... << args) << std::endl;
-    std::exit(2);
-}
-
 /**
  * Fail fast when an output path cannot be opened for writing, instead
  * of discovering it only after a long campaign has already run.
@@ -165,25 +150,6 @@ probeWritable(const char *what, const std::string &path)
     std::ofstream probe(path, std::ios::app);
     if (!probe)
         fatal("cannot open ", what, " for writing: ", path);
-}
-
-bool
-argValue(const char *arg, const char *name, std::string &out)
-{
-    std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        out = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
-HierarchyKind
-parseOrg(const std::string &s)
-{
-    if (auto kind = hierarchyKindFromArg(s))
-        return *kind;
-    usageError("unknown organization: ", s, " (try --list-orgs)");
 }
 
 /** --list-orgs: one line per organization, argument first. */
@@ -384,14 +350,13 @@ runServe(const ServeOptions &so)
 int
 main(int argc, char **argv)
 {
-    std::string profile_name, profile_file, trace_path, artifact, value;
+    std::string profile_name, profile_file, trace_path, artifact;
     HierarchyKind kind = HierarchyKind::VirtualReal;
     std::uint32_t l1 = 16 * 1024, l2 = 256 * 1024;
     std::uint32_t assoc1 = 1, assoc2 = 1, block1 = 16, block2 = 16;
     bool split = false, check = false, per_cpu = false;
     bool json = false, stream = false, summary_only = false;
-    bool sweep = false, serve = false;
-    bool coordinate = false, shard_worker = false;
+    std::string mode; // the mode flag given; empty for a single run
     ShardWorkerOptions worker_opt;
     std::size_t shard_cells = 0;
     ServeOptions serve_opt;
@@ -404,132 +369,83 @@ main(int argc, char **argv)
     double warmup = 0.0;
     double scale = 1.0;
 
-    for (int i = 1; i < argc; ++i) {
-        if (argValue(argv[i], "--profile-file", value))
-            profile_file = value;
-        else if (argValue(argv[i], "--profile", value))
-            profile_name = value;
-        else if (argValue(argv[i], "--artifact", value))
-            artifact = value;
-        else if (argValue(argv[i], "--trace", value))
-            trace_path = value;
-        else if (argValue(argv[i], "--org", value))
-            kind = parseOrg(value);
-        else if (std::strcmp(argv[i], "--list-orgs") == 0)
-            listOrgs();
-        else if (argValue(argv[i], "--l1", value))
-            l1 = std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--l2", value))
-            l2 = std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--assoc1", value))
-            assoc1 = std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--assoc2", value))
-            assoc2 = std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--block1", value))
-            block1 = std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--block2", value))
-            block2 = std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--scale", value))
-            scale = std::atof(value.c_str());
-        else if (argValue(argv[i], "--timing", value)) {
-            std::optional<TimingMode> m = parseTimingMode(value);
-            if (!m)
-                usageError("unknown timing mode: ", value);
-            timing_mode = *m;
-        } else if (std::strcmp(argv[i], "--split") == 0)
-            split = true;
-        else if (std::strcmp(argv[i], "--stream") == 0)
-            stream = true;
-        else if (std::strcmp(argv[i], "--check") == 0)
-            check = true;
-        else if (std::strcmp(argv[i], "--per-cpu") == 0)
-            per_cpu = true;
-        else if (std::strcmp(argv[i], "--json") == 0)
-            json = true;
-        else if (std::strcmp(argv[i], "--summary") == 0)
-            summary_only = true;
-        else if (std::strcmp(argv[i], "--serve") == 0)
-            serve = true;
-        else if (std::strcmp(argv[i], "--coordinate") == 0)
-            coordinate = true;
-        else if (std::strcmp(argv[i], "--shard-worker") == 0)
-            shard_worker = true;
-        else if (argValue(argv[i], "--connect-unix", value))
-            worker_opt.connectUnix = value;
-        else if (argValue(argv[i], "--connect-tcp", value))
-            worker_opt.connectTcp = static_cast<int>(
-                std::strtol(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--worker-name", value))
-            worker_opt.name = value;
-        else if (argValue(argv[i], "--heartbeat", value))
-            worker_opt.heartbeatSeconds = std::atof(value.c_str());
-        else if (argValue(argv[i], "--shard-cells", value))
-            shard_cells = std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--listen-unix", value))
-            serve_opt.unixPath = value;
-        else if (argValue(argv[i], "--listen-tcp", value))
-            serve_opt.tcpPort = static_cast<int>(
-                std::strtol(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--workers", value))
-            serve_opt.workers = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--queue", value))
-            serve_opt.queueCap =
-                std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--per-client", value))
-            serve_opt.perClientCap =
-                std::strtoul(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--read-timeout", value))
-            serve_opt.readTimeoutSeconds = std::atof(value.c_str());
-        else if (argValue(argv[i], "--quarantine-threshold", value))
-            serve_opt.quarantineThreshold = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--events", value))
-            events = std::strtoull(value.c_str(), nullptr, 0);
-        else if (argValue(argv[i], "--warmup", value))
-            warmup = std::atof(value.c_str());
-        else if (std::strcmp(argv[i], "--sweep") == 0)
-            sweep = true;
-        else if (argValue(argv[i], "--checkpoint", value))
-            campaign.checkpoint = value;
-        else if (std::strcmp(argv[i], "--resume") == 0)
-            campaign.resume = true;
-        else if (argValue(argv[i], "--deadline", value))
-            campaign.deadlineSeconds = std::atof(value.c_str());
-        else if (argValue(argv[i], "--max-retries", value))
-            campaign.maxRetries = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--manifest", value))
-            campaign.manifest = value;
-        else if (argValue(argv[i], "--out", value))
-            out_path = value;
-        else if (argValue(argv[i], "--jobs", value))
-            campaign.jobs = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        else if (argValue(argv[i], "--inject-faults", value)) {
-            Status armed = configureFaultInjection(value);
-            if (!armed)
-                usageError(armed.error().describe());
-        } else if (argValue(argv[i], "--soft-errors", value)) {
-            Result<SoftErrorConfig> strikes = parseSoftErrors(value);
-            if (!strikes)
-                usageError(strikes.error().describe());
-            soft_errors = strikes.take();
-        } else if (argValue(argv[i], "--protect", value)) {
-            protect = parseArrayProtection(value);
-            if (!protect)
-                usageError("unknown protection policy: ", value);
-        } else
-            usage();
-    }
-    if ((soft_errors.armed() || protect) &&
-        (sweep || coordinate || serve || shard_worker || !artifact.empty()))
-        usageError("--soft-errors and --protect shape a single run's "
-                   "machine; they cannot be combined with --sweep, "
-                   "--coordinate, --serve, --shard-worker or --artifact");
-    if (shard_worker)
+    const cli::Tool tool{"vrc_sim", usage};
+    auto pick = [&](const std::string &flag) {
+        if (!mode.empty() && mode != flag)
+            cli::reject(tool, mode + " cannot be combined with " + flag);
+        mode = flag;
+    };
+    cli::parse(tool, argc, argv, {
+        {"--profile-file", profile_file},
+        {"--profile", profile_name},
+        {"--artifact", artifact},
+        {"--trace", trace_path},
+        {"--org",
+         [&](const std::string &v) {
+             return cli::store(kind, hierarchyKindFromArg(v));
+         }},
+        {"--list-orgs", listOrgs},
+        {"--l1", l1},
+        {"--l2", l2},
+        {"--assoc1", assoc1},
+        {"--assoc2", assoc2},
+        {"--block1", block1},
+        {"--block2", block2},
+        {"--scale", scale, 1e-6, 1e6},
+        {"--timing",
+         [&](const std::string &v) {
+             return cli::store(timing_mode, parseTimingMode(v));
+         }},
+        {"--split", split},
+        {"--stream", stream},
+        {"--check", check},
+        {"--per-cpu", per_cpu},
+        {"--json", json},
+        {"--summary", summary_only},
+        {"--serve", [&] { pick("--serve"); }},
+        {"--coordinate", [&] { pick("--coordinate"); }},
+        {"--shard-worker", [&] { pick("--shard-worker"); }},
+        {"--sweep", [&] { pick("--sweep"); }},
+        {"--connect-unix", worker_opt.connectUnix},
+        {"--connect-tcp", worker_opt.connectTcp, 0, 65535},
+        {"--worker-name", worker_opt.name},
+        {"--heartbeat", worker_opt.heartbeatSeconds, 0.0, 1e6},
+        {"--shard-cells", shard_cells},
+        {"--listen-unix", serve_opt.unixPath},
+        {"--listen-tcp", serve_opt.tcpPort, 0, 65535},
+        {"--workers", serve_opt.workers, 0u, cli::kMaxThreads},
+        {"--queue", serve_opt.queueCap},
+        {"--per-client", serve_opt.perClientCap},
+        {"--read-timeout", serve_opt.readTimeoutSeconds, 0.0, 1e6},
+        {"--quarantine-threshold", serve_opt.quarantineThreshold},
+        {"--events", events},
+        {"--warmup", warmup, 0.0, 1.0},
+        {"--checkpoint", campaign.checkpoint},
+        {"--resume", campaign.resume},
+        {"--deadline", campaign.deadlineSeconds, 0.0, 1e6},
+        {"--max-retries", campaign.maxRetries},
+        {"--manifest", campaign.manifest},
+        {"--out", out_path},
+        {"--jobs", campaign.jobs, 0u, cli::kMaxThreads},
+        {"--inject-faults", configureFaultInjection},
+        {"--soft-errors",
+         [&](const std::string &v) {
+             return cli::store(soft_errors, parseSoftErrors(v));
+         }},
+        {"--protect",
+         [&](const std::string &v) {
+             return cli::store(protect, parseArrayProtection(v));
+         }},
+    });
+    if (!artifact.empty())
+        pick("--artifact");
+    if (!mode.empty() && (stream || soft_errors.armed() || protect))
+        cli::reject(tool, "--stream, --soft-errors and --protect shape a "
+                          "single run's machine; they cannot be combined "
+                          "with " + mode);
+    if (mode == "--shard-worker")
         return runWorker(worker_opt);
-    if (serve) {
+    if (mode == "--serve") {
         serve_opt.segmentDeadline = campaign.deadlineSeconds;
         serve_opt.maxRetries = campaign.maxRetries;
         serve_opt.manifest = campaign.manifest;
@@ -537,28 +453,27 @@ main(int argc, char **argv)
                       serve_opt.manifest);
         return runServe(serve_opt);
     }
-    if (!artifact.empty())
+    if (mode == "--artifact")
         return runArtifacts(artifact, scale, campaign.jobs);
     if (profile_name.empty() && profile_file.empty())
         usage();
 
     WorkloadProfile profile = profile_file.empty()
         ? profileByName(profile_name)
-        : loadProfile(profile_file);
+        : tryLoadProfile(profile_file).orDie();
     profile = scaled(profile, scale);
     if (stream && (!trace_path.empty() || warmup > 0.0))
-        usageError("--stream cannot be combined with --trace or "
-                   "--warmup");
-    if (coordinate) {
-        if (stream || sweep)
-            usageError("--coordinate cannot be combined with --stream "
-                       "or --sweep");
-        if (!trace_path.empty() || !profile_file.empty())
-            usageError("--coordinate needs a built-in --profile: "
-                       "workers regenerate the trace from its name");
+        cli::reject(tool, "--stream cannot be combined with --trace or "
+                          "--warmup");
+    if (mode == "--coordinate" &&
+        (!trace_path.empty() || !profile_file.empty()))
+        cli::reject(tool, "--coordinate needs a built-in --profile: "
+                          "workers regenerate the trace from its name");
+    if (!mode.empty()) {
         probeWritable("campaign result (--out)", out_path);
-        probeWritable("failure manifest (--manifest)",
-                      campaign.manifest);
+        probeWritable("failure manifest (--manifest)", campaign.manifest);
+    }
+    if (mode == "--coordinate") {
         ShardCoordinatorOptions co;
         static_cast<CellLedgerOptions &>(co) = campaign;
         co.listenUnix = serve_opt.unixPath;
@@ -568,11 +483,10 @@ main(int argc, char **argv)
         return runCoordinate(generateTrace(profile), co, json,
                              out_path, timing_mode);
     }
-    if (sweep) {
-        if (stream)
-            usageError("--sweep cannot be combined with --stream");
-        probeWritable("campaign result (--out)", out_path);
-        probeWritable("failure manifest (--manifest)", campaign.manifest);
+    if (mode == "--sweep") {
+        for (const SimJob &j : sweepGrid(timing_mode))
+            cli::check(tool, checkMachineConfig(
+                                 jobMachineConfig(j, profile.pageSize)));
         TraceBundle bundle;
         if (!trace_path.empty()) {
             Result<std::vector<TraceRecord>> loaded =
@@ -600,15 +514,11 @@ main(int argc, char **argv)
     if (protect)
         mc.hierarchy.l1.protection = mc.hierarchy.l2.protection = *protect;
     mc.hierarchy.softErrors = soft_errors;
-    Status sizes = checkCacheSizes(mc);
-    if (!sizes) {
-        std::cerr << "vrc_sim: " << sizes.error().message << "\n";
-        usage();
-    }
+    cli::check(tool, checkMachineConfig(mc));
 
     std::vector<TraceRecord> records;
     if (!trace_path.empty()) {
-        records = loadTrace(trace_path);
+        records = tryLoadTrace(trace_path).orDie();
     } else if (!stream) {
         records = generateTrace(profile).records;
     }

@@ -5,18 +5,15 @@
  * Generates a synthetic multiprocessor trace from one of the built-in
  * workload profiles (optionally rescaled or reseeded) and writes it to
  * a file in the binary or text format, or prints its characteristics.
- *
- * Usage:
- *   vrc_tracegen --profile=pops [--scale=0.1] [--seed=N]
- *                [--out=trace.vrct | --text-out=trace.txt] [--stats]
  */
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "base/cli.hh"
 #include "base/log.hh"
 #include "base/table.hh"
 #include "trace/generator.hh"
@@ -35,9 +32,9 @@ usage()
     std::cerr <<
         "usage: vrc_tracegen --profile=<pops|thor|abaqus> [options]\n"
         "  --profile-file=<path>  load a custom profile file instead\n"
-        "  --scale=<f>      rescale trace length (default 1.0)\n"
+        "  --scale=<f>      rescale trace length (default 1.0, 1e-6 to 1e6)\n"
         "  --seed=<n>       override the profile's RNG seed\n"
-        "  --cpus=<n>       override the CPU count\n"
+        "  --cpus=<n>       override the CPU count (1 to 256)\n"
         "  --out=<path>     write binary trace\n"
         "  --text-out=<path> write text trace\n"
         "  --stats          print Table-5-style characteristics\n"
@@ -45,63 +42,40 @@ usage()
     std::exit(2);
 }
 
-bool
-argValue(const char *arg, const char *name, std::string &out)
-{
-    std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        out = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string profile_name, profile_file, out_path, text_path, value;
+    std::string profile_name, profile_file, out_path, text_path;
     double scale = 1.0;
     bool print_stats = false, print_bursts = false;
-    std::uint64_t seed = 0;
-    bool seed_set = false;
+    std::optional<std::uint64_t> seed;
     std::uint32_t cpus = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        if (argValue(argv[i], "--profile-file", value)) {
-            profile_file = value;
-        } else if (argValue(argv[i], "--profile", value)) {
-            profile_name = value;
-        } else if (argValue(argv[i], "--scale", value)) {
-            scale = std::atof(value.c_str());
-        } else if (argValue(argv[i], "--seed", value)) {
-            seed = std::strtoull(value.c_str(), nullptr, 0);
-            seed_set = true;
-        } else if (argValue(argv[i], "--cpus", value)) {
-            cpus = static_cast<std::uint32_t>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        } else if (argValue(argv[i], "--out", value)) {
-            out_path = value;
-        } else if (argValue(argv[i], "--text-out", value)) {
-            text_path = value;
-        } else if (std::strcmp(argv[i], "--stats") == 0) {
-            print_stats = true;
-        } else if (std::strcmp(argv[i], "--bursts") == 0) {
-            print_bursts = true;
-        } else {
-            usage();
-        }
-    }
+    cli::parse({"vrc-tracegen", usage}, argc, argv, {
+        {"--profile-file", profile_file},
+        {"--profile", profile_name},
+        {"--scale", scale, 1e-6, 1e6},
+        {"--seed",
+         [&](const std::string &v) {
+             return cli::readNumber(v, seed.emplace());
+         }},
+        {"--cpus", cpus, 1u, kMaxTraceCpus},
+        {"--out", out_path},
+        {"--text-out", text_path},
+        {"--stats", print_stats},
+        {"--bursts", print_bursts},
+    });
     if (profile_name.empty() && profile_file.empty())
         usage();
 
     WorkloadProfile p = profile_file.empty()
         ? profileByName(profile_name)
-        : loadProfile(profile_file);
+        : tryLoadProfile(profile_file).orDie();
     p = scaled(p, scale);
-    if (seed_set)
-        p.seed = seed;
+    if (seed)
+        p.seed = *seed;
     if (cpus != 0)
         p.numCpus = cpus;
 

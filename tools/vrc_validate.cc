@@ -9,16 +9,16 @@
  * to the workload model or the hierarchies. The cells come from the
  * artifact registry's grids (sim/artifacts.hh).
  *
- * Usage: vrc-validate [--scale=<f>]   (default 0.05)
+ * Usage: vrc-validate [--scale=<f>]   (default 0.05, 1e-6 to 1e6)
  */
 
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "base/cli.hh"
 #include "base/log.hh"
 #include "base/table.hh"
 #include "core/timing.hh"
@@ -94,10 +94,8 @@ int
 main(int argc, char **argv)
 {
     double scale = 0.05;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--scale=", 8) == 0)
-            scale = std::atof(argv[i] + 8);
-    }
+    cli::parse({"vrc-validate", nullptr}, argc, argv,
+               {{"--scale", scale, 1e-6, 1e6}});
     std::cerr << "validating the reproduction at scale " << scale
               << "\n";
 
