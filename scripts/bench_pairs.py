@@ -3,8 +3,8 @@
 
     python3 scripts/bench_pairs.py [--parent REF] [--pairs N] [--seed S]
 
-Checks REF out in a detached git worktree under .bench_pairs/ (removed
-on exit) and runs every workload of BENCHMARK.json untraced, for the
+Extracts REF with `git archive` into a temporary directory (removed on
+exit) and runs every workload of BENCHMARK.json untraced, for the
 benchmark's own run_seconds, in the parent tree and in this tree:
 
     python3 vrcbench/run.py --workload W --seed s --seconds T --trace 0
@@ -37,6 +37,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -161,15 +162,13 @@ def main():
         spec = json.load(fh)
     seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", "--verify", args.parent + "^{commit}")
-    base = os.path.join(ROOT, ".bench_pairs")
-    tree = os.path.join(base, "parent")
-
-    def drop_worktree():
-        shutil.rmtree(base, ignore_errors=True)
-        git("worktree", "prune")
-
-    drop_worktree()
-    git("worktree", "add", "--detach", tree, parent_sha)
+    tree = tempfile.mkdtemp(prefix="bench_pairs-")
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", parent_sha],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout,
+                   check=True)
+    if archive.wait():
+        sys.exit(f"git archive {parent_sha} failed")
     results = {}
     try:
         trees = {"parent": tree, "change": ROOT}
@@ -183,7 +182,7 @@ def main():
                     runs[side].append(
                         run_bench(trees[side], w, seed, seconds))
     finally:
-        drop_worktree()
+        shutil.rmtree(tree, ignore_errors=True)
 
     rows, failures = judge(spec, results, args.pairs)
     print(f"{'workload':<11} {'metric':<19} {'parent q1/med/q3':>30} "

@@ -52,23 +52,6 @@ struct FaultConfig
     // script so the server's client-retry story is tested, not told.
     double connDrop = 0.0;  ///< P(drop the connection after a response)
     double frameTear = 0.0; ///< P(tear a response frame mid-write, then drop)
-
-    // Shard-layer faults (vrc-sim --shard-worker): the distributed
-    // sweep's chaos knobs. Armed in the *worker* process; keyed by
-    // (cell, dispatch attempt) so a cell that crashed or stalled one
-    // dispatch completes on the speculative or retry dispatch.
-    double workerCrash = 0.0; ///< P(worker _exit()s before a cell)
-    double workerStall = 0.0; ///< P(worker freezes, heartbeats muted)
-    double replyTear = 0.0;   ///< P(CELL_RESULT torn mid-write + exit)
-};
-
-/** Verdict of the shard-layer injector for one (cell, attempt). */
-enum class ShardFaultKind : std::uint8_t
-{
-    None,  ///< run the cell normally
-    Crash, ///< _exit() without a word (SIGKILL-alike)
-    Stall, ///< stop heartbeating and sleep through the deadline
-    Tear,  ///< write half a CELL_RESULT frame, then _exit()
 };
 
 /** Verdict of the service-path injector for one response frame. */
@@ -314,31 +297,9 @@ maybeInjectServeFault(std::uint64_t session, std::uint64_t seq)
 }
 
 /**
- * Shard-layer verdict for one cell attempt, evaluated in the worker
- * just before the cell runs. Crash wins over Stall wins over Tear
- * when several fire (crash needs no cooperation from the cell).
- */
-inline ShardFaultKind
-maybeInjectShardFault(std::uint64_t cell, std::uint64_t attempt)
-{
-    if (!faultsArmed())
-        return ShardFaultKind::None;
-    if (faultDecision("shard-crash", cell, attempt,
-                      faultConfig().workerCrash))
-        return ShardFaultKind::Crash;
-    if (faultDecision("shard-stall", cell, attempt,
-                      faultConfig().workerStall))
-        return ShardFaultKind::Stall;
-    if (faultDecision("shard-tear", cell, attempt,
-                      faultConfig().replyTear))
-        return ShardFaultKind::Tear;
-    return ShardFaultKind::None;
-}
-
-/**
  * Arm the injector from a spec string:
  * "seed=N[,corrupt=P][,truncate=P][,throw=P][,stall=P][,stall_ms=M]
- *  [,drop=P][,tear=P][,worker-crash=P][,worker-stall=P][,reply-tear=P]".
+ *  [,drop=P][,tear=P]".
  * A bare number is shorthand for "seed=N" with default probabilities
  * (throw/stall/corrupt all 0.25).
  */
@@ -369,9 +330,6 @@ configureFaultInjection(const std::string &spec)
                 {"stall", &FaultConfig::stall},
                 {"drop", &FaultConfig::connDrop},
                 {"tear", &FaultConfig::frameTear},
-                {"worker-crash", &FaultConfig::workerCrash},
-                {"worker-stall", &FaultConfig::workerStall},
-                {"reply-tear", &FaultConfig::replyTear},
             };
             for (auto [name, prob] : probs) {
                 if (key == name) {

@@ -2,12 +2,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <future>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -128,6 +131,67 @@ struct Spare
     std::unique_ptr<MpSimulator> sim;
 };
 
+/**
+ * The generated traces of named cells, keyed by (profile, exact scale
+ * bits), the most recently used first. A coordinator sends one
+ * workload, so a few entries suffice; admission bounds each one by the
+ * frame cap. The first request for a key generates its trace, and
+ * concurrent requests for that key wait for the same result.
+ */
+class TraceCache
+{
+  public:
+    std::shared_ptr<const TraceBundle>
+    get(const SubmitRequest &req, const WorkloadProfile &profile)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &req.scale, sizeof(bits));
+        Key key{req.profileName, bits};
+        std::promise<Trace> made;
+        std::shared_future<Trace> trace;
+        bool mine = false;
+        {
+            std::lock_guard<std::mutex> g(_mu);
+            auto it = std::find_if(_entries.begin(), _entries.end(),
+                                   [&](const auto &e) {
+                                       return e.first == key;
+                                   });
+            if (it != _entries.end()) {
+                _entries.splice(_entries.begin(), _entries, it);
+                trace = it->second;
+            } else {
+                mine = true;
+                trace = made.get_future().share();
+                _entries.emplace_front(key, trace);
+                if (_entries.size() > kEntries)
+                    _entries.pop_back();
+            }
+        }
+        if (!mine)
+            return trace.get();
+        try {
+            made.set_value(std::make_shared<const TraceBundle>(
+                generateTrace(profile)));
+        } catch (...) {
+            {
+                std::lock_guard<std::mutex> g(_mu);
+                _entries.remove_if(
+                    [&](const auto &e) { return e.first == key; });
+            }
+            made.set_exception(std::current_exception());
+        }
+        return trace.get();
+    }
+
+  private:
+    using Key = std::pair<std::string, std::uint64_t>;
+    using Trace = std::shared_ptr<const TraceBundle>;
+    static constexpr std::size_t kEntries = 2;
+
+    std::mutex _mu;
+    std::list<std::pair<Key, std::shared_future<Trace>>> _entries;
+};
+
 std::unique_ptr<MpSimulator>
 buildSimulator(const Work &w)
 {
@@ -170,6 +234,8 @@ struct ServeServer::Impl
 
     std::atomic<std::uint64_t> spareHits{0};
     std::atomic<std::uint64_t> spareMisses{0};
+
+    TraceCache traces;
 
     std::atomic<bool> started{false};
 
@@ -376,19 +442,22 @@ struct ServeServer::Impl
         }
         WorkloadProfile profile =
             scaled(profileByName(req.profileName), req.scale);
-        Status sizes =
+        Status valid =
             checkMachineConfig(jobMachineConfig(req.job, profile.pageSize));
-        if (!sizes) {
+        if (valid && !req.cell)
+            valid = checkTraceCpus(req.records, profile);
+        // A named cell must cost no more memory than a segment could:
+        // decodeSubmit() accepts scales up to 1e6.
+        if (valid && req.cell &&
+            profile.totalRefs > opt.maxFrameBytes / sizeof(TraceRecord))
+            valid = makeError(ErrorKind::Bounds, "a cell of ",
+                              profile.totalRefs,
+                              " references exceeds the ",
+                              opt.maxFrameBytes, "-byte frame cap");
+        if (!valid) {
             refuse(FrameType::Error, ErrorKind::Bounds,
-                   sizes.error().message);
+                   valid.error().message);
             return;
-        }
-        for (const TraceRecord &r : req.records) {
-            if (r.cpu >= profile.numCpus) {
-                refuse(FrameType::Error, ErrorKind::Bounds,
-                       "record cpu out of range for profile");
-                return;
-            }
         }
 
         // Admission control, under the queue lock so a drain or a
@@ -502,13 +571,18 @@ struct ServeServer::Impl
                     maybeInjectCellFault(
                         static_cast<std::size_t>(req.segmentId),
                         attempt, token);
+                    std::shared_ptr<const TraceBundle> cell =
+                        req.cell ? traces.get(req, w.profile) : nullptr;
                     std::unique_ptr<MpSimulator> sim =
                         takeSimulator(spare, w);
                     took = true;
                     // The deadline starts with the replay: an injected
-                    // stall or an inline construction does not count.
+                    // stall, a cell's trace generation or an inline
+                    // construction does not count.
                     token.expireAfter(opt.segmentDeadline);
-                    replayCancellable(*sim, req.records, token);
+                    replayCancellable(*sim,
+                                      cell ? cell->records : req.records,
+                                      token);
                     return summarizeSimulation(*sim, req.job);
                 },
                 token, timeout);

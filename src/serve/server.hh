@@ -9,6 +9,10 @@
  * previous reply, when the machine matches), and streams back each
  * segment's stats as the campaign journal's hexfloat summary line --
  * bit-identical to running the same segment through batch vrc-sim.
+ * A SUBMIT may instead name a cell (profile + exact scale, no
+ * records): the worker generates that trace once, keeps it in a small
+ * cache, and replays it like a segment. That is how vrc-sim
+ * --coordinate runs its grid on served sessions (sim/shard.hh).
  *
  * Robustness is the design center, reusing the batch campaign's
  * failure machinery in a serving shape:

@@ -134,28 +134,6 @@ class Cursor
 /** Sane cap for the client-name string in HELLO. */
 constexpr std::size_t maxNameBytes = 256;
 
-/** Sane cap on cells per SHARD_ASSIGN and failures per SHARD_DONE. */
-constexpr std::size_t maxShardEntries = 1u << 20;
-
-/** Decode the SimJob fields shared by SUBMIT and SHARD_ASSIGN cells. */
-Status
-decodeJobFields(std::uint8_t org, std::uint8_t split, std::uint8_t timing,
-                SimJob &job)
-{
-    if (org >= kHierarchyKindCount)
-        return makeError(ErrorKind::Bounds,
-                         "bad organization code ", unsigned(org));
-    if (split > 1)
-        return makeError(ErrorKind::Bounds, "bad split flag ",
-                         unsigned(split));
-    if (timing > 1)
-        return makeError(ErrorKind::Bounds, "bad timing mode ",
-                         unsigned(timing));
-    job.kind = static_cast<HierarchyKind>(org);
-    job.split = split != 0;
-    job.timingMode = static_cast<TimingMode>(timing);
-    return okStatus();
-}
 
 // Every socket syscall retries EINTR (and writes retry short writes):
 // see FrameConn.
@@ -168,8 +146,8 @@ writeAllFd(int fd, const char *data, std::size_t n)
     while (off < n) {
         // MSG_NOSIGNAL: a peer that vanished mid-write must surface
         // as EPIPE, not kill a library embedder that never installed
-        // a SIGPIPE handler (a stalled shard worker writing a stale
-        // result into a torn-down coordinator socket, for instance).
+        // a SIGPIPE handler (a server answering a coordinator that
+        // has already gone, for instance).
         ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
         if (w < 0 && errno == ENOTSOCK)
             w = ::write(fd, data + off, n - off);
@@ -232,14 +210,6 @@ frameTypeName(FrameType t)
         return "quarantined";
       case FrameType::Bye:
         return "bye";
-      case FrameType::ShardAssign:
-        return "shard-assign";
-      case FrameType::CellResult:
-        return "cell-result";
-      case FrameType::ShardDone:
-        return "shard-done";
-      case FrameType::Heartbeat:
-        return "heartbeat";
     }
     return "unknown";
 }
@@ -282,9 +252,11 @@ encodeSubmit(const SubmitRequest &s)
     putU64(p, scale_bits);
     putU16(p, static_cast<std::uint16_t>(s.profileName.size()));
     p += s.profileName;
-    std::ostringstream trace;
-    writeTraceBinary(trace, s.records);
-    p += trace.str();
+    if (!s.cell) {
+        std::ostringstream trace;
+        writeTraceBinary(trace, s.records);
+        p += trace.str();
+    }
     return encodeFrame(FrameType::Submit, p);
 }
 
@@ -311,68 +283,6 @@ std::string
 encodeBye()
 {
     return encodeFrame(FrameType::Bye, "");
-}
-
-std::string
-encodeShardAssign(const ShardAssignment &a)
-{
-    std::string p;
-    putU64(p, a.assignId);
-    std::uint64_t scale_bits;
-    static_assert(sizeof(scale_bits) == sizeof(a.scale));
-    std::memcpy(&scale_bits, &a.scale, sizeof(scale_bits));
-    putU64(p, scale_bits);
-    putU16(p, static_cast<std::uint16_t>(a.campaignKey.size()));
-    p += a.campaignKey;
-    putU16(p, static_cast<std::uint16_t>(a.profileName.size()));
-    p += a.profileName;
-    putU32(p, static_cast<std::uint32_t>(a.cells.size()));
-    for (const ShardCell &c : a.cells) {
-        putU32(p, c.index);
-        putU32(p, c.attempt);
-        putU8(p, static_cast<std::uint8_t>(c.job.kind));
-        putU32(p, c.job.l1Size);
-        putU32(p, c.job.l2Size);
-        putU8(p, c.job.split ? 1 : 0);
-        putU64(p, c.job.invariantPeriod);
-        putU8(p, static_cast<std::uint8_t>(c.job.timingMode));
-    }
-    return encodeFrame(FrameType::ShardAssign, p);
-}
-
-std::string
-encodeCellResult(const CellResultReply &r)
-{
-    std::string p;
-    putU64(p, r.assignId);
-    putU32(p, r.index);
-    p += r.summaryLine;
-    return encodeFrame(FrameType::CellResult, p);
-}
-
-std::string
-encodeShardDone(const ShardDoneReply &d)
-{
-    std::string p;
-    putU64(p, d.assignId);
-    putU32(p, d.completed);
-    putU32(p, static_cast<std::uint32_t>(d.failures.size()));
-    for (const ShardFailureInfo &f : d.failures) {
-        putU32(p, f.index);
-        putU8(p, static_cast<std::uint8_t>(f.kind));
-        putU16(p, static_cast<std::uint16_t>(f.message.size()));
-        p += f.message;
-    }
-    return encodeFrame(FrameType::ShardDone, p);
-}
-
-std::string
-encodeHeartbeat(const HeartbeatMsg &h)
-{
-    std::string p;
-    putU64(p, h.assignId);
-    putU32(p, h.cellsDone);
-    return encodeFrame(FrameType::Heartbeat, p);
 }
 
 Result<HelloRequest>
@@ -411,9 +321,18 @@ decodeSubmit(const std::string &payload)
         !c.u32(s.job.l2Size) || !c.u8(split) || !c.u8(timing) ||
         !c.u64(scale_bits) || !c.u16(name_len))
         return makeError(ErrorKind::Parse, "short submit payload");
-    Status job_ok = decodeJobFields(org, split, timing, s.job);
-    if (!job_ok)
-        return job_ok.error();
+    if (org >= kHierarchyKindCount)
+        return makeError(ErrorKind::Bounds,
+                         "bad organization code ", unsigned(org));
+    if (split > 1)
+        return makeError(ErrorKind::Bounds, "bad split flag ",
+                         unsigned(split));
+    if (timing > 1)
+        return makeError(ErrorKind::Bounds, "bad timing mode ",
+                         unsigned(timing));
+    s.job.kind = static_cast<HierarchyKind>(org);
+    s.job.split = split != 0;
+    s.job.timingMode = static_cast<TimingMode>(timing);
     std::memcpy(&s.scale, &scale_bits, sizeof(s.scale));
     if (!(s.scale > 0.0) || s.scale > 1e6)
         return makeError(ErrorKind::Bounds, "bad profile scale");
@@ -423,7 +342,12 @@ decodeSubmit(const std::string &payload)
     if (!c.bytes(name_len, s.profileName))
         return makeError(ErrorKind::Parse, "short submit payload");
 
-    // The rest is the standard binary trace container; revalidate it
+    // Nothing after the name is a cell body.
+    s.cell = c.remaining() == 0;
+    if (s.cell)
+        return s;
+
+    // The rest of a segment is the standard binary trace container; revalidate it
     // with the same loader batch mode uses (magic, version, count
     // against size, record type bytes).
     std::istringstream trace(payload.substr(c.pos()));
@@ -464,111 +388,6 @@ decodeErrorReply(const std::string &payload)
     return e;
 }
 
-Result<ShardAssignment>
-decodeShardAssign(const std::string &payload)
-{
-    Cursor c(payload);
-    ShardAssignment a;
-    std::uint64_t scale_bits;
-    std::uint16_t key_len, name_len;
-    if (!c.u64(a.assignId) || !c.u64(scale_bits) || !c.u16(key_len))
-        return makeError(ErrorKind::Parse, "short shard-assign payload");
-    if (key_len == 0 || key_len > maxNameBytes)
-        return makeError(ErrorKind::Bounds, "bad campaign key length ",
-                         key_len);
-    if (!c.bytes(key_len, a.campaignKey) || !c.u16(name_len))
-        return makeError(ErrorKind::Parse, "short shard-assign payload");
-    if (name_len == 0 || name_len > maxNameBytes)
-        return makeError(ErrorKind::Bounds, "bad profile name length ",
-                         name_len);
-    std::uint32_t cell_count;
-    if (!c.bytes(name_len, a.profileName) || !c.u32(cell_count))
-        return makeError(ErrorKind::Parse, "short shard-assign payload");
-    std::memcpy(&a.scale, &scale_bits, sizeof(a.scale));
-    if (!(a.scale > 0.0) || a.scale > 1e6)
-        return makeError(ErrorKind::Bounds, "bad profile scale");
-    if (cell_count == 0 || cell_count > maxShardEntries)
-        return makeError(ErrorKind::Bounds, "bad shard cell count ",
-                         cell_count);
-    a.cells.reserve(cell_count);
-    for (std::uint32_t i = 0; i < cell_count; ++i) {
-        ShardCell cell;
-        std::uint8_t org, split, timing;
-        if (!c.u32(cell.index) || !c.u32(cell.attempt) || !c.u8(org) ||
-            !c.u32(cell.job.l1Size) || !c.u32(cell.job.l2Size) ||
-            !c.u8(split) || !c.u64(cell.job.invariantPeriod) ||
-            !c.u8(timing))
-            return makeError(ErrorKind::Parse,
-                             "short shard-assign payload");
-        Status job_ok = decodeJobFields(org, split, timing, cell.job);
-        if (!job_ok)
-            return job_ok.error();
-        a.cells.push_back(std::move(cell));
-    }
-    if (c.remaining() != 0)
-        return makeError(ErrorKind::Parse,
-                         "shard-assign payload length mismatch");
-    return a;
-}
-
-Result<CellResultReply>
-decodeCellResult(const std::string &payload)
-{
-    Cursor c(payload);
-    CellResultReply r;
-    if (!c.u64(r.assignId) || !c.u32(r.index))
-        return makeError(ErrorKind::Parse, "short cell-result payload");
-    r.summaryLine = c.rest();
-    if (r.summaryLine.empty())
-        return makeError(ErrorKind::Parse, "empty cell-result summary");
-    return r;
-}
-
-Result<ShardDoneReply>
-decodeShardDone(const std::string &payload)
-{
-    Cursor c(payload);
-    ShardDoneReply d;
-    std::uint32_t failure_count;
-    if (!c.u64(d.assignId) || !c.u32(d.completed) ||
-        !c.u32(failure_count))
-        return makeError(ErrorKind::Parse, "short shard-done payload");
-    if (failure_count > maxShardEntries)
-        return makeError(ErrorKind::Bounds, "bad shard failure count ",
-                         failure_count);
-    d.failures.reserve(failure_count);
-    for (std::uint32_t i = 0; i < failure_count; ++i) {
-        ShardFailureInfo f;
-        std::uint8_t kind;
-        std::uint16_t msg_len;
-        if (!c.u32(f.index) || !c.u8(kind) || !c.u16(msg_len))
-            return makeError(ErrorKind::Parse,
-                             "short shard-done payload");
-        if (kind > static_cast<std::uint8_t>(ErrorKind::Unrecoverable))
-            return makeError(ErrorKind::Bounds, "bad error kind ",
-                             unsigned(kind));
-        f.kind = static_cast<ErrorKind>(kind);
-        if (!c.bytes(msg_len, f.message))
-            return makeError(ErrorKind::Parse,
-                             "short shard-done payload");
-        d.failures.push_back(std::move(f));
-    }
-    if (c.remaining() != 0)
-        return makeError(ErrorKind::Parse,
-                         "shard-done payload length mismatch");
-    return d;
-}
-
-Result<HeartbeatMsg>
-decodeHeartbeat(const std::string &payload)
-{
-    Cursor c(payload);
-    HeartbeatMsg h;
-    if (!c.u64(h.assignId) || !c.u32(h.cellsDone) || c.remaining() != 0)
-        return makeError(ErrorKind::Parse, "bad heartbeat payload");
-    return h;
-}
-
 void
 FrameReader::feed(const char *data, std::size_t n)
 {
@@ -604,7 +423,7 @@ FrameReader::poll()
         return State::Broken;
     }
     if (type < static_cast<std::uint8_t>(FrameType::Hello) ||
-        type > static_cast<std::uint8_t>(FrameType::Heartbeat)) {
+        type > static_cast<std::uint8_t>(FrameType::Bye)) {
         _broken = true;
         _error = makeError(ErrorKind::Format, "unknown frame type ",
                            unsigned(type));

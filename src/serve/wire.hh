@@ -20,10 +20,11 @@
  * poisons *its session*; the framing layer itself has no global
  * state.
  *
- * SUBMIT payloads embed the standard binary trace container (trace_io
+ * A segment SUBMIT embeds the standard binary trace container (trace_io
  * magic + version + count + packed records), so a client can stream a
  * .vrct file's bytes unchanged and the server revalidates them with
- * the same tryReadTraceBinary() the batch loader uses.
+ * the same tryReadTraceBinary() the batch loader uses. A cell SUBMIT
+ * stops after the profile name: the server generates the trace.
  */
 
 #ifndef VRC_SERVE_WIRE_HH
@@ -68,11 +69,8 @@ enum class FrameType : std::uint8_t
     Quarantined = 7, ///< server -> client: this client is banned
     Bye = 8,         ///< either direction: clean close
 
-    // Distributed sweep sharding (vrc-sim --coordinate / --shard-worker).
-    ShardAssign = 9, ///< coordinator -> worker: a range of sweep cells
-    CellResult = 10, ///< worker -> coordinator: one cell's journal line
-    ShardDone = 11,  ///< worker -> coordinator: shard finished (+failures)
-    Heartbeat = 12,  ///< worker -> coordinator: liveness + progress
+    // Codes 9-12 are reserved: they carried the retired shard-worker
+    // frames. The header check refuses them like any unknown type.
 };
 
 /** Printable frame-type name (diagnostics). */
@@ -92,14 +90,20 @@ struct HelloRequest
     std::string client; ///< stable client identity (quarantine key)
 };
 
-/** SUBMIT payload: which machine, which workload, which records. */
+/**
+ * SUBMIT payload: which machine, which workload, which records. It has
+ * one of two bodies. A segment carries its records; a cell carries
+ * none and names its trace by (profileName, exact scale), which the
+ * server generates. A cell does not carry job.invariantPeriod.
+ */
 struct SubmitRequest
 {
     std::uint64_t segmentId = 0; ///< client-chosen, echoed in replies
     SimJob job;                  ///< organization / sizes / timing
     std::string profileName;     ///< pops | thor | abaqus
     double scale = 1.0;          ///< profile scale (exact double bits)
-    std::vector<TraceRecord> records;
+    std::vector<TraceRecord> records; ///< a segment's; empty for a cell
+    bool cell = false; ///< a cell body: no trace container follows
 };
 
 /** RESULT payload: segment id + the exact summary line. */
@@ -117,60 +121,6 @@ struct ErrorReply
     std::string message;
 };
 
-/** One sweep cell inside a SHARD_ASSIGN frame. */
-struct ShardCell
-{
-    std::uint32_t index = 0;   ///< cell index in the campaign grid
-    std::uint32_t attempt = 0; ///< dispatch count (fault-injection key)
-    SimJob job;                ///< organization / sizes / timing
-};
-
-/**
- * SHARD_ASSIGN payload: a batch of cells for one worker. The trace is
- * NOT on the wire -- workers regenerate it deterministically from the
- * profile name + scale, exactly like batch mode, so an assignment is a
- * few hundred bytes regardless of trace size.
- */
-struct ShardAssignment
-{
-    std::uint64_t assignId = 0;  ///< coordinator-chosen, echoed back
-    std::string campaignKey;     ///< campaignKey(bundle, jobs) hex
-    std::string profileName;     ///< pops | thor | abaqus
-    double scale = 1.0;          ///< profile scale (exact double bits)
-    std::vector<ShardCell> cells;
-};
-
-/** CELL_RESULT payload: one cell's verbatim journal line. */
-struct CellResultReply
-{
-    std::uint64_t assignId = 0;
-    std::uint32_t index = 0; ///< must match the line's own index
-    std::string summaryLine; ///< encodeSummaryLine(index, summary)
-};
-
-/** One failed cell inside a SHARD_DONE frame. */
-struct ShardFailureInfo
-{
-    std::uint32_t index = 0;
-    ErrorKind kind = ErrorKind::Worker;
-    std::string message;
-};
-
-/** SHARD_DONE payload: the shard's outcome ledger. */
-struct ShardDoneReply
-{
-    std::uint64_t assignId = 0;
-    std::uint32_t completed = 0; ///< cells whose CELL_RESULT was sent
-    std::vector<ShardFailureInfo> failures;
-};
-
-/** HEARTBEAT payload: the worker is alive and making progress. */
-struct HeartbeatMsg
-{
-    std::uint64_t assignId = 0;
-    std::uint32_t cellsDone = 0;
-};
-
 // ---- encoding -------------------------------------------------------
 
 /** Wrap @p payload in a frame header. */
@@ -186,26 +136,16 @@ std::string encodeErrorReply(FrameType type, const ErrorReply &e);
 /** A BYE frame (empty payload). */
 std::string encodeBye();
 
-std::string encodeShardAssign(const ShardAssignment &a);
-std::string encodeCellResult(const CellResultReply &r);
-std::string encodeShardDone(const ShardDoneReply &d);
-std::string encodeHeartbeat(const HeartbeatMsg &h);
-
 // ---- decoding -------------------------------------------------------
 
 Result<HelloRequest> decodeHello(const std::string &payload);
 Result<SubmitRequest> decodeSubmit(const std::string &payload);
 Result<ResultReply> decodeResult(const std::string &payload);
 Result<ErrorReply> decodeErrorReply(const std::string &payload);
-Result<ShardAssignment> decodeShardAssign(const std::string &payload);
-Result<CellResultReply> decodeCellResult(const std::string &payload);
-Result<ShardDoneReply> decodeShardDone(const std::string &payload);
-Result<HeartbeatMsg> decodeHeartbeat(const std::string &payload);
 
 /**
  * A server's listening sockets: a unix-domain path and/or a TCP port
- * on 127.0.0.1. Shared by the segment service and the shard
- * coordinator. Closing (explicitly or on destruction) unlinks the
+ * on 127.0.0.1: the service's. Closing (explicitly or on destruction) unlinks the
  * unix path.
  */
 class Listeners
@@ -311,8 +251,8 @@ class FrameReader
 
 /**
  * One framed stream socket: the fd, its FrameReader and a write lock.
- * The service's sessions, the shard coordinator's worker connections
- * and ServeClient all speak VRCW through one of these, so the socket
+ * The service's sessions and ServeClient (which the shard coordinator
+ * dials its servers with) all speak VRCW through one of these, so the socket
  * is read and written in exactly one place (and a transport other
  * than a socket would plug in here).
  *

@@ -367,7 +367,8 @@ CellLedger::complete(std::size_t i, const SimSummary &s,
 }
 
 std::optional<double>
-CellLedger::fail(std::size_t i, ErrorKind kind, const std::string &error)
+CellLedger::fail(std::size_t i, ErrorKind kind, const std::string &error,
+                 bool last)
 {
     if (settled(i))
         return std::nullopt;
@@ -377,7 +378,8 @@ CellLedger::fail(std::size_t i, ErrorKind kind, const std::string &error)
     f.timedOut = kind == ErrorKind::Timeout;
     f.kind = kind;
     f.error = error;
-    if (f.attempts > _opt.maxRetries || kind == ErrorKind::Unrecoverable) {
+    if (last || f.attempts > _opt.maxRetries ||
+        kind == ErrorKind::Unrecoverable) {
         _quarantined[i] = true;
         warn("cell ", i, " quarantined after ", f.attempts,
              " failed attempt", f.attempts == 1 ? "" : "s", ": ", error);

@@ -63,8 +63,8 @@ struct CellLedgerOptions
     std::string manifest;
     /**
      * Watchdog deadline in seconds; 0 = no watchdog. The sweep bounds
-     * each attempt's wall time; the coordinator bounds how long an
-     * assignment may go without progress.
+     * each attempt's wall time; the coordinator bounds how long a
+     * dispatched cell may go without a reply.
      */
     double deadlineSeconds = 0.0;
     /** Retries after a cell's first failure. */
@@ -134,8 +134,8 @@ using CampaignCellFn =
     std::function<SimSummary(std::size_t, const CancelToken &)>;
 
 /**
- * One cell attempt, shared by the sweep, the shard worker and the
- * service: @p body under @p token, every throw mapped onto the
+ * One cell attempt, shared by the sweep and the service (which also
+ * runs the coordinator's cells): @p body under @p token, every throw mapped onto the
  * taxonomy (an ErrorException keeps its error, anything else is
  * Worker). Once @p token's deadline has passed, whatever @p body did,
  * the attempt is a Timeout described by @p timeoutMessage.
@@ -307,10 +307,12 @@ class CellLedger
      * Count one failure of cell @p i (a Timeout kind counts as timed
      * out). Returns the backoff in seconds before its next attempt;
      * nullopt when this failure quarantined it, or when it was already
-     * settled (the failure is not counted).
+     * settled (the failure is not counted). A @p last failure, after
+     * which no attempt can follow, quarantines at once.
      */
     std::optional<double> fail(std::size_t i, ErrorKind kind,
-                               const std::string &error);
+                               const std::string &error,
+                               bool last = false);
 
     /**
      * The result, with the quarantine list in index order. Unless

@@ -75,6 +75,19 @@ checkMachineConfig(const MachineConfig &mc)
     return okStatus();
 }
 
+Status
+checkTraceCpus(const std::vector<TraceRecord> &records,
+               const WorkloadProfile &profile)
+{
+    for (const TraceRecord &r : records)
+        if (r.cpu >= profile.numCpus)
+            return makeError(ErrorKind::Bounds, "record cpu ",
+                             unsigned(r.cpu), " out of range for profile ",
+                             profile.name, " (", profile.numCpus,
+                             " cpus)");
+    return okStatus();
+}
+
 SimSummary
 summarizeSimulation(const MpSimulator &sim, const SimJob &job)
 {

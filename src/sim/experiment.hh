@@ -82,6 +82,13 @@ constexpr std::uint32_t kMaxRltEntries = 1u << 20;
  */
 Status checkMachineConfig(const MachineConfig &mc);
 
+/**
+ * Check that every record of a trace names a CPU of @p profile, which
+ * the simulator built for it has; a Bounds error otherwise.
+ */
+Status checkTraceCpus(const std::vector<TraceRecord> &records,
+                      const WorkloadProfile &profile);
+
 /** One cell of an experiment table: a config to simulate. */
 struct SimJob
 {
@@ -107,7 +114,7 @@ MachineConfig jobMachineConfig(const SimJob &job, std::uint32_t page_size);
  * with an ErrorException of kind Cancelled ("after i of N records")
  * instead of burning the rest of the trace; counters are identical to
  * one MpSimulator::run() over the whole trace. The one replay loop of
- * campaign cells, shard workers and served segments.
+ * campaign cells and of served segments and cells.
  */
 void replayCancellable(MpSimulator &sim,
                        const std::vector<TraceRecord> &records,

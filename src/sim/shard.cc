@@ -1,26 +1,20 @@
 #include "sim/shard.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 
-#include "base/fault.hh"
 #include "base/log.hh"
 #include "base/shutdown.hh"
 #include "serve/client.hh"
 #include "serve/wire.hh"
-#include "trace/workload.hh"
 
 namespace vrc
 {
@@ -142,33 +136,34 @@ mergeManifestJson(const ShardMerge &m)
 
 // ---- coordinator ----------------------------------------------------
 
+std::string
+ServerAddress::describe() const
+{
+    return unixPath.empty() ? "tcp:" + std::to_string(tcpPort)
+                            : "unix:" + unixPath;
+}
+
+std::uint64_t
+cellSegmentId(std::size_t cell, unsigned dispatch)
+{
+    return (std::uint64_t{dispatch} + 1) << 32 | cell;
+}
+
 namespace
 {
 
-/** One connected worker. */
-struct WorkerConn
+/** One dialled server; it runs at most one of our cells at a time. */
+struct ServerConn
 {
-    explicit WorkerConn(int fd) : conn(fd) {}
-
-    std::uint64_t id = 0;
-    FrameConn conn;
-    std::string name;       ///< from HELLO; empty until then
-    bool ready = false;     ///< HELLO accepted
-    bool gone = false;      ///< connection dead (no more dispatch)
-    std::int64_t assignment = -1; ///< active assignment id, -1 = idle
+    std::string name; ///< its address, for messages
+    ServeClient client;
+    bool gone = false; ///< lost or quarantined: no more dispatch
+    unsigned strikes = 0;
+    std::int64_t cell = -1;      ///< the cell in flight; -1 = idle
+    std::uint64_t segmentId = 0; ///< of the dispatch in flight
+    Clock::time_point sentAt;
+    bool speculated = false; ///< the deadline already fired for it
     std::thread reader;
-};
-
-/** One dispatched shard. */
-struct Assignment
-{
-    std::uint64_t id = 0;
-    std::uint64_t workerId = 0;
-    std::string workerName;
-    std::vector<std::size_t> cells;
-    Clock::time_point lastProgress;
-    bool active = false;
-    bool speculated = false; ///< watchdog already rescued this one
 };
 
 } // namespace
@@ -177,294 +172,214 @@ struct ShardCoordinator::Impl
 {
     ShardCoordinatorOptions opt;
 
-    Listeners listeners;
-
     // All coordinator state below is guarded by mu; cv wakes the
-    // scheduler loop on every event (result, done, hello, loss).
+    // scheduler loop on every event (reply, loss).
     std::mutex mu;
     std::condition_variable cv;
     std::atomic<bool> stopping{false};
 
     const TraceBundle *bundle = nullptr;
     const std::vector<SimJob> *jobs = nullptr;
-    std::string key;
     std::size_t n = 0;
     std::vector<std::uint64_t> cellIds;
-    std::unordered_map<std::uint64_t, std::size_t> idToIndex;
 
     std::optional<CellLedger> ledger;
-    std::vector<unsigned> dispatchCount; ///< wire `attempt` source
+    std::vector<unsigned> dispatchCount; ///< segment id source
     std::vector<Clock::time_point> earliest; ///< backoff gate
     std::deque<std::size_t> pending;
 
-    std::vector<std::shared_ptr<WorkerConn>> workers;
-    std::uint64_t nextWorkerId = 1;
-    std::map<std::uint64_t, Assignment> assignments;
-    std::uint64_t nextAssignId = 1;
-    std::map<std::string, unsigned> strikes;
-    std::set<std::string> quarantinedNames;
+    std::vector<std::unique_ptr<ServerConn>> servers;
 
     ShardStats stats;
     bool conflict = false;
     Error conflictError;
     bool draining = false;
 
-    std::thread acceptThread;
-
-    // ---- accept + reader threads -----------------------------------
+    // ---- reader threads --------------------------------------------
 
     void
-    acceptLoop()
+    readerLoop(ServerConn &s)
     {
-        auto stop = [this] {
-            return stopping.load(std::memory_order_acquire);
-        };
-        while (listeners.acceptTurn(100, {}, stop,
-                                    [this](int fd) { adopt(fd); })) {
-        }
-    }
-
-    /** Start a reader on an accepted worker socket. */
-    void
-    adopt(int fd)
-    {
-        auto w = std::make_shared<WorkerConn>(fd);
-        {
-            std::lock_guard<std::mutex> g(mu);
-            w->id = nextWorkerId++;
-            workers.push_back(w);
-        }
-        w->reader = std::thread([this, w] { readerLoop(*w); });
-    }
-
-    void
-    readerLoop(WorkerConn &w)
-    {
+        std::string why = "connection closed";
         // Short turns, so a stopping coordinator is noticed.
         while (!stopping.load(std::memory_order_acquire)) {
-            Result<Frame> f = w.conn.readFrame(0.1);
+            Result<Frame> f = s.client.readFrame(0.1);
             if (f) {
-                if (!handleFrame(w, f.take()))
-                    break;
-                continue;
+                std::lock_guard<std::mutex> g(mu);
+                if (handleFrameLocked(s, f.take()))
+                    continue;
+                break;
             }
             if (f.error().kind == ErrorKind::Timeout)
                 continue;
-            if (f.error().kind != ErrorKind::Io) {
+            why = f.error().message;
+            if (f.error().kind != ErrorKind::Io) { // a broken stream
                 std::lock_guard<std::mutex> g(mu);
-                warn("coordinate: torn frame stream from worker '",
-                     w.name, "': ", f.error().message);
-                strikeLocked(w.name);
+                strikeLocked(s);
             }
             break;
         }
         std::lock_guard<std::mutex> g(mu);
-        markGoneLocked(w);
-        cv.notify_all();
+        loseLocked(s, why);
     }
 
-    /** Dispatch one frame from @p w. False ends the connection. */
+    /** Act on one frame from @p s. False ends the connection. */
     bool
-    handleFrame(WorkerConn &w, Frame f)
+    handleFrameLocked(ServerConn &s, const Frame &f)
     {
-        std::lock_guard<std::mutex> g(mu);
-        if (!w.ready) {
-            if (f.type != FrameType::Hello) {
-                warn("coordinate: worker sent ", frameTypeName(f.type),
-                     " before hello");
-                return false;
-            }
-            Result<HelloRequest> hello = decodeHello(f.payload);
-            if (!hello) {
-                warn("coordinate: bad hello: ",
-                     hello.error().message);
-                return false;
-            }
-            w.name = hello.value().client;
-            if (quarantinedNames.count(w.name)) {
-                w.conn.send(encodeErrorReply(
-                    FrameType::Quarantined,
-                    ErrorReply{0, ErrorKind::Worker,
-                               "worker is quarantined"}));
-                return false;
-            }
-            w.ready = true;
-            ++stats.workersSeen;
-            cv.notify_all();
-            return true;
-        }
+        if (s.gone)
+            return false;
         switch (f.type) {
-          case FrameType::CellResult:
-            return handleCellResultLocked(w, f.payload);
-          case FrameType::ShardDone:
-            return handleShardDoneLocked(w, f.payload);
-          case FrameType::Heartbeat:
-            return handleHeartbeatLocked(w, f.payload);
+          case FrameType::Result:
+            return handleResultLocked(s, f.payload);
+          case FrameType::Error:
+          case FrameType::Shed:
+            return handleRefusalLocked(s, f);
+          case FrameType::Draining:
+          case FrameType::Quarantined:
           case FrameType::Bye:
+            loseLocked(s, std::string("it sent ") + frameTypeName(f.type));
             return false;
           default:
-            warn("coordinate: unexpected ", frameTypeName(f.type),
-                 " frame from worker '", w.name, "'");
-            strikeLocked(w.name);
-            return false;
+            return poisonLocked(s, std::string("unexpected ") +
+                                       frameTypeName(f.type) + " frame");
         }
     }
 
-    bool
-    handleCellResultLocked(WorkerConn &w, const std::string &payload)
+    /** The in-flight cell a reply for @p segmentId answers, if any. */
+    std::optional<std::size_t>
+    inFlightCell(const ServerConn &s, std::uint64_t segmentId) const
     {
-        Result<CellResultReply> r = decodeCellResult(payload);
+        if (s.cell < 0 || segmentId != s.segmentId)
+            return std::nullopt;
+        return static_cast<std::size_t>(s.cell);
+    }
+
+    bool
+    handleResultLocked(ServerConn &s, const std::string &payload)
+    {
+        Result<ResultReply> r = decodeResult(payload);
         if (!r)
-            return poisonLocked(w, r.error().message);
-        const CellResultReply &cr = r.value();
-        if (cr.index >= n)
-            return poisonLocked(w, "cell index out of range");
+            return poisonLocked(s, r.error().message);
+        std::optional<std::size_t> cell =
+            inFlightCell(s, r.value().segmentId);
+        if (!cell)
+            return poisonLocked(s, "result for a cell not in flight");
         Result<std::pair<std::size_t, SimSummary>> decoded =
-            decodeSummaryLine(cr.summaryLine);
+            decodeSummaryLine(r.value().summaryLine);
         if (!decoded)
-            return poisonLocked(w, decoded.error().message);
-        const auto &[idx, s] = decoded.value();
-        if (idx != cr.index)
-            return poisonLocked(w, "summary line names another cell");
+            return poisonLocked(s, decoded.error().message);
+        const std::size_t idx = *cell;
+        const SimSummary &sum = decoded.value().second;
         const SimJob &job = (*jobs)[idx];
-        if (s.kind != job.kind || s.l1Size != job.l1Size ||
-            s.l2Size != job.l2Size || s.split != job.split ||
-            s.timingMode != job.timingMode)
-            return poisonLocked(w,
-                                "summary geometry does not match the "
-                                "assigned cell");
+        if (sum.kind != job.kind || sum.l1Size != job.l1Size ||
+            sum.l2Size != job.l2Size || sum.split != job.split ||
+            sum.timingMode != job.timingMode)
+            return poisonLocked(s, "summary geometry does not match the "
+                                   "dispatched cell");
+        s.cell = -1;
+        cv.notify_all();
 
         // Dedup by stable cell id: the first valid result wins; a
         // straggler's late copy must be byte-identical to be dropped
         // silently, otherwise somebody computed a wrong answer and
         // the run must not paper over it.
-        if (ledger->completed(idx)) {
-            if (ledger->line(idx) == cr.summaryLine) {
-                ++stats.duplicateResults;
-            } else if (!conflict) {
-                conflict = true;
-                conflictError = makeError(
-                    ErrorKind::Mismatch, conflictPrefix,
-                    " for cell ", idx, " (id ", std::hex,
-                    cellIds[idx], std::dec, "): worker '", w.name,
-                    "' disagrees with the journaled line");
-                cv.notify_all();
-            }
-            noteProgressLocked(w, cr.assignId);
-            return !conflict;
+        const std::string line = encodeSummaryLine(idx, sum);
+        if (!ledger->completed(idx)) {
+            ledger->complete(idx, sum, line);
+            ++stats.cellResults;
+        } else if (ledger->line(idx) == line) {
+            ++stats.duplicateResults;
+        } else if (!conflict) {
+            conflict = true;
+            conflictError = makeError(
+                ErrorKind::Mismatch, conflictPrefix, " for cell ", idx,
+                " (id ", std::hex, cellIds[idx], std::dec, "): server ",
+                s.name, " disagrees with the journaled line");
         }
-        ledger->complete(idx, s, cr.summaryLine);
-        ++stats.cellResults;
-        noteProgressLocked(w, cr.assignId);
-        cv.notify_all();
-        return true;
+        return !conflict;
     }
 
-    void
-    noteProgressLocked(WorkerConn &w, std::uint64_t assignId)
-    {
-        auto it = assignments.find(assignId);
-        if (it != assignments.end() && it->second.workerId == w.id)
-            it->second.lastProgress = Clock::now();
-    }
-
+    /** ERROR fails the cell; SHED puts it back in the queue. */
     bool
-    handleShardDoneLocked(WorkerConn &w, const std::string &payload)
+    handleRefusalLocked(ServerConn &s, const Frame &f)
     {
-        Result<ShardDoneReply> r = decodeShardDone(payload);
+        Result<ErrorReply> r = decodeErrorReply(f.payload);
         if (!r)
-            return poisonLocked(w, r.error().message);
-        const ShardDoneReply &d = r.value();
-        for (const ShardFailureInfo &f : d.failures) {
-            if (f.index >= n)
-                return poisonLocked(w, "failure index out of range");
-            warn("coordinate: worker '", w.name, "' failed cell ",
-                 f.index, ": ", f.message);
-            recordCellFailureLocked(f.index, f.kind, f.message);
+            return poisonLocked(s, r.error().message);
+        const ErrorReply &e = r.value();
+        if (e.segmentId == 0) { // the server is ending the session
+            loseLocked(s, e.message);
+            return false;
         }
-        auto it = assignments.find(d.assignId);
-        if (it != assignments.end() && it->second.workerId == w.id) {
-            it->second.active = false;
-            if (w.assignment ==
-                static_cast<std::int64_t>(it->second.id))
-                w.assignment = -1;
-        }
+        std::optional<std::size_t> cell = inFlightCell(s, e.segmentId);
+        if (!cell)
+            return poisonLocked(s, "reply for a cell not in flight");
+        s.cell = -1;
         cv.notify_all();
+        if (f.type == FrameType::Shed) {
+            // Backpressure, not a failure: no strike and no retry
+            // counted, only a pause before the cell goes out again.
+            earliest[*cell] = Clock::now() + seconds(opt.backoffSeconds);
+            pending.push_back(*cell);
+            return true;
+        }
+        warn("coordinate: server ", s.name, " failed cell ", *cell, ": ",
+             e.message);
+        recordCellFailureLocked(*cell, e.kind, e.message);
         return true;
     }
 
+    /** @p s broke the protocol: strike it and drop it. */
     bool
-    handleHeartbeatLocked(WorkerConn &w, const std::string &payload)
+    poisonLocked(ServerConn &s, const std::string &why)
     {
-        Result<HeartbeatMsg> r = decodeHeartbeat(payload);
-        if (!r)
-            return poisonLocked(w, r.error().message);
-        ++stats.heartbeats;
-        noteProgressLocked(w, r.value().assignId);
-        return true;
-    }
-
-    /** A worker sent garbage: strike it and cut the connection. */
-    bool
-    poisonLocked(WorkerConn &w, const std::string &why)
-    {
-        warn("coordinate: poisoning worker '", w.name, "': ", why);
-        strikeLocked(w.name);
+        warn("coordinate: poisoning server ", s.name, ": ", why);
+        strikeLocked(s);
+        loseLocked(s, why);
         return false;
     }
 
     void
-    strikeLocked(const std::string &name)
+    strikeLocked(ServerConn &s)
     {
-        if (name.empty())
+        if (s.gone || ++s.strikes < opt.workerStrikeLimit)
             return;
-        unsigned s = ++strikes[name];
-        if (s >= opt.workerStrikeLimit &&
-            !quarantinedNames.count(name)) {
-            quarantinedNames.insert(name);
-            ++stats.workersQuarantined;
-            warn("coordinate: quarantining worker '", name, "' after ",
-                 s, " strikes");
-            for (auto &w : workers) {
-                if (w->name != name || w->gone)
-                    continue;
-                w->conn.send(encodeErrorReply(
-                                 FrameType::Quarantined,
-                                 ErrorReply{0, ErrorKind::Worker,
-                                            "worker is quarantined"}),
-                             true);
-            }
-        }
+        ++stats.serversQuarantined;
+        warn("coordinate: quarantining server ", s.name, " after ",
+             s.strikes, " strikes");
+        loseLocked(s, "quarantined");
     }
 
-    /** The connection died: return its unfinished cells to the pool. */
+    /**
+     * @p s is gone: it gets no more cells, and the cell it was running
+     * fails into the ledger (unless the coordinator is stopping).
+     */
     void
-    markGoneLocked(WorkerConn &w)
+    loseLocked(ServerConn &s, const std::string &why)
     {
-        if (w.gone)
+        if (s.gone)
             return;
-        w.gone = true;
-        w.conn.shut();
-        if (w.ready && !stopping.load(std::memory_order_acquire))
-            ++stats.workersLost;
-        if (w.assignment >= 0) {
-            auto it = assignments.find(
-                static_cast<std::uint64_t>(w.assignment));
-            if (it != assignments.end() && it->second.active) {
-                Assignment &a = it->second;
-                a.active = false;
-                if (!stopping.load(std::memory_order_acquire)) {
-                    std::ostringstream os;
-                    os << "lost worker '" << w.name
-                       << "' mid-shard";
-                    for (std::size_t idx : a.cells)
-                        if (!ledger->completed(idx))
-                            recordCellFailureLocked(
-                                idx, ErrorKind::Worker, os.str());
-                }
-            }
-            w.assignment = -1;
-        }
+        s.gone = true;
+        s.client.closeWrite();
+        cv.notify_all();
+        if (stopping.load(std::memory_order_acquire))
+            return;
+        ++stats.serversLost;
+        warn("coordinate: lost server ", s.name, " (", why, ")");
+        if (s.cell >= 0)
+            recordCellFailureLocked(static_cast<std::size_t>(s.cell),
+                                    ErrorKind::Worker,
+                                    "lost server " + s.name +
+                                        " mid-cell (" + why + ")");
+        s.cell = -1;
+    }
+
+    static Clock::duration
+    seconds(double s)
+    {
+        return std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double>(s));
     }
 
     /**
@@ -480,132 +395,97 @@ struct ShardCoordinator::Impl
         std::optional<double> backoff = ledger->fail(idx, kind, message);
         if (!backoff)
             return;
-        earliest[idx] =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(*backoff));
+        earliest[idx] = Clock::now() + seconds(*backoff);
         pending.push_back(idx);
     }
 
     // ---- scheduler -------------------------------------------------
 
-    /** Straggler watchdog: one pass over the active assignments. */
+    /** Straggler watchdog: one pass over the cells in flight. */
     void
     watchdogLocked(Clock::time_point now)
     {
         if (opt.deadlineSeconds <= 0.0)
             return;
-        for (auto &[id, a] : assignments) {
-            if (!a.active)
+        for (auto &sp : servers) {
+            ServerConn &s = *sp;
+            if (s.gone || s.cell < 0 || s.speculated ||
+                now - s.sentAt < seconds(opt.deadlineSeconds))
                 continue;
-            double quiet =
-                std::chrono::duration<double>(now - a.lastProgress)
-                    .count();
-            if (quiet < opt.deadlineSeconds)
-                continue;
-            std::vector<std::size_t> missing;
-            for (std::size_t idx : a.cells)
-                if (!ledger->settled(idx))
-                    missing.push_back(idx);
-            if (missing.empty() || draining) {
-                // Nothing left to rescue (or we are draining and
-                // must not start new work): abandon the assignment.
-                a.active = false;
-                for (auto &w : workers)
-                    if (w->id == a.workerId &&
-                        w->assignment ==
-                            static_cast<std::int64_t>(a.id))
-                        w->assignment = -1;
+            s.speculated = true;
+            const std::size_t idx = static_cast<std::size_t>(s.cell);
+            if (draining) {
+                // No new work while draining: stop waiting for it.
+                s.gone = true;
                 continue;
             }
-            // One rescue per assignment: a stalled shard earns its
-            // worker one strike and one speculative copy, not a new
-            // strike every deadline period while it sleeps.
-            if (a.speculated)
+            if (ledger->settled(idx))
                 continue;
-            a.speculated = true;
-            warn("coordinate: worker '", a.workerName,
-                 "' is a straggler on assignment ", a.id, " (",
-                 missing.size(), " cells quiet for ", quiet,
+            // Speculate: the cell goes back in the queue while this
+            // dispatch stays live -- whichever copy lands first wins,
+            // the other is a dedup discard.
+            warn("coordinate: server ", s.name, " is a straggler on cell ",
+                 idx, " (no reply for ", opt.deadlineSeconds,
                  " s); re-dispatching speculatively");
             ++stats.speculativeDispatches;
-            strikeLocked(a.workerName);
-            // Speculate: the lagging range goes back in the queue
-            // while the original assignment stays live -- whichever
-            // copy lands first wins, the other is a dedup discard.
-            for (std::size_t idx : missing)
-                pending.push_front(idx);
+            pending.push_front(idx);
+            strikeLocked(s);
         }
     }
 
-    /** Hand pending cells to idle workers. */
+    /** The first pending cell that is unsettled and past its backoff. */
+    std::optional<std::size_t>
+    nextCellLocked(Clock::time_point now)
+    {
+        std::optional<std::size_t> next;
+        std::deque<std::size_t> deferred;
+        while (!next && !pending.empty()) {
+            std::size_t idx = pending.front();
+            pending.pop_front();
+            if (ledger->settled(idx))
+                continue;
+            if (earliest[idx] > now)
+                deferred.push_back(idx);
+            else
+                next = idx;
+        }
+        pending.insert(pending.end(), deferred.begin(), deferred.end());
+        return next;
+    }
+
+    /** Hand pending cells to idle servers. */
     void
     dispatchLocked()
     {
         if (draining || conflict)
             return;
         Clock::time_point now = Clock::now();
-        for (auto &w : workers) {
-            if (pending.empty())
-                return;
-            if (!w->ready || w->gone || w->assignment >= 0 ||
-                quarantinedNames.count(w->name))
+        for (auto &sp : servers) {
+            ServerConn &s = *sp;
+            if (s.gone || s.cell >= 0)
                 continue;
-            std::size_t shard_size =
-                opt.cellsPerShard
-                    ? opt.cellsPerShard
-                    : std::max<std::size_t>(1, n / 4);
-            std::vector<std::size_t> cells;
-            std::deque<std::size_t> deferred;
-            while (!pending.empty() && cells.size() < shard_size) {
-                std::size_t idx = pending.front();
-                pending.pop_front();
-                if (ledger->settled(idx))
-                    continue;
-                if (earliest[idx] > now) {
-                    deferred.push_back(idx);
-                    continue;
-                }
-                cells.push_back(idx);
-            }
-            for (std::size_t idx : deferred)
-                pending.push_back(idx);
-            if (cells.empty())
+            std::optional<std::size_t> idx = nextCellLocked(now);
+            if (!idx)
                 return;
-
-            ShardAssignment assign;
-            assign.assignId = nextAssignId++;
-            assign.campaignKey = key;
-            assign.profileName = bundle->profile.name;
-            assign.scale = opt.profileScale;
-            assign.cells.reserve(cells.size());
-            for (std::size_t idx : cells) {
-                ShardCell c;
-                c.index = static_cast<std::uint32_t>(idx);
-                // The attempt counts every dispatch (including
-                // speculative copies), so deterministic fault
-                // injection keyed on (cell, attempt) fires once and
-                // the rescue completes.
-                c.attempt = dispatchCount[idx]++;
-                c.job = (*jobs)[idx];
-                assign.cells.push_back(c);
-            }
-            Assignment a;
-            a.id = assign.assignId;
-            a.workerId = w->id;
-            a.workerName = w->name;
-            a.cells = cells;
-            a.lastProgress = now;
-            a.active = true;
-            if (!w->conn.send(encodeShardAssign(assign))) {
-                // The write failed: the reader will notice EOF and
-                // recycle the cells; just put them straight back.
-                for (std::size_t idx : cells)
-                    pending.push_front(idx);
+            SubmitRequest req;
+            // The dispatch count includes speculative copies, so
+            // fault injection keyed on the segment id fires on one
+            // dispatch and the rescue completes.
+            req.segmentId = cellSegmentId(*idx, dispatchCount[*idx]++);
+            req.job = (*jobs)[*idx];
+            req.profileName = bundle->profile.name;
+            req.scale = opt.profileScale;
+            req.cell = true;
+            if (!s.client.submit(req)) {
+                pending.push_front(*idx);
+                loseLocked(s, "write failed");
                 continue;
             }
-            ++stats.assignmentsDispatched;
-            w->assignment = static_cast<std::int64_t>(a.id);
-            assignments[a.id] = std::move(a);
+            ++stats.cellsDispatched;
+            s.cell = static_cast<std::int64_t>(*idx);
+            s.segmentId = req.segmentId;
+            s.sentAt = now;
+            s.speculated = false;
         }
     }
 
@@ -618,29 +498,26 @@ struct ShardCoordinator::Impl
         return true;
     }
 
-    /** Stop accepting, wave goodbye, cut and join every worker. */
+    bool
+    anyServerLocked(bool busy) const
+    {
+        for (const auto &s : servers)
+            if (!s->gone && (!busy || s->cell >= 0))
+                return true;
+        return false;
+    }
+
+    /** Say goodbye to every server and join its reader. */
     void
     shutDown()
     {
         stopping.store(true, std::memory_order_release);
-        if (acceptThread.joinable())
-            acceptThread.join();
-        for (auto &w : workers) {
-            w->conn.send(encodeBye(), true);
-            if (w->reader.joinable())
-                w->reader.join();
-            w->conn.close();
+        for (auto &s : servers) {
+            [[maybe_unused]] Status bye = s->client.send(encodeBye());
+            if (s->reader.joinable())
+                s->reader.join();
+            s->client.close();
         }
-        listeners.close();
-    }
-
-    bool
-    anyActiveLocked() const
-    {
-        for (const auto &[id, a] : assignments)
-            if (a.active)
-                return true;
-        return false;
     }
 };
 
@@ -656,16 +533,31 @@ ShardCoordinator::~ShardCoordinator()
 }
 
 Status
-ShardCoordinator::bind()
+ShardCoordinator::connect(const std::vector<ServerAddress> &servers)
 {
-    return _impl->listeners.open(_impl->opt.listenUnix,
-                                 _impl->opt.listenTcp, "coordinate");
-}
-
-int
-ShardCoordinator::tcpPort() const
-{
-    return _impl->listeners.tcpPort();
+    Impl &im = *_impl;
+    std::string tried;
+    for (const ServerAddress &a : servers) {
+        auto s = std::make_unique<ServerConn>();
+        s->name = a.describe();
+        tried += " " + s->name;
+        Status c = a.unixPath.empty() ? s->client.connectTcp(a.tcpPort)
+                                      : s->client.connectUnix(a.unixPath);
+        if (c)
+            c = s->client.hello("coordinate");
+        if (!c) {
+            warn("coordinate: cannot reach server ", s->name, ": ",
+                 c.error().message);
+            continue;
+        }
+        std::lock_guard<std::mutex> g(im.mu);
+        ++im.stats.serversConnected;
+        im.servers.push_back(std::move(s));
+    }
+    if (im.servers.empty())
+        return makeError(ErrorKind::Io, "coordinate: no server reachable"
+                         " among:", tried.empty() ? " (none given)" : tried);
+    return okStatus();
 }
 
 ShardStats
@@ -687,23 +579,17 @@ ShardCoordinator::run(const TraceBundle &bundle,
                       const std::vector<SimJob> &jobs)
 {
     Impl &im = *_impl;
-    if (!im.listeners.isOpen()) {
-        Status bound = bind();
-        if (!bound)
-            return bound.error();
-    }
-
     im.bundle = &bundle;
     im.jobs = &jobs;
-    im.key = campaignKey(bundle, jobs);
     im.n = jobs.size();
     im.dispatchCount.assign(im.n, 0);
     im.earliest.assign(im.n, Clock::time_point{});
 
     im.cellIds.resize(im.n);
+    std::unordered_map<std::uint64_t, std::size_t> idToIndex;
     for (std::size_t i = 0; i < im.n; ++i) {
         im.cellIds[i] = shardCellId(bundle, jobs[i]);
-        auto [it, fresh] = im.idToIndex.emplace(im.cellIds[i], i);
+        auto [it, fresh] = idToIndex.emplace(im.cellIds[i], i);
         if (!fresh)
             return makeError(ErrorKind::Bounds, "cells ", it->second,
                              " and ", i,
@@ -713,7 +599,7 @@ ShardCoordinator::run(const TraceBundle &bundle,
 
     // Resume: the journal IS the recovery state. Replay it, then
     // dispatch only what is missing.
-    im.ledger.emplace(im.opt, im.key, im.n);
+    im.ledger.emplace(im.opt, campaignKey(bundle, jobs), im.n);
     Status opened = im.ledger->open();
     if (!opened)
         return opened.error();
@@ -721,18 +607,25 @@ ShardCoordinator::run(const TraceBundle &bundle,
         if (!im.ledger->completed(i))
             im.pending.push_back(i);
 
-    im.acceptThread = std::thread([&im] { im.acceptLoop(); });
+    for (auto &s : im.servers) {
+        ServerConn *sp = s.get();
+        s->reader = std::thread([&im, sp] { im.readerLoop(*sp); });
+    }
 
     {
         std::unique_lock<std::mutex> lk(im.mu);
         for (;;) {
-            if (im.conflict)
+            if (im.conflict || im.allSettledLocked())
                 break;
             im.draining = shutdownRequested() > 0;
-            if (im.allSettledLocked())
+            if (im.draining && !im.anyServerLocked(true))
                 break;
-            if (im.draining && !im.anyActiveLocked())
+            if (!im.draining && !im.anyServerLocked(false)) {
+                for (std::size_t i = 0; i < im.n; ++i)
+                    im.ledger->fail(i, ErrorKind::Worker,
+                                    "no live server", true);
                 break;
+            }
             im.watchdogLocked(Clock::now());
             im.dispatchLocked();
             im.cv.wait_for(lk, std::chrono::milliseconds(50));
@@ -746,211 +639,6 @@ ShardCoordinator::run(const TraceBundle &bundle,
         return im.conflictError;
     }
     return im.ledger->finish(shutdownRequested() > 0);
-}
-
-// ---- worker ---------------------------------------------------------
-
-namespace
-{
-
-/**
- * Per-assignment heartbeat pump. It shares the client with the cell
- * sender; ServeClient::send() writes each frame whole under the
- * connection's lock.
- */
-struct HeartbeatPump
-{
-    ServeClient &client;
-    std::uint64_t assignId;
-    double period;
-    std::atomic<bool> stop{false};
-    std::atomic<bool> pause{false};
-    std::atomic<std::uint32_t> cellsDone{0};
-    std::thread th;
-
-    HeartbeatPump(ServeClient &c, std::uint64_t id, double p)
-        : client(c), assignId(id), period(p)
-    {
-        th = std::thread([this] { pump(); });
-    }
-
-    ~HeartbeatPump() { halt(); }
-
-    /** Stop beating; no heartbeat is sent after this returns. */
-    void
-    halt()
-    {
-        stop.store(true, std::memory_order_release);
-        if (th.joinable())
-            th.join();
-    }
-
-    void
-    pump()
-    {
-        double slept = period; // heartbeat immediately on start
-        while (!stop.load(std::memory_order_acquire)) {
-            if (slept >= period) {
-                slept = 0.0;
-                if (!pause.load(std::memory_order_acquire)) {
-                    Status sent = client.send(encodeHeartbeat(
-                        HeartbeatMsg{assignId,
-                                     cellsDone.load()}));
-                    if (!sent)
-                        return; // coordinator is gone; cell send
-                                // will notice too
-                }
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-            slept += 0.02;
-        }
-    }
-};
-
-} // namespace
-
-Result<ShardWorkerStats>
-runShardWorker(const ShardWorkerOptions &opt)
-{
-    ServeClient client;
-    if (!opt.connectUnix.empty()) {
-        Status c = client.connectUnix(opt.connectUnix);
-        if (!c)
-            return c.error();
-    } else if (opt.connectTcp >= 0) {
-        Status c = client.connectTcp(opt.connectTcp);
-        if (!c)
-            return c.error();
-    } else {
-        return makeError(ErrorKind::Io,
-                         "shard-worker: no coordinator address "
-                         "(need --connect-unix or --connect-tcp)");
-    }
-
-    Status h = client.hello(opt.name);
-    if (!h)
-        return h.error();
-
-    ShardWorkerStats stats;
-
-    // Workers regenerate traces locally: deterministic generation
-    // means the bytes never need to cross the wire. Cache by
-    // (profile, exact scale bits) across assignments.
-    std::map<std::pair<std::string, std::uint64_t>, TraceBundle>
-        bundles;
-    auto bundleFor = [&](const std::string &profile,
-                         double scale) -> const TraceBundle & {
-        std::uint64_t bits;
-        std::memcpy(&bits, &scale, sizeof(bits));
-        auto key = std::make_pair(profile, bits);
-        auto it = bundles.find(key);
-        if (it == bundles.end())
-            it = bundles
-                     .emplace(key, generateTrace(scaled(
-                                       profileByName(profile), scale)))
-                     .first;
-        return it->second;
-    };
-
-    for (;;) {
-        Result<Frame> fr = client.readFrame(opt.idleTimeoutSeconds);
-        if (!fr) {
-            // EOF is the coordinator's normal teardown; an idle
-            // timeout means it silently died. Either way, stop
-            // cleanly -- the coordinator's books are authoritative.
-            return stats;
-        }
-        Frame f = fr.take();
-        switch (f.type) {
-          case FrameType::Bye:
-          case FrameType::Draining:
-          case FrameType::Quarantined:
-            return stats;
-          case FrameType::ShardAssign:
-            break;
-          default:
-            return makeError(ErrorKind::Format,
-                             "unexpected ", frameTypeName(f.type),
-                             " frame from the coordinator");
-        }
-
-        Result<ShardAssignment> ar = decodeShardAssign(f.payload);
-        if (!ar)
-            return ar.error();
-        ShardAssignment assign = ar.take();
-        ++stats.assignments;
-
-        ShardDoneReply done;
-        done.assignId = assign.assignId;
-
-        if (!knownProfileName(assign.profileName)) {
-            for (const ShardCell &cell : assign.cells)
-                done.failures.push_back(
-                    {cell.index, ErrorKind::Bounds,
-                     "unknown workload profile '" +
-                         assign.profileName + "'"});
-            Status sent = client.send(encodeShardDone(done));
-            if (!sent)
-                return stats;
-            continue;
-        }
-        const TraceBundle &bundle =
-            bundleFor(assign.profileName, assign.scale);
-
-        HeartbeatPump hb(client, assign.assignId, opt.heartbeatSeconds);
-        for (const ShardCell &cell : assign.cells) {
-            ShardFaultKind fault =
-                maybeInjectShardFault(cell.index, cell.attempt);
-            if (fault == ShardFaultKind::Crash) {
-                warn("shard-worker '", opt.name,
-                     "': injected crash before cell ", cell.index);
-                std::_Exit(137);
-            }
-            if (fault == ShardFaultKind::Stall) {
-                // Freeze: mute the heartbeats and sleep through the
-                // coordinator's deadline, then wake and carry on --
-                // the classic straggler. Our late results arrive as
-                // dedup discards.
-                warn("shard-worker '", opt.name,
-                     "': injected stall before cell ", cell.index);
-                hb.pause.store(true, std::memory_order_release);
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(
-                        faultConfig().stallSeconds));
-                hb.pause.store(false, std::memory_order_release);
-            }
-            Result<SimSummary> out = invokeGuarded(
-                [&](const CancelToken &tok) {
-                    return runSimulationCancellable(bundle, cell.job, tok);
-                },
-                CancelToken{});
-            if (!out) {
-                done.failures.push_back(
-                    {cell.index, out.error().kind, out.error().message});
-                ++stats.cellsFailed;
-                continue;
-            }
-            std::string frame = encodeCellResult(CellResultReply{
-                assign.assignId, cell.index,
-                encodeSummaryLine(cell.index, out.value())});
-            if (fault == ShardFaultKind::Tear) {
-                warn("shard-worker '", opt.name,
-                     "': injected reply tear on cell ", cell.index);
-                hb.halt(); // the torn frame is the last bytes sent
-                [[maybe_unused]] Status torn =
-                    client.send(frame.substr(0, frame.size() / 2));
-                std::_Exit(141);
-            }
-            if (!client.send(frame))
-                return stats;
-            ++done.completed;
-            hb.cellsDone.fetch_add(1);
-            ++stats.cellsRun;
-        }
-        if (!client.send(encodeShardDone(done)))
-            return stats;
-    }
 }
 
 } // namespace vrc

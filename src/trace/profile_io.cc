@@ -10,6 +10,7 @@
 
 #include "base/fault.hh"
 #include "base/log.hh"
+#include "trace/record.hh"
 
 namespace vrc
 {
@@ -197,6 +198,10 @@ tryReadProfile(std::istream &is, const std::string &context)
                                "' for profile key '", key, "'");
         }
     }
+    // The machine needs a CPU, and a record names its CPU in 8 bits.
+    if (p.numCpus < 1 || p.numCpus > kMaxTraceCpus)
+        return makeErrorAt(ErrorKind::Bounds, context, 0, "num_cpus ",
+                           p.numCpus, " is outside 1..", kMaxTraceCpus);
     return p;
 }
 

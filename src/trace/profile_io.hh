@@ -38,7 +38,8 @@ void writeProfile(std::ostream &os, const WorkloadProfile &p);
 /**
  * Parse a profile from a default-constructed WorkloadProfile.
  * Malformed lines, unknown keys, and bad values are Parse errors
- * carrying the 1-based line number and @p context.
+ * carrying the 1-based line number and @p context; a num_cpus outside
+ * 1..kMaxTraceCpus is a Bounds error.
  */
 Result<WorkloadProfile>
 tryReadProfile(std::istream &is,

@@ -2,7 +2,7 @@
  * @file
  * CancelToken tests: the deadline, the parent link, and how a driver
  * tells a timeout from a cancellation. Every cell attempt of the
- * sweep, the shard worker and the service polls one of these.
+ * sweep and of the service polls one of these.
  */
 
 #include <gtest/gtest.h>

@@ -71,7 +71,7 @@ TEST_F(FaultInjectionTest, BadSpecsRejected)
     for (const char *bad :
          {"seed=-1", "seed=1.9", "seed=1e3", "-7", "seed=3,corrupt=-5",
           "seed=3,throw=nan", "seed=3,stall=1.01", "seed=3,drop=inf",
-          "seed=3,reply-tear=2", "seed=3,stall_ms=-1",
+          "seed=3,tear=2", "seed=3,stall_ms=-1",
           "seed=3,stall_ms=inf"}) {
         EXPECT_FALSE(configureFaultInjection(bad).ok()) << bad;
         EXPECT_FALSE(faultsArmed()) << bad;

@@ -2,7 +2,8 @@
  * @file
  * ServeServer tests: an in-process server on a unix socket in the
  * test temp dir, driven through the real ServeClient. Covers batch
- * byte-equality, session poisoning isolation, backpressure shedding,
+ * byte-equality of segments and of named cells, session poisoning
+ * isolation, backpressure shedding,
  * per-segment deadlines, a client gone mid-segment, the workers' spare
  * simulators, graceful drain, and client quarantine.
  */
@@ -242,6 +243,89 @@ TEST(ServeTest, BadCacheSizeIsRefusedAndSessionSurvives)
 
     // Same connection, valid request: still served.
     ASSERT_TRUE(c.submit(submitFor(seg, 0, 256)).ok());
+    auto fr = c.readFrame(60.0);
+    ASSERT_TRUE(fr.ok()) << fr.error().describe();
+    EXPECT_EQ(fr.value().type, FrameType::Result);
+
+    server.requestDrain();
+    EXPECT_EQ(server.waitUntilDrained(), 0);
+    EXPECT_EQ(server.stats().sessionsPoisoned, 0u);
+}
+
+/** A cell SUBMIT: no records; the server generates the trace. */
+SubmitRequest
+cellFor(std::uint64_t seg, const std::string &profile, double scale)
+{
+    SubmitRequest req;
+    req.segmentId = seg;
+    req.job = job();
+    req.profileName = profile;
+    req.scale = scale;
+    req.cell = true;
+    return req;
+}
+
+TEST(ServeTest, CellResultEqualsTheBatchRunOfItsGeneratedTrace)
+{
+    TempSock sock("serve_cell.sock");
+    ServeOptions opt;
+    opt.unixPath = sock.path;
+    opt.workers = 2;
+    ServeServer server(opt);
+    ASSERT_TRUE(server.start().ok());
+
+    // Two clients ask for the same trace at once; each result is the
+    // batch run of the trace generateTrace() makes for the cell.
+    std::string expected =
+        encodeSummaryLine(0, runSimulationJob(bundle(), job()));
+    ServeClient a, b;
+    attach(a, sock.path, "cell-a");
+    attach(b, sock.path, "cell-b");
+    ASSERT_TRUE(a.submit(cellFor(11, "pops", 0.002)).ok());
+    ASSERT_TRUE(b.submit(cellFor(12, "pops", 0.002)).ok());
+    for (auto [c, seg] : {std::pair{&a, 11u}, std::pair{&b, 12u}}) {
+        auto fr = c->readFrame(60.0);
+        ASSERT_TRUE(fr.ok()) << fr.error().describe();
+        ASSERT_EQ(fr.value().type, FrameType::Result);
+        auto r = decodeResult(fr.value().payload);
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.value().segmentId, seg);
+        EXPECT_EQ(r.value().summaryLine, expected);
+    }
+
+    server.requestDrain();
+    EXPECT_EQ(server.waitUntilDrained(), 0);
+    EXPECT_EQ(server.stats().segmentsCompleted, 2u);
+}
+
+TEST(ServeTest, OverBoundAndUnknownCellsAreRefusedAndSessionSurvives)
+{
+    TempSock sock("serve_badcell.sock");
+    ServeOptions opt;
+    opt.unixPath = sock.path;
+    ServeServer server(opt);
+    ASSERT_TRUE(server.start().ok());
+
+    ServeClient c;
+    attach(c, sock.path, "cell-picky");
+    // pops at scale 1e6 names ~3e12 records: far past the frame cap,
+    // so the server must not generate it.
+    std::uint64_t seg = 1;
+    for (const SubmitRequest &bad : {cellFor(seg, "pops", 1e6),
+                                     cellFor(seg + 1, "nosuch", 0.002)}) {
+        ASSERT_TRUE(c.submit(bad).ok());
+        auto err = c.readFrame(10.0);
+        ASSERT_TRUE(err.ok()) << err.error().describe();
+        ASSERT_EQ(err.value().type, FrameType::Error);
+        auto e = decodeErrorReply(err.value().payload);
+        ASSERT_TRUE(e.ok());
+        EXPECT_EQ(e.value().segmentId, seg);
+        EXPECT_EQ(e.value().kind, ErrorKind::Bounds);
+        ++seg;
+    }
+
+    // Same connection, valid cell: still served.
+    ASSERT_TRUE(c.submit(cellFor(seg, "pops", 0.002)).ok());
     auto fr = c.readFrame(60.0);
     ASSERT_TRUE(fr.ok()) << fr.error().describe();
     EXPECT_EQ(fr.value().type, FrameType::Result);

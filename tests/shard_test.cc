@@ -1,15 +1,19 @@
 /**
  * @file
- * Distributed sweep sharding tests: stable cell ids, merge
- * determinism and conflict refusal, and an in-process coordinator +
- * worker end-to-end run proved byte-identical to the single-process
- * campaign -- including under an injected straggler -- and a fake
- * worker that fails every cell until the coordinator quarantines it.
+ * Distributed sweep tests: stable cell ids, merge determinism and
+ * conflict refusal, and an in-process coordinator driving in-process
+ * --serve servers, proved byte-identical to the single-process
+ * campaign -- including under an injected straggler -- plus a server
+ * that fails every cell until the coordinator quarantines them all,
+ * a server that sheds, servers that cannot be reached, and servers
+ * that are all lost.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <random>
@@ -20,7 +24,7 @@
 
 #include "base/fault.hh"
 #include "serve/client.hh"
-#include "serve/wire.hh"
+#include "serve/server.hh"
 #include "sim/campaign.hh"
 #include "sim/shard.hh"
 #include "trace/generator.hh"
@@ -220,7 +224,33 @@ TEST(ShardMergeTest, IntraFileDivergentDuplicateRejectedAtLoad)
         << loaded.error().describe();
 }
 
-// ---- coordinator + workers end to end ---------------------------------
+// ---- coordinator + servers end to end ---------------------------------
+
+/** In-process --serve servers on ephemeral TCP ports. */
+struct Servers
+{
+    std::vector<std::unique_ptr<ServeServer>> list;
+
+    explicit Servers(unsigned n)
+    {
+        for (unsigned i = 0; i < n; ++i) {
+            ServeOptions so;
+            so.tcpPort = 0;
+            so.workers = 1;
+            list.push_back(std::make_unique<ServeServer>(so));
+            EXPECT_TRUE(list.back()->start().ok());
+        }
+    }
+
+    std::vector<ServerAddress>
+    addresses() const
+    {
+        std::vector<ServerAddress> out;
+        for (const auto &s : list)
+            out.push_back({"", s->tcpPort()});
+        return out;
+    }
+};
 
 struct E2eResult
 {
@@ -231,36 +261,18 @@ struct E2eResult
 };
 
 E2eResult
-runCoordinated(const ShardCoordinatorOptions &optIn, unsigned workers,
-               const std::string &tag)
+runCoordinated(const ShardCoordinatorOptions &optIn, unsigned servers)
 {
     TraceBundle bundle = smallBundle();
     std::vector<SimJob> jobs = smallGrid();
 
     ShardCoordinatorOptions opt = optIn;
-    opt.listenTcp = 0; // ephemeral
     opt.profileScale = 0.002;
+    Servers pool(servers);
     ShardCoordinator coordinator(opt);
-    Status bound = coordinator.bind();
-    EXPECT_TRUE(bound.ok());
-    int port = coordinator.tcpPort();
-    EXPECT_GT(port, 0);
-
-    std::vector<std::thread> pool;
-    for (unsigned i = 0; i < workers; ++i) {
-        pool.emplace_back([port, i, tag] {
-            ShardWorkerOptions wo;
-            wo.connectTcp = port;
-            wo.name = tag + "-w" + std::to_string(i);
-            wo.heartbeatSeconds = 0.05;
-            Result<ShardWorkerStats> st = runShardWorker(wo);
-            EXPECT_TRUE(st.ok()) << st.error().describe();
-        });
-    }
-
+    Status connected = coordinator.connect(pool.addresses());
+    EXPECT_TRUE(connected.ok()) << connected.error().describe();
     Result<CampaignResult> run = coordinator.run(bundle, jobs);
-    for (std::thread &t : pool)
-        t.join();
 
     E2eResult out;
     out.stats = coordinator.stats();
@@ -297,14 +309,14 @@ TEST(ShardCoordinatorTest, TwoWorkersMatchSingleProcessByteForByte)
 
     ShardCoordinatorOptions so;
     so.checkpoint = distCkpt;
-    so.cellsPerShard = 2;
     so.maxRetries = 2;
-    E2eResult dist = runCoordinated(so, 2, "match");
+    E2eResult dist = runCoordinated(so, 2);
 
     EXPECT_EQ(dist.json, baseJson);
     EXPECT_EQ(dist.journal, slurp(baseCkpt));
-    EXPECT_GE(dist.stats.workersSeen, 1u);
+    EXPECT_EQ(dist.stats.serversConnected, 2u);
     EXPECT_EQ(dist.stats.cellResults, jobs.size());
+    EXPECT_EQ(dist.stats.cellsDispatched, jobs.size());
 }
 
 TEST(ShardCoordinatorTest, ResumeRedispatchesOnlyMissingCells)
@@ -319,7 +331,7 @@ TEST(ShardCoordinatorTest, ResumeRedispatchesOnlyMissingCells)
     ShardCoordinatorOptions so;
     so.checkpoint = ckpt;
     so.maxRetries = 2;
-    E2eResult full = runCoordinated(so, 2, "resume-a");
+    E2eResult full = runCoordinated(so, 2);
     std::string finished = full.journal;
 
     std::istringstream in(finished);
@@ -333,7 +345,7 @@ TEST(ShardCoordinatorTest, ResumeRedispatchesOnlyMissingCells)
 
     ShardCoordinatorOptions ro = so;
     ro.resume = true;
-    E2eResult resumed = runCoordinated(ro, 2, "resume-b");
+    E2eResult resumed = runCoordinated(ro, 2);
     EXPECT_EQ(resumed.restored, 2);
     EXPECT_EQ(resumed.stats.cellResults, jobs.size() - 2);
     EXPECT_EQ(resumed.journal, finished);
@@ -345,10 +357,7 @@ TEST(ShardCoordinatorTest, ResumeRedispatchesOnlyMissingCells)
         out << "vrc-campaign-checkpoint v1\nkey f00d cells "
             << jobs.size() << "\n";
     }
-    ShardCoordinatorOptions foreign = ro;
-    foreign.listenTcp = 0;
-    ShardCoordinator coordinator(foreign);
-    ASSERT_TRUE(coordinator.bind().ok());
+    ShardCoordinator coordinator(ro);
     Result<CampaignResult> run = coordinator.run(bundle, jobs);
     ASSERT_FALSE(run.ok());
     EXPECT_EQ(run.error().kind, ErrorKind::Mismatch);
@@ -358,28 +367,31 @@ TEST(ShardCoordinatorTest, ResumeRedispatchesOnlyMissingCells)
 
 TEST(ShardCoordinatorTest, StragglerIsSpeculativelyRedispatched)
 {
-    // Arm a deterministic stall: some cell's first dispatch freezes
-    // (heartbeats muted) for longer than the coordinator's deadline,
-    // so the watchdog must speculate that range to the other worker.
-    // First make sure the seed actually stalls at least one cell at
-    // attempt 0 -- otherwise the test would pass vacuously.
+    // Arm a deterministic stall in the (in-process) servers: some
+    // cell's first dispatch sleeps for longer than the coordinator's
+    // deadline, so the watchdog must speculate that cell onto the
+    // other server, where its second dispatch does not stall. First
+    // make sure the seed does exactly that -- otherwise the test would
+    // pass vacuously.
     ASSERT_TRUE(
-        configureFaultInjection("seed=5,worker-stall=0.35,stall_ms=1500")
-            .ok());
-    bool anyStall = false;
+        configureFaultInjection("seed=26,stall=0.35,stall_ms=1500").ok());
+    bool rescued = false;
     for (std::size_t i = 0; i < smallGrid().size(); ++i)
-        anyStall = anyStall ||
-                   faultDecision("shard-stall", i, 0, 0.35);
-    ASSERT_TRUE(anyStall) << "seed stalls nothing; pick another";
+        rescued = rescued ||
+                  (faultDecision("cell-stall", cellSegmentId(i, 0), 0,
+                                 0.35) &&
+                   !faultDecision("cell-stall", cellSegmentId(i, 1), 0,
+                                  0.35));
+    ASSERT_TRUE(rescued) << "seed stalls no first dispatch alone; "
+                            "pick another";
 
     const std::string ckpt = "shard_straggler.ckpt";
     std::remove(ckpt.c_str());
     ShardCoordinatorOptions so;
     so.checkpoint = ckpt;
-    so.cellsPerShard = 2;
     so.deadlineSeconds = 0.3; // well under the 1.5 s stall
     so.maxRetries = 10;
-    E2eResult dist = runCoordinated(so, 2, "straggler");
+    E2eResult dist = runCoordinated(so, 2);
     disarmFaultInjection();
 
     EXPECT_GE(dist.stats.speculativeDispatches, 1u);
@@ -398,47 +410,31 @@ TEST(ShardCoordinatorTest, StragglerIsSpeculativelyRedispatched)
 
 TEST(ShardCoordinatorTest, CellQuarantinedAfterRetriesExhausted)
 {
-    // A fake worker that fails every cell it is given: each cell must
-    // be re-dispatched maxRetries times and then quarantined with the
-    // same attempt count the in-process sweep would report.
+    // A server that fails every cell it is given (each simulator build
+    // throws): each cell must be re-dispatched maxRetries times and
+    // then quarantined with the same attempt count the in-process
+    // sweep would report.
     TraceBundle bundle = smallBundle();
     std::vector<SimJob> jobs = smallGrid();
     const std::string manifest = "shard_quarantine.manifest";
     std::remove(manifest.c_str());
 
+    simulatorBuildHookForTest() = [] {
+        throw std::runtime_error("no luck");
+    };
     ShardCoordinatorOptions so;
-    so.listenTcp = 0;
     so.profileScale = 0.002;
-    so.cellsPerShard = 2;
     so.maxRetries = 2;
     so.backoffSeconds = 0.001;
     so.manifest = manifest;
-    ShardCoordinator coordinator(so);
-    ASSERT_TRUE(coordinator.bind().ok());
-    int port = coordinator.tcpPort();
-
-    std::thread fake([port] {
-        ServeClient c;
-        ASSERT_TRUE(c.connectTcp(port).ok());
-        ASSERT_TRUE(c.hello("always-fails").ok());
-        for (;;) {
-            Result<Frame> fr = c.readFrame(30.0);
-            if (!fr || fr.value().type != FrameType::ShardAssign)
-                return;
-            Result<ShardAssignment> a =
-                decodeShardAssign(fr.value().payload);
-            ASSERT_TRUE(a.ok()) << a.error().describe();
-            ShardDoneReply done;
-            done.assignId = a.value().assignId;
-            for (const ShardCell &cell : a.value().cells)
-                done.failures.push_back(
-                    {cell.index, ErrorKind::Worker, "no luck"});
-            if (!c.send(encodeShardDone(done)))
-                return;
-        }
-    });
-    Result<CampaignResult> run = coordinator.run(bundle, jobs);
-    fake.join();
+    Result<CampaignResult> run = makeError(ErrorKind::Io, "not run");
+    {
+        Servers pool(1);
+        ShardCoordinator coordinator(so);
+        ASSERT_TRUE(coordinator.connect(pool.addresses()).ok());
+        run = coordinator.run(bundle, jobs);
+    }
+    simulatorBuildHookForTest() = nullptr;
 
     ASSERT_TRUE(run.ok()) << run.error().describe();
     const CampaignResult &res = run.value();
@@ -457,6 +453,126 @@ TEST(ShardCoordinatorTest, CellQuarantinedAfterRetriesExhausted)
         ++entries;
     EXPECT_EQ(entries, jobs.size());
     std::remove(manifest.c_str());
+}
+
+TEST(ShardCoordinatorTest, ShedCellsReturnToTheQueueAtNoCost)
+{
+    // The server's one worker is held in a simulator build and its one
+    // queue slot is taken, so the coordinator's cells are SHED until
+    // the hold is released. With no retries and a strike limit of one,
+    // a SHED that cost a retry or a strike would quarantine a cell or
+    // the server.
+    TraceBundle bundle = smallBundle();
+    std::vector<SimJob> jobs = smallGrid();
+    std::atomic<bool> held{false}, release{false};
+    simulatorBuildHookForTest() = [&] {
+        held = true;
+        for (int i = 0; i < 60000 && !release.load(); ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    Result<CampaignResult> run = makeError(ErrorKind::Io, "not run");
+    ServiceStats served;
+    {
+        ServeOptions so;
+        so.tcpPort = 0;
+        so.workers = 1;
+        so.queueCap = 1;
+        ServeServer server(so);
+        ASSERT_TRUE(server.start().ok());
+
+        // A second client fills the worker and the queue; its third
+        // cell is shed, so the queue is full before the coordinator
+        // dials.
+        ServeClient hog;
+        ASSERT_TRUE(hog.connectTcp(server.tcpPort()).ok());
+        ASSERT_TRUE(hog.hello("hog").ok());
+        SubmitRequest req;
+        req.job = jobs[0];
+        req.profileName = "pops";
+        req.scale = 0.002;
+        req.cell = true;
+        req.segmentId = 1;
+        ASSERT_TRUE(hog.submit(req).ok());
+        for (int i = 0; i < 10000 && !held.load(); ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_TRUE(held.load());
+        for (std::uint64_t seg : {2, 3}) {
+            req.segmentId = seg;
+            ASSERT_TRUE(hog.submit(req).ok());
+        }
+        Result<Frame> shed = hog.readFrame(10.0);
+        ASSERT_TRUE(shed.ok()) << shed.error().describe();
+        ASSERT_EQ(shed.value().type, FrameType::Shed);
+
+        ShardCoordinatorOptions co;
+        co.profileScale = 0.002;
+        co.maxRetries = 0;
+        co.workerStrikeLimit = 1;
+        co.backoffSeconds = 0.01;
+        ShardCoordinator coordinator(co);
+        ASSERT_TRUE(
+            coordinator.connect({{"", server.tcpPort()}}).ok());
+        std::thread releaser([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+            release = true;
+        });
+        run = coordinator.run(bundle, jobs);
+        releaser.join();
+        served = server.stats();
+    }
+    simulatorBuildHookForTest() = nullptr;
+
+    ASSERT_TRUE(run.ok()) << run.error().describe();
+    EXPECT_TRUE(run.value().allOk());
+    EXPECT_EQ(run.value().completedCells(), jobs.size());
+    EXPECT_GE(served.segmentsShed, 2u); // the hog's and the coordinator's
+}
+
+TEST(ShardCoordinatorTest, NoReachableServerIsAnErrorNamingEachAddress)
+{
+    ShardCoordinator coordinator(ShardCoordinatorOptions{});
+    Status connected = coordinator.connect(
+        {{"shard_no_such_server.sock"}, {"shard_nor_this.sock"}});
+    ASSERT_FALSE(connected.ok());
+    EXPECT_EQ(connected.error().kind, ErrorKind::Io);
+    EXPECT_NE(connected.error().message.find(
+                  "unix:shard_no_such_server.sock"),
+              std::string::npos)
+        << connected.error().message;
+    EXPECT_NE(connected.error().message.find("unix:shard_nor_this.sock"),
+              std::string::npos)
+        << connected.error().message;
+}
+
+TEST(ShardCoordinatorTest, EveryServerLostQuarantinesTheUnsettledCells)
+{
+    // The one server tears every reply and closes the session: once it
+    // is lost, no live server is left, so every unsettled cell is
+    // quarantined instead of waiting forever.
+    TraceBundle bundle = smallBundle();
+    std::vector<SimJob> jobs = smallGrid();
+    ASSERT_TRUE(configureFaultInjection("seed=3,tear=1.0").ok());
+    ShardCoordinatorOptions so;
+    so.profileScale = 0.002;
+    so.maxRetries = 10;
+    Result<CampaignResult> run = makeError(ErrorKind::Io, "not run");
+    ShardStats stats;
+    {
+        Servers pool(1);
+        ShardCoordinator coordinator(so);
+        ASSERT_TRUE(coordinator.connect(pool.addresses()).ok());
+        run = coordinator.run(bundle, jobs);
+        stats = coordinator.stats();
+    }
+    disarmFaultInjection();
+
+    ASSERT_TRUE(run.ok()) << run.error().describe();
+    const CampaignResult &res = run.value();
+    EXPECT_EQ(stats.serversLost, 1u);
+    EXPECT_EQ(res.completedCells(), 0u);
+    ASSERT_EQ(res.quarantined.size(), jobs.size());
+    for (const CellFailure &f : res.quarantined)
+        EXPECT_EQ(f.error, "no live server");
 }
 
 } // namespace

@@ -219,11 +219,19 @@ TEST(WireTest, DecodeSubmitRejectsHostileValues)
     std::string good = encodeSubmit(s);
     std::string payload = good.substr(wireHeaderBytes);
 
-    // Truncations at every length must fail cleanly, never crash.
+    // Truncations at every length must fail cleanly, never crash --
+    // except right after the profile name, which is a cell body.
+    const std::size_t trace_at = 8 + 1 + 4 + 4 + 1 + 1 + 8 + 2 +
+                                 s.profileName.size();
     for (std::size_t cut = 0; cut < payload.size();
-         cut += std::max<std::size_t>(1, payload.size() / 37))
-        EXPECT_FALSE(decodeSubmit(payload.substr(0, cut)).ok())
-            << "cut=" << cut;
+         cut += std::max<std::size_t>(1, payload.size() / 37)) {
+        if (cut != trace_at) {
+            EXPECT_FALSE(decodeSubmit(payload.substr(0, cut)).ok())
+                << "cut=" << cut;
+        }
+    }
+    ASSERT_TRUE(decodeSubmit(payload.substr(0, trace_at)).ok());
+    EXPECT_TRUE(decodeSubmit(payload.substr(0, trace_at)).value().cell);
 
     // Bad organization code.
     std::string bad = payload;
@@ -241,8 +249,6 @@ TEST(WireTest, DecodeSubmitRejectsHostileValues)
 
     // Corrupt embedded trace container magic.
     std::string bad_trace = payload;
-    std::size_t trace_at = 8 + 1 + 4 + 4 + 1 + 1 + 8 + 2 +
-                           s.profileName.size();
     bad_trace[trace_at] = 'X';
     auto t = decodeSubmit(bad_trace);
     ASSERT_FALSE(t.ok());
@@ -274,135 +280,64 @@ TEST(WireTest, LargeFeedCompactsConsumedPrefix)
         EXPECT_TRUE(decodeSubmit(f.payload).ok());
 }
 
-// ---- shard frames ----------------------------------------------------
+// ---- cell bodies and reserved codes --------------------------------
 
-ShardAssignment
-sampleAssign()
+TEST(WireTest, CellSubmitRoundTripPreservesEverything)
 {
-    ShardAssignment a;
-    a.assignId = 7;
-    a.campaignKey = "deadbeefcafef00d";
-    a.profileName = "thor";
-    a.scale = 0.25; // exactly representable on purpose
-    a.cells.push_back(
-        {3, 0,
-         SimJob{HierarchyKind::VirtualReal, 4096, 65536, false, 0,
-                TimingMode::Analytic}});
-    a.cells.push_back(
-        {8, 2,
-         SimJob{HierarchyKind::RealRealNoIncl, 16384, 262144, true,
-                10'000, TimingMode::Cycle}});
-    return a;
-}
-
-TEST(WireTest, ShardAssignRoundTripPreservesEverything)
-{
-    ShardAssignment a = sampleAssign();
-    std::string f = encodeShardAssign(a);
+    SubmitRequest c = sampleSubmit();
+    c.records.clear();
+    c.cell = true;
+    std::string f = encodeSubmit(c);
     FrameReader rd;
     rd.feed(f.data(), f.size());
     ASSERT_EQ(rd.poll(), FrameReader::State::Frame);
     Frame fr = rd.take();
-    EXPECT_EQ(fr.type, FrameType::ShardAssign);
-    Result<ShardAssignment> d = decodeShardAssign(fr.payload);
-    ASSERT_TRUE(d.ok());
-    const ShardAssignment &b = d.value();
-    EXPECT_EQ(b.assignId, a.assignId);
-    EXPECT_EQ(b.campaignKey, a.campaignKey);
-    EXPECT_EQ(b.profileName, a.profileName);
-    EXPECT_EQ(b.scale, a.scale); // exact double bits
-    ASSERT_EQ(b.cells.size(), a.cells.size());
-    for (std::size_t i = 0; i < a.cells.size(); ++i) {
-        EXPECT_EQ(b.cells[i].index, a.cells[i].index);
-        EXPECT_EQ(b.cells[i].attempt, a.cells[i].attempt);
-        EXPECT_EQ(b.cells[i].job.kind, a.cells[i].job.kind);
-        EXPECT_EQ(b.cells[i].job.l1Size, a.cells[i].job.l1Size);
-        EXPECT_EQ(b.cells[i].job.l2Size, a.cells[i].job.l2Size);
-        EXPECT_EQ(b.cells[i].job.split, a.cells[i].job.split);
-        EXPECT_EQ(b.cells[i].job.invariantPeriod,
-                  a.cells[i].job.invariantPeriod);
-        EXPECT_EQ(b.cells[i].job.timingMode,
-                  a.cells[i].job.timingMode);
+    ASSERT_EQ(fr.type, FrameType::Submit);
+    // The header alone: segment id, job, scale bits and profile name.
+    EXPECT_EQ(fr.payload.size(),
+              8 + 1 + 4 + 4 + 1 + 1 + 8 + 2 + c.profileName.size());
+    Result<SubmitRequest> back = decodeSubmit(fr.payload);
+    ASSERT_TRUE(back.ok()) << back.error().describe();
+    const SubmitRequest &b = back.value();
+    EXPECT_TRUE(b.cell);
+    EXPECT_TRUE(b.records.empty());
+    EXPECT_EQ(b.segmentId, c.segmentId);
+    EXPECT_EQ(b.job.kind, c.job.kind);
+    EXPECT_EQ(b.job.l1Size, c.job.l1Size);
+    EXPECT_EQ(b.job.l2Size, c.job.l2Size);
+    EXPECT_EQ(b.job.split, c.job.split);
+    EXPECT_EQ(b.job.timingMode, c.job.timingMode);
+    EXPECT_EQ(b.profileName, c.profileName);
+    EXPECT_EQ(b.scale, c.scale); // exact double bits
+    EXPECT_EQ(encodeSubmit(b), f);
+
+    // A segment keeps its bytes and meaning, even one of no records:
+    // its trace container is never empty.
+    for (std::size_t n : {std::size_t{3}, std::size_t{0}}) {
+        SubmitRequest seg = sampleSubmit();
+        seg.records.resize(n);
+        std::string sf = encodeSubmit(seg);
+        Result<SubmitRequest> sb =
+            decodeSubmit(sf.substr(wireHeaderBytes));
+        ASSERT_TRUE(sb.ok()) << sb.error().describe();
+        EXPECT_FALSE(sb.value().cell);
+        EXPECT_EQ(sb.value().records.size(), n);
+        EXPECT_EQ(encodeSubmit(sb.value()), sf);
     }
 }
 
-TEST(WireTest, CellResultShardDoneHeartbeatRoundTrip)
+TEST(WireTest, ReservedShardCodesAreRefused)
 {
-    CellResultReply r{9, 4, "cell 4 vr 4096 65536 0 ..."};
-    Result<CellResultReply> dr =
-        decodeCellResult(encodeCellResult(r).substr(wireHeaderBytes));
-    ASSERT_TRUE(dr.ok());
-    EXPECT_EQ(dr.value().assignId, 9u);
-    EXPECT_EQ(dr.value().index, 4u);
-    EXPECT_EQ(dr.value().summaryLine, r.summaryLine);
-
-    ShardDoneReply d;
-    d.assignId = 9;
-    d.completed = 3;
-    d.failures.push_back({5, ErrorKind::Timeout, "watchdog"});
-    d.failures.push_back({6, ErrorKind::Worker, "threw"});
-    Result<ShardDoneReply> dd =
-        decodeShardDone(encodeShardDone(d).substr(wireHeaderBytes));
-    ASSERT_TRUE(dd.ok());
-    EXPECT_EQ(dd.value().assignId, 9u);
-    EXPECT_EQ(dd.value().completed, 3u);
-    ASSERT_EQ(dd.value().failures.size(), 2u);
-    EXPECT_EQ(dd.value().failures[0].index, 5u);
-    EXPECT_EQ(dd.value().failures[0].kind, ErrorKind::Timeout);
-    EXPECT_EQ(dd.value().failures[1].message, "threw");
-
-    HeartbeatMsg h{12, 34};
-    Result<HeartbeatMsg> dh =
-        decodeHeartbeat(encodeHeartbeat(h).substr(wireHeaderBytes));
-    ASSERT_TRUE(dh.ok());
-    EXPECT_EQ(dh.value().assignId, 12u);
-    EXPECT_EQ(dh.value().cellsDone, 34u);
-}
-
-TEST(WireTest, DecodeShardFramesRejectHostileValues)
-{
-    // Truncated assign header.
-    EXPECT_FALSE(decodeShardAssign(std::string(7, 'x')).ok());
-    // Zero cells.
-    ShardAssignment a = sampleAssign();
-    a.cells.clear();
-    std::string p = encodeShardAssign(a).substr(wireHeaderBytes);
-    EXPECT_FALSE(decodeShardAssign(p).ok());
-    // Bad organization code inside a cell.
-    a = sampleAssign();
-    p = encodeShardAssign(a).substr(wireHeaderBytes);
-    std::string broken = p;
-    bool flipped = false;
-    // Corrupt the first cell's kind byte wherever it encodes to: walk
-    // the payload and force an out-of-range org value at the known
-    // offset (after id + scale + key + name + count + index + attempt).
-    std::size_t off = 8 + 8 + 2 + a.campaignKey.size() + 2 +
-                      a.profileName.size() + 4 + 4 + 4;
-    if (off < broken.size()) {
-        broken[off] = 99;
-        flipped = true;
+    // Codes 9-12 carried the retired shard-worker frames: a stream
+    // that sends one is refused from the header, like any unknown type.
+    for (char code = 9; code <= 12; ++code) {
+        std::string f = encodeFrame(FrameType::Bye, "payload");
+        f[4] = code;
+        FrameReader rd;
+        rd.feed(f.data(), f.size());
+        EXPECT_EQ(rd.poll(), FrameReader::State::Broken) << int(code);
+        EXPECT_EQ(rd.error().kind, ErrorKind::Format);
     }
-    ASSERT_TRUE(flipped);
-    EXPECT_FALSE(decodeShardAssign(broken).ok());
-    // Trailing garbage.
-    EXPECT_FALSE(decodeShardAssign(p + "x").ok());
-
-    // Empty summary line.
-    EXPECT_FALSE(
-        decodeCellResult(
-            encodeCellResult(CellResultReply{1, 2, "x"})
-                .substr(wireHeaderBytes, 12))
-            .ok());
-    // Heartbeat with the wrong exact length.
-    EXPECT_FALSE(decodeHeartbeat(std::string(11, 'x')).ok());
-    EXPECT_FALSE(decodeHeartbeat(std::string(13, 'x')).ok());
-    // ShardDone failure kind out of the taxonomy.
-    ShardDoneReply d;
-    d.assignId = 1;
-    d.failures.push_back({0, ErrorKind::Worker, "m"});
-    p = encodeShardDone(d).substr(wireHeaderBytes);
-    p[8 + 4 + 4 + 4] = 120; // the failure's kind byte
-    EXPECT_FALSE(decodeShardDone(p).ok());
 }
 
 // ---- FrameConn ------------------------------------------------------
@@ -440,7 +375,7 @@ TEST(WireTest, FrameConnJoinsAFrameSplitAcrossTwoWrites)
 {
     ConnPair p;
     ASSERT_GE(p.peer, 0);
-    std::string frame = encodeHeartbeat(HeartbeatMsg{7, 3});
+    std::string frame = encodeResult(ResultReply{7, "cell 3"});
     ASSERT_TRUE(p.write(frame.substr(0, 5)));
     std::thread late([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -449,11 +384,11 @@ TEST(WireTest, FrameConnJoinsAFrameSplitAcrossTwoWrites)
     Result<Frame> f = p.conn.readFrame(10.0);
     late.join();
     ASSERT_TRUE(f.ok()) << f.error().describe();
-    EXPECT_EQ(f.value().type, FrameType::Heartbeat);
-    Result<HeartbeatMsg> hb = decodeHeartbeat(f.value().payload);
-    ASSERT_TRUE(hb.ok());
-    EXPECT_EQ(hb.value().assignId, 7u);
-    EXPECT_EQ(hb.value().cellsDone, 3u);
+    EXPECT_EQ(f.value().type, FrameType::Result);
+    Result<ResultReply> r = decodeResult(f.value().payload);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().segmentId, 7u);
+    EXPECT_EQ(r.value().summaryLine, "cell 3");
     EXPECT_EQ(p.conn.pendingBytes(), 0u);
 }
 
@@ -532,8 +467,8 @@ TEST(WireTest, FrameConnSendThenShutEndsTheStream)
 
 TEST(WireTest, FrameConnConcurrentSendsStayWholeAndOrdered)
 {
-    // The shard worker's heartbeat pump and its cell sender share one
-    // connection; so do the service's workers answering one session.
+    // The service's workers answering one session share one
+    // connection.
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     int small = 16 * 1024; // force short writes mid-frame
@@ -545,8 +480,8 @@ TEST(WireTest, FrameConnConcurrentSendsStayWholeAndOrdered)
     for (std::uint64_t t = 0; t < 2; ++t)
         senders.emplace_back([&out, t] {
             for (std::uint32_t i = 0; i < perThread; ++i)
-                EXPECT_TRUE(out.send(encodeCellResult(CellResultReply{
-                    t, i, std::string(20000, char('a' + t))})));
+                EXPECT_TRUE(out.send(encodeResult(ResultReply{
+                    t << 32 | i, std::string(20000, char('a' + t))})));
         });
 
     std::uint32_t next[2] = {0, 0};
@@ -554,13 +489,12 @@ TEST(WireTest, FrameConnConcurrentSendsStayWholeAndOrdered)
         for (std::uint32_t n = 0; n < 2 * perThread; ++n) {
             Result<Frame> f = in.readFrame(30.0);
             ASSERT_TRUE(f.ok()) << f.error().describe();
-            ASSERT_EQ(f.value().type, FrameType::CellResult);
-            Result<CellResultReply> r =
-                decodeCellResult(f.value().payload);
+            ASSERT_EQ(f.value().type, FrameType::Result);
+            Result<ResultReply> r = decodeResult(f.value().payload);
             ASSERT_TRUE(r.ok()) << r.error().describe();
-            std::uint64_t t = r.value().assignId;
+            std::uint64_t t = r.value().segmentId >> 32;
             ASSERT_LT(t, 2u);
-            EXPECT_EQ(r.value().index, next[t]++);
+            EXPECT_EQ(r.value().segmentId & 0xFFFFFFFFu, next[t]++);
             EXPECT_EQ(r.value().summaryLine,
                       std::string(20000, char('a' + t)));
         }
@@ -590,8 +524,8 @@ TEST(WireTest, SignalsMidFrameDoNotTearTheStream)
 {
     // A profiler/supervisor signal landing mid write() or mid read()
     // must not tear a frame: FrameConn retries EINTR and short writes
-    // on send and EINTR on read. Regression for the serve and shard
-    // layers' syscall loops.
+    // on send and EINTR on read. Regression for the service's and its
+    // clients' syscall loops.
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     int small = 16 * 1024; // force many short writes
@@ -606,11 +540,11 @@ TEST(WireTest, SignalsMidFrameDoNotTearTheStream)
     ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
     gSigCount = 0;
 
-    // One large CELL_RESULT frame: a multi-megabyte payload cannot
-    // fit the send buffer, so the writer parks in write() where the
-    // signals land.
-    CellResultReply big{1, 2, std::string(4u << 20, 's')};
-    std::string frame = encodeCellResult(big);
+    // One large RESULT frame: a multi-megabyte payload cannot fit the
+    // send buffer, so the writer parks in write() where the signals
+    // land.
+    ResultReply big{1, std::string(4u << 20, 's')};
+    std::string frame = encodeResult(big);
 
     FrameConn out(fds[0]), in(fds[1]);
     std::atomic<bool> writeOk{false};
@@ -639,8 +573,8 @@ TEST(WireTest, SignalsMidFrameDoNotTearTheStream)
     EXPECT_TRUE(writeOk);
     ASSERT_TRUE(got.ok());
     Frame f = got.take();
-    EXPECT_EQ(f.type, FrameType::CellResult);
-    Result<CellResultReply> d = decodeCellResult(f.payload);
+    EXPECT_EQ(f.type, FrameType::Result);
+    Result<ResultReply> d = decodeResult(f.payload);
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(d.value().summaryLine, big.summaryLine);
     // The test only proves something if signals actually landed.

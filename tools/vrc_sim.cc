@@ -102,19 +102,17 @@ usage()
         "  --protect=<none|parity|secded>  tag-array protection policy\n"
         "                   (default secded)\n"
         "distributed sweep mode:\n"
-        "  --coordinate     run the sweep grid through remote shard\n"
-        "                   workers instead of local threads; reuses\n"
-        "                   --listen-unix/--listen-tcp, --checkpoint,\n"
-        "                   --resume, --deadline (straggler watchdog),\n"
+        "  --coordinate     run the sweep grid on --serve processes\n"
+        "                   instead of local threads, one cell in flight\n"
+        "                   per server; reuses --checkpoint, --resume,\n"
         "                   --max-retries, --manifest and --out\n"
-        "  --shard-cells=<n>  cells per dispatched shard (default\n"
-        "                   grid/4)\n"
-        "  --shard-worker   run one shard worker process\n"
-        "  --connect-unix=<path> / --connect-tcp=<port>  coordinator\n"
-        "                   address for --shard-worker\n"
-        "  --worker-name=<s>  stable worker identity (quarantine key)\n"
-        "  --heartbeat=<s>  worker heartbeat period (default 0.2)\n"
-        "                   (merge partial journals with vrc-merge)\n"
+        "  --connect-unix=<path>[,<path>...]  the servers' unix sockets\n"
+        "  --connect-tcp=<port>[,<port>...]   the servers' localhost TCP\n"
+        "                   ports (either or both; at least one server)\n"
+        "                   --deadline is how long a dispatched cell may\n"
+        "                   go without a reply before it is speculated\n"
+        "                   onto another server (merge partial journals\n"
+        "                   with vrc-merge)\n"
         "service mode:\n"
         "  --serve          run the long-lived segment service\n"
         "  --listen-unix=<path>   unix-domain listening socket\n"
@@ -130,7 +128,7 @@ usage()
         "                   apply per segment / to the service)\n"
         "exit codes:\n"
         "  0 success        2 usage or configuration error\n"
-        "  3 cells quarantined (sweep)   4 machine check\n"
+        "  3 cells quarantined (sweep, coordinate)   4 machine check\n"
         "  5 interrupted by SIGINT/SIGTERM (graceful drain; a second\n"
         "    signal hard-exits with 128+signal)\n"
         "  6 conflicting cell summaries (distributed sweep / merge)\n";
@@ -150,6 +148,46 @@ probeWritable(const char *what, const std::string &path)
     std::ofstream probe(path, std::ios::app);
     if (!probe)
         fatal("cannot open ", what, " for writing: ", path);
+}
+
+/** The comma-separated items of @p v (an empty one is kept). */
+std::vector<std::string>
+splitList(const std::string &v)
+{
+    std::vector<std::string> items;
+    for (std::size_t at = 0;;) {
+        std::size_t comma = v.find(',', at);
+        items.push_back(v.substr(at, comma - at));
+        if (comma == std::string::npos)
+            return items;
+        at = comma + 1;
+    }
+}
+
+/** A loaded input, or its error as a usage error (exit 2). */
+template <typename T>
+T
+loadOrReject(const cli::Tool &tool, Result<T> loaded)
+{
+    if (!loaded)
+        cli::reject(tool, loaded.error().describe());
+    return loaded.take();
+}
+
+/**
+ * --trace's records, checked against @p profile before any machine is
+ * built: a file that cannot be read, or names a CPU the profile's
+ * machine lacks, exits 2.
+ */
+std::vector<TraceRecord>
+loadTraceFor(const cli::Tool &tool, const std::string &path,
+             const WorkloadProfile &profile)
+{
+    std::vector<TraceRecord> records =
+        loadOrReject(tool, tryLoadTrace(path));
+    if (Status fits = checkTraceCpus(records, profile); !fits)
+        cli::reject(tool, path + ": " + fits.error().message);
+    return records;
 }
 
 /** --list-orgs: one line per organization, argument first. */
@@ -241,35 +279,29 @@ runSweep(const TraceBundle &bundle, const CampaignOptions &opt,
 }
 
 int
-runCoordinate(const TraceBundle &bundle,
-              const ShardCoordinatorOptions &opt, bool json,
+runCoordinate(const WorkloadProfile &profile,
+              const ShardCoordinatorOptions &opt,
+              const std::vector<ServerAddress> &servers, bool json,
               const std::string &out_path, TimingMode timing_mode)
 {
     std::vector<SimJob> jobs = sweepGrid(timing_mode);
-    installShutdownHandlers();
     ShardCoordinator coordinator(opt);
-    Status bound = coordinator.bind();
-    if (!bound) {
-        std::cerr << "vrc_sim: " << bound.error().describe() << "\n";
+    Status connected = coordinator.connect(servers);
+    if (!connected) {
+        std::cerr << "vrc_sim: " << connected.error().describe() << "\n";
         return 2;
     }
-    if (!opt.listenUnix.empty())
-        std::cout << "listening unix " << opt.listenUnix << "\n";
-    if (coordinator.tcpPort() >= 0)
-        std::cout << "listening tcp 127.0.0.1:"
-                  << coordinator.tcpPort() << "\n";
-    std::cout << std::flush;
-
+    installShutdownHandlers();
+    const TraceBundle bundle = generateTrace(profile);
     Result<CampaignResult> run = coordinator.run(bundle, jobs);
     ShardStats st = coordinator.stats();
     std::cerr << "vrc_sim: coordinated " << st.cellResults
-              << " cell results over " << st.workersSeen
-              << " workers (" << st.assignmentsDispatched
-              << " assignments, " << st.speculativeDispatches
-              << " speculative, " << st.duplicateResults
-              << " duplicates discarded, " << st.workersLost
-              << " workers lost, " << st.workersQuarantined
-              << " quarantined)\n";
+              << " cell results over " << st.serversConnected
+              << " servers (" << st.cellsDispatched << " dispatches, "
+              << st.speculativeDispatches << " speculative, "
+              << st.duplicateResults << " duplicates discarded, "
+              << st.serversLost << " servers lost, "
+              << st.serversQuarantined << " quarantined)\n";
     if (!run) {
         std::cerr << "vrc_sim: " << run.error().describe() << "\n";
         return coordinator.conflictDetected() ? 6 : 2;
@@ -301,21 +333,6 @@ runArtifacts(const std::string &name, double scale, unsigned jobs)
         std::cerr << "  " << a.name << "  " << a.title << "\n";
     std::cerr << "  all  every artifact above, in order\n";
     return 2;
-}
-
-int
-runWorker(const ShardWorkerOptions &opt)
-{
-    Result<ShardWorkerStats> run = runShardWorker(opt);
-    if (!run) {
-        std::cerr << "vrc_sim: " << run.error().describe() << "\n";
-        return 1;
-    }
-    ShardWorkerStats st = run.take();
-    std::cerr << "vrc_sim: worker '" << opt.name << "' done; "
-              << st.assignments << " assignments, " << st.cellsRun
-              << " cells run, " << st.cellsFailed << " failed\n";
-    return 0;
 }
 
 int
@@ -357,8 +374,7 @@ main(int argc, char **argv)
     bool split = false, check = false, per_cpu = false;
     bool json = false, stream = false, summary_only = false;
     std::string mode; // the mode flag given; empty for a single run
-    ShardWorkerOptions worker_opt;
-    std::size_t shard_cells = 0;
+    std::vector<ServerAddress> servers;
     ServeOptions serve_opt;
     TimingMode timing_mode = TimingMode::Analytic;
     CampaignOptions campaign;
@@ -377,7 +393,11 @@ main(int argc, char **argv)
     };
     cli::parse(tool, argc, argv, {
         {"--profile-file", profile_file},
-        {"--profile", profile_name},
+        {"--profile",
+         [&](const std::string &v) {
+             profile_name = v;
+             return cli::accept(knownProfileName(v));
+         }},
         {"--artifact", artifact},
         {"--trace", trace_path},
         {"--org",
@@ -404,13 +424,27 @@ main(int argc, char **argv)
         {"--summary", summary_only},
         {"--serve", [&] { pick("--serve"); }},
         {"--coordinate", [&] { pick("--coordinate"); }},
-        {"--shard-worker", [&] { pick("--shard-worker"); }},
         {"--sweep", [&] { pick("--sweep"); }},
-        {"--connect-unix", worker_opt.connectUnix},
-        {"--connect-tcp", worker_opt.connectTcp, 0, 65535},
-        {"--worker-name", worker_opt.name},
-        {"--heartbeat", worker_opt.heartbeatSeconds, 0.0, 1e6},
-        {"--shard-cells", shard_cells},
+        {"--connect-unix",
+         [&](const std::string &v) {
+             for (const std::string &path : splitList(v)) {
+                 if (path.empty())
+                     return cli::accept(false);
+                 servers.push_back({path});
+             }
+             return okStatus();
+         }},
+        {"--connect-tcp",
+         [&](const std::string &v) {
+             for (const std::string &port : splitList(v)) {
+                 ServerAddress a;
+                 if (Status read = cli::readNumber(port, a.tcpPort, 1, 65535);
+                     !read)
+                     return read;
+                 servers.push_back(a);
+             }
+             return okStatus();
+         }},
         {"--listen-unix", serve_opt.unixPath},
         {"--listen-tcp", serve_opt.tcpPort, 0, 65535},
         {"--workers", serve_opt.workers, 0u, cli::kMaxThreads},
@@ -443,8 +477,14 @@ main(int argc, char **argv)
         cli::reject(tool, "--stream, --soft-errors and --protect shape a "
                           "single run's machine; they cannot be combined "
                           "with " + mode);
-    if (mode == "--shard-worker")
-        return runWorker(worker_opt);
+    if ((mode == "--coordinate") != !servers.empty())
+        cli::reject(tool, "--coordinate dials the --serve processes named "
+                          "by --connect-unix/--connect-tcp; neither goes "
+                          "without the other");
+    if (mode == "--coordinate" &&
+        (!serve_opt.unixPath.empty() || serve_opt.tcpPort >= 0))
+        cli::reject(tool, "--listen-unix/--listen-tcp are for --serve; "
+                          "--coordinate dials its servers");
     if (mode == "--serve") {
         serve_opt.segmentDeadline = campaign.deadlineSeconds;
         serve_opt.maxRetries = campaign.maxRetries;
@@ -460,7 +500,7 @@ main(int argc, char **argv)
 
     WorkloadProfile profile = profile_file.empty()
         ? profileByName(profile_name)
-        : tryLoadProfile(profile_file).orDie();
+        : loadOrReject(tool, tryLoadProfile(profile_file));
     profile = scaled(profile, scale);
     if (stream && (!trace_path.empty() || warmup > 0.0))
         cli::reject(tool, "--stream cannot be combined with --trace or "
@@ -468,7 +508,7 @@ main(int argc, char **argv)
     if (mode == "--coordinate" &&
         (!trace_path.empty() || !profile_file.empty()))
         cli::reject(tool, "--coordinate needs a built-in --profile: "
-                          "workers regenerate the trace from its name");
+                          "servers regenerate the trace from its name");
     if (!mode.empty()) {
         probeWritable("campaign result (--out)", out_path);
         probeWritable("failure manifest (--manifest)", campaign.manifest);
@@ -476,12 +516,9 @@ main(int argc, char **argv)
     if (mode == "--coordinate") {
         ShardCoordinatorOptions co;
         static_cast<CellLedgerOptions &>(co) = campaign;
-        co.listenUnix = serve_opt.unixPath;
-        co.listenTcp = serve_opt.tcpPort;
         co.profileScale = scale;
-        co.cellsPerShard = shard_cells;
-        return runCoordinate(generateTrace(profile), co, json,
-                             out_path, timing_mode);
+        return runCoordinate(profile, co, servers, json, out_path,
+                             timing_mode);
     }
     if (mode == "--sweep") {
         for (const SimJob &j : sweepGrid(timing_mode))
@@ -489,15 +526,8 @@ main(int argc, char **argv)
                                  jobMachineConfig(j, profile.pageSize)));
         TraceBundle bundle;
         if (!trace_path.empty()) {
-            Result<std::vector<TraceRecord>> loaded =
-                tryLoadTrace(trace_path);
-            if (!loaded) {
-                std::cerr << "vrc_sim: " << loaded.error().describe()
-                          << "\n";
-                return 2;
-            }
             bundle.profile = profile;
-            bundle.records = loaded.take();
+            bundle.records = loadTraceFor(tool, trace_path, profile);
         } else {
             bundle = generateTrace(profile);
         }
@@ -518,7 +548,7 @@ main(int argc, char **argv)
 
     std::vector<TraceRecord> records;
     if (!trace_path.empty()) {
-        records = tryLoadTrace(trace_path).orDie();
+        records = loadTraceFor(tool, trace_path, profile);
     } else if (!stream) {
         records = generateTrace(profile).records;
     }

@@ -53,9 +53,14 @@ main(int argc, char **argv)
     std::optional<std::uint64_t> seed;
     std::uint32_t cpus = 0;
 
-    cli::parse({"vrc-tracegen", usage}, argc, argv, {
+    const cli::Tool tool{"vrc-tracegen", usage};
+    cli::parse(tool, argc, argv, {
         {"--profile-file", profile_file},
-        {"--profile", profile_name},
+        {"--profile",
+         [&](const std::string &v) {
+             profile_name = v;
+             return cli::accept(knownProfileName(v));
+         }},
         {"--scale", scale, 1e-6, 1e6},
         {"--seed",
          [&](const std::string &v) {
@@ -70,9 +75,12 @@ main(int argc, char **argv)
     if (profile_name.empty() && profile_file.empty())
         usage();
 
-    WorkloadProfile p = profile_file.empty()
+    Result<WorkloadProfile> loaded = profile_file.empty()
         ? profileByName(profile_name)
-        : tryLoadProfile(profile_file).orDie();
+        : tryLoadProfile(profile_file);
+    if (!loaded)
+        cli::reject(tool, loaded.error().describe());
+    WorkloadProfile p = loaded.take();
     p = scaled(p, scale);
     if (seed)
         p.seed = *seed;
